@@ -74,13 +74,3 @@ def fixed_adam_step(batch, w: ParamVector, adam_state: AdamState, lr: float,
                         grad_norm_sq=norm_sq(res.grad), searched=False,
                         backtracks=0, batch_seed=batch.key)
     return w_next, record, adam_state
-
-
-# Peak rates tuned on large-scale NLP/image trainings, kept as documented
-# presets; desk-scale problems want their own grid (see harness).
-PRESET_PEAK_LRS = {
-    ("adam", "nlp"): 2e-5,
-    ("sgd", "nlp"): 2e-3,
-    ("adam", "image"): 1e-3,
-    ("sgd", "image"): 1e-1,
-}

@@ -63,10 +63,11 @@ def seeded_rng(*keys: int) -> np.random.Generator:
 
 @dataclass
 class EvalResult:
-    """Mini-batch loss and its gradient at one point."""
+    """Mini-batch loss and its gradient at one point (``None`` when the
+    evaluation was asked for the loss only)."""
 
     loss: float
-    grad: ParamVector
+    grad: ParamVector | None
 
 
 @dataclass

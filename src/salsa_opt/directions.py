@@ -35,10 +35,11 @@ class AdamState:
             raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
 
     @classmethod
-    def zeros(cls, dim: int, beta1: float = 0.9, beta2: float = 0.999,
-              epsilon: float = 1e-8) -> "AdamState":
-        return cls(m=np.zeros(dim), v=np.zeros(dim), k=0,
-                   beta1=beta1, beta2=beta2, epsilon=epsilon)
+    def zeros(cls, dim: int, **hyper) -> "AdamState":
+        """Zero moments of length ``dim``; ``hyper`` overrides any of
+        ``beta1``, ``beta2`` and ``epsilon``, the rest keep the field
+        defaults above."""
+        return cls(m=np.zeros(dim), v=np.zeros(dim), k=0, **hyper)
 
 
 def sgd_direction(grad: ParamVector) -> ParamVector:

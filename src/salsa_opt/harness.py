@@ -589,12 +589,16 @@ def replay_verify(problem: Problem, optimizer: dict, seed: int, epochs: int,
                           f"got {kind!r}")
     base = "adam" if kind.startswith("adam") else "sgd"
     family = "salsa" if kind.endswith("salsa") else "sls"
-    c = optimizer.get("c", 0.3 if family == "salsa" else 0.1)
-    beta3 = optimizer.get("beta3", 0.99)
-    beta1 = optimizer.get("beta1", 0.9)
-    beta2 = optimizer.get("beta2", 0.999)
-    epsilon = optimizer.get("epsilon", 1e-8)
-    max_backtracks = optimizer.get("max_backtracks", 100)
+    # defaults come from the same dataclasses the optimizers are built from
+    search_defaults = SalsaConfig() if family == "salsa" else SlsConfig()
+    adam_defaults = AdamState.zeros(0)
+    c = optimizer.get("c", search_defaults.c)
+    beta3 = optimizer.get("beta3", SalsaConfig().beta3)
+    beta1 = optimizer.get("beta1", adam_defaults.beta1)
+    beta2 = optimizer.get("beta2", adam_defaults.beta2)
+    epsilon = optimizer.get("epsilon", adam_defaults.epsilon)
+    max_backtracks = optimizer.get("max_backtracks",
+                                   search_defaults.max_backtracks)
 
     sampler = BatchSampler(seed=seed, batch_size=batch_size,
                            dataset_size=problem.dataset_size)
@@ -632,7 +636,7 @@ def replay_verify(problem: Problem, optimizer: dict, seed: int, epochs: int,
             d = -g / denom
             gterm = float(np.sum(g * g / denom))
         loss_trial = problem.loss_grad(axpy(rec.eta, d, w),
-                                       sampler.sample(rec.k)).loss
+                                       sampler.sample(rec.k), grad=False).loss
 
         if family == "sls":
             if not accepted:

@@ -21,9 +21,13 @@ from .core import EvalResult, ParamVector, seeded_rng, stream_key
 class Problem:
     """An objective: per-batch loss/gradient plus the full-data loss.
 
-    ``loss_grad(w, indices)`` evaluates the mean loss and its gradient over
-    the given dataset indices; over the full index set it must equal
-    ``full_loss(w)``. ``init_params(seed)`` draws a starting point.
+    ``loss_grad(w, indices, grad=True)`` evaluates the mean loss and its
+    gradient over the given dataset indices; over the full index set the
+    loss must equal ``full_loss(w)``. With ``grad=False`` it returns
+    ``EvalResult(loss, None)`` and skips the gradient; the loss must come
+    from the same expression either way, so that a loss probed during a
+    line search and the loss recorded at the next step agree bit for bit.
+    ``init_params(seed)`` draws a starting point.
     ``val_accuracy`` is present only for classification problems (held-out
     split). Problems are immutable after construction and safe to share.
     """
@@ -31,7 +35,7 @@ class Problem:
     name: str
     dim: int
     dataset_size: int
-    loss_grad: Callable[[ParamVector, np.ndarray], EvalResult]
+    loss_grad: Callable[..., EvalResult]
     full_loss: Callable[[ParamVector], float]
     init_params: Callable[[int], ParamVector]
     optimum_hint: Optional[float] = None
@@ -103,10 +107,11 @@ class BatchObjective:
         return self.problem.loss_grad(w, self.indices)
 
     def loss(self, w: ParamVector) -> float:
-        # Deliberately the same code path as eval() so that a loss probed
-        # during the search and the loss recorded at the next step agree bit
-        # for bit.
-        return self.eval(w).loss
+        # loss_grad computes the loss with the same expression whether or
+        # not it also computes the gradient, so a loss probed during the
+        # search and the loss recorded at the next step agree bit for bit.
+        self.n_evals += 1
+        return self.problem.loss_grad(w, self.indices, grad=False).loss
 
 
 def batch_for_step(problem: Problem, sampler: BatchSampler, k: int) -> BatchObjective:
@@ -129,9 +134,12 @@ def make_quadratic(dim: int, cond: float = 1.0, seed: int = 0) -> Problem:
     eigs = np.logspace(0.0, math.log10(cond), dim)
     w_star = seeded_rng(seed, 0x0A).standard_normal(dim)
 
-    def loss_grad(w, indices):
+    def loss_grad(w, indices, grad=True):
         r = np.asarray(w) - w_star
-        return EvalResult(loss=float(0.5 * np.sum(eigs * r * r)), grad=eigs * r)
+        loss = float(0.5 * np.sum(eigs * r * r))
+        if not grad:
+            return EvalResult(loss, None)
+        return EvalResult(loss=loss, grad=eigs * r)
 
     def full_loss(w):
         r = np.asarray(w) - w_star
@@ -173,14 +181,16 @@ def _logreg_from_data(X: np.ndarray, y: np.ndarray, seed: int,
     Xva, yva = X[va], y[va]
     dim = X.shape[1]
 
-    def loss_grad(w, indices):
+    def loss_grad(w, indices, grad=True):
         Xb, yb = Xtr[indices], ytr[indices]
         margins = yb * (Xb @ w)
         loss = float(np.mean(np.logaddexp(0.0, -margins)) + _L2_REG * (w @ w))
+        if not grad:
+            return EvalResult(loss, None)
         # d/dw mean log(1+exp(-y x.w)) = mean(-y * sigma(-y x.w) * x)
         coeff = -yb * _sigmoid(-margins) / len(yb)
-        grad = Xb.T @ coeff + 2.0 * _L2_REG * w
-        return EvalResult(loss=loss, grad=grad)
+        g = Xb.T @ coeff + 2.0 * _L2_REG * w
+        return EvalResult(loss=loss, grad=g)
 
     def full_loss(w):
         margins = ytr * (Xtr @ w)
@@ -244,21 +254,23 @@ def _mlp_from_data(X: np.ndarray, y01: np.ndarray, hidden: int, seed: int,
         A = np.tanh(Xb @ W1 + b1)
         return A, A @ w2 + b2
 
-    def loss_grad(w, indices):
+    def loss_grad(w, indices, grad=True):
         Xb, yb = Xtr[indices], ytr[indices]
         W1, b1, w2, b2 = unpack(w)
         A = np.tanh(Xb @ W1 + b1)
         z = A @ w2 + b2
         # BCE on logits: mean(log(1+e^z) - y z), stable for either sign
         loss = float(np.mean(np.logaddexp(0.0, z) - yb * z))
+        if not grad:
+            return EvalResult(loss, None)
         dz = (_sigmoid(z) - yb) / len(yb)
         gw2 = A.T @ dz
         gb2 = float(np.sum(dz))
         dA = np.outer(dz, w2) * (1.0 - A * A)
         gW1 = Xb.T @ dA
         gb1 = dA.sum(axis=0)
-        grad = np.concatenate([gW1.ravel(), gb1, gw2, [gb2]])
-        return EvalResult(loss=loss, grad=grad)
+        g = np.concatenate([gW1.ravel(), gb1, gw2, [gb2]])
+        return EvalResult(loss=loss, grad=g)
 
     def full_loss(w):
         _, z = forward_logits(w, Xtr)
@@ -320,11 +332,13 @@ def make_matrix_factorization(rows: int, cols: int, rank: int, seed: int = 0,
     def unpack(w):
         return w[:n_u].reshape(rows, rank), w[n_u:].reshape(cols, rank)
 
-    def loss_grad(w, indices):
+    def loss_grad(w, indices, grad=True):
         U, V = unpack(w)
         i, j = np.divmod(np.asarray(indices), cols)
         r = np.einsum("bk,bk->b", U[i], V[j]) - M[i, j]
         loss = float(0.5 * np.mean(r * r))
+        if not grad:
+            return EvalResult(loss, None)
         gU = np.zeros_like(U)
         gV = np.zeros_like(V)
         np.add.at(gU, i, r[:, None] * V[j] / len(r))

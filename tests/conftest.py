@@ -11,10 +11,10 @@ def make_centered_quadratic(dim=1, eigs=None):
     """f(w) = 0.5 w' diag(eigs) w with minimum at the origin."""
     eigs = np.ones(dim) if eigs is None else np.asarray(eigs, dtype=float)
 
-    def loss_grad(w, indices):
+    def loss_grad(w, indices, grad=True):
         w = np.asarray(w)
-        return EvalResult(loss=float(0.5 * np.sum(eigs * w * w)),
-                          grad=eigs * w)
+        loss = float(0.5 * np.sum(eigs * w * w))
+        return EvalResult(loss=loss, grad=eigs * w if grad else None)
 
     return Problem(name="centered_quadratic", dim=dim, dataset_size=1,
                    loss_grad=loss_grad,
@@ -26,10 +26,10 @@ def make_centered_quadratic(dim=1, eigs=None):
 def make_linear(dim=2, slope=1.0):
     """f(w) = slope * sum(w); constant gradient, no curvature."""
 
-    def loss_grad(w, indices):
+    def loss_grad(w, indices, grad=True):
         w = np.asarray(w)
         return EvalResult(loss=float(slope * np.sum(w)),
-                          grad=np.full(dim, slope))
+                          grad=np.full(dim, slope) if grad else None)
 
     return Problem(name="linear", dim=dim, dataset_size=1,
                    loss_grad=loss_grad,

@@ -1,17 +1,22 @@
 """Experiment runner: determinism, summaries, comparison, replay checks."""
 
 import json
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from salsa_opt import harness
 from salsa_opt.core import TrainingTrace, StepRecord
+from salsa_opt.directions import AdamState
 from salsa_opt.harness import (ConfigError, ExperimentConfig, RunSummary,
                                batch_scaling_experiment, build_problem,
                                compare, emit, final_smoothed_loss,
                                frequency_ablation, replay_verify,
                                run_experiment, run_single, summarize)
+from salsa_opt.line_search import SlsConfig
 from salsa_opt.problems import make_logreg, make_quadratic
+from salsa_opt.salsa import SalsaConfig
 
 QUAD_SPEC = {"kind": "quadratic", "dim": 3, "cond": 10, "seed": 1}
 
@@ -249,6 +254,43 @@ class TestReplayVerify:
         assert report.ok
         assert report.n_checked > 0
         assert report.n_searched >= report.n_checked
+
+    @pytest.mark.parametrize("kind, problem, epochs, batch_size", [
+        ("sgd_sls", make_quadratic(dim=6, cond=50, seed=7), 60, 1),
+        ("adam_salsa", make_logreg(n=300, dim=6, seed=2, label_noise=0.1),
+         4, 16),
+    ], ids=["sgd_sls", "adam_salsa"])
+    def test_verifier_follows_changed_defaults(self, kind, problem, epochs,
+                                               batch_size, monkeypatch):
+        # a default-config run and its replay must read the same defaults,
+        # so moving a dataclass default cannot desynchronise the verifier
+        @dataclass
+        class LaxSls(SlsConfig):
+            c: float = 0.01
+            max_backtracks: int = 3
+
+        @dataclass
+        class LaxSalsa(SalsaConfig):
+            c: float = 0.02
+            beta3: float = 0.9
+            max_backtracks: int = 3
+
+        @dataclass
+        class FastAdam(AdamState):
+            beta1: float = 0.5
+            beta2: float = 0.9
+            epsilon: float = 1e-3
+
+        monkeypatch.setattr(harness, "SlsConfig", LaxSls)
+        monkeypatch.setattr(harness, "SalsaConfig", LaxSalsa)
+        monkeypatch.setattr(harness, "AdamState", FastAdam)
+        opt = {"kind": kind}
+        result = run_single(problem, opt, seed=1, epochs=epochs,
+                            batch_size=batch_size)
+        report = replay_verify(problem, opt, 1, epochs, batch_size,
+                               result.trace)
+        assert report.ok, report.violations[:3]
+        assert report.n_checked > 0
 
     def test_tampered_trace_detected(self):
         prob = make_quadratic(dim=2, cond=5, seed=1)

@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from salsa_opt.core import seeded_rng
-from salsa_opt.problems import (BatchSampler, finite_diff_grad,
-                                load_csv_dataset, make_logreg,
-                                make_matrix_factorization, make_mlp,
-                                make_quadratic, problem_from_csv)
+from salsa_opt.core import EvalResult, seeded_rng
+from salsa_opt.problems import (BatchObjective, BatchSampler, Problem,
+                                finite_diff_grad, load_csv_dataset,
+                                make_logreg, make_matrix_factorization,
+                                make_mlp, make_quadratic, problem_from_csv)
 
 ALL_PROBLEMS = [
     make_quadratic(dim=6, cond=50, seed=1),
@@ -20,6 +23,18 @@ ALL_PROBLEMS = [
 def _random_point(problem, i):
     w = problem.init_params(500 + i)
     return w + 0.1 * seeded_rng(900 + i).standard_normal(problem.dim)
+
+
+def _write_csv(tmp_path, header):
+    rng = seeded_rng(13)
+    X = rng.standard_normal((40, 3))
+    y = (X @ np.array([1.0, -2.0, 0.5]) > 0).astype(float)
+    path = tmp_path / "data.csv"
+    lines = ["f0,f1,f2,label"] if header else []
+    lines += [",".join(repr(float(v)) for v in row) + f",{int(label)}"
+              for row, label in zip(X, y)]
+    path.write_text("\n".join(lines) + "\n")
+    return path, X, y
 
 
 @pytest.mark.parametrize("problem", ALL_PROBLEMS, ids=lambda p: p.name)
@@ -37,6 +52,49 @@ def test_full_batch_loss_equals_full_loss(problem):
     w = _random_point(problem, 7)
     batch_loss = problem.loss_grad(w, problem.full_indices()).loss
     assert batch_loss == pytest.approx(problem.full_loss(w), rel=1e-12)
+
+
+def test_loss_only_is_bit_identical(tmp_path):
+    path, _, _ = _write_csv(tmp_path, header=True)
+    problems = ALL_PROBLEMS + [
+        problem_from_csv(str(path), kind="logreg"),
+        problem_from_csv(str(path), kind="mlp", hidden=3),
+    ]
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def check(data):
+        prob = data.draw(st.sampled_from(problems), label="problem")
+        w = data.draw(arrays(np.float64, prob.dim,
+                             elements=st.floats(-5.0, 5.0)), label="w")
+        idx = data.draw(arrays(np.int64, st.integers(1, 12),
+                               elements=st.integers(0, prob.dataset_size - 1)),
+                        label="indices")
+        loss_only = prob.loss_grad(w, idx, grad=False)
+        assert loss_only.grad is None
+        assert loss_only.loss == prob.loss_grad(w, idx).loss
+
+    check()
+
+
+def test_batch_loss_is_one_loss_only_eval():
+    calls = []
+
+    def loss_grad(w, indices, grad=True):
+        calls.append(grad)
+        return EvalResult(loss=float(np.sum(w)),
+                          grad=np.ones_like(w) if grad else None)
+
+    prob = Problem(name="recording", dim=2, dataset_size=1,
+                   loss_grad=loss_grad, full_loss=lambda w: float(np.sum(w)),
+                   init_params=lambda seed: np.zeros(2))
+    batch = BatchObjective(prob, np.arange(1), key=0)
+    assert batch.loss(np.array([1.0, 2.0])) == 3.0
+    assert batch.n_evals == 1
+    assert calls == [False]
+    batch.eval(np.zeros(2))
+    assert batch.n_evals == 2
+    assert calls == [False, True]
 
 
 class TestQuadratic:
@@ -178,30 +236,19 @@ class TestBatchSampler:
 
 
 class TestCsvIngestion:
-    def _write_csv(self, tmp_path, header):
-        rng = seeded_rng(13)
-        X = rng.standard_normal((40, 3))
-        y = (X @ np.array([1.0, -2.0, 0.5]) > 0).astype(float)
-        path = tmp_path / "data.csv"
-        lines = ["f0,f1,f2,label"] if header else []
-        lines += [",".join(repr(float(v)) for v in row) + f",{int(label)}"
-                  for row, label in zip(X, y)]
-        path.write_text("\n".join(lines) + "\n")
-        return path, X, y
-
     def test_roundtrip_without_header(self, tmp_path):
-        path, X, y = self._write_csv(tmp_path, header=False)
+        path, X, y = _write_csv(tmp_path, header=False)
         X2, y2 = load_csv_dataset(str(path))
         np.testing.assert_allclose(X2, X)
         np.testing.assert_allclose(y2, y)
 
     def test_header_skipped(self, tmp_path):
-        path, X, _ = self._write_csv(tmp_path, header=True)
+        path, X, _ = _write_csv(tmp_path, header=True)
         X2, _ = load_csv_dataset(str(path))
         np.testing.assert_allclose(X2, X)
 
     def test_logreg_problem_from_csv(self, tmp_path):
-        path, _, _ = self._write_csv(tmp_path, header=True)
+        path, _, _ = _write_csv(tmp_path, header=True)
         prob = problem_from_csv(str(path), kind="logreg")
         assert prob.dim == 3
         w = prob.init_params(0)
@@ -210,7 +257,7 @@ class TestCsvIngestion:
         np.testing.assert_allclose(analytic, fd, rtol=1e-4, atol=1e-10)
 
     def test_mlp_problem_from_csv(self, tmp_path):
-        path, _, _ = self._write_csv(tmp_path, header=False)
+        path, _, _ = _write_csv(tmp_path, header=False)
         prob = problem_from_csv(str(path), kind="mlp", hidden=3)
         assert prob.full_loss(np.zeros(prob.dim)) == \
             pytest.approx(np.log(2.0), rel=1e-12)
