@@ -26,8 +26,7 @@ from .frequency import FrequencyController
 from .line_search import SlsConfig, SlsState, apply_without_search, sls_step
 from .problems import BatchSampler, Problem, batch_for_step, make_logreg, \
     make_matrix_factorization, make_mlp, make_quadratic, problem_from_csv
-from .salsa import SalsaConfig, SalsaState, SmoothState, salsa_adam_step, \
-    salsa_sgd_step
+from .salsa import SalsaConfig, SalsaState, salsa_adam_step, salsa_sgd_step
 
 OPTIMIZER_KINDS = ("sgd", "adam", "sgd_sls", "adam_sls", "sgd_salsa",
                    "adam_salsa")
@@ -112,23 +111,9 @@ _SALSA_KEYS = _SLS_KEYS | {"beta3", "enforce_nondecrease"}
 _FIXED_KEYS = {"lr", "peak_lr", "schedule", "warm_frac"}
 
 
-class _Runner:
-    """Uniform stepping interface over the six optimizer kinds."""
+class _LineSearchRunner:
+    """Steps one of the four line-search kinds; logs SaLSa's h and s."""
 
-    uses_line_search = False
-
-    def step(self, batch, w):
-        raise NotImplementedError
-
-    def skip_step(self, batch, w):
-        raise NotImplementedError
-
-    # smoothing history, populated by the salsa runner
-    h_series: list = ()
-    s_series: list = ()
-
-
-class _LineSearchRunner(_Runner):
     uses_line_search = True
 
     def __init__(self, kind: str, dim: int, opt: dict):
@@ -146,13 +131,10 @@ class _LineSearchRunner(_Runner):
         except ValueError as e:
             raise ConfigError(str(e)) from e
         adam = AdamState.zeros(dim, **adam_kw) if self.base == "adam" else None
-        if self.family == "salsa":
-            self.state = SalsaState(eta=self.cfg.eta_init, adam=adam,
-                                    smooth=SmoothState(beta3=self.cfg.beta3))
-            self.h_series = []
-            self.s_series = []
-        else:
-            self.state = SlsState(eta=self.cfg.eta_init, adam=adam)
+        state_cls = SalsaState if self.family == "salsa" else SlsState
+        self.state = state_cls(eta=self.cfg.eta_init, adam=adam)
+        self.h_series = []
+        self.s_series = []
 
     @property
     def eta(self) -> float:
@@ -180,7 +162,11 @@ class _LineSearchRunner(_Runner):
         return out
 
 
-class _FixedLrRunner(_Runner):
+class _FixedLrRunner:
+    """Steps the fixed-rate sgd/adam baselines; it has no h/s to log."""
+
+    uses_line_search = False
+
     def __init__(self, kind: str, dim: int, opt: dict, total_steps: int):
         self.base = kind
         params = {k: v for k, v in opt.items() if k != "kind"}
@@ -200,6 +186,8 @@ class _FixedLrRunner(_Runner):
             raise ConfigError(str(e)) from e
         self.adam = AdamState.zeros(dim, **adam_kw) if kind == "adam" else None
         self.k = 0
+        self.h_series = []
+        self.s_series = []
 
     @property
     def eta(self) -> float:
@@ -216,7 +204,8 @@ class _FixedLrRunner(_Runner):
         return w_next, rec
 
 
-def _build_runner(opt: dict, dim: int, total_steps: int) -> _Runner:
+def _build_runner(opt: dict, dim: int,
+                  total_steps: int) -> _LineSearchRunner | _FixedLrRunner:
     kind = opt["kind"]
     if kind in LINE_SEARCH_KINDS:
         return _LineSearchRunner(kind, dim, opt)
@@ -254,8 +243,8 @@ def run_single(problem: Problem, optimizer: dict, seed: int, epochs: int,
         trace.append(StepRecord(k=0, eta=runner.eta, loss=res.loss,
                                 grad_norm_sq=norm_sq(res.grad), searched=False,
                                 backtracks=0, batch_seed=batch.key))
-        return RunResult(trace, w, val_acc, list(runner.h_series),
-                         list(runner.s_series), params_hist)
+        return RunResult(trace, w, val_acc, runner.h_series,
+                         runner.s_series, params_hist)
 
     for k in range(total):
         batch = batch_for_step(problem, sampler, k)
@@ -275,8 +264,8 @@ def run_single(problem: Problem, optimizer: dict, seed: int, epochs: int,
         if (k + 1) % sampler.batches_per_epoch == 0 and problem.val_accuracy:
             val_acc.append(problem.val_accuracy(w))
 
-    return RunResult(trace, w, val_acc, list(runner.h_series),
-                     list(runner.s_series), params_hist)
+    return RunResult(trace, w, val_acc, runner.h_series, runner.s_series,
+                     params_hist)
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[TrainingTrace]:

@@ -1,18 +1,21 @@
-"""Backtracking Armijo line search over mini-batches (SLS).
+"""The one line-search engine, and the backtracking Armijo search (SLS).
 
-Each step re-grows the previous step size by 2**(1/b), then shrinks it by
-``delta`` until the sufficient-decrease test holds on the current batch.
-Both sides of the test are evaluated on the same mini-batch. Steps whose
-gradient is numerically zero skip the search entirely and reuse the last
-accepted step size.
+Every search kind takes the same step (``search_step``): evaluate the batch
+once, fold the gradient into the Adam moments, regrow the previous step
+size by 2**(1/b), hand it to a search, apply the update and record the
+step. Every search shrinks the step size in the same loop (``shrink``),
+which takes the acceptance test as an argument and evaluates both sides on
+the same mini-batch. SLS passes the raw Armijo test and SaLSa
+(``salsa.py``) the smoothed one; the smoothing state is all the families
+do not share, so SLS is SaLSa without the smoothing. Steps whose gradient
+is numerically zero skip the search and reuse the last accepted step size.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
-
-import numpy as np
 
 from .core import ParamVector, StepRecord, axpy, norm_sq
 from .directions import AdamState, adam_direction, adam_update_moments, \
@@ -85,73 +88,112 @@ class BacktrackResult:
     loss_trial: float
 
 
+def shrink(objective_on_batch: Callable[[ParamVector], float],
+           w: ParamVector, d: ParamVector, eta: float, loss0: float,
+           cfg: SlsConfig, holds: Callable[..., bool],
+           *args) -> tuple[float, int, float, bool]:
+    """Try eta, eta*delta, eta*delta**2, ... until the acceptance test holds.
+
+    A candidate is accepted when its batch loss ``trial`` is finite and
+    ``holds(loss0, trial, eta, *args)`` is true, so non-finite trial losses
+    count as violations. Performs exactly backtracks+1 objective
+    evaluations and returns (eta, backtracks, loss_trial, accepted).
+
+    Giving up: after cfg.max_backtracks shrinks without an accepted
+    candidate the loop returns the last candidate with accepted=False and
+    backtracks=cfg.max_backtracks, the same count as a candidate accepted
+    on the last try. Each caller then settles the step size itself: the
+    Armijo searches (``backtrack``, ``salsa_backtrack``) clamp it up to
+    cfg.eta_min, re-evaluating only if the clamp changes it, and the
+    non-decrease search drops to cfg.eta_min and re-evaluates there. The
+    step is still taken at the settled, unverified step size.
+    """
+    for i in range(cfg.max_backtracks + 1):
+        trial = objective_on_batch(axpy(eta, d, w))
+        if math.isfinite(trial) and holds(loss0, trial, eta, *args):
+            return eta, i, trial, True
+        if i < cfg.max_backtracks:
+            eta *= cfg.delta
+    return eta, cfg.max_backtracks, trial, False
+
+
 def backtrack(objective_on_batch: Callable[[ParamVector], float],
               w: ParamVector, d: ParamVector, eta_start: float, loss0: float,
               gnorm_term: float, cfg: SlsConfig) -> BacktrackResult:
-    """Shrink eta by cfg.delta until the Armijo test holds on this batch.
-
-    Performs exactly backtracks+1 objective evaluations. Non-finite trial
-    losses count as violations. If the budget runs out the last trial step
-    size is returned, clamped up to cfg.eta_min (with one re-evaluation in
-    the rare case the clamp changes it).
-    """
-    eta = eta_start
-    trial = np.inf
-    for i in range(cfg.max_backtracks + 1):
-        trial = objective_on_batch(axpy(eta, d, w))
-        if np.isfinite(trial) and armijo_holds(loss0, trial, eta, cfg.c, gnorm_term):
-            return BacktrackResult(eta=eta, backtracks=i, loss_trial=trial)
-        if i < cfg.max_backtracks:
-            eta *= cfg.delta
-    if eta < cfg.eta_min:
+    """Shrink eta by cfg.delta until the Armijo test holds on this batch;
+    on giving up, clamp up to cfg.eta_min (see ``shrink``)."""
+    eta, backtracks, trial, accepted = shrink(
+        objective_on_batch, w, d, eta_start, loss0, cfg, armijo_holds, cfg.c,
+        gnorm_term)
+    if not accepted and eta < cfg.eta_min:
         eta = cfg.eta_min
         trial = objective_on_batch(axpy(eta, d, w))
-    return BacktrackResult(eta=eta, backtracks=cfg.max_backtracks, loss_trial=trial)
+    return BacktrackResult(eta=eta, backtracks=backtracks, loss_trial=trial)
 
 
-def _guard_hit(grad_norm_sq: float, cfg: SlsConfig) -> bool:
-    # Tiny-gradient guard: ||g|| <= grad_eps, compared in squared form.
-    return grad_norm_sq <= cfg.grad_eps ** 2
+def _no_increase(loss0, loss_trial, eta):
+    return loss_trial <= loss0
 
 
-def sls_step(batch, w: ParamVector, optimizer_kind: str, state: SlsState,
-             cfg: SlsConfig) -> tuple[ParamVector, StepRecord]:
-    """One SLS step on a fresh mini-batch objective.
+def nondecrease_search(objective_on_batch: Callable[[ParamVector], float],
+                       w: ParamVector, d: ParamVector, eta: float,
+                       loss0: float, cfg: SlsConfig) -> tuple[float, float]:
+    """Largest eta * delta**j whose batch loss does not exceed loss0;
+    drops to eta_min when the budget runs out (see ``shrink``). Returns
+    (eta, loss_at_eta). The j=0 probe costs one evaluation even when
+    nothing shrinks."""
+    eta, _, trial, accepted = shrink(objective_on_batch, w, d, eta, loss0,
+                                     cfg, _no_increase)
+    if not accepted:
+        eta = cfg.eta_min
+        trial = objective_on_batch(axpy(eta, d, w))
+    return eta, trial
 
-    Evaluates loss/gradient once at w. Unless the gradient guard trips, the
-    step size is regrown and backtracked against the Armijo test (raw
-    gradient norm for sgd, preconditioned norm for adam, checked along the
-    momentum-free direction). The applied update uses the momentum direction
-    for adam. Mutates ``state``; returns the new parameters and the record.
+
+def search_step(batch, w: ParamVector, kind: str, state: SlsState,
+                cfg: SlsConfig | None,
+                search: Callable | None) -> tuple[ParamVector, StepRecord]:
+    """The step body shared by every search kind; mutates ``state``.
+
+    Evaluates the batch once at w, folds the gradient into the Adam moments
+    and applies the update along the momentum direction. ``search=None`` is
+    a frequency-skipped step: the current eta is applied as is. Otherwise
+    ``search(batch, w, d_search, d_update, eta, loss0, gnorm_term, state,
+    cfg)`` returns (eta, backtracks). It gets the regrown step size, the
+    momentum-free search direction and its gradient-norm term (raw squared
+    norm for sgd, preconditioned for adam), or ``d_search=None`` and the
+    current eta when the guard ||g|| <= grad_eps trips; the guard compares
+    squares, so a NaN norm still searches.
     """
-    if optimizer_kind not in ("sgd", "adam"):
-        raise ValueError(f"unknown optimizer_kind {optimizer_kind!r}")
+    if kind not in ("sgd", "adam"):
+        raise ValueError(f"unknown optimizer_kind {kind!r}")
     res = batch.eval(w)
     g = res.grad
     gsq = norm_sq(g)
-    if optimizer_kind == "adam":
+    if kind == "adam":
         state.adam = adam_update_moments(state.adam, g)
-
-    if _guard_hit(gsq, cfg):
-        eta, backtracks, searched = state.eta, 0, False
-    else:
-        searched = True
-        eta0 = propose_initial_step(state.eta, cfg.b, cfg.eta_max)
-        if optimizer_kind == "sgd":
-            d_search = sgd_direction(g)
-            gnorm_term = gsq
-        else:
-            d_search = adam_direction(state.adam, g, use_momentum=False)
-            gnorm_term = preconditioned_grad_norm(state.adam, g)
-        result = backtrack(batch.loss, w, d_search, eta0, res.loss, gnorm_term, cfg)
-        eta, backtracks = result.eta, result.backtracks
-
-    if optimizer_kind == "sgd":
-        d_update = sgd_direction(g)
-    else:
         d_update = adam_direction(state.adam, g, use_momentum=True)
-    w_next = axpy(eta, d_update, w)
+    else:
+        d_update = sgd_direction(g)
 
+    eta, backtracks, searched = state.eta, 0, False
+    if search is not None:
+        if gsq <= cfg.grad_eps ** 2:
+            eta, backtracks = search(batch, w, None, d_update, eta, res.loss,
+                                     0.0, state, cfg)
+        else:
+            searched = True
+            if kind == "adam":
+                d_search = adam_direction(state.adam, g, use_momentum=False)
+                gnorm_term = preconditioned_grad_norm(state.adam, g)
+            else:
+                d_search, gnorm_term = d_update, gsq
+            eta, backtracks = search(
+                batch, w, d_search, d_update,
+                propose_initial_step(eta, cfg.b, cfg.eta_max), res.loss,
+                gnorm_term, state, cfg)
+
+    w_next = axpy(eta, d_update, w)
     record = StepRecord(k=state.k, eta=eta, loss=res.loss, grad_norm_sq=gsq,
                         searched=searched, backtracks=backtracks,
                         batch_seed=batch.key)
@@ -160,24 +202,23 @@ def sls_step(batch, w: ParamVector, optimizer_kind: str, state: SlsState,
     return w_next, record
 
 
+def _armijo_search(batch, w, d_search, d_update, eta, loss0, gnorm_term,
+                   state, cfg):
+    if d_search is None:
+        return eta, 0
+    result = backtrack(batch.loss, w, d_search, eta, loss0, gnorm_term, cfg)
+    return result.eta, result.backtracks
+
+
+def sls_step(batch, w: ParamVector, optimizer_kind: str, state: SlsState,
+             cfg: SlsConfig) -> tuple[ParamVector, StepRecord]:
+    """One SLS step: ``search_step`` with the raw Armijo search."""
+    return search_step(batch, w, optimizer_kind, state, cfg, _armijo_search)
+
+
 def apply_without_search(batch, w: ParamVector, optimizer_kind: str,
                          state: SlsState) -> tuple[ParamVector, StepRecord]:
     """Take a step with the current eta and no search (frequency-skipped).
-
     The gradient is still evaluated and, for adam, folded into the moments;
-    smoothing/search state stays frozen by construction since no search runs.
-    """
-    res = batch.eval(w)
-    g = res.grad
-    gsq = norm_sq(g)
-    if optimizer_kind == "adam":
-        state.adam = adam_update_moments(state.adam, g)
-        d_update = adam_direction(state.adam, g, use_momentum=True)
-    else:
-        d_update = sgd_direction(g)
-    w_next = axpy(state.eta, d_update, w)
-    record = StepRecord(k=state.k, eta=state.eta, loss=res.loss,
-                        grad_norm_sq=gsq, searched=False, backtracks=0,
-                        batch_seed=batch.key)
-    state.k += 1
-    return w_next, record
+    smoothing/search state stays frozen since no search runs."""
+    return search_step(batch, w, optimizer_kind, state, None, None)

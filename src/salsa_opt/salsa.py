@@ -1,10 +1,13 @@
-"""EMA-smoothed Armijo line search (SaLSa).
+"""EMA-smoothed Armijo line search (SaLSa): the smoothing on top of SLS.
 
 Both batch-dependent sides of the Armijo test are exponentially smoothed:
 the realized loss decrease (h) and the gradient-norm term (s). A step size
 is accepted when h >= c * eta * s, with h recomputed per candidate step
 size because the decrease depends on it. The gradient side does not depend
-on the step size, so s is committed before backtracking starts.
+on the step size, so s is formed before backtracking starts. Everything
+else (the step body, the shrink loop, the guard) is the engine in
+``line_search.py``; this module holds only the smoothing state and its
+commit.
 
 An optional non-decrease mode additionally shrinks the accepted step until
 the batch loss does not increase, which restores a classical convergence
@@ -13,15 +16,16 @@ guarantee in the full-batch setting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
-import numpy as np
-
-from .core import ParamVector, StepRecord, axpy, norm_sq
+from .core import ParamVector, StepRecord, axpy
+# The four direction names stay bound here because perfbench/tracer.py
+# patches them by module; the engine calls its own bindings.
 from .directions import adam_direction, adam_update_moments, \
-    preconditioned_grad_norm, sgd_direction
-from .line_search import SlsConfig, SlsState, propose_initial_step
+    preconditioned_grad_norm, sgd_direction  # noqa: F401
+from .line_search import SlsConfig, SlsState, nondecrease_search, \
+    search_step, shrink
 
 
 @dataclass
@@ -30,11 +34,11 @@ class SmoothState:
 
     Until the first search commits, ``initialized`` is False and h/s hold
     no meaningful values: the first observed raw values seed them directly.
+    The smoothing factor is the config's ``beta3``.
     """
 
     h: float = 0.0
     s: float = 0.0
-    beta3: float = 0.99
     initialized: bool = False
 
 
@@ -60,11 +64,7 @@ class SalsaConfig(SlsConfig):
 class SalsaState(SlsState):
     """SLS run state extended with the smoothing state."""
 
-    smooth: SmoothState = None  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.smooth is None:
-            self.smooth = SmoothState()
+    smooth: SmoothState = field(default_factory=SmoothState)
 
 
 def smooth_update(prev: float, x: float, beta3: float, initialized: bool) -> float:
@@ -79,130 +79,73 @@ def salsa_criterion(h: float, s: float, eta: float, c: float) -> bool:
     return h >= c * eta * s
 
 
+def _smoothed_holds(loss0, loss_trial, eta, h, s, c, beta3, initialized):
+    return salsa_criterion(
+        smooth_update(h, loss0 - loss_trial, beta3, initialized), s, eta, c)
+
+
 def salsa_backtrack(objective_on_batch: Callable[[ParamVector], float],
                     w: ParamVector, d: ParamVector, eta_start: float,
                     loss0: float, smooth: SmoothState, s_new: float,
                     cfg: SalsaConfig) -> tuple[float, int, float, float]:
-    """Shrink eta until the smoothed criterion holds against s_new.
+    """Shrink eta until the smoothed criterion holds against s_new; on
+    giving up, clamp up to cfg.eta_min (see ``line_search.shrink``).
 
-    For each candidate a trial h is formed from this batch's decrease at
-    that candidate; only the accepted candidate's trial h is returned for
-    committing (rejected trials never touch the average). Returns
-    (eta, backtracks, h_committed, loss_trial).
+    Each candidate forms a trial h from this batch's decrease at it. Only
+    the returned candidate's h comes back for committing, so rejected
+    trials never touch the average; after a give-up that is the step size
+    still taken. Returns (eta, backtracks, h_committed, loss_trial).
     """
-    eta = eta_start
-    trial = np.inf
-    h_trial = smooth.h
-    for i in range(cfg.max_backtracks + 1):
-        trial = objective_on_batch(axpy(eta, d, w))
-        h_trial = smooth_update(smooth.h, loss0 - trial, smooth.beta3,
-                                smooth.initialized)
-        if np.isfinite(trial) and salsa_criterion(h_trial, s_new, eta, cfg.c):
-            return eta, i, h_trial, trial
-        if i < cfg.max_backtracks:
-            eta *= cfg.delta
-    if eta < cfg.eta_min:
+    eta, backtracks, trial, accepted = shrink(
+        objective_on_batch, w, d, eta_start, loss0, cfg, _smoothed_holds,
+        smooth.h, s_new, cfg.c, cfg.beta3, smooth.initialized)
+    if not accepted and eta < cfg.eta_min:
         eta = cfg.eta_min
         trial = objective_on_batch(axpy(eta, d, w))
-        h_trial = smooth_update(smooth.h, loss0 - trial, smooth.beta3,
-                                smooth.initialized)
-    # Budget exhausted: the step is still taken at the last candidate, so
-    # its realized decrease is what belongs in the average.
-    return eta, cfg.max_backtracks, h_trial, trial
+    h = smooth_update(smooth.h, loss0 - trial, cfg.beta3, smooth.initialized)
+    return eta, backtracks, h, trial
 
 
-def _nondecrease_search(objective_on_batch, w, d, eta, loss0, cfg):
-    """Largest eta * delta**j whose batch loss does not exceed loss0.
-
-    Returns (eta, loss_at_eta); falls back to eta_min when the budget runs
-    out. The j=0 probe costs one evaluation even when nothing shrinks.
-    """
-    for j in range(cfg.max_backtracks + 1):
-        trial = objective_on_batch(axpy(eta, d, w))
-        if np.isfinite(trial) and trial <= loss0:
-            return eta, trial
-        if j < cfg.max_backtracks:
-            eta *= cfg.delta
-    eta = cfg.eta_min
-    return eta, objective_on_batch(axpy(eta, d, w))
-
-
-def enforce_nondecrease(objective_on_batch: Callable[[ParamVector], float],
-                        w: ParamVector, d: ParamVector, eta: float,
-                        loss0: float, cfg: SalsaConfig) -> float:
-    """Shrink eta until loss(w + eta*d) <= loss0; eta_min on exhaustion."""
-    eta_out, _ = _nondecrease_search(objective_on_batch, w, d, eta, loss0, cfg)
-    return eta_out
-
-
-def _salsa_step(batch, w, state: SalsaState, cfg: SalsaConfig,
-                kind: str) -> tuple[ParamVector, StepRecord]:
-    res = batch.eval(w)
-    g = res.grad
-    gsq = norm_sq(g)
-    if kind == "adam":
-        state.adam = adam_update_moments(state.adam, g)
-
+def _smoothed_search(batch, w, d_search, d_update, eta, loss0, gnorm_term,
+                     state: SalsaState, cfg: SalsaConfig):
+    """The SaLSa search handed to ``search_step``: smoothed backtracking,
+    the optional non-decrease shrink, and the commit of h and s."""
     sm = state.smooth
-    if gsq <= cfg.grad_eps ** 2:
-        # Guard path: no search, smoothing state frozen, step still applied.
-        eta, backtracks, searched = state.eta, 0, False
-        d_update = sgd_direction(g) if kind == "sgd" else \
-            adam_direction(state.adam, g, use_momentum=True)
+    if d_search is None:
+        # Guard path: smoothing state frozen, step still applied.
         if cfg.enforce_nondecrease:
-            eta, _ = _nondecrease_search(batch.loss, w, d_update, eta, res.loss, cfg)
-    else:
-        searched = True
-        if kind == "sgd":
-            d_search = sgd_direction(g)
-            gnorm_term = gsq
-        else:
-            d_search = adam_direction(state.adam, g, use_momentum=False)
-            gnorm_term = preconditioned_grad_norm(state.adam, g)
-        # s does not depend on eta: commit it before the backtracking loop.
-        s_new = smooth_update(sm.s, gnorm_term, sm.beta3, sm.initialized)
-        eta0 = propose_initial_step(state.eta, cfg.b, cfg.eta_max)
-        eta, backtracks, h_new, _ = salsa_backtrack(
-            batch.loss, w, d_search, eta0, res.loss, sm, s_new, cfg)
+            eta, _ = nondecrease_search(batch.loss, w, d_update, eta, loss0,
+                                        cfg)
+        return eta, 0
 
-        d_update = d_search if kind == "sgd" else \
-            adam_direction(state.adam, g, use_momentum=True)
-        if cfg.enforce_nondecrease:
-            eta_nd, trial_nd = _nondecrease_search(
-                batch.loss, w, d_update, eta, res.loss, cfg)
-            if eta_nd != eta:
-                eta = eta_nd
-                # Keep h tied to the step size actually applied so a replay
-                # of the trace reproduces the committed average.
-                if kind == "sgd":
-                    decrease = res.loss - trial_nd
-                else:
-                    decrease = res.loss - batch.loss(axpy(eta, d_search, w))
-                h_new = smooth_update(sm.h, decrease, sm.beta3, sm.initialized)
-        sm.h = h_new
-        sm.s = s_new
-        sm.initialized = True
-
-    w_next = axpy(eta, d_update, w)
-    record = StepRecord(k=state.k, eta=eta, loss=res.loss, grad_norm_sq=gsq,
-                        searched=searched, backtracks=backtracks,
-                        batch_seed=batch.key)
-    state.eta = eta
-    state.k += 1
-    return w_next, record
+    s_new = smooth_update(sm.s, gnorm_term, cfg.beta3, sm.initialized)
+    eta, backtracks, h_new, _ = salsa_backtrack(
+        batch.loss, w, d_search, eta, loss0, sm, s_new, cfg)
+    if cfg.enforce_nondecrease:
+        eta_nd, trial_nd = nondecrease_search(batch.loss, w, d_update, eta,
+                                              loss0, cfg)
+        if eta_nd != eta:
+            eta = eta_nd
+            # Keep h tied to the step size actually applied, measured along
+            # the search direction, so a replay of the trace reproduces the
+            # committed average.
+            if d_update is not d_search:
+                trial_nd = batch.loss(axpy(eta, d_search, w))
+            h_new = smooth_update(sm.h, loss0 - trial_nd, cfg.beta3,
+                                  sm.initialized)
+    sm.h, sm.s, sm.initialized = h_new, s_new, True
+    return eta, backtracks
 
 
 def salsa_sgd_step(batch, w: ParamVector, state: SalsaState,
                    cfg: SalsaConfig) -> tuple[ParamVector, StepRecord]:
     """One SaLSa step along the negative gradient."""
-    return _salsa_step(batch, w, state, cfg, "sgd")
+    return search_step(batch, w, "sgd", state, cfg, _smoothed_search)
 
 
 def salsa_adam_step(batch, w: ParamVector, state: SalsaState,
                     cfg: SalsaConfig) -> tuple[ParamVector, StepRecord]:
-    """One SaLSa step with the Adam direction.
-
-    The criterion uses the momentum-free direction and the preconditioned
-    gradient-norm term; the applied update keeps momentum.
-    """
-    return _salsa_step(batch, w, state, cfg, "adam")
+    """One SaLSa step with the Adam direction: the criterion uses the
+    momentum-free direction and the preconditioned gradient-norm term; the
+    applied update keeps momentum."""
+    return search_step(batch, w, "adam", state, cfg, _smoothed_search)

@@ -1,0 +1,170 @@
+"""Golden optimizer runs: every kind, pinned to sha256 digests.
+
+Each case runs ``run_single`` end to end and hashes what the run exposes:
+the CSV trace, the smoothed h/s series, the final parameters and the number
+of ``loss_grad`` calls. A refactor of the search code must leave all of it
+bit-identical. The digests depend on the floating-point results of this
+numpy build (2.4.6); a numpy upgrade that changes rounding in the problem
+kernels may move them without any change to the optimizers.
+"""
+
+import dataclasses
+import hashlib
+
+import pytest
+
+from salsa_opt.harness import run_single
+from salsa_opt.problems import make_mlp, make_quadratic
+
+PROBLEMS = {
+    "mlp": lambda: make_mlp(n=96, in_dim=4, hidden=6, seed=1),
+    "quadratic": lambda: make_quadratic(dim=4, cond=10.0, seed=0),
+}
+
+# Blown-up first step on the quadratic: the search cannot reach a
+# sufficient decrease within a budget of 2 shrinks.
+_HUGE = {"eta_init": 1e6, "eta_max": 1e6, "max_backtracks": 2}
+# Steps above 0.2 overshoot the quadratic and the third candidate lands
+# below eta_min, so every give-up clamps up to eta_min and re-evaluates.
+_CLAMP = {"eta_init": 10.0, "eta_min": 3.0, "delta": 0.25, "max_backtracks": 2}
+# Every gradient norm sits under the guard: no step searches.
+_GUARD = {"grad_eps": 1e3, "eta_init": 8.0}
+
+# (id, problem, optimizer, frequency controller, epochs, batch size)
+CASES = [
+    (f"{kind}-fc{int(fc)}", "mlp", {"kind": kind, **extra}, fc, 3, 8)
+    for kind, extra in (("sgd", {"lr": 0.5}),
+                        ("adam", {"peak_lr": 0.05,
+                                  "schedule": "cosine_warmup"}),
+                        ("sgd_sls", {}), ("adam_sls", {}),
+                        ("sgd_salsa", {}), ("adam_salsa", {}))
+    for fc in (False, True)
+] + [
+    (f"{kind}-nondecrease", "mlp",
+     {"kind": kind, "enforce_nondecrease": True}, False, 3, 8)
+    for kind in ("sgd_salsa", "adam_salsa")
+] + [
+    (f"{kind}-eta8-fc{int(fc)}", "mlp", {"kind": kind, "eta_init": 8.0}, fc, 3, 8)
+    for kind in ("sgd_sls", "sgd_salsa")
+    for fc in (False, True)
+] + [
+    (f"{kind}-giveup", "quadratic", {"kind": kind, **_HUGE}, False, 12, 1)
+    for kind in ("sgd_sls", "adam_sls", "sgd_salsa", "adam_salsa")
+] + [
+    (f"{kind}-clamp", "quadratic", {"kind": kind, **_CLAMP}, False, 12, 1)
+    for kind in ("sgd_sls", "adam_sls", "sgd_salsa", "adam_salsa")
+] + [
+    (f"{kind}-guard", "mlp", {"kind": kind, **_GUARD}, False, 1, 8)
+    for kind in ("sgd_sls", "adam_sls", "sgd_salsa", "adam_salsa")
+] + [
+    ("sgd_salsa-giveup-nondecrease", "quadratic",
+     {"kind": "sgd_salsa", "enforce_nondecrease": True, **_HUGE}, False, 12, 1),
+    ("adam_salsa-giveup-nondecrease", "quadratic",
+     {"kind": "adam_salsa", "enforce_nondecrease": True, **_HUGE}, False, 12, 1),
+    ("sgd_salsa-guard-nondecrease", "mlp",
+     {"kind": "sgd_salsa", "enforce_nondecrease": True, **_GUARD}, False, 1, 8),
+    ("adam_salsa-guard-nondecrease", "mlp",
+     {"kind": "adam_salsa", "enforce_nondecrease": True, **_GUARD}, False, 1, 8),
+]
+
+GOLDEN = {
+    "sgd-fc0":
+        "a6a5440d02f15f29c9cdc76ce55a0a1938d6e2591ba449cdec0dfeee8b9dae9e",
+    "sgd-fc1":
+        "a6a5440d02f15f29c9cdc76ce55a0a1938d6e2591ba449cdec0dfeee8b9dae9e",
+    "adam-fc0":
+        "1f2ef9eda2aa1732cee05d4a66ce3ddb3536bf71d6ec905ba918ea2178029740",
+    "adam-fc1":
+        "1f2ef9eda2aa1732cee05d4a66ce3ddb3536bf71d6ec905ba918ea2178029740",
+    "sgd_sls-fc0":
+        "eaf1b70be9c76ce0c889b5e93b35f7c28f8423cb4456c638711809586c80d79e",
+    "sgd_sls-fc1":
+        "3912196447e2de124933d7a95aa41bd4965131501119aead5448b1de440c8741",
+    "adam_sls-fc0":
+        "a0298990f0a1bd7398746086d4fb6631cd355d76117ea2a2e802d74121874721",
+    "adam_sls-fc1":
+        "abbf9d003c13744e36f0807dddc731043fd8af6fc323ff8bf34bfa56d2626678",
+    "sgd_salsa-fc0":
+        "9edfbc185794db65424c2d0c023223bd126b831b59168691def88c7b9b5a8e7b",
+    "sgd_salsa-fc1":
+        "e3919975757a8ca6a993881630fc60e9d3fd040fb0a92d5b935d06faa47c14cd",
+    "adam_salsa-fc0":
+        "d6c8f78e1b4048d176ec986adabbbb6bebaa5b8f08190727bc4c541f193bfc74",
+    "adam_salsa-fc1":
+        "2523a69c318eca0d4bc0186517fc1cf27d967e67d51d241431dd9b1fddd162f7",
+    "sgd_salsa-nondecrease":
+        "4facec265ff29b7b1dcdd896cb286309770d460428f5fa25c837ee2c3f50df6d",
+    "adam_salsa-nondecrease":
+        "d26bff92b6734a31a58c3c31a9244e4b7ac766b1affac3cb4fbe207d5739e5c0",
+    "sgd_sls-eta8-fc0":
+        "8e14afbf103e9616c204bc98755e3647db9ffc45aac75de2a20c073381c3b435",
+    "sgd_sls-eta8-fc1":
+        "a667a3d076af912305a76536e06276126f27eb859f38ed2d88f2976451e1f9f7",
+    "sgd_salsa-eta8-fc0":
+        "ae94ce0d2be281f0b8226463512d7c26105222501d3da93fe14f9f1cffe1cc1a",
+    "sgd_salsa-eta8-fc1":
+        "c69bb190062a4e3d57cb50ef5ec8f17edd098178f48e943ce5dabc029633ff9e",
+    "sgd_sls-giveup":
+        "60a7255b6f226d98cd0224715cecc7886925f70d3b152f2e357f44ec32f540dd",
+    "adam_sls-giveup":
+        "23fa43a702a3c1f4ac6a33cd532a4d1b9361208477fd8ffedfda367868eb627c",
+    "sgd_salsa-giveup":
+        "5ce4b74f8b4b2513087d3c941c0d48c9d1910410321acbc2ee429283062996b2",
+    "adam_salsa-giveup":
+        "9e5f94050d2607ebedf9c7480e4b94f0d15c51366a27163f071ce9206658c14d",
+    "sgd_sls-clamp":
+        "f61734eaf4228e42d80deb8398f579de6c4bbc4931071a03a814e0079cedc305",
+    "adam_sls-clamp":
+        "d0eebe88bd130bff1f0e0a7046666c49fd28038ee4176d7cb17a314f468eea64",
+    "sgd_salsa-clamp":
+        "7c2902f12ddb1397fc1bc8fef83bd809283a955641f17121eac269bd52412a13",
+    "adam_salsa-clamp":
+        "1acd786ad92b6e72e27f7172dca879615b0a83cee80331045d45a29d4eef3f72",
+    "sgd_sls-guard":
+        "66d7ca21bdd78f85d6392e58889a3010c7c1b4d2e57506014dcbcf5dcb57238a",
+    "adam_sls-guard":
+        "eea05735a040bd33e91866de2a2d420974d36316d7ea4808d36425516f73a88c",
+    "sgd_salsa-guard":
+        "a3ae88f6959b1e2d9d7ff1691128a8c35c0352a11f060d316797b6173b0f027d",
+    "adam_salsa-guard":
+        "cf173452701f046955d95d1b59cf7182dd262086301a9e4984b77f07e0c32779",
+    "sgd_salsa-giveup-nondecrease":
+        "6b0f1f431003d197fbdab06ce6ce7a07102bb368d0a5a978337c202eefb23a45",
+    "adam_salsa-giveup-nondecrease":
+        "30f105571bc44c99b06e94a4640dc5a07d0dc07832eb3d7506b32a5cd94aaf79",
+    "sgd_salsa-guard-nondecrease":
+        "bc295f1e372c7030e82ab22566985ef31ca4e0f6759e7cda766c727590928d44",
+    "adam_salsa-guard-nondecrease":
+        "92c2bacb436a5c858d512abf046a0c6e6d9b8eda86ac1f844b7a37d7fa695100",
+}
+
+
+def run_digest(problem_key, optimizer, fc, epochs, batch_size, seed=3):
+    """sha256 over the trace CSV, the h/s series, the final parameters and
+    the evaluation count of one run."""
+    problem = PROBLEMS[problem_key]()
+    calls = [0]
+    inner = problem.loss_grad
+
+    def counting_loss_grad(*args, **kwargs):
+        calls[0] += 1
+        return inner(*args, **kwargs)
+
+    problem = dataclasses.replace(problem, loss_grad=counting_loss_grad)
+    result = run_single(problem, optimizer, seed, epochs, batch_size,
+                        frequency_controller=fc)
+    digest = hashlib.sha256()
+    digest.update(result.trace.to_csv().encode())
+    digest.update(repr(result.h_series).encode())
+    digest.update(repr(result.s_series).encode())
+    digest.update(result.final_params.tobytes())
+    digest.update(str(calls[0]).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("case_id,problem_key,optimizer,fc,epochs,batch_size",
+                         CASES, ids=[c[0] for c in CASES])
+def test_golden_run_digest(case_id, problem_key, optimizer, fc, epochs,
+                           batch_size):
+    assert run_digest(problem_key, optimizer, fc, epochs, batch_size) == \
+        GOLDEN[case_id]

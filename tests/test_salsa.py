@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import full_batch, make_centered_quadratic
-from salsa_opt.core import seeded_rng
+from salsa_opt.core import axpy, seeded_rng
 from salsa_opt.directions import AdamState
+from salsa_opt.line_search import nondecrease_search
 from salsa_opt.problems import BatchObjective, make_quadratic
 from salsa_opt.salsa import (SalsaConfig, SalsaState, SmoothState,
-                             enforce_nondecrease, salsa_adam_step,
-                             salsa_backtrack, salsa_criterion, salsa_sgd_step,
-                             smooth_update)
+                             salsa_adam_step, salsa_backtrack,
+                             salsa_criterion, salsa_sgd_step, smooth_update)
 
 
 def reference_ema(xs, beta):
@@ -78,7 +78,7 @@ class TestSalsaBacktrack:
         # uninitialized state: trial h is the raw decrease, so the test is
         # exactly the plain Armijo inequality with c = 0.3
         cfg = SalsaConfig()
-        smooth = SmoothState(beta3=cfg.beta3)
+        smooth = SmoothState()
         batch = full_batch(quadratic_1d)
         eta, bts, h, trial = salsa_backtrack(
             batch.loss, np.array([1.0]), np.array([-1.0]), eta_start=1.0,
@@ -90,7 +90,7 @@ class TestSalsaBacktrack:
         # h=1, s=1, c=0.3, eta=1, current decrease -0.1:
         # trial h = 0.99*1 + 0.01*(-0.1) = 0.989 >= 0.3 -> accepted, 0 shrinks
         cfg = SalsaConfig()
-        smooth = SmoothState(h=1.0, s=1.0, beta3=0.99, initialized=True)
+        smooth = SmoothState(h=1.0, s=1.0, initialized=True)
         eta, bts, h, _ = salsa_backtrack(
             lambda w: 1.1, np.zeros(1), np.zeros(1), eta_start=1.0,
             loss0=1.0, smooth=smooth, s_new=1.0, cfg=cfg)
@@ -100,7 +100,7 @@ class TestSalsaBacktrack:
 
     def test_matches_reference_shrink_loop(self, quadratic_1d):
         cfg = SalsaConfig(eta_init=8.0, eta_max=16.0)
-        smooth = SmoothState(h=0.05, s=0.9, beta3=0.99, initialized=True)
+        smooth = SmoothState(h=0.05, s=0.9, initialized=True)
         w, d, loss0, s_new = np.array([1.0]), np.array([-1.0]), 0.5, 1.0
 
         # independent oracle implementing the smoothed rule directly
@@ -124,8 +124,8 @@ class TestSalsaBacktrack:
 class TestEnforceNondecrease:
     def test_already_nonincreasing_unchanged(self, quadratic_1d):
         batch = full_batch(quadratic_1d)
-        eta = enforce_nondecrease(batch.loss, np.array([1.0]),
-                                  np.array([-1.0]), 1.0, 0.5, SalsaConfig())
+        eta, _ = nondecrease_search(batch.loss, np.array([1.0]),
+                                    np.array([-1.0]), 1.0, 0.5, SalsaConfig())
         assert eta == 1.0
         assert batch.n_evals == 1  # the check itself, nothing more
 
@@ -136,15 +136,15 @@ class TestEnforceNondecrease:
         while quadratic_1d.full_loss(np.array([1.0 - eta_ref])) > 0.5:
             eta_ref *= cfg.delta
         batch = full_batch(quadratic_1d)
-        eta = enforce_nondecrease(batch.loss, np.array([1.0]),
-                                  np.array([-1.0]), 3.0, 0.5, cfg)
+        eta, _ = nondecrease_search(batch.loss, np.array([1.0]),
+                                    np.array([-1.0]), 3.0, 0.5, cfg)
         assert eta == pytest.approx(eta_ref, rel=1e-15)
         assert eta <= 2.0
 
     def test_zero_direction_any_eta(self, quadratic_1d):
         batch = full_batch(quadratic_1d)
-        eta = enforce_nondecrease(batch.loss, np.array([1.0]), np.zeros(1),
-                                  5.0, 0.5, SalsaConfig(eta_max=16.0))
+        eta, _ = nondecrease_search(batch.loss, np.array([1.0]), np.zeros(1),
+                                    5.0, 0.5, SalsaConfig(eta_max=16.0))
         assert eta == 5.0
 
 
@@ -153,7 +153,6 @@ class TestSalsaSgdStep:
         prob = make_centered_quadratic(dim=2)
         cfg = SalsaConfig()
         state = SalsaState(eta=0.4, smooth=SmoothState(h=1.0, s=2.0,
-                                                       beta3=0.99,
                                                        initialized=True))
         w_next, rec = salsa_sgd_step(full_batch(prob), np.zeros(2), state, cfg)
         assert not rec.searched
@@ -162,7 +161,7 @@ class TestSalsaSgdStep:
 
     def test_quadratic_with_nondecrease_converges(self, quadratic_1d):
         cfg = SalsaConfig(enforce_nondecrease=True)
-        state = SalsaState(eta=cfg.eta_init, smooth=SmoothState(beta3=cfg.beta3))
+        state = SalsaState(eta=cfg.eta_init)
         w = np.array([10.0])
         losses = []
         for _ in range(200):
@@ -197,10 +196,9 @@ class TestSalsaAdamStep:
         from conftest import make_linear
         prob = make_linear(dim=3, slope=1.0)
         cfg = SalsaConfig()
-        st_sgd = SalsaState(eta=cfg.eta_init, smooth=SmoothState(beta3=cfg.beta3))
+        st_sgd = SalsaState(eta=cfg.eta_init)
         salsa_sgd_step(full_batch(prob), np.zeros(3), st_sgd, cfg)
         st_adam = SalsaState(eta=cfg.eta_init,
-                             smooth=SmoothState(beta3=cfg.beta3),
                              adam=AdamState.zeros(3, epsilon=1e-300))
         salsa_adam_step(full_batch(prob), np.zeros(3), st_adam, cfg)
         assert st_adam.smooth.s == pytest.approx(st_sgd.smooth.s, rel=1e-12)
@@ -209,7 +207,6 @@ class TestSalsaAdamStep:
         prob = make_quadratic(dim=2, cond=100, seed=3)
         cfg = SalsaConfig()
         state = SalsaState(eta=cfg.eta_init,
-                           smooth=SmoothState(beta3=cfg.beta3),
                            adam=AdamState.zeros(2))
         w = prob.init_params(0)
         best = np.inf
@@ -222,7 +219,6 @@ class TestSalsaAdamStep:
     def test_first_step_seeds_h_and_s(self, quadratic_1d):
         cfg = SalsaConfig()
         state = SalsaState(eta=cfg.eta_init,
-                           smooth=SmoothState(beta3=cfg.beta3),
                            adam=AdamState.zeros(1))
         assert not state.smooth.initialized
         batch = full_batch(quadratic_1d)
@@ -240,8 +236,7 @@ class TestSmoothingInvariants:
     def test_committed_triples_satisfy_criterion(self):
         prob = make_quadratic(dim=4, cond=30, seed=5)
         cfg = SalsaConfig()
-        state = SalsaState(eta=cfg.eta_init,
-                           smooth=SmoothState(beta3=cfg.beta3))
+        state = SalsaState(eta=cfg.eta_init)
         w = prob.init_params(1)
         for _ in range(300):
             batch = BatchObjective(prob, np.arange(1), key=0)
@@ -256,7 +251,7 @@ class TestSmoothingInvariants:
         # proposal; after the seed step salsa must accept with 0 backtracks
         prob = make_centered_quadratic(dim=3)
         cfg = SalsaConfig(eta_init=0.25, eta_max=0.5)
-        state = SalsaState(eta=cfg.eta_init, smooth=SmoothState(beta3=cfg.beta3))
+        state = SalsaState(eta=cfg.eta_init)
         w = np.full(3, 2.0)
         for i in range(20):
             batch = full_batch(prob)
@@ -276,6 +271,26 @@ class TestSmoothingInvariants:
             for _ in range(50):
                 s = smooth_update(s, float(rng.random()), 0.99, True)
                 assert s >= 0.0
+
+
+class TestOneBeta3:
+    def test_fresh_state_smooths_at_config_beta3(self):
+        # the smoothing state carries no factor of its own, so a default
+        # SalsaState stepped with beta3=0.5 must average at 0.5
+        prob = make_centered_quadratic(dim=2, eigs=[1.0, 3.0])
+        cfg = SalsaConfig(beta3=0.5)
+        state = SalsaState(eta=1.0)
+        w = np.array([2.0, -1.0])
+        raw_h, raw_s = [], []
+        for _ in range(2):
+            g = prob.loss_grad(w, None).grad
+            w_next, rec = salsa_sgd_step(full_batch(prob), w, state, cfg)
+            assert rec.searched
+            raw_h.append(rec.loss - prob.full_loss(axpy(rec.eta, -g, w)))
+            raw_s.append(g @ g)
+            w = w_next
+        assert state.smooth.h == 0.5 * raw_h[0] + 0.5 * raw_h[1]
+        assert state.smooth.s == 0.5 * raw_s[0] + 0.5 * raw_s[1]
 
 
 class TestSalsaConfig:
