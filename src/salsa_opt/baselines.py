@@ -1,6 +1,8 @@
 """Fixed-learning-rate SGD and Adam baselines with schedules.
 
-Two schedule shapes: flat, and linear warmup into a cosine decay (ramp from
+A fixed-rate step is the line-search engine's step with no search
+(``line_search.apply_without_search``) at the scheduled step size. Two
+schedule shapes: flat, and linear warmup into a cosine decay (ramp from
 0 over the warmup fraction, then half-cosine down to 0).
 """
 
@@ -9,8 +11,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import ParamVector, StepRecord, axpy, norm_sq
-from .directions import AdamState, adam_direction, adam_update_moments
+from .core import ParamVector, StepRecord
+# The two direction names stay bound here because perfbench/tracer.py
+# patches them by module; the engine calls its own bindings.
+from .directions import AdamState, adam_direction, \
+    adam_update_moments  # noqa: F401
+from .line_search import SlsState, apply_without_search
 
 SCHEDULE_SHAPES = ("cosine_warmup", "flat")
 
@@ -54,23 +60,15 @@ def schedule_lr(cfg: ScheduleConfig, k: int) -> float:
 
 def fixed_sgd_step(batch, w: ParamVector, lr: float,
                    k: int) -> tuple[ParamVector, StepRecord]:
-    """Plain SGD update w - lr * grad on this batch."""
-    res = batch.eval(w)
-    w_next = axpy(-lr, res.grad, w)
-    record = StepRecord(k=k, eta=lr, loss=res.loss,
-                        grad_norm_sq=norm_sq(res.grad), searched=False,
-                        backtracks=0, batch_seed=batch.key)
-    return w_next, record
+    """Plain SGD update w - lr * grad on this batch: the engine's step
+    with no search, at step size lr."""
+    return apply_without_search(batch, w, "sgd", SlsState(eta=lr, k=k))
 
 
 def fixed_adam_step(batch, w: ParamVector, adam_state: AdamState, lr: float,
                     k: int) -> tuple[ParamVector, StepRecord, AdamState]:
-    """Adam update with momentum at a fixed learning rate."""
-    res = batch.eval(w)
-    adam_state = adam_update_moments(adam_state, res.grad)
-    d = adam_direction(adam_state, res.grad, use_momentum=True)
-    w_next = axpy(lr, d, w)
-    record = StepRecord(k=k, eta=lr, loss=res.loss,
-                        grad_norm_sq=norm_sq(res.grad), searched=False,
-                        backtracks=0, batch_seed=batch.key)
-    return w_next, record, adam_state
+    """Adam update with momentum at a fixed learning rate: the engine's
+    step with no search, at step size lr."""
+    state = SlsState(eta=lr, k=k, adam=adam_state)
+    w_next, record = apply_without_search(batch, w, "adam", state)
+    return w_next, record, state.adam

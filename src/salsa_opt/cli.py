@@ -8,14 +8,18 @@ and byte-identical across repeated invocations.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
+from dataclasses import fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .harness import ConfigError, ExperimentConfig, batch_scaling_experiment, \
-    build_problem, compare, emit, frequency_ablation, run_experiment, summarize
+    build_problem, compare, emit, frequency_ablation, render, run_experiment, \
+    summarize
 from .problems import finite_diff_grad
 from .core import seeded_rng
 
@@ -47,9 +51,7 @@ def _cmd_run(args) -> int:
     if cfg.out is None:
         if len(traces) > 1:
             raise ConfigError("multiple seeds need --out (or 'out' in config)")
-        sys.stdout.write(traces[0].to_csv() if args.format == "csv"
-                         else traces[0].to_json())
-        return 0
+        return _finish(traces[0], args)
     out = Path(cfg.out)
     for seed, trace in zip(cfg.seeds, traces):
         path = out if len(traces) == 1 else \
@@ -63,52 +65,34 @@ def _cmd_compare(args) -> int:
     raw = _load_config(args.config)
     if args.seed is not None:
         raw["seeds"] = [args.seed]
-    _require(raw, {"problems", "optimizers", "seeds", "epochs", "batch_size"},
-             "compare")
+    _require(raw, {"problems", "optimizers"}, "compare")
+    # the run settings every (problem, optimizer) pair shares
+    shared = {f.name: raw[f.name] for f in fields(ExperimentConfig)
+              if f.name in raw}
     summaries = []
     for prob_spec in raw["problems"]:
         problem = build_problem(prob_spec)
         for opt in raw["optimizers"]:
-            cfg = ExperimentConfig(
-                problem=prob_spec, optimizer=opt, seeds=raw["seeds"],
-                epochs=raw["epochs"], batch_size=raw["batch_size"],
-                frequency_controller=raw.get("frequency_controller", False))
+            cfg = ExperimentConfig.from_dict(
+                {**shared, "problem": prob_spec, "optimizer": opt})
             traces = run_experiment(cfg)
             summaries.append(summarize(opt["kind"], problem.name, traces))
     table = compare(summaries)
     return _finish(table, args)
 
 
-def _seeds_from(raw: dict, args, default=(0, 1, 2, 3, 4)) -> tuple:
+def _run_study(study, args) -> int:
+    """The scaling and freq-ablation commands: run ``study`` on the config's
+    problem, passing only the study's arguments the config sets (the rest
+    keep the study's defaults), and ``--seed`` as the only seed."""
+    raw = _load_config(args.config)
+    _require(raw, {"problem"}, args.command)
+    kwargs = {k: raw[k] for k in inspect.signature(study).parameters
+              if k in raw}
+    kwargs["problem"] = build_problem(raw["problem"])
     if args.seed is not None:
-        return (args.seed,)
-    return tuple(raw.get("seeds", default))
-
-
-def _cmd_scaling(args) -> int:
-    raw = _load_config(args.config)
-    _require(raw, {"problem"}, "scaling")
-    problem = build_problem(raw["problem"])
-    report = batch_scaling_experiment(
-        problem,
-        optimizer=raw.get("optimizer"),
-        batch_sizes=tuple(raw.get("batch_sizes", (4, 8, 16, 32))),
-        seeds=_seeds_from(raw, args),
-        epochs=raw.get("epochs", 4))
-    return _finish(report, args)
-
-
-def _cmd_freq_ablation(args) -> int:
-    raw = _load_config(args.config)
-    _require(raw, {"problem"}, "freq-ablation")
-    problem = build_problem(raw["problem"])
-    report = frequency_ablation(
-        problem,
-        seeds=_seeds_from(raw, args),
-        optimizer=raw.get("optimizer"),
-        epochs=raw.get("epochs", 3),
-        batch_size=raw.get("batch_size", 32))
-    return _finish(report, args)
+        kwargs["seeds"] = (args.seed,)
+    return _finish(study(**kwargs), args)
 
 
 def _cmd_check_grad(args) -> int:
@@ -135,8 +119,7 @@ def _cmd_check_grad(args) -> int:
 
 def _finish(report, args) -> int:
     if args.out is None:
-        sys.stdout.write(report.to_csv() if args.format == "csv"
-                         else report.to_json())
+        sys.stdout.write(render(report, args.format))
     else:
         emit(report, args.format, args.out)
         print(f"wrote {args.out}", file=sys.stderr)
@@ -170,8 +153,8 @@ def build_parser() -> argparse.ArgumentParser:
 _COMMANDS = {
     "run": _cmd_run,
     "compare": _cmd_compare,
-    "scaling": _cmd_scaling,
-    "freq-ablation": _cmd_freq_ablation,
+    "scaling": partial(_run_study, batch_scaling_experiment),
+    "freq-ablation": partial(_run_study, frequency_ablation),
     "check-grad": _cmd_check_grad,
 }
 

@@ -100,6 +100,12 @@ class StepRecord:
             raise ValueError("non-searched step cannot have backtracks")
 
 
+def canonical_json(payload) -> str:
+    """The one JSON encoding of traces and reports: sorted keys, no
+    whitespace, a trailing newline, floats as their shortest repr."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 CSV_HEADER = "k,eta,loss,grad_norm_sq,searched,backtracks,batch_seed"
 
 
@@ -155,11 +161,10 @@ class TrainingTrace:
         return trace
 
     def to_json(self) -> str:
-        payload = {
+        return canonical_json({
             "metadata": self.metadata,
             "records": [asdict(r) for r in self.records],
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+        })
 
     @classmethod
     def from_json(cls, text: str) -> "TrainingTrace":

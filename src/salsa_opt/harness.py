@@ -10,17 +10,17 @@ smoothed by an EMA with factor 0.99.
 from __future__ import annotations
 
 import copy
-import json
 import math
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 from scipy import stats
 
 from .baselines import ScheduleConfig, fixed_adam_step, fixed_sgd_step, \
     schedule_lr
-from .core import ParamVector, StepRecord, TrainingTrace, axpy, norm_sq
+from .core import ParamVector, StepRecord, TrainingTrace, axpy, \
+    canonical_json, norm_sq
 from .directions import AdamState
 from .frequency import FrequencyController
 from .line_search import SlsConfig, SlsState, apply_without_search, sls_step
@@ -64,51 +64,56 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        known = {"problem", "optimizer", "seeds", "epochs", "batch_size",
-                 "frequency_controller", "out"}
-        extra = set(d) - known
+        extra = set(d) - {f.name for f in fields(cls)}
         if extra:
             raise ConfigError(f"unknown config fields: {sorted(extra)}")
-        missing = {"problem", "optimizer", "seeds", "epochs", "batch_size"} - set(d)
+        missing = {f.name for f in fields(cls)
+                   if f.default is MISSING} - set(d)
         if missing:
             raise ConfigError(f"missing config fields: {sorted(missing)}")
         return cls(**d)
 
 
 _PROBLEM_BUILDERS = {
-    "quadratic": (make_quadratic, {"dim", "cond", "seed"}),
-    "logreg": (make_logreg, {"n", "dim", "seed", "label_noise"}),
-    "mlp": (make_mlp, {"n", "in_dim", "hidden", "seed", "separation"}),
-    "matrix_factorization": (make_matrix_factorization,
-                             {"rows", "cols", "rank", "seed", "noise"}),
-    "csv": (problem_from_csv, {"path", "kind_inner", "hidden", "seed"}),
+    "quadratic": make_quadratic,
+    "logreg": make_logreg,
+    "mlp": make_mlp,
+    "matrix_factorization": make_matrix_factorization,
+    "csv": problem_from_csv,
 }
 
 
 def build_problem(problem_config: dict) -> Problem:
-    """Instantiate a problem from its config dict ({'kind': ..., params})."""
+    """Instantiate a problem from its config dict ({'kind': ..., params});
+    params are the factory's arguments, ``kind_inner`` standing for csv's
+    ``kind``."""
     params = dict(problem_config)
     kind = params.pop("kind", None)
     if kind not in _PROBLEM_BUILDERS:
         raise ConfigError(f"unknown problem kind {kind!r}; "
                           f"expected one of {sorted(_PROBLEM_BUILDERS)}")
-    builder, allowed = _PROBLEM_BUILDERS[kind]
-    extra = set(params) - allowed
-    if extra:
-        raise ConfigError(f"unknown {kind} parameters: {sorted(extra)}")
     if kind == "csv" and "kind_inner" in params:
         params["kind"] = params.pop("kind_inner")
     try:
-        return builder(**params)
+        return _PROBLEM_BUILDERS[kind](**params)
     except TypeError as e:
         raise ConfigError(f"bad {kind} parameters: {e}") from e
 
 
-_ADAM_KEYS = {"beta1", "beta2", "epsilon"}
-_SLS_KEYS = {"c", "delta", "b", "grad_eps", "max_backtracks", "eta_init",
-             "eta_min", "eta_max"}
-_SALSA_KEYS = _SLS_KEYS | {"beta3", "enforce_nondecrease"}
 _FIXED_KEYS = {"lr", "peak_lr", "schedule", "warm_frac"}
+
+
+def _adam_moments(kind: str, dim: int, params: dict) -> AdamState | None:
+    """Zero Adam moments for an adam kind, taking every key left in
+    ``params`` as an ``AdamState`` hyper-parameter; an sgd kind takes none."""
+    if not kind.startswith("adam"):
+        if params:
+            raise ConfigError(f"unknown {kind} parameters: {sorted(params)}")
+        return None
+    try:
+        return AdamState.zeros(dim, **params)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"bad {kind} parameters: {e}") from e
 
 
 class _LineSearchRunner:
@@ -119,18 +124,15 @@ class _LineSearchRunner:
     def __init__(self, kind: str, dim: int, opt: dict):
         self.base = "adam" if kind.startswith("adam") else "sgd"
         self.family = "salsa" if kind.endswith("salsa") else "sls"
+        cfg_cls = SalsaConfig if self.family == "salsa" else SlsConfig
         params = {k: v for k, v in opt.items() if k != "kind"}
-        adam_kw = {k: params.pop(k) for k in list(params) if k in _ADAM_KEYS}
-        allowed = _SALSA_KEYS if self.family == "salsa" else _SLS_KEYS
-        extra = set(params) - allowed
-        if extra:
-            raise ConfigError(f"unknown {kind} parameters: {sorted(extra)}")
+        search_kw = {f.name: params.pop(f.name) for f in fields(cfg_cls)
+                     if f.name in params}
         try:
-            self.cfg = SalsaConfig(**params) if self.family == "salsa" \
-                else SlsConfig(**params)
+            self.cfg = cfg_cls(**search_kw)
         except ValueError as e:
             raise ConfigError(str(e)) from e
-        adam = AdamState.zeros(dim, **adam_kw) if self.base == "adam" else None
+        adam = _adam_moments(kind, dim, params)
         state_cls = SalsaState if self.family == "salsa" else SlsState
         self.state = state_cls(eta=self.cfg.eta_init, adam=adam)
         self.h_series = []
@@ -170,21 +172,20 @@ class _FixedLrRunner:
     def __init__(self, kind: str, dim: int, opt: dict, total_steps: int):
         self.base = kind
         params = {k: v for k, v in opt.items() if k != "kind"}
-        adam_kw = {k: params.pop(k) for k in list(params) if k in _ADAM_KEYS}
-        extra = set(params) - _FIXED_KEYS
-        if extra:
-            raise ConfigError(f"unknown {kind} parameters: {sorted(extra)}")
-        shape = params.get("schedule", "flat")
-        peak = params.get("peak_lr", params.get("lr"))
+        fixed = {k: params.pop(k) for k in _FIXED_KEYS if k in params}
+        if "lr" in fixed and "peak_lr" in fixed:
+            raise ConfigError(f"{kind} takes 'lr' or 'peak_lr', not both")
+        peak = fixed.pop("peak_lr", fixed.pop("lr", None))
         if peak is None:
             raise ConfigError(f"{kind} needs 'lr' or 'peak_lr'")
         try:
+            # warm_frac, if given, is all that is left in ``fixed``
             self.schedule = ScheduleConfig(
                 peak_lr=peak, total_steps=max(total_steps, 1),
-                warm_frac=params.get("warm_frac", 0.1), shape=shape)
+                shape=fixed.pop("schedule", "flat"), **fixed)
         except ValueError as e:
             raise ConfigError(str(e)) from e
-        self.adam = AdamState.zeros(dim, **adam_kw) if kind == "adam" else None
+        self.adam = _adam_moments(kind, dim, params)
         self.k = 0
         self.h_series = []
         self.s_series = []
@@ -358,7 +359,7 @@ class ComparisonTable:
             "log_mean": self.log_mean,
             "average_rank": self.average_rank,
         }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+        return canonical_json(payload)
 
 
 def compare(summaries: list[RunSummary]) -> ComparisonTable:
@@ -430,7 +431,7 @@ class ScalingReport:
             "s_series": {f"{b}:{s}": list(v)
                          for (b, s), v in self.s_series.items()},
         }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+        return canonical_json(payload)
 
 
 def batch_scaling_experiment(problem: Problem, optimizer: dict | None = None,
@@ -483,8 +484,7 @@ class AblationReport:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True,
-                          separators=(",", ":")) + "\n"
+        return canonical_json(asdict(self))
 
 
 def _pooled_se(a: list, b: list) -> float:
@@ -521,14 +521,18 @@ def frequency_ablation(problem: Problem, seeds: tuple = (0, 1, 2, 3, 4),
         pooled_se=_pooled_se(on, off))
 
 
+def render(obj, format: str) -> str:
+    """A trace or report as CSV or JSON text; bit-stable per input."""
+    if format == "csv":
+        return obj.to_csv()
+    if format == "json":
+        return obj.to_json()
+    raise ConfigError(f"format must be 'csv' or 'json', got {format!r}")
+
+
 def emit(obj, format: str, path: str) -> None:
     """Write a trace or report as CSV or JSON; bit-stable per input."""
-    if format == "csv":
-        text = obj.to_csv()
-    elif format == "json":
-        text = obj.to_json()
-    else:
-        raise ConfigError(f"format must be 'csv' or 'json', got {format!r}")
+    text = render(obj, format)
     try:
         with open(path, "w", newline="\n") as f:
             f.write(text)
@@ -563,12 +567,16 @@ def replay_verify(problem: Problem, optimizer: dict, seed: int, epochs: int,
     from there everything else (gradients, Adam moments, smoothing EMAs,
     both sides of the criterion at the recorded step size) is recomputed by
     straight-line code independent of the optimizer implementations, and
-    the inequality is re-checked within ``slack``. Give-up steps (backtracks
+    the inequality is re-checked within ``slack``. Only the hyper-parameters
+    come from the run's own config objects. Give-up steps (backtracks
     exhausted) accept no candidate and are not checked.
     """
     rerun = run_single(problem, optimizer, seed, epochs, batch_size,
                        frequency_controller, collect_params=True)
-    if rerun.trace.records != trace.records:
+    # NaN != NaN, so unequal records are settled by the CSV bytes, where
+    # NaN reads "nan" and every finite float round-trips through repr
+    if rerun.trace.records != trace.records and \
+            rerun.trace.to_csv() != trace.to_csv():
         raise ValueError("trace does not replay bit-identically; "
                          "it was not produced by this configuration")
 
@@ -576,18 +584,10 @@ def replay_verify(problem: Problem, optimizer: dict, seed: int, epochs: int,
     if kind not in LINE_SEARCH_KINDS:
         raise ConfigError(f"replay_verify applies to line-search runs, "
                           f"got {kind!r}")
-    base = "adam" if kind.startswith("adam") else "sgd"
-    family = "salsa" if kind.endswith("salsa") else "sls"
-    # defaults come from the same dataclasses the optimizers are built from
-    search_defaults = SalsaConfig() if family == "salsa" else SlsConfig()
-    adam_defaults = AdamState.zeros(0)
-    c = optimizer.get("c", search_defaults.c)
-    beta3 = optimizer.get("beta3", SalsaConfig().beta3)
-    beta1 = optimizer.get("beta1", adam_defaults.beta1)
-    beta2 = optimizer.get("beta2", adam_defaults.beta2)
-    epsilon = optimizer.get("epsilon", adam_defaults.epsilon)
-    max_backtracks = optimizer.get("max_backtracks",
-                                   search_defaults.max_backtracks)
+    # the hyper-parameters as the run read them, from the same runner
+    runner = _LineSearchRunner(kind, problem.dim, optimizer)
+    base, family, cfg = runner.base, runner.family, runner.cfg
+    adam = runner.state.adam
 
     sampler = BatchSampler(seed=seed, batch_size=batch_size,
                            dataset_size=problem.dataset_size)
@@ -605,8 +605,8 @@ def replay_verify(problem: Problem, optimizer: dict, seed: int, epochs: int,
         res = problem.loss_grad(w, sampler.sample(rec.k))
         g = res.grad
         if base == "adam":
-            m = beta1 * m + (1.0 - beta1) * g
-            v = beta2 * v + (1.0 - beta2) * g * g
+            m = adam.beta1 * m + (1.0 - adam.beta1) * g
+            v = adam.beta2 * v + (1.0 - adam.beta2) * g * g
             adam_k += 1
         if not rec.searched:
             continue
@@ -614,14 +614,14 @@ def replay_verify(problem: Problem, optimizer: dict, seed: int, epochs: int,
         # give-up steps (budget exhausted) accepted no candidate: they are
         # not checked, but a smoothed run still committed h/s at the
         # recorded eta, so the EMA recurrences below must advance anyway
-        accepted = rec.backtracks < max_backtracks
+        accepted = rec.backtracks < cfg.max_backtracks
 
         if base == "sgd":
             d = -g
             gterm = float(g @ g)
         else:
-            v_hat = v / (1.0 - beta2 ** adam_k)
-            denom = np.sqrt(v_hat) + epsilon
+            v_hat = v / (1.0 - adam.beta2 ** adam_k)
+            denom = np.sqrt(v_hat) + adam.epsilon
             d = -g / denom
             gterm = float(np.sum(g * g / denom))
         loss_trial = problem.loss_grad(axpy(rec.eta, d, w),
@@ -631,10 +631,11 @@ def replay_verify(problem: Problem, optimizer: dict, seed: int, epochs: int,
             if not accepted:
                 continue
             lhs = loss_trial
-            rhs = res.loss - c * rec.eta * gterm
+            rhs = res.loss - cfg.c * rec.eta * gterm
             ok = lhs <= rhs + slack
             gap = lhs - rhs
         else:
+            beta3 = cfg.beta3
             s = gterm if not smoothing_seeded else \
                 beta3 * s + (1.0 - beta3) * gterm
             decrease = res.loss - loss_trial
@@ -644,7 +645,7 @@ def replay_verify(problem: Problem, optimizer: dict, seed: int, epochs: int,
             if not accepted:
                 continue
             lhs = h
-            rhs = c * rec.eta * s
+            rhs = cfg.c * rec.eta * s
             ok = lhs >= rhs - slack
             gap = rhs - lhs
         n_checked += 1

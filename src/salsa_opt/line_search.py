@@ -70,7 +70,7 @@ class SlsState:
     adam: AdamState | None = None
 
 
-def propose_initial_step(eta_prev: float, b: float, eta_max: float = 10.0) -> float:
+def propose_initial_step(eta_prev: float, b: float, eta_max: float) -> float:
     """Regrow the previous step size by 2**(1/b), clamped to eta_max."""
     return min(eta_prev * 2.0 ** (1.0 / b), eta_max)
 
@@ -218,7 +218,8 @@ def sls_step(batch, w: ParamVector, optimizer_kind: str, state: SlsState,
 
 def apply_without_search(batch, w: ParamVector, optimizer_kind: str,
                          state: SlsState) -> tuple[ParamVector, StepRecord]:
-    """Take a step with the current eta and no search (frequency-skipped).
-    The gradient is still evaluated and, for adam, folded into the moments;
+    """Take a step with the current eta and no search (a frequency-skipped
+    step, or a fixed-rate baseline step at its scheduled eta). The gradient
+    is still evaluated and, for adam, folded into the moments;
     smoothing/search state stays frozen since no search runs."""
     return search_step(batch, w, optimizer_kind, state, None, None)

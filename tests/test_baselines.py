@@ -4,12 +4,39 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import full_batch, make_centered_quadratic
 from salsa_opt.baselines import (ScheduleConfig, fixed_adam_step,
                                  fixed_sgd_step, schedule_lr)
-from salsa_opt.directions import AdamState
+from salsa_opt.core import StepRecord, axpy, norm_sq
+from salsa_opt.directions import AdamState, adam_direction, \
+    adam_update_moments
 from salsa_opt.problems import make_quadratic, BatchObjective
+
+
+def reference_sgd_step(batch, w, lr, k):
+    """The fixed-rate SGD step written out on its own, as it was before it
+    became the engine's no-search step."""
+    res = batch.eval(w)
+    w_next = axpy(-lr, res.grad, w)
+    record = StepRecord(k=k, eta=lr, loss=res.loss,
+                        grad_norm_sq=norm_sq(res.grad), searched=False,
+                        backtracks=0, batch_seed=batch.key)
+    return w_next, record
+
+
+def reference_adam_step(batch, w, adam_state, lr, k):
+    """The fixed-rate Adam step written out on its own (see above)."""
+    res = batch.eval(w)
+    adam_state = adam_update_moments(adam_state, res.grad)
+    d = adam_direction(adam_state, res.grad, use_momentum=True)
+    w_next = axpy(lr, d, w)
+    record = StepRecord(k=k, eta=lr, loss=res.loss,
+                        grad_norm_sq=norm_sq(res.grad), searched=False,
+                        backtracks=0, batch_seed=batch.key)
+    return w_next, record, adam_state
 
 
 class TestSchedule:
@@ -102,3 +129,37 @@ class TestFixedAdam:
             w, _, state = fixed_adam_step(batch, w, state, 1e-2, k=k)
         grad = prob.loss_grad(w, prob.full_indices()).grad
         assert float(np.linalg.norm(grad)) <= 1e-3
+
+
+class TestEngineMatchesReference:
+    """The fixed-rate steps run through the line-search engine; they must
+    stay bit-equal to the stand-alone bodies above."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(dim=st.integers(1, 5), cond=st.floats(1.0, 1e3),
+           seed=st.integers(0, 50),
+           lrs=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 2.0)),
+                        min_size=1, max_size=4),
+           k0=st.integers(0, 10_000),
+           beta1=st.sampled_from([0.0, 0.5, 0.9]))
+    def test_bit_equal_params_records_and_moments(self, dim, cond, seed, lrs,
+                                                  k0, beta1):
+        prob = make_quadratic(dim=dim, cond=cond, seed=seed)
+        w_sgd = w_sgd_ref = w_adam = w_adam_ref = prob.init_params(seed)
+        adam = adam_ref = AdamState.zeros(dim, beta1=beta1)
+        for i, lr in enumerate(lrs):
+            k = k0 + i
+            batch = BatchObjective(prob, np.arange(1), key=k)
+            w_sgd, rec = fixed_sgd_step(batch, w_sgd, lr, k)
+            w_sgd_ref, rec_ref = reference_sgd_step(batch, w_sgd_ref, lr, k)
+            assert w_sgd.tobytes() == w_sgd_ref.tobytes()
+            assert rec == rec_ref
+            w_adam, rec, adam = fixed_adam_step(batch, w_adam, adam, lr, k)
+            w_adam_ref, rec_ref, adam_ref = reference_adam_step(
+                batch, w_adam_ref, adam_ref, lr, k)
+            assert w_adam.tobytes() == w_adam_ref.tobytes()
+            assert rec == rec_ref
+            assert adam.m.tobytes() == adam_ref.m.tobytes()
+            assert adam.v.tobytes() == adam_ref.v.tobytes()
+            assert (adam.k, adam.beta1, adam.beta2, adam.epsilon) == \
+                (adam_ref.k, adam_ref.beta1, adam_ref.beta2, adam_ref.epsilon)

@@ -2,8 +2,12 @@
 
 import json
 
+import pytest
+
 from salsa_opt.cli import main
 from salsa_opt.core import TrainingTrace
+from salsa_opt.harness import batch_scaling_experiment, build_problem, \
+    frequency_ablation
 
 RUN_CONFIG = {
     "problem": {"kind": "quadratic", "dim": 3, "cond": 10, "seed": 1},
@@ -122,6 +126,23 @@ class TestFreqAblationCommand:
                      "--format", "json"]) == 0
         payload = json.loads(out.read_text())
         assert payload["searched_fraction_off"] == 1.0
+
+
+class TestStudyDefaults:
+    @pytest.mark.parametrize("command, study", [
+        ("scaling", batch_scaling_experiment),
+        ("freq-ablation", frequency_ablation),
+    ])
+    def test_problem_only_config_runs_study_defaults(self, tmp_path, command,
+                                                     study):
+        spec = {"kind": "logreg", "n": 64, "dim": 3, "seed": 0,
+                "label_noise": 0.1}
+        cfg = write_config(tmp_path, {"problem": spec})
+        out = tmp_path / "out.json"
+        assert main([command, "--config", cfg, "--out", str(out),
+                     "--format", "json"]) == 0
+        assert out.read_bytes() == \
+            study(build_problem(spec)).to_json().encode()
 
 
 class TestCheckGradCommand:

@@ -40,6 +40,9 @@ CASES = [
                         ("sgd_salsa", {}), ("adam_salsa", {}))
     for fc in (False, True)
 ] + [
+    ("sgd-cosine", "mlp",
+     {"kind": "sgd", "peak_lr": 0.5, "schedule": "cosine_warmup"}, False, 3, 8),
+] + [
     (f"{kind}-nondecrease", "mlp",
      {"kind": kind, "enforce_nondecrease": True}, False, 3, 8)
     for kind in ("sgd_salsa", "adam_salsa")
@@ -72,6 +75,8 @@ GOLDEN = {
         "a6a5440d02f15f29c9cdc76ce55a0a1938d6e2591ba449cdec0dfeee8b9dae9e",
     "sgd-fc1":
         "a6a5440d02f15f29c9cdc76ce55a0a1938d6e2591ba449cdec0dfeee8b9dae9e",
+    "sgd-cosine":
+        "5c461009346a42cac3447166b891bc81eaba5c8cbf3636103d0fa7368434ea56",
     "adam-fc0":
         "1f2ef9eda2aa1732cee05d4a66ce3ddb3536bf71d6ec905ba918ea2178029740",
     "adam-fc1":

@@ -1,6 +1,7 @@
 """Experiment runner: determinism, summaries, comparison, replay checks."""
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +16,8 @@ from salsa_opt.harness import (ConfigError, ExperimentConfig, RunSummary,
                                frequency_ablation, replay_verify,
                                run_experiment, run_single, summarize)
 from salsa_opt.line_search import SlsConfig
-from salsa_opt.problems import make_logreg, make_quadratic
+from salsa_opt.problems import make_logreg, make_matrix_factorization, \
+    make_quadratic
 from salsa_opt.salsa import SalsaConfig
 
 QUAD_SPEC = {"kind": "quadratic", "dim": 3, "cond": 10, "seed": 1}
@@ -56,6 +58,20 @@ class TestConfig:
         with pytest.raises(ConfigError):
             run_experiment(quick_config(
                 optimizer={"kind": "sgd_sls", "momentum": 0.9}, epochs=1))
+
+    @pytest.mark.parametrize("optimizer", [
+        {"kind": "sgd", "lr": 0.1}, {"kind": "sgd_sls"}, {"kind": "sgd_salsa"}
+    ], ids=lambda o: o["kind"])
+    def test_adam_keys_rejected_on_sgd_kinds(self, optimizer):
+        with pytest.raises(ConfigError, match="unknown .* parameters"):
+            run_experiment(quick_config(
+                optimizer={**optimizer, "beta1": 0.5}, epochs=1))
+
+    def test_lr_with_peak_lr_rejected(self):
+        with pytest.raises(ConfigError, match="not both"):
+            run_experiment(quick_config(
+                optimizer={"kind": "sgd", "lr": 0.1, "peak_lr": 0.01},
+                epochs=1))
 
 
 class TestRunExperiment:
@@ -299,6 +315,19 @@ class TestReplayVerify:
         result.trace.records[3].eta *= 2.0
         with pytest.raises(ValueError, match="replay"):
             replay_verify(prob, opt, 0, 10, 1, result.trace)
+
+    def test_nan_losses_replay(self):
+        # NaN != NaN, so a diverged run must still match its own rerun
+        prob = make_matrix_factorization(8, 6, 2, seed=3)
+        opt = {"kind": "sgd_sls", "eta_init": 8.0}
+        with np.errstate(all="ignore"):
+            result = run_single(prob, opt, seed=5, epochs=2, batch_size=1,
+                                frequency_controller=True)
+            assert sum(math.isnan(r.loss) for r in result.trace.records) == 40
+            report = replay_verify(prob, opt, 5, 2, 1, result.trace,
+                                   frequency_controller=True)
+        assert report.n_steps == 96
+        assert report.ok
 
     def test_nondecrease_mode_replays_exactly(self):
         # the extra shrink re-commits h at the applied eta, so the replayed

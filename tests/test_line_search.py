@@ -12,14 +12,14 @@ from salsa_opt.line_search import (SlsConfig, SlsState, armijo_holds,
 
 class TestProposeInitialStep:
     def test_exponent_one_doubles(self):
-        assert propose_initial_step(1.0, 1.0) == 2.0
+        assert propose_initial_step(1.0, 1.0, 10.0) == 2.0
 
     def test_default_growth_factor(self):
         # independent route: exp(ln2 / 500) = 1.0013872557...
         import math
-        assert propose_initial_step(1.0, 500.0) == \
+        assert propose_initial_step(1.0, 500.0, 10.0) == \
             pytest.approx(math.exp(math.log(2.0) / 500.0), rel=1e-14)
-        assert propose_initial_step(1.0, 500.0) == \
+        assert propose_initial_step(1.0, 500.0, 10.0) == \
             pytest.approx(1.0013872557, abs=1e-9)
 
     def test_clamped_at_eta_max(self):
