@@ -40,6 +40,13 @@ def _require(cfg: dict, keys: set, where: str) -> None:
         raise ConfigError(f"{where} config missing fields: {sorted(missing)}")
 
 
+def _reject_unknown(cfg: dict, used: set, where: str) -> None:
+    """Raise on any key of ``cfg`` the command does not use."""
+    extra = set(cfg) - used
+    if extra:
+        raise ConfigError(f"unknown {where} config fields: {sorted(extra)}")
+
+
 def _cmd_run(args) -> int:
     raw = _load_config(args.config)
     if args.seed is not None:
@@ -68,7 +75,8 @@ def _cmd_compare(args) -> int:
     _require(raw, {"problems", "optimizers"}, "compare")
     # the run settings every (problem, optimizer) pair shares
     shared = {f.name: raw[f.name] for f in fields(ExperimentConfig)
-              if f.name in raw}
+              if f.name in raw and f.name not in ("problem", "optimizer")}
+    _reject_unknown(raw, {*shared, "problems", "optimizers"}, "compare")
     summaries = []
     for prob_spec in raw["problems"]:
         problem = build_problem(prob_spec)
@@ -89,6 +97,7 @@ def _run_study(study, args) -> int:
     _require(raw, {"problem"}, args.command)
     kwargs = {k: raw[k] for k in inspect.signature(study).parameters
               if k in raw}
+    _reject_unknown(raw, set(kwargs), args.command)
     kwargs["problem"] = build_problem(raw["problem"])
     if args.seed is not None:
         kwargs["seeds"] = (args.seed,)

@@ -15,6 +15,25 @@ import numpy as np
 from .core import ParamVector
 
 
+class _lock_free_cached_property:
+    """``functools.cached_property`` without its lock: before Python 3.12
+    the lock is taken on every first read and costs about 1 µs, as much as
+    computing a 50-element denominator, which a step that reads it only
+    once would pay for nothing. The value stored in the instance dict
+    shadows this non-data descriptor from then on."""
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 @dataclass
 class AdamState:
     """First/second moment vectors and the step counter they correspond to."""
@@ -41,6 +60,20 @@ class AdamState:
         defaults above."""
         return cls(m=np.zeros(dim), v=np.zeros(dim), k=0, **hyper)
 
+    @_lock_free_cached_property
+    def denom(self) -> ParamVector:
+        """Adam's denominator sqrt(v_hat) + eps, computed once per state.
+
+        Caching is sound only because a state's moments are never changed
+        in place: ``adam_update_moments`` returns a new state, which
+        computes its own. Requires moments already updated with a gradient
+        (k >= 1); a failed check caches nothing.
+        """
+        if self.k < 1:
+            raise ValueError(
+                "moments not yet updated; bias correction undefined at k=0")
+        return np.sqrt(self.v / (1.0 - self.beta2 ** self.k)) + self.epsilon
+
 
 def sgd_direction(grad: ParamVector) -> ParamVector:
     """Steepest-descent direction: the negated gradient."""
@@ -62,10 +95,6 @@ def adam_update_moments(state: AdamState, grad: ParamVector) -> AdamState:
     )
 
 
-def _v_hat(state: AdamState) -> ParamVector:
-    return state.v / (1.0 - state.beta2 ** state.k)
-
-
 def adam_direction(state: AdamState, grad: ParamVector,
                    use_momentum: bool) -> ParamVector:
     """Preconditioned direction -m_hat / (sqrt(v_hat) + eps).
@@ -75,18 +104,15 @@ def adam_direction(state: AdamState, grad: ParamVector,
     the line-search criterion is checked along. Requires moments already
     updated with this step's gradient (state.k >= 1).
     """
-    if state.k < 1:
-        raise ValueError("moments not yet updated; bias correction undefined at k=0")
+    denom = state.denom  # checks k >= 1 before m_hat divides by 1 - beta1**k
     if use_momentum:
         m_hat = state.m / (1.0 - state.beta1 ** state.k)
     else:
         m_hat = np.asarray(grad)
-    return -m_hat / (np.sqrt(_v_hat(state)) + state.epsilon)
+    return -m_hat / denom
 
 
 def preconditioned_grad_norm(state: AdamState, grad: ParamVector) -> float:
     """Gradient-norm term matched to Adam's scaling: sum_i g_i^2/(sqrt(v_hat_i)+eps)."""
-    if state.k < 1:
-        raise ValueError("moments not yet updated; bias correction undefined at k=0")
     g = np.asarray(grad)
-    return float(np.sum(g * g / (np.sqrt(_v_hat(state)) + state.epsilon)))
+    return float(np.sum(g * g / state.denom))

@@ -571,6 +571,10 @@ def replay_verify(problem: Problem, optimizer: dict, seed: int, epochs: int,
     come from the run's own config objects. Give-up steps (backtracks
     exhausted) accept no candidate and are not checked.
     """
+    kind = optimizer["kind"]
+    if kind not in LINE_SEARCH_KINDS:
+        raise ConfigError(f"replay_verify applies to line-search runs, "
+                          f"got {kind!r}")
     rerun = run_single(problem, optimizer, seed, epochs, batch_size,
                        frequency_controller, collect_params=True)
     # NaN != NaN, so unequal records are settled by the CSV bytes, where
@@ -580,10 +584,6 @@ def replay_verify(problem: Problem, optimizer: dict, seed: int, epochs: int,
         raise ValueError("trace does not replay bit-identically; "
                          "it was not produced by this configuration")
 
-    kind = optimizer["kind"]
-    if kind not in LINE_SEARCH_KINDS:
-        raise ConfigError(f"replay_verify applies to line-search runs, "
-                          f"got {kind!r}")
     # the hyper-parameters as the run read them, from the same runner
     runner = _LineSearchRunner(kind, problem.dim, optimizer)
     base, family, cfg = runner.base, runner.family, runner.cfg

@@ -72,7 +72,10 @@ class BatchSampler:
         return -(-self.dataset_size // self.batch_size)
 
     def _epoch_perm(self, epoch: int) -> np.ndarray:
-        if self._cache is not None and self._cache[0] == epoch:
+        # a one-row dataset has one permutation, [0], so every epoch reuses
+        # the first one built instead of seeding a new generator per step
+        if self._cache is not None and (self._cache[0] == epoch
+                                        or self.dataset_size == 1):
             return self._cache[1]
         perm = seeded_rng(self.seed, epoch, 0xBA7C).permutation(self.dataset_size)
         self._cache = (epoch, perm)

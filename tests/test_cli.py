@@ -97,6 +97,21 @@ class TestCompareCommand:
         assert lines[0].startswith("problem,")
         assert lines[-1].startswith("average_rank,")
 
+    def test_unknown_key_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "problems": [{"kind": "quadratic", "dim": 2, "cond": 5, "seed": 1}],
+            "optimizers": [{"kind": "sgd_sls"}],
+            "seeds": [0],
+            "epochs": 2,
+            "batch_size": 1,
+            "junk": 3,
+        })
+        out = tmp_path / "table.csv"
+        assert main(["compare", "--config", cfg, "--out", str(out)]) == 2
+        assert "unknown compare config fields: ['junk']" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestScalingCommand:
     def test_ratio_table(self, tmp_path):
@@ -110,6 +125,20 @@ class TestScalingCommand:
         out = tmp_path / "scaling.csv"
         assert main(["scaling", "--config", cfg, "--out", str(out)]) == 0
         assert out.read_text().startswith("batch_size,mean_mid_eta")
+
+    def test_unknown_key_rejected(self, tmp_path, capsys):
+        # batch_size is a freq-ablation argument, not a scaling one
+        cfg = write_config(tmp_path, {
+            "problem": {"kind": "logreg", "n": 200, "dim": 4, "seed": 0,
+                        "label_noise": 0.1},
+            "batch_size": 8,
+            "junk": 3,
+        })
+        out = tmp_path / "scaling.csv"
+        assert main(["scaling", "--config", cfg, "--out", str(out)]) == 2
+        assert "unknown scaling config fields: ['batch_size', 'junk']" in \
+            capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestFreqAblationCommand:
@@ -126,6 +155,18 @@ class TestFreqAblationCommand:
                      "--format", "json"]) == 0
         payload = json.loads(out.read_text())
         assert payload["searched_fraction_off"] == 1.0
+
+    def test_unknown_key_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "problem": {"kind": "logreg", "n": 200, "dim": 4, "seed": 0,
+                        "label_noise": 0.1},
+            "batch_sizes": [4, 8],
+        })
+        out = tmp_path / "abl.csv"
+        assert main(["freq-ablation", "--config", cfg, "--out", str(out)]) == 2
+        assert "unknown freq-ablation config fields: ['batch_sizes']" in \
+            capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestStudyDefaults:

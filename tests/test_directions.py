@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from salsa_opt.core import norm_sq, seeded_rng
 from salsa_opt.directions import (AdamState, adam_direction,
@@ -125,3 +126,47 @@ class TestPreconditionedNorm:
                           epsilon=1e-300)
         assert preconditioned_grad_norm(state, g) == \
             pytest.approx(norm_sq(g), rel=1e-12)
+
+
+def _vectors(dim, lo, hi):
+    return arrays(np.float64, dim, elements=st.floats(lo, hi))
+
+
+class TestCachedDenominator:
+    @given(data=st.data(), dim=st.integers(1, 8), k=st.integers(1, 10**4),
+           beta1=st.floats(0.0, 0.99), beta2=st.floats(0.0, 0.9999),
+           epsilon=st.floats(1e-12, 1e-1))
+    @settings(max_examples=100, deadline=None)
+    def test_bytes_match_the_uncached_formulas(self, data, dim, k, beta1,
+                                               beta2, epsilon):
+        m = data.draw(_vectors(dim, -1e3, 1e3), label="m")
+        v = data.draw(_vectors(dim, 0.0, 1e6), label="v")
+        g = data.draw(_vectors(dim, -1e3, 1e3), label="g")
+        state = AdamState(m=m, v=v, k=k, beta1=beta1, beta2=beta2,
+                          epsilon=epsilon)
+        # the formulas as each function computed them before the cache
+        v_hat = v / (1.0 - beta2 ** k)
+        update = -(m / (1.0 - beta1 ** k)) / (np.sqrt(v_hat) + epsilon)
+        search = -g / (np.sqrt(v_hat) + epsilon)
+        gterm = float(np.sum(g * g / (np.sqrt(v_hat) + epsilon)))
+        # twice over, in the order a search step reads them: the second
+        # pass reads the cached denominator
+        for _ in range(2):
+            assert adam_direction(state, g, use_momentum=True).tobytes() == \
+                update.tobytes()
+            assert adam_direction(state, g, use_momentum=False).tobytes() \
+                == search.tobytes()
+            assert np.float64(preconditioned_grad_norm(state, g)).tobytes() \
+                == np.float64(gterm).tobytes()
+        assert state.denom is state.denom
+
+    @pytest.mark.parametrize("read", [
+        lambda s, g: adam_direction(s, g, use_momentum=True),
+        lambda s, g: adam_direction(s, g, use_momentum=False),
+        preconditioned_grad_norm,
+    ], ids=["momentum", "search", "norm"])
+    def test_k_zero_rejected_every_time(self, read):
+        state = AdamState(m=np.ones(2), v=np.ones(2), k=0)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="k=0"):
+                read(state, np.ones(2))

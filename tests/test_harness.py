@@ -1,5 +1,6 @@
 """Experiment runner: determinism, summaries, comparison, replay checks."""
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -362,3 +363,18 @@ class TestReplayVerify:
         assert report.ok
         n_searched = sum(r.searched for r in result.trace.records)
         assert n_searched < len(result.trace.records)
+
+    def test_fixed_rate_kind_rejected_before_any_evaluation(self):
+        prob = make_logreg(n=200, dim=4)
+        opt = {"kind": "sgd", "lr": 0.1}
+        trace = run_single(prob, opt, seed=0, epochs=3, batch_size=8).trace
+        calls = []
+
+        def counting_loss_grad(*args, **kwargs):
+            calls.append(1)
+            return prob.loss_grad(*args, **kwargs)
+
+        counted = dataclasses.replace(prob, loss_grad=counting_loss_grad)
+        with pytest.raises(ConfigError, match="line-search runs"):
+            replay_verify(counted, opt, 0, 3, 8, trace)
+        assert calls == []

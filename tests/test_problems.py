@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from salsa_opt import problems as problems_module
 from salsa_opt.core import EvalResult, seeded_rng
+from salsa_opt.harness import run_single
 from salsa_opt.problems import (BatchObjective, BatchSampler, Problem,
                                 finite_diff_grad, load_csv_dataset,
                                 make_logreg, make_matrix_factorization,
@@ -211,6 +213,36 @@ class TestBatchSampler:
     def test_batch_size_clamped_to_dataset(self):
         sampler = BatchSampler(seed=0, batch_size=32, dataset_size=1)
         np.testing.assert_array_equal(sampler.sample(5), [0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32), batch_size=st.integers(1, 64),
+           ks=st.lists(st.integers(0, 10**6), min_size=1, max_size=5))
+    def test_one_row_sampler_matches_fresh_permutation(self, seed, batch_size,
+                                                       ks):
+        # one sampler across several steps, so the reused permutation of a
+        # one-row dataset is checked against a fresh build at every step
+        sampler = BatchSampler(seed=seed, batch_size=batch_size,
+                               dataset_size=1)
+        for k in ks:
+            got = sampler.sample(k)
+            want = seeded_rng(seed, k, 0xBA7C).permutation(1)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+
+    def test_one_row_run_builds_one_permutation(self, monkeypatch):
+        prob = make_quadratic(dim=5, cond=100, seed=2)
+        calls = []
+
+        def counting_rng(*keys):
+            calls.append(keys)
+            return seeded_rng(*keys)
+
+        monkeypatch.setattr(problems_module, "seeded_rng", counting_rng)
+        result = run_single(prob, {"kind": "adam_sls"}, seed=4, epochs=300,
+                            batch_size=1)
+        assert len(result.trace.records) == 300
+        # init_params, then the permutation of epoch 0
+        assert len(calls) <= 2
 
     def test_epoch_mean_equals_full_loss(self):
         prob = make_logreg(n=125, dim=4, seed=1, label_noise=0.1)
