@@ -23,10 +23,12 @@ SCHEDULE_SHAPES = ("cosine_warmup", "flat")
 
 @dataclass
 class ScheduleConfig:
+    """A fixed-rate schedule; ``shape`` is "flat" unless set."""
+
     peak_lr: float
     total_steps: int
     warm_frac: float = 0.1
-    shape: str = "cosine_warmup"
+    shape: str = "flat"
 
     def __post_init__(self):
         if self.peak_lr <= 0:
@@ -68,7 +70,8 @@ def fixed_sgd_step(batch, w: ParamVector, lr: float,
 def fixed_adam_step(batch, w: ParamVector, adam_state: AdamState, lr: float,
                     k: int) -> tuple[ParamVector, StepRecord, AdamState]:
     """Adam update with momentum at a fixed learning rate: the engine's
-    step with no search, at step size lr."""
+    step with no search, at step size lr. Advances ``adam_state`` in place
+    and returns it as the third value."""
     state = SlsState(eta=lr, k=k, adam=adam_state)
     w_next, record = apply_without_search(batch, w, "adam", state)
     return w_next, record, state.adam

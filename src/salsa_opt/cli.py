@@ -106,6 +106,7 @@ def _run_study(study, args) -> int:
 
 def _cmd_check_grad(args) -> int:
     raw = _load_config(args.config)
+    _reject_unknown(raw, {"problem", "problems", "points", "h"}, "check-grad")
     specs = raw["problems"] if "problems" in raw else [raw["problem"]]
     points = raw.get("points", 10)
     h = raw.get("h", 1e-5)

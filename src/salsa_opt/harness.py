@@ -178,11 +178,13 @@ class _FixedLrRunner:
         peak = fixed.pop("peak_lr", fixed.pop("lr", None))
         if peak is None:
             raise ConfigError(f"{kind} needs 'lr' or 'peak_lr'")
+        if "schedule" in fixed:
+            fixed["shape"] = fixed.pop("schedule")
         try:
-            # warm_frac, if given, is all that is left in ``fixed``
+            # only the shape and warm_frac the config sets are left in
+            # ``fixed``: ScheduleConfig owns their defaults
             self.schedule = ScheduleConfig(
-                peak_lr=peak, total_steps=max(total_steps, 1),
-                shape=fixed.pop("schedule", "flat"), **fixed)
+                peak_lr=peak, total_steps=max(total_steps, 1), **fixed)
         except ValueError as e:
             raise ConfigError(str(e)) from e
         self.adam = _adam_moments(kind, dim, params)

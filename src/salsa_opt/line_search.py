@@ -156,8 +156,9 @@ def search_step(batch, w: ParamVector, kind: str, state: SlsState,
     """The step body shared by every search kind; mutates ``state``.
 
     Evaluates the batch once at w, folds the gradient into the Adam moments
-    and applies the update along the momentum direction. ``search=None`` is
-    a frequency-skipped step: the current eta is applied as is. Otherwise
+    (advancing ``state.adam`` in place) and applies the update along the
+    momentum direction. ``search=None`` is a frequency-skipped step: the
+    current eta is applied as is. Otherwise
     ``search(batch, w, d_search, d_update, eta, loss0, gnorm_term, state,
     cfg)`` returns (eta, backtracks). It gets the regrown step size, the
     momentum-free search direction and its gradient-norm term (raw squared
@@ -171,7 +172,7 @@ def search_step(batch, w: ParamVector, kind: str, state: SlsState,
     g = res.grad
     gsq = norm_sq(g)
     if kind == "adam":
-        state.adam = adam_update_moments(state.adam, g)
+        adam_update_moments(state.adam, g)
         d_update = adam_direction(state.adam, g, use_momentum=True)
     else:
         d_update = sgd_direction(g)

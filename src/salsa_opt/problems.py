@@ -139,14 +139,14 @@ def make_quadratic(dim: int, cond: float = 1.0, seed: int = 0) -> Problem:
 
     def loss_grad(w, indices, grad=True):
         r = np.asarray(w) - w_star
-        loss = float(0.5 * np.sum(eigs * r * r))
+        loss = float(0.5 * (eigs * r * r).sum())
         if not grad:
             return EvalResult(loss, None)
         return EvalResult(loss=loss, grad=eigs * r)
 
     def full_loss(w):
         r = np.asarray(w) - w_star
-        return float(0.5 * np.sum(eigs * r * r))
+        return float(0.5 * (eigs * r * r).sum())
 
     def init_params(run_seed):
         return w_star + seeded_rng(seed, run_seed, 0x0B).standard_normal(dim)
@@ -187,7 +187,7 @@ def _logreg_from_data(X: np.ndarray, y: np.ndarray, seed: int,
     def loss_grad(w, indices, grad=True):
         Xb, yb = Xtr[indices], ytr[indices]
         margins = yb * (Xb @ w)
-        loss = float(np.mean(np.logaddexp(0.0, -margins)) + _L2_REG * (w @ w))
+        loss = float(np.logaddexp(0.0, -margins).mean() + _L2_REG * (w @ w))
         if not grad:
             return EvalResult(loss, None)
         # d/dw mean log(1+exp(-y x.w)) = mean(-y * sigma(-y x.w) * x)
@@ -197,7 +197,7 @@ def _logreg_from_data(X: np.ndarray, y: np.ndarray, seed: int,
 
     def full_loss(w):
         margins = ytr * (Xtr @ w)
-        return float(np.mean(np.logaddexp(0.0, -margins)) + _L2_REG * (w @ w))
+        return float(np.logaddexp(0.0, -margins).mean() + _L2_REG * (w @ w))
 
     def init_params(run_seed):
         return 0.1 * seeded_rng(seed, run_seed, 0x16).standard_normal(dim)
@@ -263,12 +263,12 @@ def _mlp_from_data(X: np.ndarray, y01: np.ndarray, hidden: int, seed: int,
         A = np.tanh(Xb @ W1 + b1)
         z = A @ w2 + b2
         # BCE on logits: mean(log(1+e^z) - y z), stable for either sign
-        loss = float(np.mean(np.logaddexp(0.0, z) - yb * z))
+        loss = float((np.logaddexp(0.0, z) - yb * z).mean())
         if not grad:
             return EvalResult(loss, None)
         dz = (_sigmoid(z) - yb) / len(yb)
         gw2 = A.T @ dz
-        gb2 = float(np.sum(dz))
+        gb2 = float(dz.sum())
         dA = np.outer(dz, w2) * (1.0 - A * A)
         gW1 = Xb.T @ dA
         gb1 = dA.sum(axis=0)
@@ -277,7 +277,7 @@ def _mlp_from_data(X: np.ndarray, y01: np.ndarray, hidden: int, seed: int,
 
     def full_loss(w):
         _, z = forward_logits(w, Xtr)
-        return float(np.mean(np.logaddexp(0.0, z) - ytr * z))
+        return float((np.logaddexp(0.0, z) - ytr * z).mean())
 
     def init_params(run_seed):
         rng = seeded_rng(seed, run_seed, 0x26)
@@ -339,7 +339,7 @@ def make_matrix_factorization(rows: int, cols: int, rank: int, seed: int = 0,
         U, V = unpack(w)
         i, j = np.divmod(np.asarray(indices), cols)
         r = np.einsum("bk,bk->b", U[i], V[j]) - M[i, j]
-        loss = float(0.5 * np.mean(r * r))
+        loss = float(0.5 * (r * r).mean())
         if not grad:
             return EvalResult(loss, None)
         gU = np.zeros_like(U)
@@ -352,7 +352,7 @@ def make_matrix_factorization(rows: int, cols: int, rank: int, seed: int = 0,
     def full_loss(w):
         U, V = unpack(w)
         r = U @ V.T - M
-        return float(0.5 * np.mean(r * r))
+        return float(0.5 * (r * r).mean())
 
     def init_params(run_seed):
         return 0.1 * seeded_rng(seed, run_seed, 0x32).standard_normal(

@@ -45,21 +45,25 @@ class TestSchedule:
         assert all(schedule_lr(cfg, k) == 0.3 for k in range(50))
 
     def test_warmup_boundary_hits_peak(self):
-        cfg = ScheduleConfig(peak_lr=1.0, total_steps=100, warm_frac=0.1)
+        cfg = ScheduleConfig(peak_lr=1.0, total_steps=100, warm_frac=0.1,
+                             shape="cosine_warmup")
         assert schedule_lr(cfg, cfg.warmup_steps) == 1.0
 
     def test_warmup_starts_at_zero(self):
-        cfg = ScheduleConfig(peak_lr=1.0, total_steps=100, warm_frac=0.1)
+        cfg = ScheduleConfig(peak_lr=1.0, total_steps=100, warm_frac=0.1,
+                             shape="cosine_warmup")
         assert schedule_lr(cfg, 0) == 0.0
 
     def test_cosine_endpoint_near_zero(self):
-        cfg = ScheduleConfig(peak_lr=1.0, total_steps=100, warm_frac=0.1)
+        cfg = ScheduleConfig(peak_lr=1.0, total_steps=100, warm_frac=0.1,
+                             shape="cosine_warmup")
         warm = cfg.warmup_steps
         bound = 0.5 * (1.0 - math.cos(math.pi / (100 - warm)))
         assert 0.0 <= schedule_lr(cfg, 99) <= bound + 1e-15
 
     def test_continuous_at_junction(self):
-        cfg = ScheduleConfig(peak_lr=2.0, total_steps=200, warm_frac=0.25)
+        cfg = ScheduleConfig(peak_lr=2.0, total_steps=200, warm_frac=0.25,
+                             shape="cosine_warmup")
         warm = cfg.warmup_steps
         before = schedule_lr(cfg, warm - 1)
         at = schedule_lr(cfg, warm)
@@ -69,7 +73,8 @@ class TestSchedule:
         assert abs(after - at) < 2.0 * math.pi / (200 - warm)
 
     def test_nonnegative_everywhere(self):
-        cfg = ScheduleConfig(peak_lr=1.0, total_steps=77, warm_frac=0.13)
+        cfg = ScheduleConfig(peak_lr=1.0, total_steps=77, warm_frac=0.13,
+                             shape="cosine_warmup")
         assert all(schedule_lr(cfg, k) >= 0.0 for k in range(77))
 
     def test_out_of_range_step_rejected(self):
@@ -79,7 +84,8 @@ class TestSchedule:
 
     def test_cosine_needs_warmup_step(self):
         with pytest.raises(ValueError):
-            ScheduleConfig(peak_lr=1.0, total_steps=5, warm_frac=0.0)
+            ScheduleConfig(peak_lr=1.0, total_steps=5, warm_frac=0.0,
+                           shape="cosine_warmup")
 
 
 class TestFixedSgd:
@@ -146,7 +152,9 @@ class TestEngineMatchesReference:
                                                   k0, beta1):
         prob = make_quadratic(dim=dim, cond=cond, seed=seed)
         w_sgd = w_sgd_ref = w_adam = w_adam_ref = prob.init_params(seed)
-        adam = adam_ref = AdamState.zeros(dim, beta1=beta1)
+        # each side advances its own state in place
+        adam = AdamState.zeros(dim, beta1=beta1)
+        adam_ref = AdamState.zeros(dim, beta1=beta1)
         for i, lr in enumerate(lrs):
             k = k0 + i
             batch = BatchObjective(prob, np.arange(1), key=k)

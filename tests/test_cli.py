@@ -207,3 +207,15 @@ class TestCheckGradCommand:
             "points": 2,
         })
         assert main(["check-grad", "--config", cfg, "--tol", "1e-16"]) == 1
+
+    def test_unknown_key_rejected(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "problem": {"kind": "quadratic", "dim": 3},
+            "pionts": 1,
+            "junk": 3,
+        })
+        assert main(["check-grad", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert "unknown check-grad config fields: ['junk', 'pionts']" in \
+            captured.err
+        assert captured.out == ""

@@ -170,3 +170,62 @@ class TestCachedDenominator:
         for _ in range(2):
             with pytest.raises(ValueError, match="k=0"):
                 read(state, np.ones(2))
+
+
+class TestInPlaceState:
+    @given(data=st.data(), dim=st.integers(1, 8), steps=st.integers(1, 12),
+           beta1=st.floats(0.0, 0.99), beta2=st.floats(0.0, 0.9999),
+           epsilon=st.floats(1e-12, 1e-1))
+    @settings(max_examples=100, deadline=None)
+    def test_bytes_match_the_allocating_formulas(self, data, dim, steps,
+                                                 beta1, beta2, epsilon):
+        state = AdamState.zeros(dim, beta1=beta1, beta2=beta2,
+                                epsilon=epsilon)
+        m = np.zeros(dim)
+        v = np.zeros(dim)
+        for k in range(1, steps + 1):
+            g = data.draw(_vectors(dim, -1e3, 1e3), label=f"g{k}")
+            # the formulas as written with a fresh array per operation
+            m = beta1 * m + (1.0 - beta1) * g
+            v = beta2 * v + (1.0 - beta2) * g * g
+            denom = np.sqrt(v / (1.0 - beta2 ** k)) + epsilon
+            update = -(m / (1.0 - beta1 ** k)) / denom
+            search = -g / denom
+            gterm = float(np.sum(g * g / denom))
+
+            assert adam_update_moments(state, g) is state
+            assert state.k == k
+            assert state.m.tobytes() == m.tobytes()
+            assert state.v.tobytes() == v.tobytes()
+            assert state.denom.tobytes() == denom.tobytes()
+            assert adam_direction(state, g, use_momentum=True).tobytes() == \
+                update.tobytes()
+            assert adam_direction(state, g, use_momentum=False).tobytes() \
+                == search.tobytes()
+            assert np.float64(preconditioned_grad_norm(state, g)).tobytes() \
+                == np.float64(gterm).tobytes()
+
+    def test_caller_arrays_never_written(self):
+        rng = seeded_rng(31)
+        m0, v0 = rng.standard_normal(4), rng.random(4)
+        m_before, v_before = m0.copy(), v0.copy()
+        state = AdamState(m=m0, v=v0, k=2)
+        directions = []
+        for _ in range(3):
+            g = rng.standard_normal(4)
+            g_before = g.copy()
+            adam_update_moments(state, g)
+            for d in (adam_direction(state, g, use_momentum=True),
+                      adam_direction(state, g, use_momentum=False)):
+                directions.append((d, d.copy()))
+            preconditioned_grad_norm(state, g)
+            assert g.tobytes() == g_before.tobytes()
+        assert m0.tobytes() == m_before.tobytes()
+        assert v0.tobytes() == v_before.tobytes()
+        # each direction is its own array, untouched by later updates
+        for d, d_then in directions:
+            assert d.tobytes() == d_then.tobytes()
+
+    def test_moment_shapes_must_agree(self):
+        with pytest.raises(ValueError, match="moment shapes differ"):
+            AdamState(m=np.zeros(2), v=np.zeros(3))

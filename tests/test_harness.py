@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from salsa_opt import harness
+from salsa_opt.baselines import ScheduleConfig, schedule_lr
 from salsa_opt.core import TrainingTrace, StepRecord
 from salsa_opt.directions import AdamState
 from salsa_opt.harness import (ConfigError, ExperimentConfig, RunSummary,
@@ -110,6 +111,31 @@ class TestRunExperiment:
                 else {"kind": kind}
             traces = run_experiment(quick_config(optimizer=opt, epochs=5))
             assert len(traces[0].records) == 5
+
+    def test_adam_salsa_run_builds_one_adam_state(self, monkeypatch):
+        # the moments are advanced in place, not rebuilt on every step
+        built = []
+        post_init = AdamState.__post_init__
+
+        def counting_post_init(state):
+            built.append(state)
+            post_init(state)
+
+        monkeypatch.setattr(AdamState, "__post_init__", counting_post_init)
+        result = run_single(make_quadratic(dim=3, cond=10, seed=1),
+                            {"kind": "adam_salsa"}, seed=0, epochs=25,
+                            batch_size=1)
+        assert len(result.trace.records) == 25
+        assert len(built) == 1
+
+    def test_fixed_rate_schedule_default_is_schedule_configs(self):
+        # a config with only peak_lr runs ScheduleConfig's own default shape
+        result = run_single(make_quadratic(dim=2, cond=5, seed=1),
+                            {"kind": "sgd", "peak_lr": 0.3}, seed=0,
+                            epochs=40, batch_size=1)
+        schedule = ScheduleConfig(peak_lr=0.3, total_steps=40)
+        assert [r.eta for r in result.trace.records] == \
+            [schedule_lr(schedule, k) for k in range(40)]
 
 
 class TestFinalSmoothedLoss:

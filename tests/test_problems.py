@@ -79,6 +79,63 @@ def test_loss_only_is_bit_identical(tmp_path):
     check()
 
 
+def _closed_over(fn):
+    """The variables a factory's closure ``fn`` holds, by name."""
+    return dict(zip(fn.__code__.co_freevars,
+                    (cell.cell_contents for cell in fn.__closure__)))
+
+
+def _wrapper_losses(prob, w, idx):
+    """Batch and full-data loss of each factory written with the
+    ``np.sum``/``np.mean`` wrappers, over the data its closures hold."""
+    env = _closed_over(prob.loss_grad)
+    if prob.name.startswith("quadratic"):
+        r = np.asarray(w) - env["w_star"]
+        loss = float(0.5 * np.sum(env["eigs"] * r * r))
+        return loss, loss
+    if prob.name.startswith("logreg"):
+        Xtr, ytr = env["Xtr"], env["ytr"]
+        reg = problems_module._L2_REG * (w @ w)
+        margins = ytr[idx] * (Xtr[idx] @ w)
+        full_margins = ytr * (Xtr @ w)
+        return (float(np.mean(np.logaddexp(0.0, -margins)) + reg),
+                float(np.mean(np.logaddexp(0.0, -full_margins)) + reg))
+    if prob.name.startswith("mlp"):
+        Xtr, ytr = env["Xtr"], env["ytr"]
+        W1, b1, w2, b2 = env["unpack"](w)
+
+        def bce(X, y):
+            z = np.tanh(X @ W1 + b1) @ w2 + b2
+            return float(np.mean(np.logaddexp(0.0, z) - y * z))
+
+        return bce(Xtr[idx], ytr[idx]), bce(Xtr, ytr)
+    U, V = env["unpack"](w)
+    M = env["M"]
+    i, j = np.divmod(np.asarray(idx), env["cols"])
+    r = np.einsum("bk,bk->b", U[i], V[j]) - M[i, j]
+    r_full = U @ V.T - M
+    return float(0.5 * np.mean(r * r)), float(0.5 * np.mean(r_full * r_full))
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_losses_bit_equal_the_wrapper_reductions(data):
+    prob = data.draw(st.sampled_from(ALL_PROBLEMS), label="problem")
+    w = data.draw(arrays(np.float64, prob.dim, elements=st.floats(-5.0, 5.0)),
+                  label="w")
+    idx = data.draw(arrays(np.int64, st.integers(1, 12),
+                           elements=st.integers(0, prob.dataset_size - 1)),
+                    label="indices")
+    batch, full = _wrapper_losses(prob, w, idx)
+
+    def same(a, b):
+        return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+    assert same(prob.loss_grad(w, idx).loss, batch)
+    assert same(prob.loss_grad(w, idx, grad=False).loss, batch)
+    assert same(prob.full_loss(w), full)
+
+
 def test_batch_loss_is_one_loss_only_eval():
     calls = []
 
