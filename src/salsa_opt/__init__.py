@@ -21,11 +21,10 @@ from .directions import (AdamState, adam_direction, adam_update_moments,
 from .line_search import (BacktrackResult, SlsConfig, SlsState,
                           apply_without_search, armijo_holds, backtrack,
                           propose_initial_step, sls_step)
-from .salsa import (SalsaConfig, SalsaState, SmoothState, salsa_adam_step,
-                    salsa_backtrack, salsa_criterion, salsa_sgd_step,
-                    smooth_update)
+from .salsa import (SalsaConfig, salsa_adam_step, salsa_backtrack,
+                    salsa_criterion, salsa_sgd_step, smooth_update)
 from .frequency import (FreqState, FrequencyController, compute_interval,
-                        should_search, update_emas)
+                        update_emas)
 from .baselines import (ScheduleConfig, fixed_adam_step, fixed_sgd_step,
                         schedule_lr)
 from .problems import (BatchObjective, BatchSampler, Problem, batch_for_step,

@@ -107,8 +107,16 @@ def _run_study(study, args) -> int:
 def _cmd_check_grad(args) -> int:
     raw = _load_config(args.config)
     _reject_unknown(raw, {"problem", "problems", "points", "h"}, "check-grad")
-    specs = raw["problems"] if "problems" in raw else [raw["problem"]]
+    if "problems" in raw:
+        specs = raw["problems"]
+    elif "problem" in raw:
+        specs = [raw["problem"]]
+    else:
+        raise ConfigError("check-grad config needs 'problem' or 'problems'")
     points = raw.get("points", 10)
+    if not isinstance(points, int):
+        raise ConfigError(f"check-grad 'points' must be an integer, "
+                          f"got {points!r}")
     h = raw.get("h", 1e-5)
     worst_overall = 0.0
     for spec in specs:

@@ -20,14 +20,15 @@ import numpy as np
 from .core import ParamVector
 
 
-@dataclass
+@dataclass(eq=False)
 class AdamState:
     """First/second moment vectors, the step counter they correspond to,
     and Adam's denominator for them.
 
     Mutable: ``adam_update_moments`` advances a state in place. The state
     copies the ``m`` and ``v`` it is built from and never writes the
-    caller's arrays.
+    caller's arrays. Two states compare equal only when they are the same
+    object.
     """
 
     m: ParamVector
@@ -36,8 +37,8 @@ class AdamState:
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
-    _denom: ParamVector = field(init=False, repr=False, compare=False)
-    _scratch: ParamVector = field(init=False, repr=False, compare=False)
+    _denom: ParamVector = field(init=False, repr=False)
+    _scratch: ParamVector = field(init=False, repr=False)
 
     def __post_init__(self):
         if not 0.0 <= self.beta1 < 1.0:

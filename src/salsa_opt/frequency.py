@@ -5,12 +5,15 @@ When the step size is barely moving that is wasted work, so two EMAs of the
 accepted step size (decay 0.9 and 0.99) estimate its rate of change; their
 ratio maps to an interval L in [1, 10] and a search runs only every L-th
 step. On plateaus the ratio is ~1 and L saturates at 10.
+
+``FrequencyController`` owns one ``FreqState`` and advances it in place;
+``compute_interval`` is the pure formula from the EMAs to L.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 BETA_FAST = 0.9
 BETA_SLOW = 0.99
@@ -20,7 +23,11 @@ L_MAX = 10
 
 @dataclass
 class FreqState:
-    """Step-size EMAs, current interval L, and steps since the last search."""
+    """Step-size EMAs, current interval L, and steps since the last search.
+
+    A separate object rather than fields of the controller because
+    perfbench/tracer.py reads the interval as ``controller.state.L``.
+    """
 
     ema_fast: float = 0.0
     ema_slow: float = 0.0
@@ -30,16 +37,17 @@ class FreqState:
 
 
 def update_emas(state: FreqState, eta: float) -> FreqState:
-    """Fold a freshly accepted step size into both EMAs (seed on first call)."""
+    """Fold a freshly accepted step size into both EMAs in place (seeding
+    them on the first call); returns ``state``."""
     if eta <= 0:
         raise ValueError(f"eta must be > 0, got {eta}")
     if not state.seeded:
-        return replace(state, ema_fast=eta, ema_slow=eta, seeded=True)
-    return replace(
-        state,
-        ema_fast=BETA_FAST * state.ema_fast + (1.0 - BETA_FAST) * eta,
-        ema_slow=BETA_SLOW * state.ema_slow + (1.0 - BETA_SLOW) * eta,
-    )
+        state.ema_fast = state.ema_slow = eta
+        state.seeded = True
+    else:
+        state.ema_fast = BETA_FAST * state.ema_fast + (1.0 - BETA_FAST) * eta
+        state.ema_slow = BETA_SLOW * state.ema_slow + (1.0 - BETA_SLOW) * eta
+    return state
 
 
 def compute_interval(state: FreqState) -> int:
@@ -58,15 +66,8 @@ def compute_interval(state: FreqState) -> int:
     return min(L_MAX, max(L_MIN, raw))
 
 
-def should_search(state: FreqState) -> bool:
-    """True when this step must run a search (always, before any history)."""
-    if not state.seeded:
-        return True
-    return state.since_search + 1 >= state.L
-
-
 class FrequencyController:
-    """Bookkeeping wrapper used by run loops.
+    """The search scheduler used by run loops; advances ``state`` in place.
 
     ``record_search`` after every completed line search (feeds the EMAs and
     recomputes L), ``record_skip`` on steps without one. A scheduled search
@@ -78,14 +79,16 @@ class FrequencyController:
         self.state = FreqState()
 
     def should_search(self) -> bool:
-        return should_search(self.state)
+        """True when this step must run a search (always, before any
+        history)."""
+        st = self.state
+        return not st.seeded or st.since_search + 1 >= st.L
 
     def record_search(self, eta: float) -> None:
         st = update_emas(self.state, eta)
-        st = replace(st, L=compute_interval(st), since_search=0)
-        self.state = st
+        st.L = compute_interval(st)
+        st.since_search = 0
 
     def record_skip(self) -> None:
         st = self.state
-        self.state = replace(
-            st, since_search=min(st.since_search + 1, st.L - 1))
+        st.since_search = min(st.since_search + 1, st.L - 1)

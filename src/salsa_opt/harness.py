@@ -26,7 +26,7 @@ from .frequency import FrequencyController
 from .line_search import SlsConfig, SlsState, apply_without_search, sls_step
 from .problems import BatchSampler, Problem, batch_for_step, make_logreg, \
     make_matrix_factorization, make_mlp, make_quadratic, problem_from_csv
-from .salsa import SalsaConfig, SalsaState, salsa_adam_step, salsa_sgd_step
+from .salsa import SalsaConfig, salsa_adam_step, salsa_sgd_step
 
 OPTIMIZER_KINDS = ("sgd", "adam", "sgd_sls", "adam_sls", "sgd_salsa",
                    "adam_salsa")
@@ -132,9 +132,8 @@ class _LineSearchRunner:
             self.cfg = cfg_cls(**search_kw)
         except ValueError as e:
             raise ConfigError(str(e)) from e
-        adam = _adam_moments(kind, dim, params)
-        state_cls = SalsaState if self.family == "salsa" else SlsState
-        self.state = state_cls(eta=self.cfg.eta_init, adam=adam)
+        self.state = SlsState(eta=self.cfg.eta_init,
+                              adam=_adam_moments(kind, dim, params))
         self.h_series = []
         self.s_series = []
 
@@ -144,9 +143,9 @@ class _LineSearchRunner:
 
     def _log_smoothing(self):
         if self.family == "salsa":
-            sm = self.state.smooth
-            self.h_series.append(sm.h if sm.initialized else math.nan)
-            self.s_series.append(sm.s if sm.initialized else math.nan)
+            st = self.state
+            self.h_series.append(st.h if st.smoothed else math.nan)
+            self.s_series.append(st.s if st.smoothed else math.nan)
 
     def step(self, batch, w):
         if self.family == "sls":

@@ -6,8 +6,9 @@ size by 2**(1/b), hand it to a search, apply the update and record the
 step. Every search shrinks the step size in the same loop (``shrink``),
 which takes the acceptance test as an argument and evaluates both sides on
 the same mini-batch. SLS passes the raw Armijo test and SaLSa
-(``salsa.py``) the smoothed one; the smoothing state is all the families
-do not share, so SLS is SaLSa without the smoothing. Steps whose gradient
+(``salsa.py``) the smoothed one. Every kind runs on one state,
+``SlsState``; only SaLSa's search reads and commits its smoothing fields
+``h``/``s``, so SLS is SaLSa without the smoothing. Steps whose gradient
 is numerically zero skip the search and reuse the last accepted step size.
 """
 
@@ -62,12 +63,21 @@ class SlsConfig:
 
 @dataclass
 class SlsState:
-    """Mutable per-run state: last accepted step size, step counter,
-    and Adam moments for the adam variant."""
+    """Mutable per-run state of every search kind: the last accepted step
+    size, the step counter, the Adam moments of an adam kind, and SaLSa's
+    smoothed loss decrease h and gradient-norm term s.
+
+    h and s hold no meaningful values until the first smoothed search
+    commits and sets ``smoothed``; that search seeds them with its raw
+    values. SLS and no-search steps never touch them.
+    """
 
     eta: float
     k: int = 0
     adam: AdamState | None = None
+    h: float = 0.0
+    s: float = 0.0
+    smoothed: bool = False
 
 
 def propose_initial_step(eta_prev: float, b: float, eta_max: float) -> float:

@@ -19,11 +19,11 @@ from .core import EvalResult, ParamVector, seeded_rng, stream_key
 
 @dataclass
 class Problem:
-    """An objective: per-batch loss/gradient plus the full-data loss.
+    """An objective: per-batch loss/gradient, from which the full-data
+    loss is derived.
 
     ``loss_grad(w, indices, grad=True)`` evaluates the mean loss and its
-    gradient over the given dataset indices; over the full index set the
-    loss must equal ``full_loss(w)``. With ``grad=False`` it returns
+    gradient over the given dataset indices. With ``grad=False`` it returns
     ``EvalResult(loss, None)`` and skips the gradient; the loss must come
     from the same expression either way, so that a loss probed during a
     line search and the loss recorded at the next step agree bit for bit.
@@ -36,7 +36,6 @@ class Problem:
     dim: int
     dataset_size: int
     loss_grad: Callable[..., EvalResult]
-    full_loss: Callable[[ParamVector], float]
     init_params: Callable[[int], ParamVector]
     optimum_hint: Optional[float] = None
     val_accuracy: Optional[Callable[[ParamVector], float]] = None
@@ -44,6 +43,10 @@ class Problem:
 
     def full_indices(self) -> np.ndarray:
         return np.arange(self.dataset_size)
+
+    def full_loss(self, w: ParamVector) -> float:
+        """The loss over the whole dataset: ``loss_grad`` over every index."""
+        return self.loss_grad(w, self.full_indices(), grad=False).loss
 
 
 @dataclass
@@ -144,16 +147,12 @@ def make_quadratic(dim: int, cond: float = 1.0, seed: int = 0) -> Problem:
             return EvalResult(loss, None)
         return EvalResult(loss=loss, grad=eigs * r)
 
-    def full_loss(w):
-        r = np.asarray(w) - w_star
-        return float(0.5 * (eigs * r * r).sum())
-
     def init_params(run_seed):
         return w_star + seeded_rng(seed, run_seed, 0x0B).standard_normal(dim)
 
     return Problem(name=f"quadratic_d{dim}_c{cond:g}", dim=dim, dataset_size=1,
-                   loss_grad=loss_grad, full_loss=full_loss,
-                   init_params=init_params, optimum_hint=0.0,
+                   loss_grad=loss_grad, init_params=init_params,
+                   optimum_hint=0.0,
                    extras={"w_star": w_star, "eigs": eigs})
 
 
@@ -195,10 +194,6 @@ def _logreg_from_data(X: np.ndarray, y: np.ndarray, seed: int,
         g = Xb.T @ coeff + 2.0 * _L2_REG * w
         return EvalResult(loss=loss, grad=g)
 
-    def full_loss(w):
-        margins = ytr * (Xtr @ w)
-        return float(np.logaddexp(0.0, -margins).mean() + _L2_REG * (w @ w))
-
     def init_params(run_seed):
         return 0.1 * seeded_rng(seed, run_seed, 0x16).standard_normal(dim)
 
@@ -208,8 +203,8 @@ def _logreg_from_data(X: np.ndarray, y: np.ndarray, seed: int,
             return float(np.mean(np.where(Xva @ w >= 0, 1.0, -1.0) == yva))
 
     return Problem(name=name, dim=dim, dataset_size=n_train,
-                   loss_grad=loss_grad, full_loss=full_loss,
-                   init_params=init_params, val_accuracy=val_accuracy)
+                   loss_grad=loss_grad, init_params=init_params,
+                   val_accuracy=val_accuracy)
 
 
 def make_logreg(n: int, dim: int, seed: int = 0,
@@ -252,11 +247,6 @@ def _mlp_from_data(X: np.ndarray, y01: np.ndarray, hidden: int, seed: int,
         b2 = w[-1]
         return W1, b1, w2, b2
 
-    def forward_logits(w, Xb):
-        W1, b1, w2, b2 = unpack(w)
-        A = np.tanh(Xb @ W1 + b1)
-        return A, A @ w2 + b2
-
     def loss_grad(w, indices, grad=True):
         Xb, yb = Xtr[indices], ytr[indices]
         W1, b1, w2, b2 = unpack(w)
@@ -275,10 +265,6 @@ def _mlp_from_data(X: np.ndarray, y01: np.ndarray, hidden: int, seed: int,
         g = np.concatenate([gW1.ravel(), gb1, gw2, [gb2]])
         return EvalResult(loss=loss, grad=g)
 
-    def full_loss(w):
-        _, z = forward_logits(w, Xtr)
-        return float((np.logaddexp(0.0, z) - ytr * z).mean())
-
     def init_params(run_seed):
         rng = seeded_rng(seed, run_seed, 0x26)
         W1 = rng.standard_normal((in_dim, hidden)) / math.sqrt(in_dim)
@@ -288,12 +274,13 @@ def _mlp_from_data(X: np.ndarray, y01: np.ndarray, hidden: int, seed: int,
     val_accuracy = None
     if len(Xva):
         def val_accuracy(w):
-            _, z = forward_logits(w, Xva)
+            W1, b1, w2, b2 = unpack(w)
+            z = np.tanh(Xva @ W1 + b1) @ w2 + b2
             return float(np.mean((z >= 0) == (yva > 0.5)))
 
     return Problem(name=name, dim=dim, dataset_size=n_train,
-                   loss_grad=loss_grad, full_loss=full_loss,
-                   init_params=init_params, val_accuracy=val_accuracy)
+                   loss_grad=loss_grad, init_params=init_params,
+                   val_accuracy=val_accuracy)
 
 
 def make_mlp(n: int, in_dim: int, hidden: int, seed: int = 0,
@@ -349,18 +336,13 @@ def make_matrix_factorization(rows: int, cols: int, rank: int, seed: int = 0,
         return EvalResult(loss=loss,
                           grad=np.concatenate([gU.ravel(), gV.ravel()]))
 
-    def full_loss(w):
-        U, V = unpack(w)
-        r = U @ V.T - M
-        return float(0.5 * (r * r).mean())
-
     def init_params(run_seed):
         return 0.1 * seeded_rng(seed, run_seed, 0x32).standard_normal(
             (rows + cols) * rank)
 
     return Problem(name=f"matfac_{rows}x{cols}_r{rank}", dim=(rows + cols) * rank,
                    dataset_size=rows * cols, loss_grad=loss_grad,
-                   full_loss=full_loss, init_params=init_params,
+                   init_params=init_params,
                    optimum_hint=0.0 if noise == 0 else None,
                    extras={"ground_truth": np.concatenate([U0.ravel(), V0.ravel()])})
 

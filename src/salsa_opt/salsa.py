@@ -5,8 +5,9 @@ the realized loss decrease (h) and the gradient-norm term (s). A step size
 is accepted when h >= c * eta * s, with h recomputed per candidate step
 size because the decrease depends on it. The gradient side does not depend
 on the step size, so s is formed before backtracking starts. Everything
-else (the step body, the shrink loop, the guard) is the engine in
-``line_search.py``; this module holds only the smoothing state and its
+else (the step body, the shrink loop, the guard, the run state
+``SlsState`` with its ``h``/``s`` fields) is the engine in
+``line_search.py``; this module holds only the smoothed test and its
 commit.
 
 An optional non-decrease mode additionally shrinks the accepted step until
@@ -16,7 +17,7 @@ guarantee in the full-batch setting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .core import ParamVector, StepRecord, axpy
@@ -26,20 +27,6 @@ from .directions import adam_direction, adam_update_moments, \
     preconditioned_grad_norm, sgd_direction  # noqa: F401
 from .line_search import SlsConfig, SlsState, nondecrease_search, \
     search_step, shrink
-
-
-@dataclass
-class SmoothState:
-    """Smoothed loss decrease h and gradient-norm term s.
-
-    Until the first search commits, ``initialized`` is False and h/s hold
-    no meaningful values: the first observed raw values seed them directly.
-    The smoothing factor is the config's ``beta3``.
-    """
-
-    h: float = 0.0
-    s: float = 0.0
-    initialized: bool = False
 
 
 @dataclass
@@ -60,13 +47,6 @@ class SalsaConfig(SlsConfig):
             raise ValueError(f"beta3 must be in (0,1), got {self.beta3}")
 
 
-@dataclass
-class SalsaState(SlsState):
-    """SLS run state extended with the smoothing state."""
-
-    smooth: SmoothState = field(default_factory=SmoothState)
-
-
 def smooth_update(prev: float, x: float, beta3: float, initialized: bool) -> float:
     """One EMA update; seeds with the raw value on the first observation."""
     if not initialized:
@@ -79,38 +59,38 @@ def salsa_criterion(h: float, s: float, eta: float, c: float) -> bool:
     return h >= c * eta * s
 
 
-def _smoothed_holds(loss0, loss_trial, eta, h, s, c, beta3, initialized):
+def _smoothed_holds(loss0, loss_trial, eta, h, s, c, beta3, smoothed):
     return salsa_criterion(
-        smooth_update(h, loss0 - loss_trial, beta3, initialized), s, eta, c)
+        smooth_update(h, loss0 - loss_trial, beta3, smoothed), s, eta, c)
 
 
 def salsa_backtrack(objective_on_batch: Callable[[ParamVector], float],
                     w: ParamVector, d: ParamVector, eta_start: float,
-                    loss0: float, smooth: SmoothState, s_new: float,
+                    loss0: float, state: SlsState, s_new: float,
                     cfg: SalsaConfig) -> tuple[float, int, float, float]:
     """Shrink eta until the smoothed criterion holds against s_new; on
     giving up, clamp up to cfg.eta_min (see ``line_search.shrink``).
 
-    Each candidate forms a trial h from this batch's decrease at it. Only
+    Each candidate forms a trial h from this batch's decrease at it and
+    the h last committed to ``state``, which is only read here. Only
     the returned candidate's h comes back for committing, so rejected
     trials never touch the average; after a give-up that is the step size
     still taken. Returns (eta, backtracks, h_committed, loss_trial).
     """
     eta, backtracks, trial, accepted = shrink(
         objective_on_batch, w, d, eta_start, loss0, cfg, _smoothed_holds,
-        smooth.h, s_new, cfg.c, cfg.beta3, smooth.initialized)
+        state.h, s_new, cfg.c, cfg.beta3, state.smoothed)
     if not accepted and eta < cfg.eta_min:
         eta = cfg.eta_min
         trial = objective_on_batch(axpy(eta, d, w))
-    h = smooth_update(smooth.h, loss0 - trial, cfg.beta3, smooth.initialized)
+    h = smooth_update(state.h, loss0 - trial, cfg.beta3, state.smoothed)
     return eta, backtracks, h, trial
 
 
 def _smoothed_search(batch, w, d_search, d_update, eta, loss0, gnorm_term,
-                     state: SalsaState, cfg: SalsaConfig):
+                     state: SlsState, cfg: SalsaConfig):
     """The SaLSa search handed to ``search_step``: smoothed backtracking,
     the optional non-decrease shrink, and the commit of h and s."""
-    sm = state.smooth
     if d_search is None:
         # Guard path: smoothing state frozen, step still applied.
         if cfg.enforce_nondecrease:
@@ -118,9 +98,9 @@ def _smoothed_search(batch, w, d_search, d_update, eta, loss0, gnorm_term,
                                         cfg)
         return eta, 0
 
-    s_new = smooth_update(sm.s, gnorm_term, cfg.beta3, sm.initialized)
+    s_new = smooth_update(state.s, gnorm_term, cfg.beta3, state.smoothed)
     eta, backtracks, h_new, _ = salsa_backtrack(
-        batch.loss, w, d_search, eta, loss0, sm, s_new, cfg)
+        batch.loss, w, d_search, eta, loss0, state, s_new, cfg)
     if cfg.enforce_nondecrease:
         eta_nd, trial_nd = nondecrease_search(batch.loss, w, d_update, eta,
                                               loss0, cfg)
@@ -131,19 +111,19 @@ def _smoothed_search(batch, w, d_search, d_update, eta, loss0, gnorm_term,
             # committed average.
             if d_update is not d_search:
                 trial_nd = batch.loss(axpy(eta, d_search, w))
-            h_new = smooth_update(sm.h, loss0 - trial_nd, cfg.beta3,
-                                  sm.initialized)
-    sm.h, sm.s, sm.initialized = h_new, s_new, True
+            h_new = smooth_update(state.h, loss0 - trial_nd, cfg.beta3,
+                                  state.smoothed)
+    state.h, state.s, state.smoothed = h_new, s_new, True
     return eta, backtracks
 
 
-def salsa_sgd_step(batch, w: ParamVector, state: SalsaState,
+def salsa_sgd_step(batch, w: ParamVector, state: SlsState,
                    cfg: SalsaConfig) -> tuple[ParamVector, StepRecord]:
     """One SaLSa step along the negative gradient."""
     return search_step(batch, w, "sgd", state, cfg, _smoothed_search)
 
 
-def salsa_adam_step(batch, w: ParamVector, state: SalsaState,
+def salsa_adam_step(batch, w: ParamVector, state: SlsState,
                     cfg: SalsaConfig) -> tuple[ParamVector, StepRecord]:
     """One SaLSa step with the Adam direction: the criterion uses the
     momentum-free direction and the preconditioned gradient-norm term; the

@@ -18,7 +18,6 @@ def make_centered_quadratic(dim=1, eigs=None):
 
     return Problem(name="centered_quadratic", dim=dim, dataset_size=1,
                    loss_grad=loss_grad,
-                   full_loss=lambda w: loss_grad(w, None).loss,
                    init_params=lambda seed: np.ones(dim),
                    optimum_hint=0.0)
 
@@ -33,7 +32,6 @@ def make_linear(dim=2, slope=1.0):
 
     return Problem(name="linear", dim=dim, dataset_size=1,
                    loss_grad=loss_grad,
-                   full_loss=lambda w: loss_grad(w, None).loss,
                    init_params=lambda seed: np.zeros(dim))
 
 

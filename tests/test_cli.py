@@ -219,3 +219,22 @@ class TestCheckGradCommand:
         assert "unknown check-grad config fields: ['junk', 'pionts']" in \
             captured.err
         assert captured.out == ""
+
+    def test_missing_problem_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"points": 1})
+        assert main(["check-grad", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert "check-grad config needs 'problem' or 'problems'" in \
+            captured.err
+        assert captured.out == ""
+
+    def test_non_integer_points_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            "problems": [{"kind": "quadratic", "dim": 2}],
+            "points": "3",
+        })
+        assert main(["check-grad", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert "check-grad 'points' must be an integer, got '3'" in \
+            captured.err
+        assert captured.out == ""

@@ -229,3 +229,13 @@ class TestInPlaceState:
     def test_moment_shapes_must_agree(self):
         with pytest.raises(ValueError, match="moment shapes differ"):
             AdamState(m=np.zeros(2), v=np.zeros(3))
+
+    def test_equality_is_identity(self):
+        # comparing states must not reach the moment arrays, whose truth
+        # value is ambiguous; a run state holding one compares through it
+        from salsa_opt.line_search import SlsState
+
+        a, b = AdamState.zeros(2), AdamState.zeros(2)
+        assert a == a and a != b
+        assert SlsState(eta=1.0, adam=a) == SlsState(eta=1.0, adam=a)
+        assert SlsState(eta=1.0, adam=a) != SlsState(eta=1.0, adam=b)

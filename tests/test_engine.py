@@ -15,7 +15,7 @@ from salsa_opt.directions import AdamState, adam_direction, \
 from salsa_opt.line_search import SlsConfig, SlsState, propose_initial_step, \
     sls_step
 from salsa_opt.problems import BatchObjective, make_quadratic
-from salsa_opt.salsa import SalsaConfig, SalsaState, salsa_adam_step, \
+from salsa_opt.salsa import SalsaConfig, salsa_adam_step, \
     salsa_sgd_step, smooth_update
 
 STEPS = 5
@@ -64,16 +64,13 @@ def last_candidate(eta_prev, cfg):
 def test_eval_count_and_commit_of_h_and_s(run):
     family, base, cfg, problem = run
     adam = AdamState.zeros(problem.dim) if base == "adam" else None
-    state = SalsaState(eta=cfg.eta_init, adam=adam) if family == "salsa" \
-        else SlsState(eta=cfg.eta_init, adam=adam)
+    state = SlsState(eta=cfg.eta_init, adam=adam)
     w = problem.init_params(0)
     indices = np.arange(problem.dataset_size)
     for _ in range(STEPS):
         batch = BatchObjective(problem, indices)
         eta_prev = state.eta
-        if family == "salsa":
-            sm = state.smooth
-            h_prev, s_prev, seeded = sm.h, sm.s, sm.initialized
+        h_prev, s_prev, seeded = state.h, state.s, state.smoothed
         w_next, rec = take_step(family, base, batch, w, state, cfg)
 
         gave_up_low = (rec.searched and rec.backtracks == cfg.max_backtracks
@@ -82,24 +79,23 @@ def test_eval_count_and_commit_of_h_and_s(run):
         assert batch.n_evals == 1 + (rec.backtracks + 1 if rec.searched
                                      else 0) + (1 if clamped else 0)
 
-        if family == "salsa":
-            sm = state.smooth
-            if not rec.searched:
-                assert (sm.h, sm.s, sm.initialized) == (h_prev, s_prev, seeded)
+        if family == "sls" or not rec.searched:
+            # SLS never touches the smoothing fields; SaLSa only on a search
+            assert (state.h, state.s, state.smoothed) == \
+                (h_prev, s_prev, seeded)
+        else:
+            g = problem.loss_grad(w, indices).grad
+            if base == "sgd":
+                d_search, gterm = -g, norm_sq(g)
             else:
-                g = problem.loss_grad(w, indices).grad
-                if base == "sgd":
-                    d_search, gterm = -g, norm_sq(g)
-                else:
-                    d_search = adam_direction(state.adam, g,
-                                              use_momentum=False)
-                    gterm = preconditioned_grad_norm(state.adam, g)
-                trial = problem.loss_grad(axpy(rec.eta, d_search, w), indices,
-                                          grad=False).loss
-                # only the applied step size's decrease reaches h: rejected
-                # trials never touch it
-                assert sm.h == smooth_update(h_prev, rec.loss - trial,
-                                             cfg.beta3, seeded)
-                assert sm.s == smooth_update(s_prev, gterm, cfg.beta3, seeded)
-                assert sm.initialized
+                d_search = adam_direction(state.adam, g, use_momentum=False)
+                gterm = preconditioned_grad_norm(state.adam, g)
+            trial = problem.loss_grad(axpy(rec.eta, d_search, w), indices,
+                                      grad=False).loss
+            # only the applied step size's decrease reaches h: rejected
+            # trials never touch it
+            assert state.h == smooth_update(h_prev, rec.loss - trial,
+                                            cfg.beta3, seeded)
+            assert state.s == smooth_update(s_prev, gterm, cfg.beta3, seeded)
+            assert state.smoothed
         w = w_next

@@ -1,21 +1,62 @@
 """Step-size EMAs, interval computation, and the search scheduler."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from salsa_opt.frequency import (FreqState, FrequencyController,
-                                 compute_interval, should_search, update_emas)
+from salsa_opt.frequency import (BETA_FAST, BETA_SLOW, FreqState,
+                                 FrequencyController, compute_interval,
+                                 update_emas)
 
 
 def ema_seq(etas):
+    """The state after each step size of ``etas``, one snapshot per step
+    (``update_emas`` advances a single state in place)."""
     st = FreqState()
     out = []
     for e in etas:
-        st = update_emas(st, e)
-        out.append(st)
+        out.append(replace(update_emas(st, e)))
     return out
+
+
+# The copy-on-write controller the in-place one replaced, kept as the
+# reference it must match step for step.
+
+def ref_update_emas(state, eta):
+    if eta <= 0:
+        raise ValueError(f"eta must be > 0, got {eta}")
+    if not state.seeded:
+        return replace(state, ema_fast=eta, ema_slow=eta, seeded=True)
+    return replace(
+        state,
+        ema_fast=BETA_FAST * state.ema_fast + (1.0 - BETA_FAST) * eta,
+        ema_slow=BETA_SLOW * state.ema_slow + (1.0 - BETA_SLOW) * eta,
+    )
+
+
+def ref_should_search(state):
+    if not state.seeded:
+        return True
+    return state.since_search + 1 >= state.L
+
+
+def ref_record_search(state, eta):
+    st = ref_update_emas(state, eta)
+    return replace(st, L=compute_interval(st), since_search=0)
+
+
+def ref_record_skip(state):
+    return replace(state,
+                   since_search=min(state.since_search + 1, state.L - 1))
+
+
+def controller_at(**fields):
+    ctl = FrequencyController()
+    ctl.state = FreqState(**fields)
+    return ctl
 
 
 class TestUpdateEmas:
@@ -40,6 +81,11 @@ class TestUpdateEmas:
     def test_nonpositive_eta_rejected(self):
         with pytest.raises(ValueError):
             update_emas(FreqState(), 0.0)
+
+    def test_advances_its_argument(self):
+        st = FreqState()
+        assert update_emas(st, 0.5) is st
+        assert st.seeded and st.ema_fast == st.ema_slow == 0.5
 
 
 class TestComputeInterval:
@@ -72,19 +118,19 @@ class TestComputeInterval:
 
 class TestShouldSearch:
     def test_fresh_state_always_searches(self):
-        assert should_search(FreqState())
+        assert FrequencyController().should_search()
 
     def test_interval_one_every_step(self):
-        st = FreqState(ema_fast=1.0, ema_slow=1.0, L=1, since_search=0,
-                       seeded=True)
-        assert should_search(st)
+        ctl = controller_at(ema_fast=1.0, ema_slow=1.0, L=1, since_search=0,
+                            seeded=True)
+        assert ctl.should_search()
 
     def test_counter_boundary_at_ten(self):
-        st = FreqState(ema_fast=1.0, ema_slow=1.0, L=10, since_search=8,
-                       seeded=True)
-        assert not should_search(st)
-        st.since_search = 9
-        assert should_search(st)
+        ctl = controller_at(ema_fast=1.0, ema_slow=1.0, L=10, since_search=8,
+                            seeded=True)
+        assert not ctl.should_search()
+        ctl.state.since_search = 9
+        assert ctl.should_search()
 
 
 class TestSymmetricResponse:
@@ -145,3 +191,26 @@ class TestController:
             ctl.record_skip()
         assert ctl.state.since_search == ctl.state.L - 1
         assert ctl.should_search()
+
+
+class TestMatchesCopyOnWriteReference:
+    @given(st.lists(st.tuples(st.floats(1e-6, 1e3), st.booleans()),
+                    min_size=1, max_size=80))
+    @settings(max_examples=200, deadline=None)
+    def test_same_state_and_decision_every_step(self, steps):
+        """Driven as the run loop drives it over a random eta stream: a due
+        search runs unless its flag says the tiny-gradient guard tripped,
+        which counts as a skip."""
+        ctl = FrequencyController()
+        ref = FreqState()
+        for eta, searched in steps:
+            due = ctl.should_search()
+            assert due == ref_should_search(ref)
+            if due and searched:
+                ctl.record_search(eta)
+                ref = ref_record_search(ref, eta)
+            else:
+                ctl.record_skip()
+                ref = ref_record_skip(ref)
+            assert ctl.state == ref
+        assert ctl.should_search() == ref_should_search(ref)

@@ -8,10 +8,9 @@ from hypothesis import strategies as st
 from conftest import full_batch, make_centered_quadratic
 from salsa_opt.core import axpy, seeded_rng
 from salsa_opt.directions import AdamState
-from salsa_opt.line_search import nondecrease_search
+from salsa_opt.line_search import SlsState, nondecrease_search
 from salsa_opt.problems import BatchObjective, make_quadratic
-from salsa_opt.salsa import (SalsaConfig, SalsaState, SmoothState,
-                             salsa_adam_step, salsa_backtrack,
+from salsa_opt.salsa import (SalsaConfig, salsa_adam_step, salsa_backtrack,
                              salsa_criterion, salsa_sgd_step, smooth_update)
 
 
@@ -78,11 +77,11 @@ class TestSalsaBacktrack:
         # uninitialized state: trial h is the raw decrease, so the test is
         # exactly the plain Armijo inequality with c = 0.3
         cfg = SalsaConfig()
-        smooth = SmoothState()
+        state = SlsState(eta=1.0)
         batch = full_batch(quadratic_1d)
         eta, bts, h, trial = salsa_backtrack(
             batch.loss, np.array([1.0]), np.array([-1.0]), eta_start=1.0,
-            loss0=0.5, smooth=smooth, s_new=1.0, cfg=cfg)
+            loss0=0.5, state=state, s_new=1.0, cfg=cfg)
         assert eta == 1.0 and bts == 0
         assert h == 0.5 - trial == 0.5  # decrease seeds h directly
 
@@ -90,31 +89,31 @@ class TestSalsaBacktrack:
         # h=1, s=1, c=0.3, eta=1, current decrease -0.1:
         # trial h = 0.99*1 + 0.01*(-0.1) = 0.989 >= 0.3 -> accepted, 0 shrinks
         cfg = SalsaConfig()
-        smooth = SmoothState(h=1.0, s=1.0, initialized=True)
+        state = SlsState(eta=1.0, h=1.0, s=1.0, smoothed=True)
         eta, bts, h, _ = salsa_backtrack(
             lambda w: 1.1, np.zeros(1), np.zeros(1), eta_start=1.0,
-            loss0=1.0, smooth=smooth, s_new=1.0, cfg=cfg)
+            loss0=1.0, state=state, s_new=1.0, cfg=cfg)
         assert bts == 0
         assert eta == 1.0
         assert h == pytest.approx(0.989, rel=1e-12)
 
     def test_matches_reference_shrink_loop(self, quadratic_1d):
         cfg = SalsaConfig(eta_init=8.0, eta_max=16.0)
-        smooth = SmoothState(h=0.05, s=0.9, initialized=True)
+        state = SlsState(eta=8.0, h=0.05, s=0.9, smoothed=True)
         w, d, loss0, s_new = np.array([1.0]), np.array([-1.0]), 0.5, 1.0
 
         # independent oracle implementing the smoothed rule directly
         eta_ref, bts_ref = 8.0, 0
         while True:
             trial = quadratic_1d.full_loss(w + eta_ref * d)
-            h_ref = 0.99 * smooth.h + 0.01 * (loss0 - trial)
+            h_ref = 0.99 * state.h + 0.01 * (loss0 - trial)
             if h_ref >= cfg.c * eta_ref * s_new or bts_ref >= cfg.max_backtracks:
                 break
             eta_ref *= cfg.delta
             bts_ref += 1
 
         batch = full_batch(quadratic_1d)
-        eta, bts, h, _ = salsa_backtrack(batch.loss, w, d, 8.0, loss0, smooth,
+        eta, bts, h, _ = salsa_backtrack(batch.loss, w, d, 8.0, loss0, state,
                                          s_new, cfg)
         assert eta == pytest.approx(eta_ref, rel=1e-15)
         assert bts == bts_ref > 0
@@ -152,16 +151,15 @@ class TestSalsaSgdStep:
     def test_guard_freezes_smoothing_state(self):
         prob = make_centered_quadratic(dim=2)
         cfg = SalsaConfig()
-        state = SalsaState(eta=0.4, smooth=SmoothState(h=1.0, s=2.0,
-                                                       initialized=True))
+        state = SlsState(eta=0.4, h=1.0, s=2.0, smoothed=True)
         w_next, rec = salsa_sgd_step(full_batch(prob), np.zeros(2), state, cfg)
         assert not rec.searched
-        assert state.smooth.h == 1.0 and state.smooth.s == 2.0
+        assert state.h == 1.0 and state.s == 2.0 and state.smoothed
         np.testing.assert_array_equal(w_next, np.zeros(2))
 
     def test_quadratic_with_nondecrease_converges(self, quadratic_1d):
         cfg = SalsaConfig(enforce_nondecrease=True)
-        state = SalsaState(eta=cfg.eta_init)
+        state = SlsState(eta=cfg.eta_init)
         w = np.array([10.0])
         losses = []
         for _ in range(200):
@@ -196,18 +194,17 @@ class TestSalsaAdamStep:
         from conftest import make_linear
         prob = make_linear(dim=3, slope=1.0)
         cfg = SalsaConfig()
-        st_sgd = SalsaState(eta=cfg.eta_init)
+        st_sgd = SlsState(eta=cfg.eta_init)
         salsa_sgd_step(full_batch(prob), np.zeros(3), st_sgd, cfg)
-        st_adam = SalsaState(eta=cfg.eta_init,
-                             adam=AdamState.zeros(3, epsilon=1e-300))
+        st_adam = SlsState(eta=cfg.eta_init,
+                           adam=AdamState.zeros(3, epsilon=1e-300))
         salsa_adam_step(full_batch(prob), np.zeros(3), st_adam, cfg)
-        assert st_adam.smooth.s == pytest.approx(st_sgd.smooth.s, rel=1e-12)
+        assert st_adam.s == pytest.approx(st_sgd.s, rel=1e-12)
 
     def test_ill_conditioned_quadratic_converges(self):
         prob = make_quadratic(dim=2, cond=100, seed=3)
         cfg = SalsaConfig()
-        state = SalsaState(eta=cfg.eta_init,
-                           adam=AdamState.zeros(2))
+        state = SlsState(eta=cfg.eta_init, adam=AdamState.zeros(2))
         w = prob.init_params(0)
         best = np.inf
         for _ in range(5000):
@@ -218,17 +215,16 @@ class TestSalsaAdamStep:
 
     def test_first_step_seeds_h_and_s(self, quadratic_1d):
         cfg = SalsaConfig()
-        state = SalsaState(eta=cfg.eta_init,
-                           adam=AdamState.zeros(1))
-        assert not state.smooth.initialized
+        state = SlsState(eta=cfg.eta_init, adam=AdamState.zeros(1))
+        assert not state.smoothed
         batch = full_batch(quadratic_1d)
         w0 = np.array([2.0])
         loss0 = quadratic_1d.full_loss(w0)
         w, rec = salsa_adam_step(batch, w0, state, cfg)
-        assert state.smooth.initialized
+        assert state.smoothed
         # seeded s is the raw preconditioned norm, seeded h the raw decrease
-        assert state.smooth.s > 0
-        assert state.smooth.h == pytest.approx(
+        assert state.s > 0
+        assert state.h == pytest.approx(
             loss0 - quadratic_1d.full_loss(w), rel=1e-12)
 
 
@@ -236,22 +232,21 @@ class TestSmoothingInvariants:
     def test_committed_triples_satisfy_criterion(self):
         prob = make_quadratic(dim=4, cond=30, seed=5)
         cfg = SalsaConfig()
-        state = SalsaState(eta=cfg.eta_init)
+        state = SlsState(eta=cfg.eta_init)
         w = prob.init_params(1)
         for _ in range(300):
             batch = BatchObjective(prob, np.arange(1), key=0)
             w, rec = salsa_sgd_step(batch, w, state, cfg)
             if rec.searched and rec.backtracks < cfg.max_backtracks:
-                sm = state.smooth
-                assert sm.h >= cfg.c * rec.eta * sm.s - 1e-9
-                assert sm.s >= 0.0
+                assert state.h >= cfg.c * rec.eta * state.s - 1e-9
+                assert state.s >= 0.0
 
     def test_warmed_up_raw_armijo_stream_accepts_immediately(self):
         # eta_max small enough that the raw criterion holds at every
         # proposal; after the seed step salsa must accept with 0 backtracks
         prob = make_centered_quadratic(dim=3)
         cfg = SalsaConfig(eta_init=0.25, eta_max=0.5)
-        state = SalsaState(eta=cfg.eta_init)
+        state = SlsState(eta=cfg.eta_init)
         w = np.full(3, 2.0)
         for i in range(20):
             batch = full_batch(prob)
@@ -275,11 +270,11 @@ class TestSmoothingInvariants:
 
 class TestOneBeta3:
     def test_fresh_state_smooths_at_config_beta3(self):
-        # the smoothing state carries no factor of its own, so a default
-        # SalsaState stepped with beta3=0.5 must average at 0.5
+        # the run state carries no factor of its own, so a default
+        # SlsState stepped with beta3=0.5 must average at 0.5
         prob = make_centered_quadratic(dim=2, eigs=[1.0, 3.0])
         cfg = SalsaConfig(beta3=0.5)
-        state = SalsaState(eta=1.0)
+        state = SlsState(eta=1.0)
         w = np.array([2.0, -1.0])
         raw_h, raw_s = [], []
         for _ in range(2):
@@ -289,8 +284,8 @@ class TestOneBeta3:
             raw_h.append(rec.loss - prob.full_loss(axpy(rec.eta, -g, w)))
             raw_s.append(g @ g)
             w = w_next
-        assert state.smooth.h == 0.5 * raw_h[0] + 0.5 * raw_h[1]
-        assert state.smooth.s == 0.5 * raw_s[0] + 0.5 * raw_s[1]
+        assert state.h == 0.5 * raw_h[0] + 0.5 * raw_h[1]
+        assert state.s == 0.5 * raw_s[0] + 0.5 * raw_s[1]
 
 
 class TestSalsaConfig:
