@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import math
 import sys
 from dataclasses import fields
 from functools import partial
@@ -114,10 +115,16 @@ def _cmd_check_grad(args) -> int:
     else:
         raise ConfigError("check-grad config needs 'problem' or 'problems'")
     points = raw.get("points", 10)
-    if not isinstance(points, int):
+    if isinstance(points, bool) or not isinstance(points, int):
         raise ConfigError(f"check-grad 'points' must be an integer, "
                           f"got {points!r}")
+    if points < 1:
+        raise ConfigError(f"check-grad 'points' must be >= 1, got {points}")
     h = raw.get("h", 1e-5)
+    if (isinstance(h, bool) or not isinstance(h, (int, float))
+            or not math.isfinite(h) or h <= 0):
+        raise ConfigError(f"check-grad 'h' must be a finite number > 0, "
+                          f"got {h!r}")
     worst_overall = 0.0
     for spec in specs:
         problem = build_problem(spec)

@@ -23,13 +23,16 @@ class Problem:
     loss is derived.
 
     ``loss_grad(w, indices, grad=True)`` evaluates the mean loss and its
-    gradient over the given dataset indices. With ``grad=False`` it returns
-    ``EvalResult(loss, None)`` and skips the gradient; the loss must come
-    from the same expression either way, so that a loss probed during a
-    line search and the loss recorded at the next step agree bit for bit.
-    ``init_params(seed)`` draws a starting point.
-    ``val_accuracy`` is present only for classification problems (held-out
-    split). Problems are immutable after construction and safe to share.
+    gradient over the given dataset indices: integer positions, negative
+    ones counted from the end (a boolean mask is not an index set). With
+    ``grad=False`` it returns ``EvalResult(loss, None)`` and skips the
+    gradient; the loss must come from the same expression either way, so
+    that a loss probed during a line search and the loss recorded at the
+    next step agree bit for bit. ``init_params(seed)`` draws a starting
+    point. ``val_accuracy`` is present only for classification problems
+    (held-out split). Problems are immutable after construction and safe to
+    share: the built-in factories mark the data their closures read
+    read-only.
     """
 
     name: str
@@ -128,6 +131,13 @@ def batch_for_step(problem: Problem, sampler: BatchSampler, k: int) -> BatchObje
 # problem factories
 
 
+def _readonly(a: np.ndarray) -> np.ndarray:
+    """``a``, marked read-only: data a problem's closures read is fixed
+    once the problem is built."""
+    a.flags.writeable = False
+    return a
+
+
 def make_quadratic(dim: int, cond: float = 1.0, seed: int = 0) -> Problem:
     """Deterministic quadratic bowl 0.5 (w-w*)' A (w-w*).
 
@@ -137,15 +147,17 @@ def make_quadratic(dim: int, cond: float = 1.0, seed: int = 0) -> Problem:
     """
     if cond < 1.0:
         raise ValueError(f"cond must be >= 1, got {cond}")
-    eigs = np.logspace(0.0, math.log10(cond), dim)
-    w_star = seeded_rng(seed, 0x0A).standard_normal(dim)
+    eigs = _readonly(np.logspace(0.0, math.log10(cond), dim))
+    w_star = _readonly(seeded_rng(seed, 0x0A).standard_normal(dim))
 
     def loss_grad(w, indices, grad=True):
         r = np.asarray(w) - w_star
-        loss = float(0.5 * (eigs * r * r).sum())
+        er = eigs * r
+        # (eigs * r) * r is eigs * r * r in its evaluation order
+        loss = float(0.5 * (er * r).sum())
         if not grad:
             return EvalResult(loss, None)
-        return EvalResult(loss=loss, grad=eigs * r)
+        return EvalResult(loss=loss, grad=er)
 
     def init_params(run_seed):
         return w_star + seeded_rng(seed, run_seed, 0x0B).standard_normal(dim)
@@ -157,12 +169,11 @@ def make_quadratic(dim: int, cond: float = 1.0, seed: int = 0) -> Problem:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) otherwise, both from
+    # one exp of -|z|, which never overflows; np.minimum returns a NaN z
+    # itself, where -np.abs(z) would flip its sign bit
+    e = np.exp(np.minimum(z, -z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 _L2_REG = 1e-4
@@ -173,24 +184,28 @@ def _logreg_from_data(X: np.ndarray, y: np.ndarray, seed: int,
     """Regularized logistic regression on given features and +-1 labels.
 
     80% of the rows (seeded shuffle) form the training objective; held-out
-    accuracy on the remaining 20% is the validation metric.
+    accuracy on the remaining 20% is the validation metric. ``extras``
+    holds the training split as ``Xtr`` and ``ytr``.
     """
     n = X.shape[0]
     perm = seeded_rng(seed, 0x15).permutation(n)
     n_train = max(1, int(round(0.8 * n)))
     tr, va = perm[:n_train], perm[n_train:]
-    Xtr, ytr = X[tr], y[tr]
-    Xva, yva = X[va], y[va]
+    Xtr, ytr = _readonly(X[tr]), _readonly(y[tr])
+    Xva, yva = _readonly(X[va]), _readonly(y[va])
     dim = X.shape[1]
 
     def loss_grad(w, indices, grad=True):
-        Xb, yb = Xtr[indices], ytr[indices]
-        margins = yb * (Xb @ w)
-        loss = float(np.logaddexp(0.0, -margins).mean() + _L2_REG * (w @ w))
+        # take() gathers rows with the same bits as Xtr[indices], faster
+        Xb, yb = Xtr.take(indices, axis=0), ytr[indices]
+        neg_margins = -(yb * (Xb @ w))
+        # .sum() / n is .mean() bit for bit, without its Python wrapper
+        loss = float(np.logaddexp(0.0, neg_margins).sum() / len(yb)
+                     + _L2_REG * (w @ w))
         if not grad:
             return EvalResult(loss, None)
         # d/dw mean log(1+exp(-y x.w)) = mean(-y * sigma(-y x.w) * x)
-        coeff = -yb * _sigmoid(-margins) / len(yb)
+        coeff = -yb * _sigmoid(neg_margins) / len(yb)
         g = Xb.T @ coeff + 2.0 * _L2_REG * w
         return EvalResult(loss=loss, grad=g)
 
@@ -204,7 +219,8 @@ def _logreg_from_data(X: np.ndarray, y: np.ndarray, seed: int,
 
     return Problem(name=name, dim=dim, dataset_size=n_train,
                    loss_grad=loss_grad, init_params=init_params,
-                   val_accuracy=val_accuracy)
+                   val_accuracy=val_accuracy,
+                   extras={"Xtr": Xtr, "ytr": ytr})
 
 
 def make_logreg(n: int, dim: int, seed: int = 0,
@@ -229,14 +245,15 @@ def _mlp_from_data(X: np.ndarray, y01: np.ndarray, hidden: int, seed: int,
     """One-hidden-layer tanh network with binary cross-entropy.
 
     Parameters are flattened as [W1 (in x h), b1 (h), w2 (h), b2 (1)].
-    Gradients come from manual backpropagation.
+    Gradients come from manual backpropagation. ``extras`` holds the
+    training split as ``Xtr`` and ``ytr``.
     """
     n, in_dim = X.shape
     perm = seeded_rng(seed, 0x25).permutation(n)
     n_train = max(1, int(round(0.8 * n)))
     tr, va = perm[:n_train], perm[n_train:]
-    Xtr, ytr = X[tr], y01[tr]
-    Xva, yva = X[va], y01[va]
+    Xtr, ytr = _readonly(X[tr]), _readonly(y01[tr])
+    Xva, yva = _readonly(X[va]), _readonly(y01[va])
     n_w1 = in_dim * hidden
     dim = n_w1 + hidden + hidden + 1
 
@@ -248,18 +265,18 @@ def _mlp_from_data(X: np.ndarray, y01: np.ndarray, hidden: int, seed: int,
         return W1, b1, w2, b2
 
     def loss_grad(w, indices, grad=True):
-        Xb, yb = Xtr[indices], ytr[indices]
+        Xb, yb = Xtr.take(indices, axis=0), ytr[indices]
         W1, b1, w2, b2 = unpack(w)
         A = np.tanh(Xb @ W1 + b1)
         z = A @ w2 + b2
         # BCE on logits: mean(log(1+e^z) - y z), stable for either sign
-        loss = float((np.logaddexp(0.0, z) - yb * z).mean())
+        loss = float((np.logaddexp(0.0, z) - yb * z).sum() / len(yb))
         if not grad:
             return EvalResult(loss, None)
         dz = (_sigmoid(z) - yb) / len(yb)
         gw2 = A.T @ dz
         gb2 = float(dz.sum())
-        dA = np.outer(dz, w2) * (1.0 - A * A)
+        dA = dz[:, None] * w2 * (1.0 - A * A)
         gW1 = Xb.T @ dA
         gb1 = dA.sum(axis=0)
         g = np.concatenate([gW1.ravel(), gb1, gw2, [gb2]])
@@ -280,7 +297,8 @@ def _mlp_from_data(X: np.ndarray, y01: np.ndarray, hidden: int, seed: int,
 
     return Problem(name=name, dim=dim, dataset_size=n_train,
                    loss_grad=loss_grad, init_params=init_params,
-                   val_accuracy=val_accuracy)
+                   val_accuracy=val_accuracy,
+                   extras={"Xtr": Xtr, "ytr": ytr})
 
 
 def make_mlp(n: int, in_dim: int, hidden: int, seed: int = 0,
@@ -308,43 +326,50 @@ def make_matrix_factorization(rows: int, cols: int, rank: int, seed: int = 0,
     """Low-rank matrix recovery: mean over observed entries of
     0.5 * (U V' - M)_ij^2, entries sampled as the dataset.
 
-    M comes from a seeded rank-``rank`` ground truth plus Gaussian noise.
-    Parameters are [U.ravel(), V.ravel()].
+    M comes from a seeded rank-``rank`` ground truth plus Gaussian noise;
+    ``extras["M"]`` holds it. Parameters are [U.ravel(), V.ravel()].
     """
     if rank > min(rows, cols):
         raise ValueError("rank must be <= min(rows, cols)")
     rng = seeded_rng(seed, 0x31)
     U0 = rng.standard_normal((rows, rank)) / math.sqrt(rank)
     V0 = rng.standard_normal((cols, rank)) / math.sqrt(rank)
-    M = U0 @ V0.T + noise * rng.standard_normal((rows, cols))
-    n_u = rows * rank
-
-    def unpack(w):
-        return w[:n_u].reshape(rows, rank), w[n_u:].reshape(cols, rank)
+    M = _readonly(U0 @ V0.T + noise * rng.standard_normal((rows, cols)))
+    targets = M.ravel()
+    dim = (rows + cols) * rank
+    # entry e = i * cols + j: row e of pos_of holds the flat positions in w
+    # of U[i] and then V[j]; bin_of holds the same positions with the two
+    # halves swapped, so that r * U[i] lands on V[j]'s and r * V[j] on U[i]'s
+    i, j = np.divmod(np.arange(rows * cols), cols)
+    k = np.arange(rank)
+    u_pos = i[:, None] * rank + k
+    v_pos = rows * rank + j[:, None] * rank + k
+    pos_of = _readonly(np.hstack([u_pos, v_pos]))
+    bin_of = _readonly(np.hstack([v_pos, u_pos]))
 
     def loss_grad(w, indices, grad=True):
-        U, V = unpack(w)
-        i, j = np.divmod(np.asarray(indices), cols)
-        r = np.einsum("bk,bk->b", U[i], V[j]) - M[i, j]
-        loss = float(0.5 * (r * r).mean())
+        P = w[pos_of.take(indices, axis=0)]
+        r = np.einsum("bk,bk->b", P[:, :rank], P[:, rank:]) - targets[indices]
+        loss = float(0.5 * ((r * r).sum() / len(r)))
         if not grad:
             return EvalResult(loss, None)
-        gU = np.zeros_like(U)
-        gV = np.zeros_like(V)
-        np.add.at(gU, i, r[:, None] * V[j] / len(r))
-        np.add.at(gV, j, r[:, None] * U[i] / len(r))
-        return EvalResult(loss=loss,
-                          grad=np.concatenate([gU.ravel(), gV.ravel()]))
+        # bincount adds each bin's weights in input order, as np.add.at
+        # into zeros does, so every entry keeps its bits (where two NaNs
+        # meet, either may win, as numpy leaves a NaN's sign unspecified)
+        g = np.bincount(bin_of.take(indices, axis=0).ravel(),
+                        weights=(r[:, None] * P / len(r)).ravel(),
+                        minlength=dim)
+        return EvalResult(loss=loss, grad=g)
 
     def init_params(run_seed):
-        return 0.1 * seeded_rng(seed, run_seed, 0x32).standard_normal(
-            (rows + cols) * rank)
+        return 0.1 * seeded_rng(seed, run_seed, 0x32).standard_normal(dim)
 
-    return Problem(name=f"matfac_{rows}x{cols}_r{rank}", dim=(rows + cols) * rank,
+    return Problem(name=f"matfac_{rows}x{cols}_r{rank}", dim=dim,
                    dataset_size=rows * cols, loss_grad=loss_grad,
                    init_params=init_params,
                    optimum_hint=0.0 if noise == 0 else None,
-                   extras={"ground_truth": np.concatenate([U0.ravel(), V0.ravel()])})
+                   extras={"M": M, "ground_truth": np.concatenate(
+                       [U0.ravel(), V0.ravel()])})
 
 
 def finite_diff_grad(problem: Problem, w: ParamVector, h: float) -> ParamVector:

@@ -238,3 +238,43 @@ class TestCheckGradCommand:
         assert "check-grad 'points' must be an integer, got '3'" in \
             captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("points, message", [
+        (True, "check-grad 'points' must be an integer, got True"),
+        (0, "check-grad 'points' must be >= 1, got 0"),
+        (-2, "check-grad 'points' must be >= 1, got -2"),
+    ])
+    def test_bad_points_is_a_config_error(self, tmp_path, capsys, points,
+                                          message):
+        cfg = write_config(tmp_path, {
+            "problem": {"kind": "quadratic", "dim": 2},
+            "points": points,
+        })
+        assert main(["check-grad", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("h", [0, -1e-5, "x", True, float("nan"),
+                                   float("inf")])
+    def test_bad_h_is_a_config_error(self, tmp_path, capsys, h):
+        cfg = write_config(tmp_path, {
+            "problem": {"kind": "quadratic", "dim": 2},
+            "points": 1,
+            "h": h,
+        })
+        assert main(["check-grad", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert f"check-grad 'h' must be a finite number > 0, got {h!r}" in \
+            captured.err
+        assert captured.out == ""
+
+    def test_integer_h_is_accepted(self, tmp_path, capsys):
+        # central differences are exact on a quadratic at any step
+        cfg = write_config(tmp_path, {
+            "problem": {"kind": "quadratic", "dim": 2},
+            "points": 1,
+            "h": 1,
+        })
+        assert main(["check-grad", "--config", cfg]) == 0
+        assert "[ok]" in capsys.readouterr().out

@@ -1,0 +1,209 @@
+"""The factory kernels against the formulas they replaced, bit for bit.
+
+Each ``ref_*`` below is a factory's ``loss_grad`` body as it was written
+with ``np.add.at`` scatters, a masked sigmoid and ``.mean()``, kept as the
+reference the faster kernels must reproduce. It reads the same data, from
+``prob.extras``, with ``w`` split by the problem's shapes.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from salsa_opt import problems as problems_module
+from salsa_opt.core import EvalResult
+from salsa_opt.problems import (make_logreg, make_matrix_factorization,
+                                make_mlp, make_quadratic)
+
+
+def ref_sigmoid(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def ref_quadratic(prob):
+    eigs, w_star = prob.extras["eigs"], prob.extras["w_star"]
+
+    def loss_grad(w, indices, grad=True):
+        r = np.asarray(w) - w_star
+        loss = float(0.5 * (eigs * r * r).sum())
+        if not grad:
+            return EvalResult(loss, None)
+        return EvalResult(loss=loss, grad=eigs * r)
+
+    return loss_grad
+
+
+def ref_logreg(prob):
+    Xtr, ytr = prob.extras["Xtr"], prob.extras["ytr"]
+    _L2_REG = problems_module._L2_REG
+
+    def loss_grad(w, indices, grad=True):
+        Xb, yb = Xtr[indices], ytr[indices]
+        margins = yb * (Xb @ w)
+        loss = float(np.logaddexp(0.0, -margins).mean() + _L2_REG * (w @ w))
+        if not grad:
+            return EvalResult(loss, None)
+        coeff = -yb * ref_sigmoid(-margins) / len(yb)
+        g = Xb.T @ coeff + 2.0 * _L2_REG * w
+        return EvalResult(loss=loss, grad=g)
+
+    return loss_grad
+
+
+def ref_mlp(prob):
+    Xtr, ytr = prob.extras["Xtr"], prob.extras["ytr"]
+    in_dim = Xtr.shape[1]
+    hidden = (prob.dim - 1) // (in_dim + 2)
+    n_w1 = in_dim * hidden
+
+    def unpack(w):
+        W1 = w[:n_w1].reshape(in_dim, hidden)
+        b1 = w[n_w1:n_w1 + hidden]
+        w2 = w[n_w1 + hidden:n_w1 + 2 * hidden]
+        b2 = w[-1]
+        return W1, b1, w2, b2
+
+    def loss_grad(w, indices, grad=True):
+        Xb, yb = Xtr[indices], ytr[indices]
+        W1, b1, w2, b2 = unpack(w)
+        A = np.tanh(Xb @ W1 + b1)
+        z = A @ w2 + b2
+        loss = float((np.logaddexp(0.0, z) - yb * z).mean())
+        if not grad:
+            return EvalResult(loss, None)
+        dz = (ref_sigmoid(z) - yb) / len(yb)
+        gw2 = A.T @ dz
+        gb2 = float(dz.sum())
+        dA = np.outer(dz, w2) * (1.0 - A * A)
+        gW1 = Xb.T @ dA
+        gb1 = dA.sum(axis=0)
+        g = np.concatenate([gW1.ravel(), gb1, gw2, [gb2]])
+        return EvalResult(loss=loss, grad=g)
+
+    return loss_grad
+
+
+def ref_matfac(prob):
+    M = prob.extras["M"]
+    rows, cols = M.shape
+    rank = prob.dim // (rows + cols)
+    n_u = rows * rank
+
+    def unpack(w):
+        return w[:n_u].reshape(rows, rank), w[n_u:].reshape(cols, rank)
+
+    def loss_grad(w, indices, grad=True):
+        U, V = unpack(w)
+        i, j = np.divmod(np.asarray(indices), cols)
+        r = np.einsum("bk,bk->b", U[i], V[j]) - M[i, j]
+        loss = float(0.5 * (r * r).mean())
+        if not grad:
+            return EvalResult(loss, None)
+        gU = np.zeros_like(U)
+        gV = np.zeros_like(V)
+        np.add.at(gU, i, r[:, None] * V[j] / len(r))
+        np.add.at(gV, j, r[:, None] * U[i] / len(r))
+        return EvalResult(loss=loss,
+                          grad=np.concatenate([gU.ravel(), gV.ravel()]))
+
+    return loss_grad
+
+
+CASES = [
+    (make_quadratic(dim=6, cond=50, seed=1), ref_quadratic),
+    (make_logreg(n=300, dim=8, seed=1, label_noise=0.1), ref_logreg),
+    (make_mlp(n=240, in_dim=5, hidden=4, seed=1), ref_mlp),
+    (make_matrix_factorization(rows=8, cols=6, rank=2, seed=1), ref_matfac),
+    (make_matrix_factorization(rows=40, cols=30, rank=3, seed=2), ref_matfac),
+    (make_matrix_factorization(rows=9, cols=11, rank=7, seed=3), ref_matfac),
+]
+
+SPECIALS = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0]
+
+# moderate values, large ones that saturate every sigmoid, any double, and
+# NaN, +-inf and signed zeros
+ENTRIES = st.one_of(st.floats(-5.0, 5.0), st.floats(-1e4, 1e4),
+                    st.floats(width=64), st.sampled_from(SPECIALS))
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+def _same_but_nan_payload(a, b):
+    """Equal bytes everywhere except that a NaN may carry another sign or
+    payload: NaN at the same places, every other entry bit for bit."""
+    nan_a, nan_b = np.isnan(a), np.isnan(b)
+    return (a.shape == b.shape and np.array_equal(nan_a, nan_b)
+            and _bits(a[~nan_a]) == _bits(b[~nan_b]))
+
+
+@st.composite
+def index_sets(draw, size):
+    if draw(st.booleans()):
+        return np.arange(size)
+    # batch sizes 1-64 over negative as well as positive positions; a short
+    # list of positions drawn with replacement repeats some of them
+    pool = draw(st.lists(st.integers(-size, size - 1), min_size=1,
+                         max_size=8))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1,
+                          max_size=64))
+    return np.array([pool[p] for p in picks], dtype=np.int64)
+
+
+@given(st.data())
+@settings(max_examples=400, deadline=None)
+def test_kernels_match_the_reference_formulas(data):
+    prob, ref = data.draw(st.sampled_from(CASES), label="problem")
+    w = data.draw(arrays(np.float64, prob.dim, elements=ENTRIES), label="w")
+    idx = data.draw(index_sets(prob.dataset_size), label="indices")
+    with np.errstate(all="ignore"):
+        want = ref(prob)(w, idx)
+        got = prob.loss_grad(w, idx)
+        loss_only = prob.loss_grad(w, idx, grad=False)
+    assert _bits(got.loss) == _bits(want.loss)
+    assert loss_only.grad is None
+    assert _bits(loss_only.loss) == _bits(want.loss)
+    assert got.grad.dtype == want.grad.dtype
+    if prob.name.startswith("matfac"):
+        # np.bincount and np.add.at add each bin in the same order, so every
+        # finite or infinite entry keeps its bits, but where two NaNs meet
+        # they may keep different ones of the two (numpy specifies no NaN
+        # sign or payload); a NaN still lands on the same entries
+        assert _same_but_nan_payload(got.grad, want.grad)
+    else:
+        assert _bits(got.grad) == _bits(want.grad)
+
+
+def test_sigmoid_matches_the_masked_form():
+    z = np.concatenate([
+        np.linspace(-800.0, 800.0, 4001),
+        np.random.default_rng(0).standard_normal(500) * 40.0,
+        [1e-320, -1e-320, 1e308, -1e308] + SPECIALS,
+    ])
+    with np.errstate(all="ignore"):
+        assert _bits(problems_module._sigmoid(z)) == _bits(ref_sigmoid(z))
+
+
+@pytest.mark.parametrize("prob, names", [
+    (CASES[0][0], ("eigs", "w_star")),
+    (CASES[1][0], ("Xtr", "ytr")),
+    (CASES[2][0], ("Xtr", "ytr")),
+    (CASES[3][0], ("M",)),
+], ids=lambda x: getattr(x, "name", ""))
+def test_factory_data_is_read_only(prob, names):
+    for name in names:
+        assert not prob.extras[name].flags.writeable, name
+
+
+def test_writing_into_problem_data_raises():
+    prob = make_quadratic(dim=3, cond=10, seed=0)
+    with pytest.raises(ValueError, match="read-only"):
+        prob.extras["eigs"][0] = 2.0

@@ -79,20 +79,30 @@ def test_loss_only_is_bit_identical(tmp_path):
     check()
 
 
-def _closed_over(fn):
-    """The variables a factory's closure ``fn`` holds, by name."""
-    return dict(zip(fn.__code__.co_freevars,
-                    (cell.cell_contents for cell in fn.__closure__)))
+def _mlp_unpack(w, in_dim):
+    """[W1 (in x h), b1 (h), w2 (h), b2 (1)] from the flat vector."""
+    hidden = (len(w) - 1) // (in_dim + 2)
+    n_w1 = in_dim * hidden
+    return (w[:n_w1].reshape(in_dim, hidden), w[n_w1:n_w1 + hidden],
+            w[n_w1 + hidden:n_w1 + 2 * hidden], w[-1])
+
+
+def _matfac_unpack(w, rows, cols):
+    """U (rows x rank) and V (cols x rank) from the flat vector."""
+    rank = len(w) // (rows + cols)
+    n_u = rows * rank
+    return w[:n_u].reshape(rows, rank), w[n_u:].reshape(cols, rank)
 
 
 def _wrapper_losses(prob, w, idx):
     """Batch and full-data loss of each factory written with the
-    ``np.sum``/``np.mean`` wrappers, over the data its closures hold.
+    ``np.sum``/``np.mean`` wrappers, over the data in ``prob.extras`` and
+    with ``w`` split by the problem's shapes.
 
     The full-data loss is the batch loss over every index, so matrix
     factorization's is the per-entry residual over all entries, not
     ``U @ V.T - M``, which rounds differently in the last bits."""
-    env = _closed_over(prob.loss_grad)
+    env = prob.extras
     if prob.name.startswith("quadratic"):
         r = np.asarray(w) - env["w_star"]
         loss = float(0.5 * np.sum(env["eigs"] * r * r))
@@ -106,18 +116,19 @@ def _wrapper_losses(prob, w, idx):
                 float(np.mean(np.logaddexp(0.0, -full_margins)) + reg))
     if prob.name.startswith("mlp"):
         Xtr, ytr = env["Xtr"], env["ytr"]
-        W1, b1, w2, b2 = env["unpack"](w)
+        W1, b1, w2, b2 = _mlp_unpack(w, Xtr.shape[1])
 
         def bce(X, y):
             z = np.tanh(X @ W1 + b1) @ w2 + b2
             return float(np.mean(np.logaddexp(0.0, z) - y * z))
 
         return bce(Xtr[idx], ytr[idx]), bce(Xtr, ytr)
-    U, V = env["unpack"](w)
     M = env["M"]
+    rows, cols = M.shape
+    U, V = _matfac_unpack(w, rows, cols)
 
     def half_mse(indices):
-        i, j = np.divmod(np.asarray(indices), env["cols"])
+        i, j = np.divmod(np.asarray(indices), cols)
         r = np.einsum("bk,bk->b", U[i], V[j]) - M[i, j]
         return float(0.5 * np.mean(r * r))
 
