@@ -15,6 +15,9 @@ import numpy as np
 ParamVector = np.ndarray
 
 _MASK64 = 0xFFFFFFFFFFFFFFFF
+_MASK63 = 0x7FFFFFFFFFFFFFFF
+FNV_OFFSET = 0xCBF29CE484222325
+_FNV_PRIME = 0x100000001B3
 
 
 def param_vector(values) -> ParamVector:
@@ -42,13 +45,24 @@ def axpy(alpha: float, x: ParamVector, y: ParamVector) -> ParamVector:
     return y + alpha * x
 
 
-def stream_key(*keys: int) -> int:
-    """Mix integer keys into a stable 63-bit stream identifier (FNV-1a)."""
-    h = 0xCBF29CE484222325
+def fnv_fold(h: int, keys) -> int:
+    """The 64-bit FNV-1a state after folding integer ``keys`` into ``h``;
+    each key enters as its low 64 bits (two's complement)."""
     for x in keys:
         h ^= int(x) & _MASK64
-        h = (h * 0x100000001B3) & _MASK64
-    return h & 0x7FFFFFFFFFFFFFFF
+        h = (h * _FNV_PRIME) & _MASK64
+    return h
+
+
+def stream_key(*keys: int) -> int:
+    """Mix integer keys into a stable 63-bit stream identifier (FNV-1a)."""
+    return fnv_fold(FNV_OFFSET, keys) & _MASK63
+
+
+def stream_key_from(h: int, *keys: int) -> int:
+    """``stream_key(*prefix, *keys)`` for ``h = fnv_fold(FNV_OFFSET,
+    prefix)``: a caller whose keys share a fixed prefix folds it once."""
+    return fnv_fold(h, keys) & _MASK63
 
 
 def seeded_rng(*keys: int) -> np.random.Generator:

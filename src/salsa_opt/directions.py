@@ -20,25 +20,62 @@ import numpy as np
 from .core import ParamVector
 
 
+class _MomentRow:
+    """``AdamState.m`` or ``.v``: a row of the state's stacked moment buffer.
+
+    Read as a fresh view on every access, so that no copy of a state
+    (``copy.deepcopy``, pickling) holds a row apart from the buffer its
+    updates write; assigning writes into the row. The generated
+    ``__init__`` assigns the caller's array before ``__post_init__``
+    stacks the moments, so until then the value is kept as given.
+    """
+
+    def __init__(self, row: int):
+        self.row = row
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, state, owner=None):
+        if state is None:
+            # no class-level value, so the dataclass field has no default
+            raise AttributeError(self.name)
+        return state._mv[self.row]
+
+    def __set__(self, state, value):
+        if "_mv" in vars(state):
+            state._mv[self.row] = value
+        else:
+            vars(state)[self.name] = value
+
+
 @dataclass(eq=False)
 class AdamState:
     """First/second moment vectors, the step counter they correspond to,
     and Adam's denominator for them.
 
-    Mutable: ``adam_update_moments`` advances a state in place. The state
+    ``m`` and ``v`` are the two rows of one ``(2, dim)`` buffer, so that
+    ``adam_update_moments`` advances both recurrences with one ufunc call
+    per operation; each attribute reads its row of that buffer. The state
     copies the ``m`` and ``v`` it is built from and never writes the
-    caller's arrays. Two states compare equal only when they are the same
-    object.
+    caller's arrays. ``beta1``, ``beta2`` and ``epsilon`` are checked when
+    the state is built, and the update's per-row factors are formed from
+    them then, so they stay fixed for the state's life. Mutable:
+    ``adam_update_moments`` advances a state in place. Two states compare
+    equal only when they are the same object.
     """
 
-    m: ParamVector
-    v: ParamVector
+    m: ParamVector = _MomentRow(0)
+    v: ParamVector = _MomentRow(1)
     k: int = 0
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
+    _mv: np.ndarray = field(init=False, repr=False)
+    _scratch: np.ndarray = field(init=False, repr=False)
+    _decay: np.ndarray = field(init=False, repr=False)
+    _gain: np.ndarray = field(init=False, repr=False)
     _denom: ParamVector = field(init=False, repr=False)
-    _scratch: ParamVector = field(init=False, repr=False)
 
     def __post_init__(self):
         if not 0.0 <= self.beta1 < 1.0:
@@ -47,13 +84,22 @@ class AdamState:
             raise ValueError(f"beta2 must be in [0,1), got {self.beta2}")
         if self.epsilon <= 0:
             raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
-        self.m = np.array(self.m, dtype=np.float64)
-        self.v = np.array(self.v, dtype=np.float64)
-        if self.m.shape != self.v.shape:
+        given = vars(self)
+        m = np.asarray(given.pop("m"), dtype=np.float64)
+        v = np.asarray(given.pop("v"), dtype=np.float64)
+        if m.shape != v.shape:
             raise ValueError(
-                f"moment shapes differ: m {self.m.shape} vs v {self.v.shape}")
-        self._denom = np.empty_like(self.v)
-        self._scratch = np.empty_like(self.v)
+                f"moment shapes differ: m {m.shape} vs v {v.shape}")
+        self._mv = np.stack((m, v))
+        self._scratch = np.empty_like(self._mv)
+        # the factors of each row's recurrence, filled out to the buffer's
+        # shape: a ufunc over equal shapes skips the cost of broadcasting
+        self._decay = np.empty_like(self._mv)
+        self._gain = np.empty_like(self._mv)
+        for row, beta in enumerate((self.beta1, self.beta2)):
+            self._decay[row] = beta
+            self._gain[row] = 1.0 - beta
+        self._denom = np.empty_like(v)
         if self.k >= 1:
             self._refresh_denom()
 
@@ -66,9 +112,9 @@ class AdamState:
 
     def _refresh_denom(self) -> None:
         d = self._denom
-        np.divide(self.v, 1.0 - self.beta2 ** self.k, out=d)
-        np.sqrt(d, out=d)
-        np.add(d, self.epsilon, out=d)
+        np.divide(self._mv[1], 1.0 - self.beta2 ** self.k, d)
+        np.sqrt(d, d)
+        np.add(d, self.epsilon, d)
 
     @property
     def denom(self) -> ParamVector:
@@ -94,19 +140,19 @@ def adam_update_moments(state: AdamState, grad: ParamVector) -> AdamState:
     """Fold one gradient into the moments in place; returns ``state``.
 
     m <- beta1 m + (1 - beta1) g and v <- beta2 v + ((1 - beta2) g) g, then
-    the denominator for step k + 1.
+    the denominator for step k + 1. Both rows of the moment buffer advance
+    together, each element by the same operations in the same order as
+    the two recurrences written out.
     """
     g = np.asarray(grad)
-    if g.shape != state.m.shape:
-        raise ValueError(f"gradient shape {g.shape} vs moments {state.m.shape}")
-    m, v, t = state.m, state.v, state._scratch
-    np.multiply(m, state.beta1, out=m)
-    np.multiply(g, 1.0 - state.beta1, out=t)
-    np.add(m, t, out=m)
-    np.multiply(v, state.beta2, out=v)
-    np.multiply(g, 1.0 - state.beta2, out=t)
-    np.multiply(t, g, out=t)
-    np.add(v, t, out=v)
+    mv, t = state._mv, state._scratch
+    if g.shape != mv.shape[1:]:
+        raise ValueError(f"gradient shape {g.shape} vs moments {mv.shape[1:]}")
+    np.multiply(mv, state._decay, mv)
+    np.multiply(g, state._gain, t)
+    t_v = t[1]
+    np.multiply(t_v, g, t_v)
+    np.add(mv, t, mv)
     state.k += 1
     state._refresh_denom()
     return state
@@ -123,7 +169,7 @@ def adam_direction(state: AdamState, grad: ParamVector,
     """
     denom = state.denom  # checks k >= 1 before m_hat divides by 1 - beta1**k
     if use_momentum:
-        d = np.divide(state.m, 1.0 - state.beta1 ** state.k)
+        d = np.divide(state._mv[0], 1.0 - state.beta1 ** state.k)
         np.negative(d, out=d)
     else:
         d = np.negative(grad)
@@ -134,7 +180,7 @@ def preconditioned_grad_norm(state: AdamState, grad: ParamVector) -> float:
     """Gradient-norm term matched to Adam's scaling: sum_i g_i^2/(sqrt(v_hat_i)+eps)."""
     denom = state.denom
     g = np.asarray(grad)
-    t = state._scratch
-    np.multiply(g, g, out=t)
-    np.divide(t, denom, out=t)
-    return float(t.sum())
+    t = state._scratch[0]
+    np.multiply(g, g, t)
+    np.divide(t, denom, t)
+    return float(np.add.reduce(t))

@@ -38,6 +38,11 @@ class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
+def _is_int(value) -> bool:
+    """A Python int that is not a bool (JSON's true/false load as bools)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass
 class ExperimentConfig:
     problem: dict
@@ -49,8 +54,16 @@ class ExperimentConfig:
     out: str | None = None
 
     def __post_init__(self):
-        if not self.seeds:
-            raise ConfigError("need at least one seed")
+        if not isinstance(self.seeds, (list, tuple)) or not self.seeds:
+            raise ConfigError(f"seeds must be a non-empty list of integers, "
+                              f"got {self.seeds!r}")
+        for seed in self.seeds:
+            if not _is_int(seed):
+                raise ConfigError(f"seeds must be integers, got {seed!r}")
+        for name in ("epochs", "batch_size"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
@@ -117,7 +130,12 @@ def _adam_moments(kind: str, dim: int, params: dict) -> AdamState | None:
 
 
 class _LineSearchRunner:
-    """Steps one of the four line-search kinds; logs SaLSa's h and s."""
+    """Steps one of the four line-search kinds; logs SaLSa's h and s.
+
+    The step function is looked up once, when the runner is built, from
+    this module's bindings: a run built while they are swapped (as the
+    benchmark's tracer does) steps through the swapped functions.
+    """
 
     uses_line_search = True
 
@@ -134,6 +152,13 @@ class _LineSearchRunner:
             raise ConfigError(str(e)) from e
         self.state = SlsState(eta=self.cfg.eta_init,
                               adam=_adam_moments(kind, dim, params))
+        if self.family == "sls":
+            self._step = sls_step
+            self._step_args = (self.base, self.state, self.cfg)
+        else:
+            self._step = salsa_sgd_step if self.base == "sgd" \
+                else salsa_adam_step
+            self._step_args = (self.state, self.cfg)
         self.h_series = []
         self.s_series = []
 
@@ -148,12 +173,7 @@ class _LineSearchRunner:
             self.s_series.append(st.s if st.smoothed else math.nan)
 
     def step(self, batch, w):
-        if self.family == "sls":
-            out = sls_step(batch, w, self.base, self.state, self.cfg)
-        elif self.base == "sgd":
-            out = salsa_sgd_step(batch, w, self.state, self.cfg)
-        else:
-            out = salsa_adam_step(batch, w, self.state, self.cfg)
+        out = self._step(batch, w, *self._step_args)
         self._log_smoothing()
         return out
 
@@ -208,10 +228,13 @@ class _FixedLrRunner:
 
 def _build_runner(opt: dict, dim: int,
                   total_steps: int) -> _LineSearchRunner | _FixedLrRunner:
-    kind = opt["kind"]
+    kind = opt.get("kind")
     if kind in LINE_SEARCH_KINDS:
         return _LineSearchRunner(kind, dim, opt)
-    return _FixedLrRunner(kind, dim, opt, total_steps)
+    if kind in OPTIMIZER_KINDS:
+        return _FixedLrRunner(kind, dim, opt, total_steps)
+    raise ConfigError(f"unknown optimizer kind {kind!r}; "
+                      f"expected one of {OPTIMIZER_KINDS}")
 
 
 @dataclass
@@ -231,7 +254,9 @@ def run_single(problem: Problem, optimizer: dict, seed: int, epochs: int,
     sampler = BatchSampler(seed=seed, batch_size=batch_size,
                            dataset_size=problem.dataset_size)
     w = problem.init_params(seed)
-    total = epochs * sampler.batches_per_epoch
+    batches_per_epoch = sampler.batches_per_epoch
+    val_accuracy = problem.val_accuracy
+    total = epochs * batches_per_epoch
     runner = _build_runner(optimizer, problem.dim, total)
     controller = FrequencyController() \
         if frequency_controller and runner.uses_line_search else None
@@ -263,8 +288,8 @@ def run_single(problem: Problem, optimizer: dict, seed: int, epochs: int,
                 else:
                     controller.record_skip()
         trace.append(rec)
-        if (k + 1) % sampler.batches_per_epoch == 0 and problem.val_accuracy:
-            val_acc.append(problem.val_accuracy(w))
+        if val_accuracy is not None and (k + 1) % batches_per_epoch == 0:
+            val_acc.append(val_accuracy(w))
 
     return RunResult(trace, w, val_acc, runner.h_series, runner.s_series,
                      params_hist)
@@ -603,7 +628,8 @@ def replay_verify(problem: Problem, optimizer: dict, seed: int, epochs: int,
     max_violation = 0.0
 
     for rec, w in zip(trace.records, rerun.params_before_step):
-        res = problem.loss_grad(w, sampler.sample(rec.k))
+        indices = sampler.sample(rec.k)
+        res = problem.loss_grad(w, indices)
         g = res.grad
         if base == "adam":
             m = adam.beta1 * m + (1.0 - adam.beta1) * g
@@ -624,9 +650,9 @@ def replay_verify(problem: Problem, optimizer: dict, seed: int, epochs: int,
             v_hat = v / (1.0 - adam.beta2 ** adam_k)
             denom = np.sqrt(v_hat) + adam.epsilon
             d = -g / denom
-            gterm = float(np.sum(g * g / denom))
-        loss_trial = problem.loss_grad(axpy(rec.eta, d, w),
-                                       sampler.sample(rec.k), grad=False).loss
+            gterm = float(np.add.reduce(g * g / denom))
+        loss_trial = problem.loss_grad(axpy(rec.eta, d, w), indices,
+                                       grad=False).loss
 
         if family == "sls":
             if not accepted:

@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import ParamVector, StepRecord, axpy, norm_sq
+from .core import ParamVector, StepRecord, norm_sq
 from .directions import AdamState, adam_direction, adam_update_moments, \
     preconditioned_grad_norm, sgd_direction
 
@@ -57,6 +57,12 @@ class SlsConfig:
                 f"need eta_min < eta_init <= eta_max, got "
                 f"{self.eta_min}, {self.eta_init}, {self.eta_max}"
             )
+        if self.eta_min < 0:
+            raise ValueError(f"eta_min must be >= 0, got {self.eta_min}")
+        if isinstance(self.max_backtracks, bool) or \
+                not isinstance(self.max_backtracks, int):
+            raise ValueError(f"max_backtracks must be an integer, got "
+                             f"{self.max_backtracks!r}")
         if self.max_backtracks < 0:
             raise ValueError("max_backtracks must be >= 0")
 
@@ -119,7 +125,7 @@ def shrink(objective_on_batch: Callable[[ParamVector], float],
     step is still taken at the settled, unverified step size.
     """
     for i in range(cfg.max_backtracks + 1):
-        trial = objective_on_batch(axpy(eta, d, w))
+        trial = objective_on_batch(w + eta * d)
         if math.isfinite(trial) and holds(loss0, trial, eta, *args):
             return eta, i, trial, True
         if i < cfg.max_backtracks:
@@ -137,7 +143,7 @@ def backtrack(objective_on_batch: Callable[[ParamVector], float],
         gnorm_term)
     if not accepted and eta < cfg.eta_min:
         eta = cfg.eta_min
-        trial = objective_on_batch(axpy(eta, d, w))
+        trial = objective_on_batch(w + eta * d)
     return BacktrackResult(eta=eta, backtracks=backtracks, loss_trial=trial)
 
 
@@ -156,7 +162,7 @@ def nondecrease_search(objective_on_batch: Callable[[ParamVector], float],
                                      cfg, _no_increase)
     if not accepted:
         eta = cfg.eta_min
-        trial = objective_on_batch(axpy(eta, d, w))
+        trial = objective_on_batch(w + eta * d)
     return eta, trial
 
 
@@ -176,16 +182,16 @@ def search_step(batch, w: ParamVector, kind: str, state: SlsState,
     current eta when the guard ||g|| <= grad_eps trips; the guard compares
     squares, so a NaN norm still searches.
     """
-    if kind not in ("sgd", "adam"):
-        raise ValueError(f"unknown optimizer_kind {kind!r}")
     res = batch.eval(w)
     g = res.grad
     gsq = norm_sq(g)
     if kind == "adam":
         adam_update_moments(state.adam, g)
         d_update = adam_direction(state.adam, g, use_momentum=True)
-    else:
+    elif kind == "sgd":
         d_update = sgd_direction(g)
+    else:
+        raise ValueError(f"unknown optimizer_kind {kind!r}")
 
     eta, backtracks, searched = state.eta, 0, False
     if search is not None:
@@ -204,13 +210,11 @@ def search_step(batch, w: ParamVector, kind: str, state: SlsState,
                 propose_initial_step(eta, cfg.b, cfg.eta_max), res.loss,
                 gnorm_term, state, cfg)
 
-    w_next = axpy(eta, d_update, w)
-    record = StepRecord(k=state.k, eta=eta, loss=res.loss, grad_norm_sq=gsq,
-                        searched=searched, backtracks=backtracks,
-                        batch_seed=batch.key)
+    record = StepRecord(state.k, eta, res.loss, gsq, searched, backtracks,
+                        batch.key)
     state.eta = eta
     state.k += 1
-    return w_next, record
+    return w + eta * d_update, record
 
 
 def _armijo_search(batch, w, d_search, d_update, eta, loss0, gnorm_term,

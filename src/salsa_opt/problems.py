@@ -14,7 +14,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import EvalResult, ParamVector, seeded_rng, stream_key
+from .core import FNV_OFFSET, EvalResult, ParamVector, fnv_fold, \
+    seeded_rng, stream_key_from
 
 
 @dataclass
@@ -65,6 +66,7 @@ class BatchSampler:
     batch_size: int
     dataset_size: int
     _cache: tuple = field(default=None, repr=False, compare=False)  # type: ignore[assignment]
+    _key_state: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dataset_size < 1:
@@ -72,6 +74,8 @@ class BatchSampler:
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         self.batch_size = min(self.batch_size, self.dataset_size)
+        # every step key starts with the seed: fold it into the hash once
+        self._key_state = fnv_fold(FNV_OFFSET, (self.seed,))
 
     @property
     def batches_per_epoch(self) -> int:
@@ -93,8 +97,9 @@ class BatchSampler:
         return perm[slot * self.batch_size:(slot + 1) * self.batch_size]
 
     def step_key(self, k: int) -> int:
-        """Stable integer identifying step k's batch stream (for records)."""
-        return stream_key(self.seed, k, 0xBA7C)
+        """Stable integer identifying step k's batch stream (for records):
+        ``stream_key(seed, k, 0xBA7C)``."""
+        return stream_key_from(self._key_state, k, 0xBA7C)
 
 
 class BatchObjective:
@@ -110,17 +115,18 @@ class BatchObjective:
         self.indices = indices
         self.key = key
         self.n_evals = 0
+        self._loss_grad = problem.loss_grad
 
     def eval(self, w: ParamVector) -> EvalResult:
         self.n_evals += 1
-        return self.problem.loss_grad(w, self.indices)
+        return self._loss_grad(w, self.indices)
 
     def loss(self, w: ParamVector) -> float:
         # loss_grad computes the loss with the same expression whether or
         # not it also computes the gradient, so a loss probed during the
         # search and the loss recorded at the next step agree bit for bit.
         self.n_evals += 1
-        return self.problem.loss_grad(w, self.indices, grad=False).loss
+        return self._loss_grad(w, self.indices, grad=False).loss
 
 
 def batch_for_step(problem: Problem, sampler: BatchSampler, k: int) -> BatchObjective:
@@ -154,7 +160,7 @@ def make_quadratic(dim: int, cond: float = 1.0, seed: int = 0) -> Problem:
         r = np.asarray(w) - w_star
         er = eigs * r
         # (eigs * r) * r is eigs * r * r in its evaluation order
-        loss = float(0.5 * (er * r).sum())
+        loss = float(0.5 * np.add.reduce(er * r))
         if not grad:
             return EvalResult(loss, None)
         return EvalResult(loss=loss, grad=er)
@@ -199,8 +205,9 @@ def _logreg_from_data(X: np.ndarray, y: np.ndarray, seed: int,
         # take() gathers rows with the same bits as Xtr[indices], faster
         Xb, yb = Xtr.take(indices, axis=0), ytr[indices]
         neg_margins = -(yb * (Xb @ w))
-        # .sum() / n is .mean() bit for bit, without its Python wrapper
-        loss = float(np.logaddexp(0.0, neg_margins).sum() / len(yb)
+        # np.add.reduce(x) / n is x.mean() bit for bit, without its Python
+        # wrapper
+        loss = float(np.add.reduce(np.logaddexp(0.0, neg_margins)) / len(yb)
                      + _L2_REG * (w @ w))
         if not grad:
             return EvalResult(loss, None)
@@ -270,15 +277,15 @@ def _mlp_from_data(X: np.ndarray, y01: np.ndarray, hidden: int, seed: int,
         A = np.tanh(Xb @ W1 + b1)
         z = A @ w2 + b2
         # BCE on logits: mean(log(1+e^z) - y z), stable for either sign
-        loss = float((np.logaddexp(0.0, z) - yb * z).sum() / len(yb))
+        loss = float(np.add.reduce(np.logaddexp(0.0, z) - yb * z) / len(yb))
         if not grad:
             return EvalResult(loss, None)
         dz = (_sigmoid(z) - yb) / len(yb)
         gw2 = A.T @ dz
-        gb2 = float(dz.sum())
+        gb2 = float(np.add.reduce(dz))
         dA = dz[:, None] * w2 * (1.0 - A * A)
         gW1 = Xb.T @ dA
-        gb1 = dA.sum(axis=0)
+        gb1 = np.add.reduce(dA, 0)
         g = np.concatenate([gW1.ravel(), gb1, gw2, [gb2]])
         return EvalResult(loss=loss, grad=g)
 
@@ -350,7 +357,7 @@ def make_matrix_factorization(rows: int, cols: int, rank: int, seed: int = 0,
     def loss_grad(w, indices, grad=True):
         P = w[pos_of.take(indices, axis=0)]
         r = np.einsum("bk,bk->b", P[:, :rank], P[:, rank:]) - targets[indices]
-        loss = float(0.5 * ((r * r).sum() / len(r)))
+        loss = float(0.5 * (np.add.reduce(r * r) / len(r)))
         if not grad:
             return EvalResult(loss, None)
         # bincount adds each bin's weights in input order, as np.add.at

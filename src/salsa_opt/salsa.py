@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .core import ParamVector, StepRecord, axpy
+from .core import ParamVector, StepRecord
 # The four direction names stay bound here because perfbench/tracer.py
 # patches them by module; the engine calls its own bindings.
 from .directions import adam_direction, adam_update_moments, \
@@ -82,7 +82,7 @@ def salsa_backtrack(objective_on_batch: Callable[[ParamVector], float],
         state.h, s_new, cfg.c, cfg.beta3, state.smoothed)
     if not accepted and eta < cfg.eta_min:
         eta = cfg.eta_min
-        trial = objective_on_batch(axpy(eta, d, w))
+        trial = objective_on_batch(w + eta * d)
     h = smooth_update(state.h, loss0 - trial, cfg.beta3, state.smoothed)
     return eta, backtracks, h, trial
 
@@ -110,7 +110,7 @@ def _smoothed_search(batch, w, d_search, d_update, eta, loss0, gnorm_term,
             # the search direction, so a replay of the trace reproduces the
             # committed average.
             if d_update is not d_search:
-                trial_nd = batch.loss(axpy(eta, d_search, w))
+                trial_nd = batch.loss(w + eta * d_search)
             h_new = smooth_update(state.h, loss0 - trial_nd, cfg.beta3,
                                   state.smoothed)
     state.h, state.s, state.smoothed = h_new, s_new, True

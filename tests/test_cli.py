@@ -82,6 +82,38 @@ class TestRunCommand:
                      "--out", str(tmp_path / "x.csv")]) == 2
 
 
+class TestRunConfigErrors:
+    """Bad values in a run config end as exit 2 and one ``error:`` line,
+    before any step is taken."""
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"optimizer": {"kind": "sgd_sls", "eta_min": -2, "eta_init": -1,
+                        "eta_max": 1}}, "eta_min must be >= 0, got -2"),
+        ({"optimizer": {"kind": "sgd_sls", "max_backtracks": 2.5}},
+         "max_backtracks must be an integer, got 2.5"),
+        ({"optimizer": {"kind": "adam_salsa", "max_backtracks": True}},
+         "max_backtracks must be an integer, got True"),
+        ({"epochs": 1.5}, "epochs must be an integer, got 1.5"),
+        ({"epochs": True}, "epochs must be an integer, got True"),
+        ({"batch_size": 2.5}, "batch_size must be an integer, got 2.5"),
+        ({"seeds": [1.5]}, "seeds must be integers, got 1.5"),
+        ({"seeds": [0, False]}, "seeds must be integers, got False"),
+        ({"seeds": 3}, "seeds must be a non-empty list of integers, got 3"),
+    ], ids=["negative-eta_min", "fractional-max_backtracks",
+            "bool-max_backtracks", "fractional-epochs", "bool-epochs",
+            "fractional-batch_size", "fractional-seed", "bool-seed",
+            "scalar-seeds"])
+    def test_exit_2_with_an_error_line(self, tmp_path, capsys, overrides,
+                                       message):
+        cfg = write_config(tmp_path, {**RUN_CONFIG, **overrides})
+        out = tmp_path / "trace.csv"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == ""
+        assert list(tmp_path.glob("trace*")) == []
+
+
 class TestCompareCommand:
     def test_table_output(self, tmp_path):
         cfg = write_config(tmp_path, {

@@ -1,5 +1,7 @@
 """SGD/Adam directions, moment recurrences, and the preconditioned norm."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -225,6 +227,30 @@ class TestInPlaceState:
         # each direction is its own array, untouched by later updates
         for d, d_then in directions:
             assert d.tobytes() == d_then.tobytes()
+
+    def test_deep_copy_updates_its_own_moments(self):
+        # m and v are rows of one stacked buffer; a copy's rows must be the
+        # rows of the copy's buffer, or its update would write elsewhere
+        rng = seeded_rng(37)
+        state = adam_update_moments(AdamState.zeros(4), rng.standard_normal(4))
+        m_before, v_before = state.m.copy(), state.v.copy()
+        twin = copy.deepcopy(state)
+        g = rng.standard_normal(4)
+        adam_update_moments(twin, g)
+        m_want = 0.9 * m_before + (1.0 - 0.9) * g
+        v_want = 0.999 * v_before + (1.0 - 0.999) * g * g
+        assert twin.m.tobytes() == m_want.tobytes()
+        assert twin.v.tobytes() == v_want.tobytes()
+        assert twin.k == 2
+        assert state.m.tobytes() == m_before.tobytes()
+        assert state.v.tobytes() == v_before.tobytes()
+        assert state.k == 1
+
+    def test_assigning_a_moment_writes_the_buffer(self):
+        state = AdamState.zeros(2)
+        state.v = np.array([4.0, 9.0])
+        adam_update_moments(state, np.zeros(2))
+        np.testing.assert_array_equal(state.v, 0.999 * np.array([4.0, 9.0]))
 
     def test_moment_shapes_must_agree(self):
         with pytest.raises(ValueError, match="moment shapes differ"):

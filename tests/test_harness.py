@@ -38,6 +38,21 @@ class TestConfig:
         with pytest.raises(ConfigError):
             quick_config(seeds=[])
 
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", 2.0), ("epochs", True), ("epochs", "3"),
+        ("batch_size", 1.5), ("batch_size", False),
+        ("seeds", [0, 1.0]), ("seeds", [True]), ("seeds", 0),
+    ])
+    def test_non_integer_run_fields_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            quick_config(**{field: value})
+
+    def test_run_single_rejects_an_unknown_kind(self):
+        with pytest.raises(ConfigError, match="unknown optimizer kind"):
+            run_single(make_quadratic(dim=2, cond=5, seed=1),
+                       {"kind": "nope", "lr": 0.1}, seed=0, epochs=1,
+                       batch_size=1)
+
     def test_unknown_optimizer_rejected(self):
         with pytest.raises(ConfigError):
             quick_config(optimizer={"kind": "lbfgs"})

@@ -200,3 +200,14 @@ class TestSlsConfig:
     def test_eta_ordering_enforced(self):
         with pytest.raises(ValueError):
             SlsConfig(eta_init=1e-11)
+
+    def test_negative_eta_min_rejected(self):
+        # a negative floor let a give-up settle on a negative step size
+        with pytest.raises(ValueError, match="eta_min must be >= 0"):
+            SlsConfig(eta_min=-2.0, eta_init=-1.0, eta_max=1.0)
+
+    @pytest.mark.parametrize("max_backtracks", [2.5, True, "3"])
+    def test_non_integer_max_backtracks_rejected(self, max_backtracks):
+        with pytest.raises(ValueError, match="max_backtracks must be an "
+                                             "integer"):
+            SlsConfig(max_backtracks=max_backtracks)

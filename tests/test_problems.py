@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from salsa_opt import problems as problems_module
-from salsa_opt.core import EvalResult, seeded_rng
+from salsa_opt.core import EvalResult, seeded_rng, stream_key
 from salsa_opt.harness import run_single
 from salsa_opt.problems import (BatchObjective, BatchSampler, Problem,
                                 finite_diff_grad, load_csv_dataset,
@@ -315,6 +315,19 @@ class TestBatchSampler:
             want = seeded_rng(seed, k, 0xBA7C).permutation(1)
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.one_of(st.integers(-2**70, 0), st.integers(0, 2**70)),
+           ks=st.lists(st.one_of(st.integers(-2**70, 0),
+                                 st.integers(2**64 - 2, 2**70),
+                                 st.integers(0, 10**6)),
+                       min_size=1, max_size=4))
+    def test_step_key_is_the_stream_key(self, seed, ks):
+        # the sampler folds its seed into the hash once; every key it hands
+        # out must still be the full stream_key, masked the same way
+        sampler = BatchSampler(seed=seed, batch_size=3, dataset_size=10)
+        for k in ks:
+            assert sampler.step_key(k) == stream_key(seed, k, 0xBA7C)
 
     def test_one_row_run_builds_one_permutation(self, monkeypatch):
         prob = make_quadratic(dim=5, cond=100, seed=2)

@@ -1,0 +1,71 @@
+"""The step-cost benchmark's tracer still sees every layer of a run.
+
+``perfbench/tracer.py`` swaps module bindings for timing wrappers while a
+run is built and stepped. A run that looked its functions up before the
+swap would step through the originals, and the benchmark's per-layer split
+would quietly lose those spans. These tests run one short run of each step
+family under the tracer and check that every layer recorded its calls.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from salsa_opt import harness
+from salsa_opt.problems import make_quadratic
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer",
+                                                  TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    # @dataclass looks its defining module up in sys.modules
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module
+
+
+TRACER = _load_tracer()
+
+# (optimizer, frequency controller, the spans its steps are recorded as,
+# and the other spans its steps must record): an SLS run, a SaLSa run
+# whose controller skips searches, and a fixed-rate baseline
+RUNS = (
+    ({"kind": "sgd_sls"}, False, ("line_search.step",),
+     ("line_search.backtrack", "directions", TRACER.TRIAL_EVAL)),
+    ({"kind": "adam_salsa"}, True, ("salsa.step", "line_search.step"),
+     ("salsa.backtrack", "directions", "frequency", TRACER.TRIAL_EVAL)),
+    ({"kind": "adam", "lr": 0.05}, False, ("baselines.step",),
+     ("directions",)),
+)
+
+
+@pytest.mark.parametrize("optimizer, controller, step_spans, spans", RUNS,
+                         ids=[run[0]["kind"] for run in RUNS])
+def test_every_layer_of_a_run_is_traced(optimizer, controller, step_spans,
+                                        spans):
+    tracer = TRACER.Tracer()
+    problem = tracer.traced_problem(make_quadratic(dim=5, cond=100, seed=3))
+    with tracer.patched():
+        result = harness.run_single(problem, optimizer, seed=1, epochs=40,
+                                    batch_size=1,
+                                    frequency_controller=controller)
+    calls = tracer.flush().calls
+    records = result.trace.records
+    # every step is recorded as one of its family's step spans
+    for name in step_spans:
+        assert calls[name] > 0, f"no {name} spans"
+    assert sum(calls[name] for name in step_spans) == len(records)
+    for name in spans:
+        assert calls[name] > 0, f"no {name} spans"
+    # one base evaluation per step, every other one a search trial
+    assert calls[TRACER.BASE_EVAL] == len(records)
+    assert calls[TRACER.BASE_EVAL] + calls[TRACER.TRIAL_EVAL] == \
+        len(records) + sum(r.backtracks + 1 for r in records if r.searched)
