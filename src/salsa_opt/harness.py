@@ -15,7 +15,6 @@ import warnings
 from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
-from scipy import stats
 
 from .baselines import ScheduleConfig, fixed_adam_step, fixed_sgd_step, \
     schedule_lr
@@ -68,6 +67,9 @@ class ExperimentConfig:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not isinstance(self.frequency_controller, bool):
+            raise ConfigError(f"frequency_controller must be true or false, "
+                              f"got {self.frequency_controller!r}")
         if "kind" not in self.optimizer:
             raise ConfigError("optimizer config needs a 'kind'")
         if self.optimizer["kind"] not in OPTIMIZER_KINDS:
@@ -391,10 +393,16 @@ class ComparisonTable:
 def compare(summaries: list[RunSummary]) -> ComparisonTable:
     """Cross-problem comparison with ranks (ties averaged).
 
-    The log mean is the geometric mean exp(mean(ln loss)); any optimizer
-    with a non-positive loss falls back to its arithmetic mean, with a
-    warning, since the geometric mean is undefined there.
+    A NaN loss (a diverged run) ranks last on its problem, with a warning;
+    the arithmetic and log means keep the NaN. The log mean is the
+    geometric mean exp(mean(ln loss)); any optimizer with a non-positive
+    loss falls back to its arithmetic mean, with a warning, since the
+    geometric mean is undefined there.
     """
+    # scipy.stats costs most of the package's import time; only ranking
+    # needs it
+    from scipy.stats import rankdata
+
     problems = list(dict.fromkeys(s.problem for s in summaries))
     optimizers = list(dict.fromkeys(s.optimizer for s in summaries))
     losses = {(s.problem, s.optimizer): s.mean_final_loss for s in summaries}
@@ -408,7 +416,14 @@ def compare(summaries: list[RunSummary]) -> ComparisonTable:
     arith, logm, rank_rows = {}, {}, []
     for p in problems:
         row = np.array([losses[(p, o)] for o in optimizers])
-        rank_rows.append(stats.rankdata(row, method="average"))
+        diverged = np.isnan(row)
+        if diverged.any():
+            warnings.warn(
+                f"NaN loss on {p} for "
+                f"{[o for o, d in zip(optimizers, diverged) if d]}; "
+                f"ranked last")
+            row[diverged] = np.inf
+        rank_rows.append(rankdata(row, method="average"))
     ranks = np.mean(rank_rows, axis=0)
     for i, o in enumerate(optimizers):
         vals = np.array([losses[(p, o)] for p in problems])

@@ -15,12 +15,22 @@ is numerically zero skip the search and reuse the last accepted step size.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
 from .core import ParamVector, StepRecord, norm_sq
 from .directions import AdamState, adam_direction, adam_update_moments, \
     preconditioned_grad_norm, sgd_direction
+
+
+def require_real(cfg, *names: str) -> None:
+    """Raise ValueError unless each named field of ``cfg`` is a real number
+    (an int or float, numpy's included; bools are not numbers here)."""
+    for name in names:
+        value = getattr(cfg, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
 @dataclass
@@ -46,6 +56,8 @@ class SlsConfig:
     eta_max: float = 10.0
 
     def __post_init__(self):
+        require_real(self, "c", "delta", "b", "grad_eps", "eta_init",
+                     "eta_min", "eta_max")
         if not 0.0 < self.c < 1.0:
             raise ValueError(f"c must be in (0,1), got {self.c}")
         if not 0.0 < self.delta < 1.0:

@@ -26,7 +26,7 @@ from .core import ParamVector, StepRecord
 from .directions import adam_direction, adam_update_moments, \
     preconditioned_grad_norm, sgd_direction  # noqa: F401
 from .line_search import SlsConfig, SlsState, nondecrease_search, \
-    search_step, shrink
+    require_real, search_step, shrink
 
 
 @dataclass
@@ -43,8 +43,17 @@ class SalsaConfig(SlsConfig):
 
     def __post_init__(self):
         super().__post_init__()
+        require_real(self, "beta3")
         if not 0.0 < self.beta3 < 1.0:
             raise ValueError(f"beta3 must be in (0,1), got {self.beta3}")
+        if not isinstance(self.enforce_nondecrease, bool):
+            raise ValueError(f"enforce_nondecrease must be true or false, "
+                             f"got {self.enforce_nondecrease!r}")
+        if self.enforce_nondecrease and self.eta_min == 0:
+            # a non-decrease search that runs out of budget settles on
+            # eta_min, and a searched step cannot take eta = 0
+            raise ValueError(f"enforce_nondecrease needs eta_min > 0, "
+                             f"got {self.eta_min}")
 
 
 def smooth_update(prev: float, x: float, beta3: float, initialized: bool) -> float:

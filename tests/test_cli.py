@@ -99,10 +99,14 @@ class TestRunConfigErrors:
         ({"seeds": [1.5]}, "seeds must be integers, got 1.5"),
         ({"seeds": [0, False]}, "seeds must be integers, got False"),
         ({"seeds": 3}, "seeds must be a non-empty list of integers, got 3"),
+        ({"optimizer": {"kind": "sgd_sls", "c": "0.3"}},
+         "c must be a real number, got '0.3'"),
+        ({"frequency_controller": "false"},
+         "frequency_controller must be true or false, got 'false'"),
     ], ids=["negative-eta_min", "fractional-max_backtracks",
             "bool-max_backtracks", "fractional-epochs", "bool-epochs",
             "fractional-batch_size", "fractional-seed", "bool-seed",
-            "scalar-seeds"])
+            "scalar-seeds", "string-c", "string-frequency_controller"])
     def test_exit_2_with_an_error_line(self, tmp_path, capsys, overrides,
                                        message):
         cfg = write_config(tmp_path, {**RUN_CONFIG, **overrides})

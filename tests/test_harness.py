@@ -19,7 +19,7 @@ from salsa_opt.harness import (ConfigError, ExperimentConfig, RunSummary,
                                run_experiment, run_single, summarize)
 from salsa_opt.line_search import SlsConfig
 from salsa_opt.problems import make_logreg, make_matrix_factorization, \
-    make_quadratic
+    make_mlp, make_quadratic
 from salsa_opt.salsa import SalsaConfig
 
 QUAD_SPEC = {"kind": "quadratic", "dim": 3, "cond": 10, "seed": 1}
@@ -46,6 +46,20 @@ class TestConfig:
     def test_non_integer_run_fields_rejected(self, field, value):
         with pytest.raises(ConfigError, match=field):
             quick_config(**{field: value})
+
+    @pytest.mark.parametrize("value", ["false", 0, 1, None])
+    def test_non_bool_frequency_controller_rejected(self, value):
+        # the string "false" is truthy: it used to switch the controller on
+        with pytest.raises(ConfigError, match="frequency_controller must be "
+                                              "true or false"):
+            quick_config(frequency_controller=value)
+
+    def test_run_single_rejects_nondecrease_with_zero_eta_min(self):
+        with pytest.raises(ConfigError, match="enforce_nondecrease needs "
+                                              "eta_min > 0"):
+            run_single(make_mlp(96, 4, 6, seed=1),
+                       {"kind": "adam_salsa", "enforce_nondecrease": True,
+                        "eta_min": 0.0}, 3, 3, 8)
 
     def test_run_single_rejects_an_unknown_kind(self):
         with pytest.raises(ConfigError, match="unknown optimizer kind"):
@@ -197,6 +211,14 @@ class TestCompare:
         table = compare([self._summary("a", "p1", 0.2),
                          self._summary("b", "p1", 0.2)])
         assert table.average_rank == {"a": 1.5, "b": 1.5}
+        # ties share the mean of their places (scipy's method="average"):
+        # p1 b=1 d=2 a=c=3.5 ; p2 d=1 a=b=c=3 ; p3 c=d=1.5 a=b=3.5
+        rows = {"p1": [0.3, 0.1, 0.3, 0.2], "p2": [0.5, 0.5, 0.5, 0.1],
+                "p3": [0.4, 0.4, 0.2, 0.2]}
+        table = compare([self._summary(o, p, v) for p, row in rows.items()
+                         for o, v in zip("abcd", row)])
+        assert table.average_rank == {"a": 10 / 3, "b": 2.5, "c": 8 / 3,
+                                      "d": 1.5}
 
     def test_rank_invariant_under_monotone_transform(self):
         base = {("a", "p1"): 0.1, ("b", "p1"): 0.7, ("a", "p2"): 0.4,
@@ -212,6 +234,17 @@ class TestCompare:
                              self._summary("a", "p2", 1.0)])
         assert table.log_mean["a"] == table.arithmetic_mean["a"] == \
             pytest.approx(0.25)
+
+    def test_nan_loss_ranks_last_with_warning(self):
+        with pytest.warns(UserWarning, match="NaN loss on p1"):
+            table = compare([self._summary("a", "p1", 0.1),
+                             self._summary("a", "p2", 0.3),
+                             self._summary("b", "p1", math.nan),
+                             self._summary("b", "p2", 0.2)])
+        assert table.average_rank == {"a": 1.5, "b": 1.5}
+        assert table.arithmetic_mean["a"] == pytest.approx(0.2)
+        assert math.isnan(table.arithmetic_mean["b"])
+        assert math.isnan(table.log_mean["b"])
 
     def test_incomplete_problem_coverage_rejected(self):
         with pytest.raises(ConfigError):

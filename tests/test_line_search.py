@@ -211,3 +211,16 @@ class TestSlsConfig:
         with pytest.raises(ValueError, match="max_backtracks must be an "
                                              "integer"):
             SlsConfig(max_backtracks=max_backtracks)
+
+    @pytest.mark.parametrize("field", ["c", "delta", "b", "grad_eps",
+                                       "eta_init", "eta_min", "eta_max"])
+    @pytest.mark.parametrize("value", ["0.3", True, None])
+    def test_non_real_float_fields_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be a real number, "
+                                             f"got {value!r}"):
+            SlsConfig(**{field: value})
+
+    def test_ints_and_numpy_floats_accepted(self):
+        cfg = SlsConfig(c=np.float32(0.2), b=500, eta_init=np.float64(0.5),
+                        eta_max=np.int64(5))
+        assert cfg.eta_max == 5

@@ -296,3 +296,23 @@ class TestSalsaConfig:
     def test_default_c(self):
         assert SalsaConfig().c == 0.3
         assert SalsaConfig().beta3 == 0.99
+
+    @pytest.mark.parametrize("value", ["0.99", True, None])
+    def test_non_real_beta3_rejected(self, value):
+        with pytest.raises(ValueError, match="beta3 must be a real number"):
+            SalsaConfig(beta3=value)
+
+    @pytest.mark.parametrize("value", ["false", 1, None])
+    def test_non_bool_enforce_nondecrease_rejected(self, value):
+        with pytest.raises(ValueError, match="enforce_nondecrease must be "
+                                             "true or false"):
+            SalsaConfig(enforce_nondecrease=value)
+
+    def test_nondecrease_with_zero_eta_min_rejected(self):
+        # a budget-exhausted non-decrease search settles on eta_min
+        with pytest.raises(ValueError, match="enforce_nondecrease needs "
+                                             "eta_min > 0"):
+            SalsaConfig(enforce_nondecrease=True, eta_min=0.0)
+
+    def test_zero_eta_min_without_nondecrease_accepted(self):
+        assert SalsaConfig(eta_min=0.0).eta_min == 0.0
