@@ -9,9 +9,9 @@ schedule shapes: flat, and linear warmup into a cosine decay (ramp from
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .core import ParamVector, StepRecord
+from .core import ConfigError, ParamVector, StepRecord, check_fields
 # The two direction names stay bound here because perfbench/tracer.py
 # patches them by module; the engine calls its own bindings.
 from .directions import AdamState, adam_direction, \
@@ -25,22 +25,16 @@ SCHEDULE_SHAPES = ("cosine_warmup", "flat")
 class ScheduleConfig:
     """A fixed-rate schedule; ``shape`` is "flat" unless set."""
 
-    peak_lr: float
-    total_steps: int
-    warm_frac: float = 0.1
-    shape: str = "flat"
+    peak_lr: float = field(metadata={"range": "> 0"})
+    total_steps: int = field(metadata={"range": "> 0"})
+    warm_frac: float = field(default=0.1, metadata={"range": "[0,1)"})
+    shape: str = field(default="flat", metadata={"range": SCHEDULE_SHAPES})
 
     def __post_init__(self):
-        if self.peak_lr <= 0:
-            raise ValueError(f"peak_lr must be > 0, got {self.peak_lr}")
-        if self.total_steps <= 0:
-            raise ValueError(f"total_steps must be > 0, got {self.total_steps}")
-        if not 0.0 <= self.warm_frac < 1.0:
-            raise ValueError(f"warm_frac must be in [0,1), got {self.warm_frac}")
-        if self.shape not in SCHEDULE_SHAPES:
-            raise ValueError(f"shape must be one of {SCHEDULE_SHAPES}")
+        check_fields(self)
         if self.shape == "cosine_warmup" and self.warmup_steps < 1:
-            raise ValueError("cosine_warmup needs warm_frac * total_steps >= 1")
+            raise ConfigError(
+                "cosine_warmup needs warm_frac * total_steps >= 1")
 
     @property
     def warmup_steps(self) -> int:

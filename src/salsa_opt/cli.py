@@ -10,48 +10,39 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
-import math
 import sys
-from dataclasses import fields
+from dataclasses import dataclass, field, fields
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .harness import ConfigError, ExperimentConfig, batch_scaling_experiment, \
+from .core import ConfigError, check_fields, check_keys, check_value, \
+    config_from_dict, seeded_rng
+from .harness import ExperimentConfig, batch_scaling_experiment, \
     build_problem, compare, emit, frequency_ablation, render, run_experiment, \
     summarize
 from .problems import finite_diff_grad
-from .core import seeded_rng
 
 
-def _load_config(path: str) -> dict:
+def _load_config(args) -> dict:
+    """The command's config file as a JSON object, its seeds replaced by
+    ``--seed`` when given."""
+    path = args.config
     try:
         with open(path) as f:
-            return json.load(f)
+            raw = check_value(f"config {path}", json.load(f), dict)
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"config {path} is not valid JSON: {e}") from e
-
-
-def _require(cfg: dict, keys: set, where: str) -> None:
-    missing = keys - set(cfg)
-    if missing:
-        raise ConfigError(f"{where} config missing fields: {sorted(missing)}")
-
-
-def _reject_unknown(cfg: dict, used: set, where: str) -> None:
-    """Raise on any key of ``cfg`` the command does not use."""
-    extra = set(cfg) - used
-    if extra:
-        raise ConfigError(f"unknown {where} config fields: {sorted(extra)}")
+    if getattr(args, "seed", None) is not None:
+        raw["seeds"] = [args.seed]
+    return raw
 
 
 def _cmd_run(args) -> int:
-    raw = _load_config(args.config)
-    if args.seed is not None:
-        raw["seeds"] = [args.seed]
+    raw = _load_config(args)
     if args.out is not None:
         raw["out"] = args.out
     cfg = ExperimentConfig.from_dict(raw)
@@ -70,18 +61,17 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    raw = _load_config(args.config)
-    if args.seed is not None:
-        raw["seeds"] = [args.seed]
-    _require(raw, {"problems", "optimizers"}, "compare")
+    raw = _load_config(args)
+    lists = ("problems", "optimizers")
     # the run settings every (problem, optimizer) pair shares
     shared = {f.name: raw[f.name] for f in fields(ExperimentConfig)
               if f.name in raw and f.name not in ("problem", "optimizer")}
-    _reject_unknown(raw, {*shared, "problems", "optimizers"}, "compare")
+    check_keys(raw, {*shared, *lists}, lists, "compare")
+    problems, optimizers = (check_value(k, raw[k], list[dict]) for k in lists)
     summaries = []
-    for prob_spec in raw["problems"]:
+    for prob_spec in problems:
         problem = build_problem(prob_spec)
-        for opt in raw["optimizers"]:
+        for opt in optimizers:
             cfg = ExperimentConfig.from_dict(
                 {**shared, "problem": prob_spec, "optimizer": opt})
             traces = run_experiment(cfg)
@@ -93,47 +83,43 @@ def _cmd_compare(args) -> int:
 def _run_study(study, args) -> int:
     """The scaling and freq-ablation commands: run ``study`` on the config's
     problem, passing only the study's arguments the config sets (the rest
-    keep the study's defaults), and ``--seed`` as the only seed."""
-    raw = _load_config(args.config)
-    _require(raw, {"problem"}, args.command)
-    kwargs = {k: raw[k] for k in inspect.signature(study).parameters
-              if k in raw}
-    _reject_unknown(raw, set(kwargs), args.command)
-    kwargs["problem"] = build_problem(raw["problem"])
-    if args.seed is not None:
-        kwargs["seeds"] = (args.seed,)
+    keep the study's defaults), and ``--seed`` as the only seed. The study
+    checks its arguments."""
+    raw = _load_config(args)
+    check_keys(raw, inspect.signature(study).parameters, {"problem"},
+               args.command)
+    kwargs = {**raw, "problem": build_problem(raw["problem"])}
     return _finish(study(**kwargs), args)
 
 
+@dataclass
+class CheckGradConfig:
+    """One problem or a list of them, the number of random points to compare
+    at, and the finite-difference step."""
+
+    problem: dict | None = None
+    problems: list[dict] | None = None
+    points: int = field(default=10, metadata={"range": ">= 1"})
+    h: float = field(default=1e-5, metadata={"range": "> 0"})
+
+    def __post_init__(self):
+        check_fields(self)
+        if (self.problem is None) == (self.problems is None):
+            raise ConfigError("check-grad config needs 'problem' or "
+                              "'problems', one of the two")
+
+
 def _cmd_check_grad(args) -> int:
-    raw = _load_config(args.config)
-    _reject_unknown(raw, {"problem", "problems", "points", "h"}, "check-grad")
-    if "problems" in raw:
-        specs = raw["problems"]
-    elif "problem" in raw:
-        specs = [raw["problem"]]
-    else:
-        raise ConfigError("check-grad config needs 'problem' or 'problems'")
-    points = raw.get("points", 10)
-    if isinstance(points, bool) or not isinstance(points, int):
-        raise ConfigError(f"check-grad 'points' must be an integer, "
-                          f"got {points!r}")
-    if points < 1:
-        raise ConfigError(f"check-grad 'points' must be >= 1, got {points}")
-    h = raw.get("h", 1e-5)
-    if (isinstance(h, bool) or not isinstance(h, (int, float))
-            or not math.isfinite(h) or h <= 0):
-        raise ConfigError(f"check-grad 'h' must be a finite number > 0, "
-                          f"got {h!r}")
+    cfg = config_from_dict(CheckGradConfig, _load_config(args), "check-grad")
     worst_overall = 0.0
-    for spec in specs:
+    for spec in cfg.problems or [cfg.problem]:
         problem = build_problem(spec)
         worst = 0.0
-        for i in range(points):
+        for i in range(cfg.points):
             w = problem.init_params(1000 + i)
             w = w + 0.1 * seeded_rng(2000 + i).standard_normal(problem.dim)
             analytic = problem.loss_grad(w, problem.full_indices()).grad
-            fd = finite_diff_grad(problem, w, h)
+            fd = finite_diff_grad(problem, w, cfg.h)
             denom = max(float(np.linalg.norm(fd)), 1e-12)
             worst = max(worst, float(np.linalg.norm(analytic - fd)) / denom)
         status = "ok" if worst <= args.tol else "FAIL"

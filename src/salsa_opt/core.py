@@ -1,4 +1,5 @@
-"""Flat parameter vectors, per-step records, and training traces.
+"""Flat parameter vectors, config checks, per-step records, and training
+traces.
 
 Everything downstream works on plain 1-D float64 numpy arrays. Doubles are
 mandatory: at float32 the backtracking search is known to collapse the step
@@ -7,8 +8,14 @@ size once losses stop resolving in single precision.
 
 from __future__ import annotations
 
+import functools
+import inspect
 import json
-from dataclasses import asdict, dataclass, field
+import math
+import sys
+import types
+import typing
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -28,6 +35,121 @@ def param_vector(values) -> ParamVector:
     if not np.all(np.isfinite(v)):
         raise ValueError("parameter vector contains non-finite entries")
     return v
+
+
+class ConfigError(ValueError):
+    """An invalid configuration value."""
+
+
+# The types a value of each annotation may have, and what it must be in the
+# error message's words; any other class takes its instances.
+_TYPES = {int: (int, np.integer), float: (int, float, np.integer, np.floating)}
+_NOUNS = {int: "an integer", float: "a real number", bool: "true or false",
+          str: "a string", dict: "an object", np.ndarray: "an array"}
+_PLURALS = {int: "integers", dict: "objects"}
+_type_hints = functools.cache(typing.get_type_hints)
+
+
+def _in_range(value, bounds) -> bool:
+    if isinstance(bounds, tuple):
+        return value in bounds
+    if bounds[0] in "([":
+        lo, hi = (float(x) for x in bounds[1:-1].split(","))
+        return (lo < value if bounds[0] == "(" else lo <= value) and \
+            (value < hi if bounds[-1] == ")" else value <= hi)
+    op, limit = bounds.split()
+    return value > float(limit) if op == ">" else value >= float(limit)
+
+
+def _checked(name: str, value, hint, bounds, noun: str):
+    ok = isinstance(value, _TYPES.get(hint, hint)) and \
+        (hint is bool or not isinstance(value, bool))
+    if ok and hint is float:
+        # finite, and an int no larger than the largest float
+        ok = abs(value) <= sys.float_info.max if isinstance(value, int) \
+            else math.isfinite(value)
+    if not ok:
+        raise ConfigError(f"{name} must be {noun}, got {value!r}")
+    if bounds is not None and not _in_range(value, bounds):
+        rule = f"one of {bounds}" if isinstance(bounds, tuple) else \
+            f"in {bounds}" if bounds[0] in "([" else bounds
+        raise ConfigError(f"{name} must be {rule}, got {value!r}")
+    return hint(value) if hint in _TYPES else value
+
+
+def check_value(name: str, value, hint, bounds=None):
+    """``value`` checked against the annotation ``hint`` and the range
+    ``bounds``, as a field of that type holds it (an int given for a float
+    becomes a float); raises ConfigError naming ``name``, or TypeError for
+    an annotation it has no rule for. The rules are listed in README.md
+    under "Config"."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType) and args[1:] == (type(None),):
+        return None if value is None else \
+            check_value(name, value, args[0], bounds)
+    if origin in (list, tuple) and args[0] in _PLURALS \
+            and args[1:] in ((), (...,)):
+        if not isinstance(value, (list, tuple)) or not value:
+            raise ConfigError(f"{name} must be a non-empty list of "
+                              f"{_PLURALS[args[0]]}, got {value!r}")
+        return origin(_checked(name, x, args[0], bounds, _PLURALS[args[0]])
+                      for x in value)
+    if origin is not None or not isinstance(hint, type) \
+            or hint in (list, tuple):
+        raise TypeError(f"no config check for {name}: {hint}")
+    return _checked(name, value, hint, bounds,
+                    _NOUNS.get(hint, f"a {hint.__name__}"))
+
+
+def check_fields(config) -> None:
+    """Check each init field of dataclass ``config`` with ``check_value``
+    against its annotation and its ``"range"`` metadata, and store the
+    checked value. Fields are read and written through the instance dict,
+    so one behind a descriptor is checked as given."""
+    given, hints = vars(config), _type_hints(type(config))
+    for f in fields(config):
+        if f.init:
+            given[f.name] = check_value(f.name, given[f.name], hints[f.name],
+                                        f.metadata.get("range"))
+
+
+def checked_arguments(**bounds):
+    """Decorator: each call's arguments are checked with ``check_value``
+    against the function's annotations and ``bounds`` (parameter name ->
+    range); arguments left at their defaults are not."""
+    def decorate(fn):
+        @functools.wraps(fn)
+        def checked(*args, **kwargs):
+            bound = inspect.signature(fn).bind(*args, **kwargs)
+            hints = _type_hints(fn)
+            for name, value in bound.arguments.items():
+                bound.arguments[name] = check_value(
+                    name, value, hints[name], bounds.get(name))
+            return fn(*bound.args, **bound.kwargs)
+        return checked
+    return decorate
+
+
+def check_keys(config: dict, known, required, where: str = "") -> None:
+    """Raise ConfigError for a key of ``config`` not in ``known``, or a
+    ``required`` key it lacks; ``where`` names the config."""
+    where = f"{where} " if where else ""
+    extra = set(config) - set(known)
+    if extra:
+        raise ConfigError(f"unknown {where}config fields: {sorted(extra)}")
+    missing = set(required) - set(config)
+    if missing:
+        raise ConfigError(f"missing {where}config fields: {sorted(missing)}")
+
+
+def config_from_dict(cls, config: dict, where: str = ""):
+    """``cls(**config)`` for a config dataclass, once ``check_keys`` holds
+    for its init fields."""
+    init = [f for f in fields(cls) if f.init]
+    check_keys(config, [f.name for f in init],
+               [f.name for f in init if f.default is MISSING
+                and f.default_factory is MISSING], where)
+    return cls(**config)
 
 
 def norm_sq(v: ParamVector) -> float:

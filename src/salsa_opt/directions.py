@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ParamVector
+from .core import ConfigError, ParamVector, check_fields
 
 
 class _MomentRow:
@@ -58,19 +58,20 @@ class AdamState:
     ``adam_update_moments`` advances both recurrences with one ufunc call
     per operation; each attribute reads its row of that buffer. The state
     copies the ``m`` and ``v`` it is built from and never writes the
-    caller's arrays. ``beta1``, ``beta2`` and ``epsilon`` are checked when
-    the state is built, and the update's per-row factors are formed from
-    them then, so they stay fixed for the state's life. Mutable:
+    caller's arrays. Every field is checked when the state is built
+    (``core.check_fields``), and the update's per-row factors are formed
+    from ``beta1`` and ``beta2`` then, so they stay fixed for the state's
+    life. Mutable:
     ``adam_update_moments`` advances a state in place. Two states compare
     equal only when they are the same object.
     """
 
     m: ParamVector = _MomentRow(0)
     v: ParamVector = _MomentRow(1)
-    k: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
+    k: int = field(default=0, metadata={"range": ">= 0"})
+    beta1: float = field(default=0.9, metadata={"range": "[0,1)"})
+    beta2: float = field(default=0.999, metadata={"range": "[0,1)"})
+    epsilon: float = field(default=1e-8, metadata={"range": "> 0"})
     _mv: np.ndarray = field(init=False, repr=False)
     _scratch: np.ndarray = field(init=False, repr=False)
     _decay: np.ndarray = field(init=False, repr=False)
@@ -78,17 +79,12 @@ class AdamState:
     _denom: ParamVector = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not 0.0 <= self.beta1 < 1.0:
-            raise ValueError(f"beta1 must be in [0,1), got {self.beta1}")
-        if not 0.0 <= self.beta2 < 1.0:
-            raise ValueError(f"beta2 must be in [0,1), got {self.beta2}")
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
+        check_fields(self)
         given = vars(self)
         m = np.asarray(given.pop("m"), dtype=np.float64)
         v = np.asarray(given.pop("v"), dtype=np.float64)
         if m.shape != v.shape:
-            raise ValueError(
+            raise ConfigError(
                 f"moment shapes differ: m {m.shape} vs v {v.shape}")
         self._mv = np.stack((m, v))
         self._scratch = np.empty_like(self._mv)

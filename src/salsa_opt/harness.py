@@ -12,14 +12,15 @@ from __future__ import annotations
 import copy
 import math
 import warnings
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from .baselines import ScheduleConfig, fixed_adam_step, fixed_sgd_step, \
     schedule_lr
-from .core import ParamVector, StepRecord, TrainingTrace, axpy, \
-    canonical_json, norm_sq
+from .core import ConfigError, ParamVector, StepRecord, TrainingTrace, \
+    axpy, canonical_json, check_fields, check_value, checked_arguments, \
+    config_from_dict, norm_sq
 from .directions import AdamState
 from .frequency import FrequencyController
 from .line_search import SlsConfig, SlsState, apply_without_search, sls_step
@@ -33,60 +34,25 @@ LINE_SEARCH_KINDS = ("sgd_sls", "adam_sls", "sgd_salsa", "adam_salsa")
 REPORT_SMOOTHING = 0.99
 
 
-class ConfigError(ValueError):
-    """Invalid experiment configuration."""
-
-
-def _is_int(value) -> bool:
-    """A Python int that is not a bool (JSON's true/false load as bools)."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 @dataclass
 class ExperimentConfig:
+    """A problem and an optimizer config, run once per seed."""
+
     problem: dict
     optimizer: dict
-    seeds: list
-    epochs: int
-    batch_size: int
+    seeds: list[int]
+    epochs: int = field(metadata={"range": ">= 0"})
+    batch_size: int = field(metadata={"range": ">= 1"})
     frequency_controller: bool = False
     out: str | None = None
 
     def __post_init__(self):
-        if not isinstance(self.seeds, (list, tuple)) or not self.seeds:
-            raise ConfigError(f"seeds must be a non-empty list of integers, "
-                              f"got {self.seeds!r}")
-        for seed in self.seeds:
-            if not _is_int(seed):
-                raise ConfigError(f"seeds must be integers, got {seed!r}")
-        for name in ("epochs", "batch_size"):
-            value = getattr(self, name)
-            if not _is_int(value):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not isinstance(self.frequency_controller, bool):
-            raise ConfigError(f"frequency_controller must be true or false, "
-                              f"got {self.frequency_controller!r}")
-        if "kind" not in self.optimizer:
-            raise ConfigError("optimizer config needs a 'kind'")
-        if self.optimizer["kind"] not in OPTIMIZER_KINDS:
-            raise ConfigError(
-                f"unknown optimizer kind {self.optimizer['kind']!r}; "
-                f"expected one of {OPTIMIZER_KINDS}")
+        check_fields(self)
+        check_value("optimizer kind", self.optimizer.get("kind"), str,
+                    OPTIMIZER_KINDS)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "ExperimentConfig":
-        extra = set(d) - {f.name for f in fields(cls)}
-        if extra:
-            raise ConfigError(f"unknown config fields: {sorted(extra)}")
-        missing = {f.name for f in fields(cls)
-                   if f.default is MISSING} - set(d)
-        if missing:
-            raise ConfigError(f"missing config fields: {sorted(missing)}")
-        return cls(**d)
+    # rejects unknown and missing keys before building the config
+    from_dict = classmethod(config_from_dict)
 
 
 _PROBLEM_BUILDERS = {
@@ -101,21 +67,21 @@ _PROBLEM_BUILDERS = {
 def build_problem(problem_config: dict) -> Problem:
     """Instantiate a problem from its config dict ({'kind': ..., params});
     params are the factory's arguments, ``kind_inner`` standing for csv's
-    ``kind``."""
-    params = dict(problem_config)
-    kind = params.pop("kind", None)
-    if kind not in _PROBLEM_BUILDERS:
-        raise ConfigError(f"unknown problem kind {kind!r}; "
-                          f"expected one of {sorted(_PROBLEM_BUILDERS)}")
+    ``kind``. Whatever the factory rejects raises ConfigError."""
+    params = dict(check_value("problem", problem_config, dict))
+    kind = check_value("problem kind", params.pop("kind", None), str,
+                       tuple(_PROBLEM_BUILDERS))
     if kind == "csv" and "kind_inner" in params:
         params["kind"] = params.pop("kind_inner")
     try:
         return _PROBLEM_BUILDERS[kind](**params)
-    except TypeError as e:
+    except (TypeError, ValueError) as e:
         raise ConfigError(f"bad {kind} parameters: {e}") from e
 
 
-_FIXED_KEYS = {"lr", "peak_lr", "schedule", "warm_frac"}
+# each fixed-rate optimizer key, as the ScheduleConfig field it sets
+_SCHEDULE_KEYS = {"lr": "peak_lr", "peak_lr": "peak_lr",
+                  "warm_frac": "warm_frac", "schedule": "shape"}
 
 
 def _adam_moments(kind: str, dim: int, params: dict) -> AdamState | None:
@@ -127,7 +93,7 @@ def _adam_moments(kind: str, dim: int, params: dict) -> AdamState | None:
         return None
     try:
         return AdamState.zeros(dim, **params)
-    except (TypeError, ValueError) as e:
+    except TypeError as e:
         raise ConfigError(f"bad {kind} parameters: {e}") from e
 
 
@@ -148,10 +114,7 @@ class _LineSearchRunner:
         params = {k: v for k, v in opt.items() if k != "kind"}
         search_kw = {f.name: params.pop(f.name) for f in fields(cfg_cls)
                      if f.name in params}
-        try:
-            self.cfg = cfg_cls(**search_kw)
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
+        self.cfg = cfg_cls(**search_kw)
         self.state = SlsState(eta=self.cfg.eta_init,
                               adam=_adam_moments(kind, dim, params))
         if self.family == "sls":
@@ -193,21 +156,15 @@ class _FixedLrRunner:
     def __init__(self, kind: str, dim: int, opt: dict, total_steps: int):
         self.base = kind
         params = {k: v for k, v in opt.items() if k != "kind"}
-        fixed = {k: params.pop(k) for k in _FIXED_KEYS if k in params}
-        if "lr" in fixed and "peak_lr" in fixed:
+        if "lr" in params and "peak_lr" in params:
             raise ConfigError(f"{kind} takes 'lr' or 'peak_lr', not both")
-        peak = fixed.pop("peak_lr", fixed.pop("lr", None))
-        if peak is None:
+        fixed = {name: params.pop(key)
+                 for key, name in _SCHEDULE_KEYS.items() if key in params}
+        if "peak_lr" not in fixed:
             raise ConfigError(f"{kind} needs 'lr' or 'peak_lr'")
-        if "schedule" in fixed:
-            fixed["shape"] = fixed.pop("schedule")
-        try:
-            # only the shape and warm_frac the config sets are left in
-            # ``fixed``: ScheduleConfig owns their defaults
-            self.schedule = ScheduleConfig(
-                peak_lr=peak, total_steps=max(total_steps, 1), **fixed)
-        except ValueError as e:
-            raise ConfigError(str(e)) from e
+        # ScheduleConfig owns the defaults of the fields the config leaves out
+        self.schedule = ScheduleConfig(total_steps=max(total_steps, 1),
+                                       **fixed)
         self.adam = _adam_moments(kind, dim, params)
         self.k = 0
         self.h_series = []
@@ -230,13 +187,11 @@ class _FixedLrRunner:
 
 def _build_runner(opt: dict, dim: int,
                   total_steps: int) -> _LineSearchRunner | _FixedLrRunner:
-    kind = opt.get("kind")
+    kind = check_value("optimizer kind", opt.get("kind"), str,
+                       OPTIMIZER_KINDS)
     if kind in LINE_SEARCH_KINDS:
         return _LineSearchRunner(kind, dim, opt)
-    if kind in OPTIMIZER_KINDS:
-        return _FixedLrRunner(kind, dim, opt, total_steps)
-    raise ConfigError(f"unknown optimizer kind {kind!r}; "
-                      f"expected one of {OPTIMIZER_KINDS}")
+    return _FixedLrRunner(kind, dim, opt, total_steps)
 
 
 @dataclass
@@ -475,9 +430,16 @@ class ScalingReport:
         return canonical_json(payload)
 
 
+# The studies check their arguments as the problem factories do; one that
+# shares its name with an ExperimentConfig field takes that field's range.
+_STUDY_RANGES = {f.name: f.metadata["range"]
+                 for f in fields(ExperimentConfig) if "range" in f.metadata}
+
+
+@checked_arguments(**_STUDY_RANGES, batch_sizes=">= 1")
 def batch_scaling_experiment(problem: Problem, optimizer: dict | None = None,
-                             batch_sizes: tuple = (4, 8, 16, 32),
-                             seeds: tuple = (0, 1, 2, 3, 4),
+                             batch_sizes: tuple[int, ...] = (4, 8, 16, 32),
+                             seeds: tuple[int, ...] = (0, 1, 2, 3, 4),
                              epochs: int = 4) -> ScalingReport:
     """Step-size vs batch-size study.
 
@@ -535,15 +497,20 @@ def _pooled_se(a: list, b: list) -> float:
     return float(np.sqrt(var_a + var_b))
 
 
-def frequency_ablation(problem: Problem, seeds: tuple = (0, 1, 2, 3, 4),
+@checked_arguments(**_STUDY_RANGES)
+def frequency_ablation(problem: Problem,
+                       seeds: tuple[int, ...] = (0, 1, 2, 3, 4),
                        optimizer: dict | None = None, epochs: int = 3,
                        batch_size: int = 32) -> AblationReport:
     """Paired runs with and without the frequency controller.
 
     Batch streams are identical within a pair (same run seed), so the only
-    difference is how often the search runs.
+    difference is how often the search runs. The optimizer must be a
+    line-search kind: the controller only skips searches.
     """
     optimizer = optimizer or {"kind": "adam_salsa"}
+    check_value("frequency_ablation optimizer kind", optimizer.get("kind"),
+                str, LINE_SEARCH_KINDS)
     on, off, frac_on, frac_off = [], [], [], []
     for seed in seeds:
         r_on = run_single(problem, optimizer, seed, epochs, batch_size,
@@ -564,11 +531,8 @@ def frequency_ablation(problem: Problem, seeds: tuple = (0, 1, 2, 3, 4),
 
 def render(obj, format: str) -> str:
     """A trace or report as CSV or JSON text; bit-stable per input."""
-    if format == "csv":
-        return obj.to_csv()
-    if format == "json":
-        return obj.to_json()
-    raise ConfigError(f"format must be 'csv' or 'json', got {format!r}")
+    check_value("format", format, str, ("csv", "json"))
+    return obj.to_csv() if format == "csv" else obj.to_json()
 
 
 def emit(obj, format: str, path: str) -> None:

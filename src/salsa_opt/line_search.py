@@ -15,22 +15,13 @@ is numerically zero skip the search and reuse the last accepted step size.
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
-from .core import ParamVector, StepRecord, norm_sq
+from .core import ConfigError, ParamVector, StepRecord, check_fields, \
+    norm_sq
 from .directions import AdamState, adam_direction, adam_update_moments, \
     preconditioned_grad_norm, sgd_direction
-
-
-def require_real(cfg, *names: str) -> None:
-    """Raise ValueError unless each named field of ``cfg`` is a real number
-    (an int or float, numpy's included; bools are not numbers here)."""
-    for name in names:
-        value = getattr(cfg, name)
-        if isinstance(value, bool) or not isinstance(value, numbers.Real):
-            raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
 @dataclass
@@ -43,40 +34,26 @@ class SlsConfig:
     grad_eps:       skip the search when the gradient norm is <= this
     max_backtracks: shrink budget before giving up on a step
     eta_init:       step size before the first search
-    eta_min/eta_max: hard clamps on the step size
+    eta_min/eta_max: hard clamps on the step size; being finite, eta_max
+                    cannot switch the clamp off
     """
 
-    c: float = 0.1
-    delta: float = 0.9
-    b: float = 500.0
-    grad_eps: float = 1e-8
-    max_backtracks: int = 100
+    c: float = field(default=0.1, metadata={"range": "(0,1)"})
+    delta: float = field(default=0.9, metadata={"range": "(0,1)"})
+    b: float = field(default=500.0, metadata={"range": "> 0"})
+    grad_eps: float = field(default=1e-8, metadata={"range": ">= 0"})
+    max_backtracks: int = field(default=100, metadata={"range": ">= 0"})
     eta_init: float = 1.0
-    eta_min: float = 1e-10
+    eta_min: float = field(default=1e-10, metadata={"range": ">= 0"})
     eta_max: float = 10.0
 
     def __post_init__(self):
-        require_real(self, "c", "delta", "b", "grad_eps", "eta_init",
-                     "eta_min", "eta_max")
-        if not 0.0 < self.c < 1.0:
-            raise ValueError(f"c must be in (0,1), got {self.c}")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must be in (0,1), got {self.delta}")
-        if self.b <= 0:
-            raise ValueError(f"b must be > 0, got {self.b}")
+        check_fields(self)
         if not self.eta_min < self.eta_init <= self.eta_max:
-            raise ValueError(
+            raise ConfigError(
                 f"need eta_min < eta_init <= eta_max, got "
                 f"{self.eta_min}, {self.eta_init}, {self.eta_max}"
             )
-        if self.eta_min < 0:
-            raise ValueError(f"eta_min must be >= 0, got {self.eta_min}")
-        if isinstance(self.max_backtracks, bool) or \
-                not isinstance(self.max_backtracks, int):
-            raise ValueError(f"max_backtracks must be an integer, got "
-                             f"{self.max_backtracks!r}")
-        if self.max_backtracks < 0:
-            raise ValueError("max_backtracks must be >= 0")
 
 
 @dataclass

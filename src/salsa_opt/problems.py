@@ -14,8 +14,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import FNV_OFFSET, EvalResult, ParamVector, fnv_fold, \
-    seeded_rng, stream_key_from
+from .core import FNV_OFFSET, ConfigError, EvalResult, ParamVector, \
+    check_fields, checked_arguments, fnv_fold, seeded_rng, stream_key_from
 
 
 @dataclass
@@ -63,16 +63,14 @@ class BatchSampler:
     """
 
     seed: int
-    batch_size: int
-    dataset_size: int
-    _cache: tuple = field(default=None, repr=False, compare=False)  # type: ignore[assignment]
+    batch_size: int = field(metadata={"range": ">= 1"})
+    dataset_size: int = field(metadata={"range": ">= 1"})
+    _cache: tuple | None = field(default=None, init=False, repr=False,
+                                 compare=False)
     _key_state: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.dataset_size < 1:
-            raise ValueError("dataset_size must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        check_fields(self)
         self.batch_size = min(self.batch_size, self.dataset_size)
         # every step key starts with the seed: fold it into the hash once
         self._key_state = fnv_fold(FNV_OFFSET, (self.seed,))
@@ -134,7 +132,7 @@ def batch_for_step(problem: Problem, sampler: BatchSampler, k: int) -> BatchObje
 
 
 # ---------------------------------------------------------------------------
-# problem factories
+# problem factories: each checks its arguments (``core.checked_arguments``)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -144,6 +142,7 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+@checked_arguments(dim=">= 1", cond=">= 1")
 def make_quadratic(dim: int, cond: float = 1.0, seed: int = 0) -> Problem:
     """Deterministic quadratic bowl 0.5 (w-w*)' A (w-w*).
 
@@ -151,8 +150,6 @@ def make_quadratic(dim: int, cond: float = 1.0, seed: int = 0) -> Problem:
     is seeded random, and the optimum value is exactly 0. dataset_size is 1:
     every "batch" is the full objective.
     """
-    if cond < 1.0:
-        raise ValueError(f"cond must be >= 1, got {cond}")
     eigs = _readonly(np.logspace(0.0, math.log10(cond), dim))
     w_star = _readonly(seeded_rng(seed, 0x0A).standard_normal(dim))
 
@@ -230,11 +227,10 @@ def _logreg_from_data(X: np.ndarray, y: np.ndarray, seed: int,
                    extras={"Xtr": Xtr, "ytr": ytr})
 
 
+@checked_arguments(n=">= 1", dim=">= 1", label_noise="[0,0.5)")
 def make_logreg(n: int, dim: int, seed: int = 0,
                 label_noise: float = 0.0) -> Problem:
     """Synthetic Gaussian logistic regression with optional label flips."""
-    if not 0.0 <= label_noise < 0.5:
-        raise ValueError(f"label_noise must be in [0, 0.5), got {label_noise}")
     rng = seeded_rng(seed, 0x11)
     X = rng.standard_normal((n, dim))
     w_true = rng.standard_normal(dim)
@@ -308,6 +304,8 @@ def _mlp_from_data(X: np.ndarray, y01: np.ndarray, hidden: int, seed: int,
                    extras={"Xtr": Xtr, "ytr": ytr})
 
 
+@checked_arguments(n=">= 1", in_dim=">= 1", hidden=">= 1",
+                   separation=">= 0")
 def make_mlp(n: int, in_dim: int, hidden: int, seed: int = 0,
              separation: float = 2.0) -> Problem:
     """Two-cluster binary classification for a small tanh network.
@@ -316,8 +314,6 @@ def make_mlp(n: int, in_dim: int, hidden: int, seed: int = 0,
     units of the noise sigma; 2.0 leaves class overlap, 4.0 is effectively
     separable (a task that keeps descending for a long horizon).
     """
-    if hidden < 1:
-        raise ValueError(f"hidden must be >= 1, got {hidden}")
     rng = seeded_rng(seed, 0x21)
     center = rng.standard_normal(in_dim)
     center *= separation / np.linalg.norm(center)
@@ -328,6 +324,7 @@ def make_mlp(n: int, in_dim: int, hidden: int, seed: int = 0,
                           name=f"mlp_n{n}_in{in_dim}_h{hidden}")
 
 
+@checked_arguments(rows=">= 1", cols=">= 1", rank=">= 1", noise=">= 0")
 def make_matrix_factorization(rows: int, cols: int, rank: int, seed: int = 0,
                               noise: float = 0.01) -> Problem:
     """Low-rank matrix recovery: mean over observed entries of
@@ -337,7 +334,7 @@ def make_matrix_factorization(rows: int, cols: int, rank: int, seed: int = 0,
     ``extras["M"]`` holds it. Parameters are [U.ravel(), V.ravel()].
     """
     if rank > min(rows, cols):
-        raise ValueError("rank must be <= min(rows, cols)")
+        raise ConfigError("rank must be <= min(rows, cols)")
     rng = seeded_rng(seed, 0x31)
     U0 = rng.standard_normal((rows, rank)) / math.sqrt(rank)
     V0 = rng.standard_normal((cols, rank)) / math.sqrt(rank)
@@ -413,6 +410,7 @@ def load_csv_dataset(path: str) -> tuple[np.ndarray, np.ndarray]:
     return data[:, :-1], data[:, -1]
 
 
+@checked_arguments(kind=("logreg", "mlp"), hidden=">= 1")
 def problem_from_csv(path: str, kind: str = "logreg", hidden: int = 8,
                      seed: int = 0) -> Problem:
     """Build a logreg or mlp problem from a user-supplied CSV dataset."""
@@ -424,7 +422,5 @@ def problem_from_csv(path: str, kind: str = "logreg", hidden: int = 8,
     if kind == "logreg":
         y_pm = np.where(y > 0, 1.0, -1.0)
         return _logreg_from_data(X, y_pm, seed, name=name)
-    if kind == "mlp":
-        y01 = (y > 0).astype(np.float64)
-        return _mlp_from_data(X, y01, hidden, seed, name=name)
-    raise ValueError(f"kind must be 'logreg' or 'mlp', got {kind!r}")
+    y01 = (y > 0).astype(np.float64)
+    return _mlp_from_data(X, y01, hidden, seed, name=name)

@@ -17,16 +17,16 @@ guarantee in the full-batch setting.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
-from .core import ParamVector, StepRecord
+from .core import ConfigError, ParamVector, StepRecord
 # The four direction names stay bound here because perfbench/tracer.py
 # patches them by module; the engine calls its own bindings.
 from .directions import adam_direction, adam_update_moments, \
     preconditioned_grad_norm, sgd_direction  # noqa: F401
 from .line_search import SlsConfig, SlsState, nondecrease_search, \
-    require_real, search_step, shrink
+    search_step, shrink
 
 
 @dataclass
@@ -34,26 +34,22 @@ class SalsaConfig(SlsConfig):
     """SLS knobs plus the smoothing factor and the non-decrease switch.
 
     The sufficient-decrease constant defaults to 0.3 here (the smoothed
-    criterion tolerates a stiffer c than the raw one, where 0.1 is usual).
+    criterion tolerates a stiffer c than the raw one, where 0.1 is usual);
+    its range is SLS's.
     """
 
-    c: float = 0.3
-    beta3: float = 0.99
+    c: float = field(default=0.3,
+                     metadata=SlsConfig.__dataclass_fields__["c"].metadata)
+    beta3: float = field(default=0.99, metadata={"range": "(0,1)"})
     enforce_nondecrease: bool = False
 
     def __post_init__(self):
         super().__post_init__()
-        require_real(self, "beta3")
-        if not 0.0 < self.beta3 < 1.0:
-            raise ValueError(f"beta3 must be in (0,1), got {self.beta3}")
-        if not isinstance(self.enforce_nondecrease, bool):
-            raise ValueError(f"enforce_nondecrease must be true or false, "
-                             f"got {self.enforce_nondecrease!r}")
         if self.enforce_nondecrease and self.eta_min == 0:
             # a non-decrease search that runs out of budget settles on
             # eta_min, and a searched step cannot take eta = 0
-            raise ValueError(f"enforce_nondecrease needs eta_min > 0, "
-                             f"got {self.eta_min}")
+            raise ConfigError(f"enforce_nondecrease needs eta_min > 0, "
+                              f"got {self.eta_min}")
 
 
 def smooth_update(prev: float, x: float, beta3: float, initialized: bool) -> float:

@@ -271,14 +271,13 @@ class TestCheckGradCommand:
         })
         assert main(["check-grad", "--config", cfg]) == 2
         captured = capsys.readouterr()
-        assert "check-grad 'points' must be an integer, got '3'" in \
-            captured.err
+        assert "points must be an integer, got '3'" in captured.err
         assert captured.out == ""
 
     @pytest.mark.parametrize("points, message", [
-        (True, "check-grad 'points' must be an integer, got True"),
-        (0, "check-grad 'points' must be >= 1, got 0"),
-        (-2, "check-grad 'points' must be >= 1, got -2"),
+        pytest.param(True, "points must be an integer, got True", id="True"),
+        pytest.param(0, "points must be >= 1, got 0", id="0"),
+        pytest.param(-2, "points must be >= 1, got -2", id="-2"),
     ])
     def test_bad_points_is_a_config_error(self, tmp_path, capsys, points,
                                           message):
@@ -291,9 +290,17 @@ class TestCheckGradCommand:
         assert message in captured.err
         assert captured.out == ""
 
-    @pytest.mark.parametrize("h", [0, -1e-5, "x", True, float("nan"),
-                                   float("inf")])
-    def test_bad_h_is_a_config_error(self, tmp_path, capsys, h):
+    @pytest.mark.parametrize("h, message", [
+        pytest.param(0, "h must be > 0, got 0", id="0"),
+        pytest.param(-1e-5, "h must be > 0, got -1e-05", id="-1e-05"),
+        pytest.param("x", "h must be a real number, got 'x'", id="x"),
+        pytest.param(True, "h must be a real number, got True", id="True"),
+        pytest.param(float("nan"), "h must be a real number, got nan",
+                     id="nan"),
+        pytest.param(float("inf"), "h must be a real number, got inf",
+                     id="inf"),
+    ])
+    def test_bad_h_is_a_config_error(self, tmp_path, capsys, h, message):
         cfg = write_config(tmp_path, {
             "problem": {"kind": "quadratic", "dim": 2},
             "points": 1,
@@ -301,8 +308,7 @@ class TestCheckGradCommand:
         })
         assert main(["check-grad", "--config", cfg]) == 2
         captured = capsys.readouterr()
-        assert f"check-grad 'h' must be a finite number > 0, got {h!r}" in \
-            captured.err
+        assert f"error: {message}\n" == captured.err
         assert captured.out == ""
 
     def test_integer_h_is_accepted(self, tmp_path, capsys):

@@ -62,7 +62,7 @@ class TestConfig:
                         "eta_min": 0.0}, 3, 3, 8)
 
     def test_run_single_rejects_an_unknown_kind(self):
-        with pytest.raises(ConfigError, match="unknown optimizer kind"):
+        with pytest.raises(ConfigError, match="optimizer kind must be one of"):
             run_single(make_quadratic(dim=2, cond=5, seed=1),
                        {"kind": "nope", "lr": 0.1}, seed=0, epochs=1,
                        batch_size=1)
