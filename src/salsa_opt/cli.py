@@ -20,8 +20,8 @@ import numpy as np
 from .core import ConfigError, check_fields, check_keys, check_value, \
     config_from_dict, seeded_rng
 from .harness import ExperimentConfig, batch_scaling_experiment, \
-    build_problem, compare, emit, frequency_ablation, render, run_experiment, \
-    summarize
+    build_problem, check_optimizer, compare, emit, frequency_ablation, \
+    render, run_experiment, summarize
 from .problems import finite_diff_grad
 
 
@@ -68,15 +68,17 @@ def _cmd_compare(args) -> int:
               if f.name in raw and f.name not in ("problem", "optimizer")}
     check_keys(raw, {*shared, *lists}, lists, "compare")
     problems, optimizers = (check_value(k, raw[k], list[dict]) for k in lists)
-    summaries = []
+    # every pair is checked before the first one runs
+    pairs = []
     for prob_spec in problems:
         problem = build_problem(prob_spec)
         for opt in optimizers:
             cfg = ExperimentConfig.from_dict(
                 {**shared, "problem": prob_spec, "optimizer": opt})
-            traces = run_experiment(cfg)
-            summaries.append(summarize(opt["kind"], problem.name, traces))
-    table = compare(summaries)
+            check_optimizer(problem, cfg)
+            pairs.append((problem.name, cfg))
+    table = compare([summarize(cfg.optimizer["kind"], name,
+                               run_experiment(cfg)) for name, cfg in pairs])
     return _finish(table, args)
 
 

@@ -50,15 +50,18 @@ _PLURALS = {int: "integers", dict: "objects"}
 _type_hints = functools.cache(typing.get_type_hints)
 
 
-def _in_range(value, bounds) -> bool:
+@functools.cache
+def _range_rule(bounds):
+    """(whether a value is in a declared range, the range in words)"""
     if isinstance(bounds, tuple):
-        return value in bounds
+        return bounds.__contains__, f"one of {bounds}"
     if bounds[0] in "([":
         lo, hi = (float(x) for x in bounds[1:-1].split(","))
-        return (lo < value if bounds[0] == "(" else lo <= value) and \
-            (value < hi if bounds[-1] == ")" else value <= hi)
+        return (lambda v: (lo < v if bounds[0] == "(" else lo <= v) and
+                (v < hi if bounds[-1] == ")" else v <= hi)), f"in {bounds}"
     op, limit = bounds.split()
-    return value > float(limit) if op == ">" else value >= float(limit)
+    limit = float(limit)
+    return (lambda v: v > limit if op == ">" else v >= limit), bounds
 
 
 def _checked(name: str, value, hint, bounds, noun: str):
@@ -70,10 +73,10 @@ def _checked(name: str, value, hint, bounds, noun: str):
             else math.isfinite(value)
     if not ok:
         raise ConfigError(f"{name} must be {noun}, got {value!r}")
-    if bounds is not None and not _in_range(value, bounds):
-        rule = f"one of {bounds}" if isinstance(bounds, tuple) else \
-            f"in {bounds}" if bounds[0] in "([" else bounds
-        raise ConfigError(f"{name} must be {rule}, got {value!r}")
+    if bounds is not None:
+        in_range, rule = _range_rule(bounds)
+        if not in_range(value):
+            raise ConfigError(f"{name} must be {rule}, got {value!r}")
     return hint(value) if hint in _TYPES else value
 
 
@@ -83,6 +86,8 @@ def check_value(name: str, value, hint, bounds=None):
     becomes a float); raises ConfigError naming ``name``, or TypeError for
     an annotation it has no rule for. The rules are listed in README.md
     under "Config"."""
+    if hint in _NOUNS:
+        return _checked(name, value, hint, bounds, _NOUNS[hint])
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (typing.Union, types.UnionType) and args[1:] == (type(None),):
         return None if value is None else \
@@ -97,8 +102,14 @@ def check_value(name: str, value, hint, bounds=None):
     if origin is not None or not isinstance(hint, type) \
             or hint in (list, tuple):
         raise TypeError(f"no config check for {name}: {hint}")
-    return _checked(name, value, hint, bounds,
-                    _NOUNS.get(hint, f"a {hint.__name__}"))
+    return _checked(name, value, hint, bounds, f"a {hint.__name__}")
+
+
+@functools.cache
+def field_rules(cls) -> dict:
+    """Init field name -> (annotation, range) of config dataclass ``cls``."""
+    return {f.name: (_type_hints(cls)[f.name], f.metadata.get("range"))
+            for f in fields(cls) if f.init}
 
 
 def check_fields(config) -> None:
@@ -106,11 +117,9 @@ def check_fields(config) -> None:
     against its annotation and its ``"range"`` metadata, and store the
     checked value. Fields are read and written through the instance dict,
     so one behind a descriptor is checked as given."""
-    given, hints = vars(config), _type_hints(type(config))
-    for f in fields(config):
-        if f.init:
-            given[f.name] = check_value(f.name, given[f.name], hints[f.name],
-                                        f.metadata.get("range"))
+    given = vars(config)
+    for name, (hint, bounds) in field_rules(type(config)).items():
+        given[name] = check_value(name, given[name], hint, bounds)
 
 
 def checked_arguments(**bounds):
@@ -181,10 +190,12 @@ def stream_key(*keys: int) -> int:
     return fnv_fold(FNV_OFFSET, keys) & _MASK63
 
 
-def stream_key_from(h: int, *keys: int) -> int:
-    """``stream_key(*prefix, *keys)`` for ``h = fnv_fold(FNV_OFFSET,
-    prefix)``: a caller whose keys share a fixed prefix folds it once."""
-    return fnv_fold(h, keys) & _MASK63
+def stream_key_from(h: int, k1: int, k2: int) -> int:
+    """``stream_key(*prefix, k1, k2)`` for ``h = fnv_fold(FNV_OFFSET,
+    prefix)`` and Python ints ``k1``, ``k2``, whose bits above the low 64
+    never reach the low 64 bits of ``^`` and ``*``, so need no mask."""
+    h = ((h ^ k1) * _FNV_PRIME) & _MASK64
+    return ((h ^ k2) * _FNV_PRIME) & _MASK63
 
 
 def seeded_rng(*keys: int) -> np.random.Generator:

@@ -6,9 +6,10 @@ moment replaced by the raw gradient) so that a backtracking criterion along
 it can always be satisfied; the applied update keeps momentum.
 
 An ``AdamState`` owns its arrays and is advanced in place: each update
-writes the moments and the denominator sqrt(v_hat) + eps into the state's
-own buffers, with the same ufuncs in the same order as the allocating
-formulas, so the values are bit for bit those formulas' values.
+writes the moments, m_hat and the negated denominator -(sqrt(v_hat) + eps)
+into the state's own buffers, so each direction is one division. IEEE
+negation commutes with division and summation, so every value keeps the
+allocating formulas' bits.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ class _MomentRow:
 @dataclass(eq=False)
 class AdamState:
     """First/second moment vectors, the step counter they correspond to,
-    and Adam's denominator for them.
+    and what Adam's directions read from them.
 
     ``m`` and ``v`` are the two rows of one ``(2, dim)`` buffer, so that
     ``adam_update_moments`` advances both recurrences with one ufunc call
@@ -61,9 +62,11 @@ class AdamState:
     caller's arrays. Every field is checked when the state is built
     (``core.check_fields``), and the update's per-row factors are formed
     from ``beta1`` and ``beta2`` then, so they stay fixed for the state's
-    life. Mutable:
-    ``adam_update_moments`` advances a state in place. Two states compare
-    equal only when they are the same object.
+    life. Each update (and a build with k >= 1) forms m_hat and the
+    denominator, so a moment assigned after an update reaches the
+    directions from the next update on. Mutable: ``adam_update_moments``
+    advances a state in place. Two states compare equal only when they are
+    the same object.
     """
 
     m: ParamVector = _MomentRow(0)
@@ -76,6 +79,8 @@ class AdamState:
     _scratch: np.ndarray = field(init=False, repr=False)
     _decay: np.ndarray = field(init=False, repr=False)
     _gain: np.ndarray = field(init=False, repr=False)
+    _corr: np.ndarray = field(init=False, repr=False)
+    _hat: np.ndarray = field(init=False, repr=False)
     _denom: ParamVector = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -86,18 +91,18 @@ class AdamState:
         if m.shape != v.shape:
             raise ConfigError(
                 f"moment shapes differ: m {m.shape} vs v {v.shape}")
-        self._mv = np.stack((m, v))
+        self._mv = np.array((m, v))
         self._scratch = np.empty_like(self._mv)
         # the factors of each row's recurrence, filled out to the buffer's
         # shape: a ufunc over equal shapes skips the cost of broadcasting
-        self._decay = np.empty_like(self._mv)
-        self._gain = np.empty_like(self._mv)
-        for row, beta in enumerate((self.beta1, self.beta2)):
-            self._decay[row] = beta
-            self._gain[row] = 1.0 - beta
+        betas, ones = np.array((self.beta1, self.beta2)), np.ones_like(m)
+        self._decay = np.multiply.outer(betas, ones)
+        self._gain = np.multiply.outer(1.0 - betas, ones)
+        self._corr = np.empty((2,) + (1,) * m.ndim)
+        self._hat = np.empty_like(self._mv)
         self._denom = np.empty_like(v)
         if self.k >= 1:
-            self._refresh_denom()
+            _correct(self)
 
     @classmethod
     def zeros(cls, dim: int, **hyper) -> "AdamState":
@@ -106,25 +111,28 @@ class AdamState:
         defaults above."""
         return cls(m=np.zeros(dim), v=np.zeros(dim), k=0, **hyper)
 
-    def _refresh_denom(self) -> None:
-        d = self._denom
-        np.divide(self._mv[1], 1.0 - self.beta2 ** self.k, d)
-        np.sqrt(d, d)
-        np.add(d, self.epsilon, d)
-
     @property
     def denom(self) -> ParamVector:
-        """Adam's denominator sqrt(v_hat) + eps for the current moments.
+        """Adam's denominator sqrt(v_hat) + eps for the last update's
+        moments, filled on each read into the same buffer. Requires moments
+        already updated with a gradient (k >= 1)."""
+        return np.negative(_negated_denom(self), self._denom)
 
-        Filled when the state is built with k >= 1 and refreshed by every
-        ``adam_update_moments``; the same buffer is returned each time, so
-        it holds the current moments' value only until the next update.
-        Requires moments already updated with a gradient (k >= 1).
-        """
-        if self.k < 1:
-            raise ValueError(
-                "moments not yet updated; bias correction undefined at k=0")
-        return self._denom
+
+def _correct(state: AdamState) -> None:
+    """Form m_hat and -eps - sqrt(v_hat), -(sqrt(v_hat) + eps) bit for bit."""
+    corr = state._corr.ravel()  # a view, so the writes fill _corr
+    corr[0] = 1.0 - state.beta1 ** state.k
+    corr[1] = 1.0 - state.beta2 ** state.k
+    d = np.divide(state._mv, state._corr, state._hat)[1]
+    np.sqrt(d, d)
+    np.subtract(-state.epsilon, d, d)
+
+
+def _negated_denom(state: AdamState) -> ParamVector:
+    if state.k < 1:
+        raise ValueError("moments not yet updated: no bias correction at k=0")
+    return state._hat[1]
 
 
 def sgd_direction(grad: ParamVector) -> ParamVector:
@@ -136,9 +144,9 @@ def adam_update_moments(state: AdamState, grad: ParamVector) -> AdamState:
     """Fold one gradient into the moments in place; returns ``state``.
 
     m <- beta1 m + (1 - beta1) g and v <- beta2 v + ((1 - beta2) g) g, then
-    the denominator for step k + 1. Both rows of the moment buffer advance
-    together, each element by the same operations in the same order as
-    the two recurrences written out.
+    m_hat and the negated denominator for step k + 1. Both rows of the
+    moment buffer advance together, each element by the same operations in
+    the same order as the two recurrences written out.
     """
     g = np.asarray(grad)
     mv, t = state._mv, state._scratch
@@ -150,7 +158,7 @@ def adam_update_moments(state: AdamState, grad: ParamVector) -> AdamState:
     np.multiply(t_v, g, t_v)
     np.add(mv, t, mv)
     state.k += 1
-    state._refresh_denom()
+    _correct(state)
     return state
 
 
@@ -160,23 +168,19 @@ def adam_direction(state: AdamState, grad: ParamVector,
 
     With ``use_momentum=False`` the first moment is replaced by the raw
     gradient (its bias correction is then trivial); this is the direction
-    the line-search criterion is checked along. Requires moments already
-    updated with this step's gradient (state.k >= 1).
+    the line-search criterion is checked along. Either is x / -D, which is
+    -x / D bit for bit. Requires moments already updated with this step's
+    gradient (state.k >= 1).
     """
-    denom = state.denom  # checks k >= 1 before m_hat divides by 1 - beta1**k
-    if use_momentum:
-        d = np.divide(state._mv[0], 1.0 - state.beta1 ** state.k)
-        np.negative(d, out=d)
-    else:
-        d = np.negative(grad)
-    return np.divide(d, denom, out=d)
+    return np.divide(state._hat[0] if use_momentum else grad,
+                     _negated_denom(state))
 
 
 def preconditioned_grad_norm(state: AdamState, grad: ParamVector) -> float:
-    """Gradient-norm term matched to Adam's scaling: sum_i g_i^2/(sqrt(v_hat_i)+eps)."""
-    denom = state.denom
-    g = np.asarray(grad)
+    """Gradient-norm term matched to Adam's scaling: sum_i g_i^2/(sqrt(v_hat_i)+eps).
+
+    ``0.0 -`` negates the sum over -D back, +0.0 for an all-zero gradient."""
     t = state._scratch[0]
-    np.multiply(g, g, t)
-    np.divide(t, denom, t)
-    return float(np.add.reduce(t))
+    np.multiply(grad, grad, t)
+    np.divide(t, _negated_denom(state), t)
+    return 0.0 - float(np.add.reduce(t))

@@ -20,7 +20,7 @@ from .baselines import ScheduleConfig, fixed_adam_step, fixed_sgd_step, \
     schedule_lr
 from .core import ConfigError, ParamVector, StepRecord, TrainingTrace, \
     axpy, canonical_json, check_fields, check_value, checked_arguments, \
-    config_from_dict, norm_sq
+    config_from_dict, field_rules, norm_sq
 from .directions import AdamState
 from .frequency import FrequencyController
 from .line_search import SlsConfig, SlsState, apply_without_search, sls_step
@@ -158,7 +158,8 @@ class _FixedLrRunner:
         params = {k: v for k, v in opt.items() if k != "kind"}
         if "lr" in params and "peak_lr" in params:
             raise ConfigError(f"{kind} takes 'lr' or 'peak_lr', not both")
-        fixed = {name: params.pop(key)
+        rules = field_rules(ScheduleConfig)
+        fixed = {name: check_value(key, params.pop(key), *rules[name])
                  for key, name in _SCHEDULE_KEYS.items() if key in params}
         if "peak_lr" not in fixed:
             raise ConfigError(f"{kind} needs 'lr' or 'peak_lr'")
@@ -192,6 +193,14 @@ def _build_runner(opt: dict, dim: int,
     if kind in LINE_SEARCH_KINDS:
         return _LineSearchRunner(kind, dim, opt)
     return _FixedLrRunner(kind, dim, opt, total_steps)
+
+
+def check_optimizer(problem: Problem, cfg: ExperimentConfig) -> None:
+    """Build the runner ``cfg`` would run on ``problem``, which checks it."""
+    sampler = BatchSampler(seed=0, batch_size=cfg.batch_size,
+                           dataset_size=problem.dataset_size)
+    _build_runner(cfg.optimizer, problem.dim,
+                  cfg.epochs * sampler.batches_per_epoch)
 
 
 @dataclass

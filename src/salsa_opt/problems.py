@@ -65,6 +65,7 @@ class BatchSampler:
     seed: int
     batch_size: int = field(metadata={"range": ">= 1"})
     dataset_size: int = field(metadata={"range": ">= 1"})
+    batches_per_epoch: int = field(init=False, repr=False, compare=False)
     _cache: tuple | None = field(default=None, init=False, repr=False,
                                  compare=False)
     _key_state: int = field(init=False, repr=False, compare=False)
@@ -72,31 +73,24 @@ class BatchSampler:
     def __post_init__(self):
         check_fields(self)
         self.batch_size = min(self.batch_size, self.dataset_size)
+        self.batches_per_epoch = -(-self.dataset_size // self.batch_size)
         # every step key starts with the seed: fold it into the hash once
         self._key_state = fnv_fold(FNV_OFFSET, (self.seed,))
 
-    @property
-    def batches_per_epoch(self) -> int:
-        return -(-self.dataset_size // self.batch_size)
-
-    def _epoch_perm(self, epoch: int) -> np.ndarray:
-        # a one-row dataset has one permutation, [0], so every epoch reuses
-        # the first one built instead of seeding a new generator per step
-        if self._cache is not None and (self._cache[0] == epoch
-                                        or self.dataset_size == 1):
-            return self._cache[1]
-        perm = seeded_rng(self.seed, epoch, 0xBA7C).permutation(self.dataset_size)
-        self._cache = (epoch, perm)
-        return perm
-
     def sample(self, k: int) -> np.ndarray:
         epoch, slot = divmod(k, self.batches_per_epoch)
-        perm = self._epoch_perm(epoch)
-        return perm[slot * self.batch_size:(slot + 1) * self.batch_size]
+        cache = self._cache
+        # a one-row dataset has one permutation, [0], so every epoch reuses
+        # the first one built instead of seeding a new generator per step
+        if cache is None or (cache[0] != epoch and self.dataset_size > 1):
+            perm = seeded_rng(self.seed, epoch, 0xBA7C).permutation(
+                self.dataset_size)
+            cache = self._cache = (epoch, perm)
+        return cache[1][slot * self.batch_size:(slot + 1) * self.batch_size]
 
     def step_key(self, k: int) -> int:
         """Stable integer identifying step k's batch stream (for records):
-        ``stream_key(seed, k, 0xBA7C)``."""
+        ``stream_key(seed, k, 0xBA7C)``, for a Python int ``k``."""
         return stream_key_from(self._key_state, k, 0xBA7C)
 
 

@@ -24,6 +24,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from salsa_opt import harness
 from salsa_opt.baselines import ScheduleConfig
 from salsa_opt.cli import CheckGradConfig, main
 from salsa_opt.core import ConfigError, check_value
@@ -345,7 +346,7 @@ FUZZ_CASES = {
     # ended in a traceback
     "sgd-string-lr": ("run", {**RUN, "optimizer": {"kind": "sgd",
                                                    "lr": "0.1"}},
-                      "peak_lr must be a real number, got '0.1'"),
+                      "lr must be a real number, got '0.1'"),
     "sgd-list-peak_lr": ("run", {**RUN, "optimizer": {"kind": "sgd",
                                                       "peak_lr": [0.1]}},
                          "peak_lr must be a real number, got [0.1]"),
@@ -437,9 +438,9 @@ FUZZ_CASES = {
         "bad matrix_factorization parameters: noise must be >= 0, got -1"),
     "sgd-nan-lr": ("run", {**RUN, "optimizer": {"kind": "sgd",
                                                 "lr": math.nan}},
-                   "peak_lr must be a real number, got nan"),
+                   "lr must be a real number, got nan"),
     "sgd-bool-lr": ("run", {**RUN, "optimizer": {"kind": "sgd", "lr": True}},
-                    "peak_lr must be a real number, got True"),
+                    "lr must be a real number, got True"),
     "sgd-infinite-peak_lr": ("run", {**RUN, "optimizer": {
         "kind": "sgd", "peak_lr": math.inf}},
         "peak_lr must be a real number, got inf"),
@@ -486,3 +487,48 @@ def test_a_run_config_that_is_a_list_is_a_config_error():
     code, out, err, written = invoke("run", [RUN])
     assert_rejected(code, out, err, written)
     assert err == f"error: config cfg.json must be an object, got {[RUN]!r}\n"
+
+
+@pytest.mark.parametrize("later, message", [
+    ({"kind": "sgd_sls", "c": "x"}, "c must be a real number, got 'x'"),
+    ({"kind": "adam_salsa", "beta2": 1}, "beta2 must be in [0,1), got 1"),
+    ({"kind": "sgd", "lr": 0.1, "schedule": "x"},
+     "schedule must be one of ('cosine_warmup', 'flat'), got 'x'"),
+], ids=["search", "adam", "schedule"])
+def test_compare_checks_every_optimizer_before_the_first_pair_runs(
+        monkeypatch, later, message):
+    calls = []
+
+    def counted_logreg(**params):
+        problem = make_logreg(**params)
+        loss_grad = problem.loss_grad
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return loss_grad(*args, **kwargs)
+        return dataclasses.replace(problem, loss_grad=counting)
+
+    monkeypatch.setitem(harness._PROBLEM_BUILDERS, "logreg", counted_logreg)
+    config = {"problems": [{"kind": "logreg", "n": 2000, "dim": 20}],
+              "optimizers": [{"kind": "sgd_sls"}, later],
+              "seeds": [0, 1, 2], "epochs": 3, "batch_size": 8}
+    code, out, err, written = invoke("compare", config)
+    assert_rejected(code, out, err, written)
+    assert err == f"error: {message}\n"
+    assert calls == []
+
+
+@pytest.mark.parametrize("optimizer, message", [
+    ({"kind": "sgd", "lr": "0.1"}, "lr must be a real number, got '0.1'"),
+    ({"kind": "adam", "peak_lr": "0.1"},
+     "peak_lr must be a real number, got '0.1'"),
+    ({"kind": "sgd", "lr": 0.1, "schedule": ["flat"]},
+     "schedule must be a string, got ['flat']"),
+    ({"kind": "adam", "lr": 0.1, "schedule": "cosine"},
+     "schedule must be one of ('cosine_warmup', 'flat'), got 'cosine'"),
+], ids=["lr", "peak_lr", "schedule-type", "schedule-choice"])
+def test_a_fixed_rate_error_names_the_key_the_config_used(optimizer,
+                                                          message):
+    result = invoke("run", {**RUN, "optimizer": optimizer})
+    assert_rejected(*result)
+    assert result[2] == f"error: {message}\n"

@@ -246,6 +246,57 @@ class TestInPlaceState:
         assert state.v.tobytes() == v_before.tobytes()
         assert state.k == 1
 
+    @pytest.mark.parametrize("steps", [0, 1, 3])
+    def test_signed_zeros_match_the_allocating_formulas(self, steps):
+        # every sign of zero in the moments and the gradient: the negated
+        # denominator must give each zero the sign the formulas give it
+        zeros = [0.0, -0.0]
+        m = np.array([a for a in zeros for _ in range(4)] + [1.0, -1.0])
+        v = np.array([0.0, -0.0, 0.0, -0.0] * 2 + [0.0, -0.0])
+        g = np.array(zeros * 5)
+        state = AdamState(m=m, v=v, k=1)
+        for k in range(1, steps + 2):
+            if k > 1:
+                state = adam_update_moments(state, g)
+                m = 0.9 * m + (1.0 - 0.9) * g
+                v = 0.999 * v + (1.0 - 0.999) * g * g
+            denom = np.sqrt(v / (1.0 - 0.999 ** k)) + 1e-8
+            update = -(m / (1.0 - 0.9 ** k)) / denom
+            search = -g / denom
+            gterm = float(np.sum(g * g / denom))
+            assert adam_direction(state, g, use_momentum=True).tobytes() == \
+                update.tobytes()
+            assert adam_direction(state, g, use_momentum=False).tobytes() \
+                == search.tobytes()
+            assert np.float64(preconditioned_grad_norm(state, g)).tobytes() \
+                == np.float64(gterm).tobytes() == np.float64(0.0).tobytes()
+            assert state.denom.tobytes() == denom.tobytes()
+
+    def test_a_moment_assigned_after_an_update_is_read_from_the_next(self):
+        # the directions read what the last update formed; a moment
+        # written afterwards enters at the next update, as the recurrence
+        rng = seeded_rng(41)
+        state = adam_update_moments(AdamState.zeros(3), rng.standard_normal(3))
+        g = rng.standard_normal(3)
+        before = [adam_direction(state, g, use_momentum=True),
+                  adam_direction(state, g, use_momentum=False),
+                  preconditioned_grad_norm(state, g)]
+        m_new, v_new = rng.standard_normal(3), rng.random(3)
+        state.m = m_new
+        state.v = v_new
+        after = [adam_direction(state, g, use_momentum=True),
+                 adam_direction(state, g, use_momentum=False),
+                 preconditioned_grad_norm(state, g)]
+        for b, a in zip(before, after):
+            assert np.asarray(b).tobytes() == np.asarray(a).tobytes()
+        adam_update_moments(state, g)
+        m = 0.9 * m_new + (1.0 - 0.9) * g
+        v = 0.999 * v_new + (1.0 - 0.999) * g * g
+        denom = np.sqrt(v / (1.0 - 0.999 ** 2)) + 1e-8
+        assert adam_direction(state, g, use_momentum=True).tobytes() == \
+            (-(m / (1.0 - 0.9 ** 2)) / denom).tobytes()
+        assert state.denom.tobytes() == denom.tobytes()
+
     def test_assigning_a_moment_writes_the_buffer(self):
         state = AdamState.zeros(2)
         state.v = np.array([4.0, 9.0])

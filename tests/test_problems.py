@@ -316,6 +316,25 @@ class TestBatchSampler:
             assert got.dtype == want.dtype
             np.testing.assert_array_equal(got, want)
 
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32), dataset_size=st.integers(1, 12),
+           batch_size=st.integers(1, 16),
+           ks=st.lists(st.integers(0, 60), min_size=1, max_size=12))
+    def test_a_reused_sampler_matches_a_fresh_one(self, seed, dataset_size,
+                                                  batch_size, ks):
+        # steps in any order, across epochs and back: the permutation a
+        # sampler holds from an earlier step never leaks into another's
+        sampler = BatchSampler(seed=seed, batch_size=batch_size,
+                               dataset_size=dataset_size)
+        for k in ks:
+            fresh = BatchSampler(seed=seed, batch_size=batch_size,
+                                 dataset_size=dataset_size)
+            got, want = sampler.sample(k), fresh.sample(k)
+            assert got.dtype == want.dtype
+            np.testing.assert_array_equal(got, want)
+        assert sampler.batches_per_epoch == -(-dataset_size // min(
+            batch_size, dataset_size))
+
     @settings(max_examples=200, deadline=None)
     @given(seed=st.one_of(st.integers(-2**70, 0), st.integers(0, 2**70)),
            ks=st.lists(st.one_of(st.integers(-2**70, 0),

@@ -65,6 +65,12 @@ def test_every_layer_of_a_run_is_traced(optimizer, controller, step_spans,
     assert sum(calls[name] for name in step_spans) == len(records)
     for name in spans:
         assert calls[name] > 0, f"no {name} spans"
+    # exactly the direction calls each step makes: sgd_direction for an
+    # sgd step; the moment update and the update direction for an Adam
+    # step, and the search direction and norm term when it searched
+    sgd = optimizer["kind"].startswith("sgd")
+    assert calls["directions"] == sum(
+        1 if sgd else 4 if r.searched else 2 for r in records)
     # one base evaluation per step, every other one a search trial
     assert calls[TRACER.BASE_EVAL] == len(records)
     assert calls[TRACER.BASE_EVAL] + calls[TRACER.TRIAL_EVAL] == \
