@@ -112,6 +112,7 @@ class CheckGradConfig:
 
 
 def _cmd_check_grad(args) -> int:
+    tol = check_value("tol", args.tol, float, "> 0")
     cfg = config_from_dict(CheckGradConfig, _load_config(args), "check-grad")
     worst_overall = 0.0
     for spec in cfg.problems or [cfg.problem]:
@@ -124,10 +125,10 @@ def _cmd_check_grad(args) -> int:
             fd = finite_diff_grad(problem, w, cfg.h)
             denom = max(float(np.linalg.norm(fd)), 1e-12)
             worst = max(worst, float(np.linalg.norm(analytic - fd)) / denom)
-        status = "ok" if worst <= args.tol else "FAIL"
+        status = "ok" if worst <= tol else "FAIL"
         print(f"{problem.name}: max rel err {worst:.3e} [{status}]")
         worst_overall = max(worst_overall, worst)
-    return 0 if worst_overall <= args.tol else 1
+    return 0 if worst_overall <= tol else 1
 
 
 def _finish(report, args) -> int:

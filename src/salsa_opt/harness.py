@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import math
+import typing
 import warnings
 from dataclasses import asdict, dataclass, field, fields
 
@@ -100,9 +101,10 @@ def _adam_moments(kind: str, dim: int, params: dict) -> AdamState | None:
 class _LineSearchRunner:
     """Steps one of the four line-search kinds; logs SaLSa's h and s.
 
-    The step function is looked up once, when the runner is built, from
-    this module's bindings: a run built while they are swapped (as the
-    benchmark's tracer does) steps through the swapped functions.
+    ``step`` and ``skip_step`` take ``(batch, w)`` and are built once, when
+    the runner is built, from this module's bindings: a run built while
+    they are swapped (as the benchmark's tracer does) steps through the
+    swapped functions.
     """
 
     uses_line_search = True
@@ -117,35 +119,31 @@ class _LineSearchRunner:
         self.cfg = cfg_cls(**search_kw)
         self.state = SlsState(eta=self.cfg.eta_init,
                               adam=_adam_moments(kind, dim, params))
-        if self.family == "sls":
-            self._step = sls_step
-            self._step_args = (self.base, self.state, self.cfg)
-        else:
-            self._step = salsa_sgd_step if self.base == "sgd" \
-                else salsa_adam_step
-            self._step_args = (self.state, self.cfg)
         self.h_series = []
         self.s_series = []
+        base, state, cfg = self.base, self.state, self.cfg
+        skip = apply_without_search
+        if self.family == "sls":
+            search = sls_step
+            self.step = lambda batch, w: search(batch, w, base, state, cfg)
+            self.skip_step = lambda batch, w: skip(batch, w, base, state)
+        else:
+            search = salsa_sgd_step if base == "sgd" else salsa_adam_step
+            log_h, log_s = self.h_series.append, self.s_series.append
+
+            def logged(out):
+                smoothed = state.smoothed
+                log_h(state.h if smoothed else math.nan)
+                log_s(state.s if smoothed else math.nan)
+                return out
+
+            self.step = lambda batch, w: logged(search(batch, w, state, cfg))
+            self.skip_step = lambda batch, w: \
+                logged(skip(batch, w, base, state))
 
     @property
     def eta(self) -> float:
         return self.state.eta
-
-    def _log_smoothing(self):
-        if self.family == "salsa":
-            st = self.state
-            self.h_series.append(st.h if st.smoothed else math.nan)
-            self.s_series.append(st.s if st.smoothed else math.nan)
-
-    def step(self, batch, w):
-        out = self._step(batch, w, *self._step_args)
-        self._log_smoothing()
-        return out
-
-    def skip_step(self, batch, w):
-        out = apply_without_search(batch, w, self.base, self.state)
-        self._log_smoothing()
-        return out
 
 
 class _FixedLrRunner:
@@ -239,21 +237,24 @@ def run_single(problem: Problem, optimizer: dict, seed: int, epochs: int,
         return RunResult(trace, w, val_acc, runner.h_series,
                          runner.s_series, params_hist)
 
+    # looked up once per run, after any swap of the bindings
+    batch_for, step, append = batch_for_step, runner.step, trace.append
     for k in range(total):
-        batch = batch_for_step(problem, sampler, k)
+        batch = batch_for(problem, sampler, k)
         if collect_params:
             params_hist.append(w)
-        if controller is not None and not controller.should_search():
+        if controller is None:
+            w, rec = step(batch, w)
+        elif not controller.should_search():
             w, rec = runner.skip_step(batch, w)
             controller.record_skip()
         else:
-            w, rec = runner.step(batch, w)
-            if controller is not None:
-                if rec.searched:
-                    controller.record_search(rec.eta)
-                else:
-                    controller.record_skip()
-        trace.append(rec)
+            w, rec = step(batch, w)
+            if rec.searched:
+                controller.record_search(rec.eta)
+            else:
+                controller.record_skip()
+        append(rec)
         if val_accuracy is not None and (k + 1) % batches_per_epoch == 0:
             val_acc.append(val_accuracy(w))
 
@@ -261,27 +262,52 @@ def run_single(problem: Problem, optimizer: dict, seed: int, epochs: int,
                      params_hist)
 
 
+def _as_checked(config: dict, hints: dict) -> dict:
+    """A copy of a checked ``config`` with each value that ``hints`` (key
+    -> annotation) covers stored as its check stores it: an int given for
+    a float reads as a float, as in the field it fills."""
+    return {key: check_value(key, value, hints[key]) if key in hints
+            else copy.deepcopy(value) for key, value in config.items()}
+
+
+def _optimizer_hints(kind: str) -> dict:
+    """Optimizer config key -> the annotation of the field it fills."""
+    if kind in LINE_SEARCH_KINDS:
+        rules = field_rules(SalsaConfig if kind.endswith("salsa")
+                            else SlsConfig)
+    else:
+        schedule = field_rules(ScheduleConfig)
+        rules = {key: schedule[name] for key, name in _SCHEDULE_KEYS.items()}
+    if kind.startswith("adam"):
+        rules = {**field_rules(AdamState), **rules}
+    return {key: hint for key, (hint, _) in rules.items()}
+
+
 def run_experiment(cfg: ExperimentConfig) -> list[TrainingTrace]:
     """One trace per seed, reproducible bit-exactly from (config, seed)."""
     problem = build_problem(cfg.problem)
-    traces = []
+    traces = [run_single(problem, cfg.optimizer, seed, cfg.epochs,
+                         cfg.batch_size, cfg.frequency_controller).trace
+              for seed in cfg.seeds]
+    # the runs have checked every value; the metadata keeps the config's
+    # keys with the values as checked, so configs that differ only in how
+    # a number is written write the same bytes
     snapshot = {
-        "problem": copy.deepcopy(cfg.problem),
-        "optimizer": copy.deepcopy(cfg.optimizer),
+        "problem": _as_checked(cfg.problem, typing.get_type_hints(
+            _PROBLEM_BUILDERS[cfg.problem["kind"]])),
+        "optimizer": _as_checked(cfg.optimizer,
+                                 _optimizer_hints(cfg.optimizer["kind"])),
         "epochs": cfg.epochs,
         "batch_size": cfg.batch_size,
         "frequency_controller": cfg.frequency_controller,
     }
-    for seed in cfg.seeds:
-        result = run_single(problem, cfg.optimizer, seed, cfg.epochs,
-                            cfg.batch_size, cfg.frequency_controller)
-        result.trace.metadata = {
+    for seed, trace in zip(cfg.seeds, traces):
+        trace.metadata = {
             "optimizer": cfg.optimizer["kind"],
             "problem": problem.name,
             "seed": seed,
             "config": snapshot,
         }
-        traces.append(result.trace)
     return traces
 
 

@@ -36,6 +36,12 @@ class SlsConfig:
     eta_init:       step size before the first search
     eta_min/eta_max: hard clamps on the step size; being finite, eta_max
                     cannot switch the clamp off
+
+    Building the config also forms the search's two per-step constants,
+    with the expressions ``propose_initial_step`` and the guard would use:
+    ``regrowth`` = 2**(1/b) and ``grad_eps_sq`` = grad_eps**2. They are
+    fixed then; build a new config (``dataclasses.replace``) to change
+    ``b`` or ``grad_eps``.
     """
 
     c: float = field(default=0.1, metadata={"range": "(0,1)"})
@@ -54,6 +60,12 @@ class SlsConfig:
                 f"need eta_min < eta_init <= eta_max, got "
                 f"{self.eta_min}, {self.eta_init}, {self.eta_max}"
             )
+        try:
+            self.regrowth = 2.0 ** (1.0 / self.b)
+        except OverflowError:
+            raise ConfigError(f"b must leave 2**(1/b) finite, "
+                              f"got {self.b}") from None
+        self.grad_eps_sq = self.grad_eps ** 2
 
 
 @dataclass
@@ -88,38 +100,50 @@ def armijo_holds(loss0: float, loss_trial: float, eta: float, c: float,
 
 @dataclass
 class BacktrackResult:
+    """The settled step size, its shrink count, and the batch loss at
+    ``point``, the array ``w + eta * d`` it was evaluated at."""
+
     eta: float
     backtracks: int
     loss_trial: float
+    point: ParamVector
 
 
 def shrink(objective_on_batch: Callable[[ParamVector], float],
            w: ParamVector, d: ParamVector, eta: float, loss0: float,
            cfg: SlsConfig, holds: Callable[..., bool],
-           *args) -> tuple[float, int, float, bool]:
+           *args) -> tuple[float, int, float, bool, ParamVector]:
     """Try eta, eta*delta, eta*delta**2, ... until the acceptance test holds.
 
     A candidate is accepted when its batch loss ``trial`` is finite and
     ``holds(loss0, trial, eta, *args)`` is true, so non-finite trial losses
     count as violations. Performs exactly backtracks+1 objective
-    evaluations and returns (eta, backtracks, loss_trial, accepted).
+    evaluations and returns (eta, backtracks, loss_trial, accepted, point).
+
+    Accepted point: ``point`` is the array ``w + eta * d`` that
+    ``loss_trial`` was evaluated at, the very object handed to the
+    objective, which must not modify it. A step that moves along ``d``
+    itself takes it as its update rather than building the same
+    expression from the same operands again; the bits are the same.
 
     Giving up: after cfg.max_backtracks shrinks without an accepted
     candidate the loop returns the last candidate with accepted=False and
     backtracks=cfg.max_backtracks, the same count as a candidate accepted
     on the last try. Each caller then settles the step size itself: the
     Armijo searches (``backtrack``, ``salsa_backtrack``) clamp it up to
-    cfg.eta_min, re-evaluating only if the clamp changes it, and the
-    non-decrease search drops to cfg.eta_min and re-evaluates there. The
-    step is still taken at the settled, unverified step size.
+    cfg.eta_min, rebuilding the point and re-evaluating only if the clamp
+    changes it, and the non-decrease search drops to cfg.eta_min and
+    re-evaluates there. The step is still taken at the settled, unverified
+    step size.
     """
     for i in range(cfg.max_backtracks + 1):
-        trial = objective_on_batch(w + eta * d)
+        point = w + eta * d
+        trial = objective_on_batch(point)
         if math.isfinite(trial) and holds(loss0, trial, eta, *args):
-            return eta, i, trial, True
+            return eta, i, trial, True, point
         if i < cfg.max_backtracks:
             eta *= cfg.delta
-    return eta, cfg.max_backtracks, trial, False
+    return eta, cfg.max_backtracks, trial, False, point
 
 
 def backtrack(objective_on_batch: Callable[[ParamVector], float],
@@ -127,13 +151,14 @@ def backtrack(objective_on_batch: Callable[[ParamVector], float],
               gnorm_term: float, cfg: SlsConfig) -> BacktrackResult:
     """Shrink eta by cfg.delta until the Armijo test holds on this batch;
     on giving up, clamp up to cfg.eta_min (see ``shrink``)."""
-    eta, backtracks, trial, accepted = shrink(
+    eta, backtracks, trial, accepted, point = shrink(
         objective_on_batch, w, d, eta_start, loss0, cfg, armijo_holds, cfg.c,
         gnorm_term)
     if not accepted and eta < cfg.eta_min:
         eta = cfg.eta_min
-        trial = objective_on_batch(w + eta * d)
-    return BacktrackResult(eta=eta, backtracks=backtracks, loss_trial=trial)
+        point = w + eta * d
+        trial = objective_on_batch(point)
+    return BacktrackResult(eta, backtracks, trial, point)
 
 
 def _no_increase(loss0, loss_trial, eta):
@@ -147,8 +172,8 @@ def nondecrease_search(objective_on_batch: Callable[[ParamVector], float],
     drops to eta_min when the budget runs out (see ``shrink``). Returns
     (eta, loss_at_eta). The j=0 probe costs one evaluation even when
     nothing shrinks."""
-    eta, _, trial, accepted = shrink(objective_on_batch, w, d, eta, loss0,
-                                     cfg, _no_increase)
+    eta, _, trial, accepted, _ = shrink(objective_on_batch, w, d, eta,
+                                        loss0, cfg, _no_increase)
     if not accepted:
         eta = cfg.eta_min
         trial = objective_on_batch(w + eta * d)
@@ -165,11 +190,15 @@ def search_step(batch, w: ParamVector, kind: str, state: SlsState,
     momentum direction. ``search=None`` is a frequency-skipped step: the
     current eta is applied as is. Otherwise
     ``search(batch, w, d_search, d_update, eta, loss0, gnorm_term, state,
-    cfg)`` returns (eta, backtracks). It gets the regrown step size, the
-    momentum-free search direction and its gradient-norm term (raw squared
-    norm for sgd, preconditioned for adam), or ``d_search=None`` and the
-    current eta when the guard ||g|| <= grad_eps trips; the guard compares
-    squares, so a NaN norm still searches.
+    cfg)`` returns (eta, backtracks, point). It gets the regrown step size,
+    the momentum-free search direction and its gradient-norm term (raw
+    squared norm for sgd, preconditioned for adam), or ``d_search=None``
+    and the current eta when the guard ||g|| <= grad_eps trips; the guard
+    compares squares, so a NaN norm still searches. ``point`` is the array
+    ``w + eta * d_search`` the search evaluated at the eta it returns, or
+    None when it has none. When the search ran along ``d_update`` itself
+    (every sgd search) that point is the update; otherwise the update
+    ``w + eta * d_update`` is built here.
     """
     res = batch.eval(w)
     g = res.grad
@@ -182,11 +211,11 @@ def search_step(batch, w: ParamVector, kind: str, state: SlsState,
     else:
         raise ValueError(f"unknown optimizer_kind {kind!r}")
 
-    eta, backtracks, searched = state.eta, 0, False
+    eta, backtracks, searched, w_next = state.eta, 0, False, None
     if search is not None:
-        if gsq <= cfg.grad_eps ** 2:
-            eta, backtracks = search(batch, w, None, d_update, eta, res.loss,
-                                     0.0, state, cfg)
+        if gsq <= cfg.grad_eps_sq:
+            eta, backtracks, _ = search(batch, w, None, d_update, eta,
+                                        res.loss, 0.0, state, cfg)
         else:
             searched = True
             if kind == "adam":
@@ -194,24 +223,28 @@ def search_step(batch, w: ParamVector, kind: str, state: SlsState,
                 gnorm_term = preconditioned_grad_norm(state.adam, g)
             else:
                 d_search, gnorm_term = d_update, gsq
-            eta, backtracks = search(
+            eta, backtracks, point = search(
                 batch, w, d_search, d_update,
-                propose_initial_step(eta, cfg.b, cfg.eta_max), res.loss,
-                gnorm_term, state, cfg)
+                min(eta * cfg.regrowth, cfg.eta_max), res.loss, gnorm_term,
+                state, cfg)
+            if d_search is d_update:
+                w_next = point
 
     record = StepRecord(state.k, eta, res.loss, gsq, searched, backtracks,
                         batch.key)
     state.eta = eta
     state.k += 1
-    return w + eta * d_update, record
+    if w_next is None:
+        w_next = w + eta * d_update
+    return w_next, record
 
 
 def _armijo_search(batch, w, d_search, d_update, eta, loss0, gnorm_term,
                    state, cfg):
     if d_search is None:
-        return eta, 0
+        return eta, 0, None
     result = backtrack(batch.loss, w, d_search, eta, loss0, gnorm_term, cfg)
-    return result.eta, result.backtracks
+    return result.eta, result.backtracks, result.point
 
 
 def sls_step(batch, w: ParamVector, optimizer_kind: str, state: SlsState,

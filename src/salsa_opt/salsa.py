@@ -72,7 +72,8 @@ def _smoothed_holds(loss0, loss_trial, eta, h, s, c, beta3, smoothed):
 def salsa_backtrack(objective_on_batch: Callable[[ParamVector], float],
                     w: ParamVector, d: ParamVector, eta_start: float,
                     loss0: float, state: SlsState, s_new: float,
-                    cfg: SalsaConfig) -> tuple[float, int, float, float]:
+                    cfg: SalsaConfig
+                    ) -> tuple[float, int, float, float, ParamVector]:
     """Shrink eta until the smoothed criterion holds against s_new; on
     giving up, clamp up to cfg.eta_min (see ``line_search.shrink``).
 
@@ -80,16 +81,19 @@ def salsa_backtrack(objective_on_batch: Callable[[ParamVector], float],
     the h last committed to ``state``, which is only read here. Only
     the returned candidate's h comes back for committing, so rejected
     trials never touch the average; after a give-up that is the step size
-    still taken. Returns (eta, backtracks, h_committed, loss_trial).
+    still taken. Returns (eta, backtracks, h_committed, loss_trial,
+    point), ``point`` being the array ``w + eta * d`` that ``loss_trial``
+    was evaluated at.
     """
-    eta, backtracks, trial, accepted = shrink(
+    eta, backtracks, trial, accepted, point = shrink(
         objective_on_batch, w, d, eta_start, loss0, cfg, _smoothed_holds,
         state.h, s_new, cfg.c, cfg.beta3, state.smoothed)
     if not accepted and eta < cfg.eta_min:
         eta = cfg.eta_min
-        trial = objective_on_batch(w + eta * d)
+        point = w + eta * d
+        trial = objective_on_batch(point)
     h = smooth_update(state.h, loss0 - trial, cfg.beta3, state.smoothed)
-    return eta, backtracks, h, trial
+    return eta, backtracks, h, trial, point
 
 
 def _smoothed_search(batch, w, d_search, d_update, eta, loss0, gnorm_term,
@@ -101,16 +105,16 @@ def _smoothed_search(batch, w, d_search, d_update, eta, loss0, gnorm_term,
         if cfg.enforce_nondecrease:
             eta, _ = nondecrease_search(batch.loss, w, d_update, eta, loss0,
                                         cfg)
-        return eta, 0
+        return eta, 0, None
 
     s_new = smooth_update(state.s, gnorm_term, cfg.beta3, state.smoothed)
-    eta, backtracks, h_new, _ = salsa_backtrack(
+    eta, backtracks, h_new, _, point = salsa_backtrack(
         batch.loss, w, d_search, eta, loss0, state, s_new, cfg)
     if cfg.enforce_nondecrease:
         eta_nd, trial_nd = nondecrease_search(batch.loss, w, d_update, eta,
                                               loss0, cfg)
         if eta_nd != eta:
-            eta = eta_nd
+            eta, point = eta_nd, None
             # Keep h tied to the step size actually applied, measured along
             # the search direction, so a replay of the trace reproduces the
             # committed average.
@@ -119,7 +123,7 @@ def _smoothed_search(batch, w, d_search, d_update, eta, loss0, gnorm_term,
             h_new = smooth_update(state.h, loss0 - trial_nd, cfg.beta3,
                                   state.smoothed)
     state.h, state.s, state.smoothed = h_new, s_new, True
-    return eta, backtracks
+    return eta, backtracks, point
 
 
 def salsa_sgd_step(batch, w: ParamVector, state: SlsState,

@@ -311,6 +311,23 @@ class TestCheckGradCommand:
         assert f"error: {message}\n" == captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("tol, message", [
+        pytest.param("nan", "tol must be a real number, got nan", id="nan"),
+        pytest.param("-1", "tol must be > 0, got -1.0", id="-1"),
+        pytest.param("inf", "tol must be a real number, got inf", id="inf"),
+    ])
+    def test_bad_tol_is_a_config_error(self, tmp_path, capsys, tol, message):
+        # a tolerance no gradient can meet, or every gradient meets, would
+        # report a verdict on the gradients that says nothing about them
+        cfg = write_config(tmp_path, {
+            "problem": {"kind": "quadratic", "dim": 2},
+            "points": 1,
+        })
+        assert main(["check-grad", "--config", cfg, "--tol", tol]) == 2
+        captured = capsys.readouterr()
+        assert f"error: {message}\n" == captured.err
+        assert captured.out == ""
+
     def test_integer_h_is_accepted(self, tmp_path, capsys):
         # central differences are exact on a quadratic at any step
         cfg = write_config(tmp_path, {

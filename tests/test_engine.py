@@ -2,8 +2,11 @@
 
 Both families run through ``line_search.search_step``; these properties
 pin its evaluation budget and the SaLSa commit without the non-decrease
-mode, which adds evaluations of its own.
+mode, which adds evaluations of its own, and the bits of the update every
+step returns, with the non-decrease mode and controller skips included.
 """
+
+import dataclasses
 
 import numpy as np
 from hypothesis import given, settings
@@ -12,8 +15,8 @@ from hypothesis import strategies as st
 from salsa_opt.core import axpy, norm_sq
 from salsa_opt.directions import AdamState, adam_direction, \
     preconditioned_grad_norm
-from salsa_opt.line_search import SlsConfig, SlsState, propose_initial_step, \
-    sls_step
+from salsa_opt.line_search import SlsConfig, SlsState, \
+    apply_without_search, propose_initial_step, sls_step
 from salsa_opt.problems import BatchObjective, make_quadratic
 from salsa_opt.salsa import SalsaConfig, salsa_adam_step, \
     salsa_sgd_step, smooth_update
@@ -99,3 +102,80 @@ def test_eval_count_and_commit_of_h_and_s(run):
             assert state.s == smooth_update(s_prev, gterm, cfg.beta3, seeded)
             assert state.smoothed
         w = w_next
+
+
+@st.composite
+def update_runs(draw):
+    """``runs()``, sometimes with a give-up clamp whose budget runs out far
+    above the minimizer, SaLSa's non-decrease mode, and a random pattern of
+    steps that a frequency controller skips."""
+    family, base, cfg, problem = draw(runs())
+    if draw(st.booleans()):
+        cfg = dataclasses.replace(cfg, eta_init=1e6, eta_max=1e6,
+                                  max_backtracks=2)
+    if family == "salsa" and draw(st.booleans()):
+        cfg = dataclasses.replace(cfg, enforce_nondecrease=True)
+    skips = draw(st.lists(st.booleans(), min_size=STEPS, max_size=STEPS))
+    return family, base, cfg, problem, skips
+
+
+@given(update_runs())
+@settings(max_examples=150, deadline=None)
+def test_every_update_is_w_plus_eta_d_update_bit_for_bit(run):
+    family, base, cfg, problem, skips = run
+    adam = AdamState.zeros(problem.dim) if base == "adam" else None
+    state = SlsState(eta=cfg.eta_init, adam=adam)
+    w = problem.init_params(0)
+    indices = np.arange(problem.dataset_size)
+    for skip in skips:
+        eta_prev = state.eta
+        # the regrowth stored on the config is propose_initial_step's
+        assert min(eta_prev * cfg.regrowth, cfg.eta_max) == \
+            propose_initial_step(eta_prev, cfg.b, cfg.eta_max)
+        batch = BatchObjective(problem, indices)
+        w_next, rec = apply_without_search(batch, w, base, state) if skip \
+            else take_step(family, base, batch, w, state, cfg)
+        g = problem.loss_grad(w, indices).grad
+        d_update = -g if base == "sgd" else \
+            adam_direction(state.adam, g, use_momentum=True)
+        assert w_next.tobytes() == (w + rec.eta * d_update).tobytes()
+        w = w_next
+
+
+@given(b=st.floats(1e-3, 1e6), grad_eps=st.floats(0.0, 1e3),
+       eta_prev=st.floats(1e-10, 1e3), eta_max=st.floats(1e-9, 1e4))
+@settings(max_examples=200, deadline=None)
+def test_stored_constants_are_the_per_step_expressions(b, grad_eps, eta_prev,
+                                                        eta_max):
+    cfg = SlsConfig(b=b, grad_eps=grad_eps, eta_init=min(1.0, eta_max),
+                    eta_max=eta_max)
+    assert cfg.grad_eps_sq == grad_eps ** 2
+    assert min(eta_prev * cfg.regrowth, eta_max) == \
+        propose_initial_step(eta_prev, b, eta_max)
+
+
+class RecordingBatch(BatchObjective):
+    """A batch objective that keeps every point the search evaluates."""
+
+    def __init__(self, problem):
+        super().__init__(problem, np.arange(problem.dataset_size))
+        self.points = []
+
+    def loss(self, w):
+        self.points.append(w)
+        return super().loss(w)
+
+
+def test_sgd_search_step_returns_the_array_its_accepted_trial_evaluated():
+    problem = make_quadratic(dim=4, cond=10.0, seed=2)
+    for family in ("sls", "salsa"):
+        cfg = SalsaConfig() if family == "salsa" else SlsConfig()
+        state = SlsState(eta=cfg.eta_init)
+        w = problem.init_params(0)
+        for _ in range(STEPS):
+            batch = RecordingBatch(problem)
+            w_next, rec = take_step(family, "sgd", batch, w, state, cfg)
+            assert rec.searched and rec.backtracks < cfg.max_backtracks
+            assert len(batch.points) == rec.backtracks + 1
+            assert w_next is batch.points[-1]
+            w = w_next

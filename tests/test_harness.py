@@ -121,6 +121,29 @@ class TestRunExperiment:
             assert ta.to_csv() == tb.to_csv()
             assert ta.to_json() == tb.to_json()
 
+    @pytest.mark.parametrize("problem, optimizer", [
+        ({"kind": "quadratic", "dim": 2}, {"kind": "sgd", "lr": 1}),
+        ({"kind": "quadratic", "dim": 2, "cond": 10}, {"kind": "sgd_sls"}),
+        ({"kind": "quadratic", "dim": 2},
+         {"kind": "adam_salsa", "eta_max": 10, "beta1": 0}),
+    ], ids=["sgd-lr", "problem-cond", "adam_salsa-eta_max-beta1"])
+    def test_int_and_float_values_give_the_same_json(self, problem,
+                                                     optimizer):
+        # a number written as 1 or 1.0 is the same float to every field,
+        # so the trace's config metadata must not tell them apart
+        def as_floats(config):
+            return {k: float(v) if isinstance(v, int) and k != "dim" else v
+                    for k, v in config.items()}
+
+        traces = [run_experiment(quick_config(problem=p, optimizer=o,
+                                              epochs=1))[0]
+                  for p, o in ((problem, optimizer),
+                               (as_floats(problem), as_floats(optimizer)))]
+        assert traces[0].to_csv() == traces[1].to_csv()
+        assert traces[0].to_json() == traces[1].to_json()
+        assert list(traces[0].metadata["config"]["optimizer"]) == \
+            list(optimizer)
+
     def test_one_trace_per_seed_in_order(self):
         traces = run_experiment(quick_config(seeds=[5, 1, 9], epochs=2))
         assert [t.metadata["seed"] for t in traces] == [5, 1, 9]

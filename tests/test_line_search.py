@@ -220,6 +220,13 @@ class TestSlsConfig:
                                              f"got {value!r}"):
             SlsConfig(**{field: value})
 
+    def test_b_whose_regrowth_overflows_rejected(self):
+        # 2**(1/b) is formed once, when the config is built; a b this small
+        # used to raise OverflowError at the first searched step
+        with pytest.raises(ValueError, match=r"b must leave 2\*\*\(1/b\) "
+                                             r"finite, got 0.0001"):
+            SlsConfig(b=1e-4)
+
     def test_ints_and_numpy_floats_accepted(self):
         cfg = SlsConfig(c=np.float32(0.2), b=500, eta_init=np.float64(0.5),
                         eta_max=np.int64(5))

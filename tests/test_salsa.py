@@ -79,7 +79,7 @@ class TestSalsaBacktrack:
         cfg = SalsaConfig()
         state = SlsState(eta=1.0)
         batch = full_batch(quadratic_1d)
-        eta, bts, h, trial = salsa_backtrack(
+        eta, bts, h, trial, _ = salsa_backtrack(
             batch.loss, np.array([1.0]), np.array([-1.0]), eta_start=1.0,
             loss0=0.5, state=state, s_new=1.0, cfg=cfg)
         assert eta == 1.0 and bts == 0
@@ -90,7 +90,7 @@ class TestSalsaBacktrack:
         # trial h = 0.99*1 + 0.01*(-0.1) = 0.989 >= 0.3 -> accepted, 0 shrinks
         cfg = SalsaConfig()
         state = SlsState(eta=1.0, h=1.0, s=1.0, smoothed=True)
-        eta, bts, h, _ = salsa_backtrack(
+        eta, bts, h, _, _ = salsa_backtrack(
             lambda w: 1.1, np.zeros(1), np.zeros(1), eta_start=1.0,
             loss0=1.0, state=state, s_new=1.0, cfg=cfg)
         assert bts == 0
@@ -113,8 +113,8 @@ class TestSalsaBacktrack:
             bts_ref += 1
 
         batch = full_batch(quadratic_1d)
-        eta, bts, h, _ = salsa_backtrack(batch.loss, w, d, 8.0, loss0, state,
-                                         s_new, cfg)
+        eta, bts, h, _, _ = salsa_backtrack(batch.loss, w, d, 8.0, loss0,
+                                            state, s_new, cfg)
         assert eta == pytest.approx(eta_ref, rel=1e-15)
         assert bts == bts_ref > 0
         assert h == pytest.approx(h_ref, rel=1e-12)

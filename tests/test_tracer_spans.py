@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from salsa_opt import harness
-from salsa_opt.problems import make_quadratic
+from salsa_opt.problems import make_matrix_factorization, make_quadratic
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -75,3 +75,31 @@ def test_every_layer_of_a_run_is_traced(optimizer, controller, step_spans,
     assert calls[TRACER.BASE_EVAL] == len(records)
     assert calls[TRACER.BASE_EVAL] + calls[TRACER.TRIAL_EVAL] == \
         len(records) + sum(r.backtracks + 1 for r in records if r.searched)
+
+
+def test_replay_repeats_the_runs_evaluations():
+    # the benchmark's replay check: replay_verify's rerun goes through
+    # run_single and makes exactly the evaluations the trace implies, and
+    # replay_verify itself evaluates each step's base point and each
+    # searched step's accepted point once more
+    tracer = TRACER.Tracer()
+    problem = tracer.traced_problem(
+        make_matrix_factorization(rows=8, cols=6, rank=2, seed=3))
+    optimizer = {"kind": "adam_sls"}
+    with tracer.patched():
+        result = harness.run_single(problem, optimizer, seed=1, epochs=2,
+                                    batch_size=4)
+        report = harness.replay_verify(problem, optimizer, 1, 2, 4,
+                                       result.trace)
+    counts = tracer.flush()
+    records = result.trace.records
+    implied = len(records) + sum(r.backtracks + 1 for r in records
+                                 if r.searched)
+    searched = sum(r.searched for r in records)
+    assert report.ok and report.n_checked > 0
+    rerun = counts.calls_in_replay[TRACER.BASE_EVAL] + \
+        counts.calls_in_replay[TRACER.TRIAL_EVAL]
+    assert rerun == implied
+    assert counts.calls[TRACER.BASE_EVAL] + \
+        counts.calls[TRACER.TRIAL_EVAL] == 2 * implied
+    assert counts.calls[TRACER.REPLAY_EVAL] == len(records) + searched
