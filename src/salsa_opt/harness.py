@@ -604,12 +604,14 @@ def replay_verify(problem: Problem, optimizer: dict, seed: int, epochs: int,
     """Re-run a configuration and confirm every accepted search step.
 
     The run is replayed deterministically to recover the parameter sequence;
-    from there everything else (gradients, Adam moments, smoothing EMAs,
-    both sides of the criterion at the recorded step size) is recomputed by
-    straight-line code independent of the optimizer implementations, and
-    the inequality is re-checked within ``slack``. Only the hyper-parameters
-    come from the run's own config objects. Give-up steps (backtracks
-    exhausted) accept no candidate and are not checked.
+    from there everything else (gradients, Adam's second moment, smoothing
+    EMAs, both sides of the criterion at the recorded step size) is
+    recomputed by straight-line code independent of the optimizer
+    implementations, and the inequality is re-checked within ``slack``.
+    The criterion runs along the momentum-free direction, so Adam's first
+    moment is not needed. Only the hyper-parameters come from the run's own
+    config objects. Give-up steps (backtracks exhausted) accept no
+    candidate and are not checked.
     """
     kind = optimizer["kind"]
     if kind not in LINE_SEARCH_KINDS:
@@ -631,7 +633,6 @@ def replay_verify(problem: Problem, optimizer: dict, seed: int, epochs: int,
 
     sampler = BatchSampler(seed=seed, batch_size=batch_size,
                            dataset_size=problem.dataset_size)
-    m = np.zeros(problem.dim)
     v = np.zeros(problem.dim)
     adam_k = 0
     h = s = 0.0
@@ -646,7 +647,6 @@ def replay_verify(problem: Problem, optimizer: dict, seed: int, epochs: int,
         res = problem.loss_grad(w, indices)
         g = res.grad
         if base == "adam":
-            m = adam.beta1 * m + (1.0 - adam.beta1) * g
             v = adam.beta2 * v + (1.0 - adam.beta2) * g * g
             adam_k += 1
         if not rec.searched:

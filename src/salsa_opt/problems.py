@@ -178,33 +178,42 @@ _L2_REG = 1e-4
 
 def _logreg_from_data(X: np.ndarray, y: np.ndarray, seed: int,
                       name: str) -> Problem:
-    """Regularized logistic regression on given features and +-1 labels.
+    """Regularized logistic regression on given features and labels.
 
-    80% of the rows (seeded shuffle) form the training objective; held-out
+    Every label must be exactly +1.0 or -1.0: the training rows are stored
+    with their labels folded in, ``Xy = y[:, None] * X[tr]``, which is
+    exact only because a product with +-1 flips no more than a sign. 80% of
+    the rows (seeded shuffle) form the training objective; held-out
     accuracy on the remaining 20% is the validation metric. ``extras``
-    holds the training split as ``Xtr`` and ``ytr``.
+    holds the training split as ``Xy`` and ``ytr``; ``ytr[:, None] * Xy``
+    gives back the training rows bit for bit.
     """
     n = X.shape[0]
     perm = seeded_rng(seed, 0x15).permutation(n)
     n_train = max(1, int(round(0.8 * n)))
     tr, va = perm[:n_train], perm[n_train:]
-    Xtr, ytr = _readonly(X[tr]), _readonly(y[tr])
+    ytr = _readonly(y[tr])
+    # X[tr] is a fresh copy, so the labels fold into it in place
+    Xy = X[tr]
+    Xy *= ytr[:, None]
+    _readonly(Xy)
     Xva, yva = _readonly(X[va]), _readonly(y[va])
     dim = X.shape[1]
 
     def loss_grad(w, indices, grad=True):
-        # take() gathers rows with the same bits as Xtr[indices], faster
-        Xb, yb = Xtr.take(indices, axis=0), ytr[indices]
-        neg_margins = -(yb * (Xb @ w))
+        # take() gathers rows with the same bits as Xy[indices], faster;
+        # a row holds y x, and (y x).w == y (x.w) bit for bit
+        Xb = Xy.take(indices, axis=0)
+        neg_margins = -(Xb @ w)
         # np.add.reduce(x) / n is x.mean() bit for bit, without its Python
         # wrapper
-        loss = float(np.add.reduce(np.logaddexp(0.0, neg_margins)) / len(yb)
+        loss = float(np.add.reduce(np.logaddexp(0.0, neg_margins)) / len(Xb)
                      + _L2_REG * (w @ w))
         if not grad:
             return EvalResult(loss, None)
-        # d/dw mean log(1+exp(-y x.w)) = mean(-y * sigma(-y x.w) * x)
-        coeff = -yb * _sigmoid(neg_margins) / len(yb)
-        g = Xb.T @ coeff + 2.0 * _L2_REG * w
+        # d/dw mean log(1+exp(-y x.w)) = mean(-y * sigma(-y x.w) * x); the
+        # label rides in Xb, and (y x) (s / -n) == x ((-y s) / n) exactly
+        g = Xb.T @ (_sigmoid(neg_margins) / -len(Xb)) + 2.0 * _L2_REG * w
         return EvalResult(loss=loss, grad=g)
 
     def init_params(run_seed):
@@ -218,7 +227,7 @@ def _logreg_from_data(X: np.ndarray, y: np.ndarray, seed: int,
     return Problem(name=name, dim=dim, dataset_size=n_train,
                    loss_grad=loss_grad, init_params=init_params,
                    val_accuracy=val_accuracy,
-                   extras={"Xtr": Xtr, "ytr": ytr})
+                   extras={"Xy": Xy, "ytr": ytr})
 
 
 @checked_arguments(n=">= 1", dim=">= 1", label_noise="[0,0.5)")
@@ -389,7 +398,8 @@ def finite_diff_grad(problem: Problem, w: ParamVector, h: float) -> ParamVector:
 def load_csv_dataset(path: str) -> tuple[np.ndarray, np.ndarray]:
     """Read rows of ``feature,...,feature,label``; a header line is skipped.
 
-    Labels may be {0,1} or {-1,1}; returned unchanged.
+    Labels are returned unchanged; ``problem_from_csv`` checks that they
+    are {0,1} or {-1,1}.
     """
     with open(path) as f:
         first = f.readline()
@@ -409,9 +419,11 @@ def problem_from_csv(path: str, kind: str = "logreg", hidden: int = 8,
                      seed: int = 0) -> Problem:
     """Build a logreg or mlp problem from a user-supplied CSV dataset."""
     X, y = load_csv_dataset(path)
-    labels = set(np.unique(y))
-    if not labels <= {-1.0, 0.0, 1.0}:
-        raise ValueError(f"labels must be binary (0/1 or -1/1), got {sorted(labels)}")
+    labels = np.unique(y).tolist()
+    # -1 and 0 together would name three classes, which both mappings
+    # below would merge into two
+    if not (set(labels) <= {0.0, 1.0} or set(labels) <= {-1.0, 1.0}):
+        raise ValueError(f"labels must be binary (0/1 or -1/1), got {labels}")
     name = f"csv_{kind}"
     if kind == "logreg":
         y_pm = np.where(y > 0, 1.0, -1.0)

@@ -71,6 +71,19 @@ class TestRunCommand:
         assert main(["run", "--config", cfg, "--out",
                      str(tmp_path / "x.csv")]) == 2
 
+    def test_csv_with_three_label_values_exit_code(self, tmp_path, capsys):
+        data = tmp_path / "three.csv"
+        data.write_text("".join(f"{i}.0,{label}\n"
+                                for i, label in enumerate([1, 0, -1, 1, 0])))
+        cfg = write_config(tmp_path, {
+            **RUN_CONFIG, "seeds": [0],
+            "problem": {"kind": "csv", "path": str(data),
+                        "kind_inner": "logreg"}})
+        assert main(["run", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad csv parameters: labels must be")
+        assert "[-1.0, 0.0, 1.0]" in err
+
     def test_missing_config_file(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "absent.json"),
                      "--out", str(tmp_path / "x.csv")]) == 2

@@ -6,6 +6,9 @@ reference the faster kernels must reproduce. It reads the same data, from
 ``prob.extras``, with ``w`` split by the problem's shapes.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,9 +16,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from salsa_opt import problems as problems_module
-from salsa_opt.core import EvalResult
+from salsa_opt.core import EvalResult, seeded_rng
 from salsa_opt.problems import (make_logreg, make_matrix_factorization,
-                                make_mlp, make_quadratic)
+                                make_mlp, make_quadratic, problem_from_csv)
 
 
 def ref_sigmoid(z):
@@ -41,7 +44,10 @@ def ref_quadratic(prob):
 
 
 def ref_logreg(prob):
-    Xtr, ytr = prob.extras["Xtr"], prob.extras["ytr"]
+    # the kernel stores each training row times its +-1 label; a second
+    # product with the label gives the row back exactly
+    ytr = prob.extras["ytr"]
+    Xtr = ytr[:, None] * prob.extras["Xy"]
     _L2_REG = problems_module._L2_REG
 
     def loss_grad(w, indices, grad=True):
@@ -116,9 +122,34 @@ def ref_matfac(prob):
     return loss_grad
 
 
+def noisy_logreg(n=300, dim=8, seed=1):
+    """``make_logreg`` with label noise, and the features it drew."""
+    X = seeded_rng(seed, 0x11).standard_normal((n, dim))
+    return make_logreg(n=n, dim=dim, seed=seed, label_noise=0.1), X
+
+
+def csv_logreg(labels, seed=4):
+    """A logreg problem built by ``problem_from_csv`` from Gaussian feature
+    rows, with signed zeros and a huge entry mixed in, and the given label
+    column; and the features it read."""
+    X = seeded_rng(seed, 0x5C).standard_normal((len(labels), 4))
+    X[::7, 0] = -0.0
+    X[1::7, 1] = 0.0
+    X[2::7, 2] = -1e300
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "data.csv"
+        path.write_text("".join(
+            ",".join(repr(float(v)) for v in row) + f",{label}\n"
+            for row, label in zip(X, labels)))
+        return problem_from_csv(str(path), kind="logreg", seed=seed), X
+
+
+LABELS_01 = [int(v) for v in seeded_rng(5, 0x5D).integers(0, 2, 90)]
+
 CASES = [
     (make_quadratic(dim=6, cond=50, seed=1), ref_quadratic),
-    (make_logreg(n=300, dim=8, seed=1, label_noise=0.1), ref_logreg),
+    (noisy_logreg()[0], ref_logreg),
+    (csv_logreg(LABELS_01)[0], ref_logreg),
     (make_mlp(n=240, in_dim=5, hidden=4, seed=1), ref_mlp),
     (make_matrix_factorization(rows=8, cols=6, rank=2, seed=1), ref_matfac),
     (make_matrix_factorization(rows=40, cols=30, rank=3, seed=2), ref_matfac),
@@ -158,10 +189,11 @@ def index_sets(draw, size):
     return np.array([pool[p] for p in picks], dtype=np.int64)
 
 
-@given(st.data())
-@settings(max_examples=400, deadline=None)
-def test_kernels_match_the_reference_formulas(data):
-    prob, ref = data.draw(st.sampled_from(CASES), label="problem")
+@pytest.mark.parametrize("prob, ref", CASES,
+                         ids=[prob.name for prob, _ in CASES])
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_kernels_match_the_reference_formulas(prob, ref, data):
     w = data.draw(arrays(np.float64, prob.dim, elements=ENTRIES), label="w")
     idx = data.draw(index_sets(prob.dataset_size), label="indices")
     with np.errstate(all="ignore"):
@@ -194,9 +226,9 @@ def test_sigmoid_matches_the_masked_form():
 
 @pytest.mark.parametrize("prob, names", [
     (CASES[0][0], ("eigs", "w_star")),
-    (CASES[1][0], ("Xtr", "ytr")),
-    (CASES[2][0], ("Xtr", "ytr")),
-    (CASES[3][0], ("M",)),
+    (CASES[1][0], ("Xy", "ytr")),
+    (CASES[3][0], ("Xtr", "ytr")),
+    (CASES[4][0], ("M",)),
 ], ids=lambda x: getattr(x, "name", ""))
 def test_factory_data_is_read_only(prob, names):
     for name in names:
@@ -207,3 +239,16 @@ def test_writing_into_problem_data_raises():
     prob = make_quadratic(dim=3, cond=10, seed=0)
     with pytest.raises(ValueError, match="read-only"):
         prob.extras["eigs"][0] = 2.0
+
+
+@pytest.mark.parametrize("build, seed", [
+    (noisy_logreg, 1),
+    (lambda: csv_logreg(LABELS_01), 4),
+    (lambda: csv_logreg([2 * v - 1 for v in LABELS_01]), 4),
+], ids=["make_logreg-noise", "csv-0-1", "csv-minus1-1"])
+def test_label_fold_gives_back_the_training_rows(build, seed):
+    prob, X = build()
+    tr = seeded_rng(seed, 0x15).permutation(len(X))[:prob.dataset_size]
+    ytr = prob.extras["ytr"]
+    assert set(ytr.tolist()) == {-1.0, 1.0}
+    assert _bits(ytr[:, None] * prob.extras["Xy"]) == _bits(X[tr])

@@ -108,7 +108,10 @@ def _wrapper_losses(prob, w, idx):
         loss = float(0.5 * np.sum(env["eigs"] * r * r))
         return loss, loss
     if prob.name.startswith("logreg"):
-        Xtr, ytr = env["Xtr"], env["ytr"]
+        # the stored rows hold their labels folded in; a second product
+        # with the +-1 label gives the features back exactly
+        ytr = env["ytr"]
+        Xtr = ytr[:, None] * env["Xy"]
         reg = problems_module._L2_REG * (w @ w)
         margins = ytr[idx] * (Xtr[idx] @ w)
         full_margins = ytr * (Xtr @ w)
@@ -418,3 +421,12 @@ class TestCsvIngestion:
         path.write_text("1.0,2.0,3.5\n")
         with pytest.raises(ValueError):
             problem_from_csv(str(path), kind="logreg")
+
+    @pytest.mark.parametrize("kind", ["logreg", "mlp"])
+    def test_three_label_values_rejected(self, tmp_path, kind):
+        # -1, 0 and 1 are three classes; either mapping would merge two
+        path = tmp_path / "three.csv"
+        path.write_text("".join(f"{i}.0,{label}\n"
+                                for i, label in enumerate([1, 0, -1, 1, 0])))
+        with pytest.raises(ValueError, match=r"\[-1\.0, 0\.0, 1\.0\]"):
+            problem_from_csv(str(path), kind=kind)
