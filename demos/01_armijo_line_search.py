@@ -6,10 +6,8 @@ hand-picked rate: the search needs no tuning and lands near the same
 stability boundary by itself.
 """
 
-import numpy as np
-
-from salsa_opt import SlsConfig, SlsState, make_quadratic, sls_step
-from salsa_opt.problems import batch_for_step, BatchSampler
+from salsa_opt import (BatchSampler, SlsConfig, SlsState, batch_for_step,
+                       make_quadratic, run_single, sls_step)
 
 problem = make_quadratic(dim=10, cond=100, seed=42)
 sampler = BatchSampler(seed=0, batch_size=1, dataset_size=1)
@@ -31,12 +29,7 @@ print("note: eta settled near 2(1-c)/L_max = "
       f"{2 * (1 - cfg.c) / 100:.4f} without any tuning")
 
 # the same problem with a fixed rate at the classical stability boundary
-from salsa_opt import fixed_sgd_step
-from salsa_opt.problems import BatchObjective
-
-w_fixed = problem.init_params(0)
-for k in range(400):
-    batch = BatchObjective(problem, np.arange(1), key=0)
-    w_fixed, _ = fixed_sgd_step(batch, w_fixed, 0.018, k)
+w_fixed = run_single(problem, {"kind": "sgd", "lr": 0.018}, seed=0,
+                     epochs=400, batch_size=1).final_params
 print(f"fixed SGD at lr=0.018 after 400 steps: "
       f"{problem.full_loss(w_fixed):.3e}")

@@ -7,8 +7,8 @@ average rank (ties averaged), mirroring how optimizer benchmarks are
 usually summarized.
 """
 
-from salsa_opt import ExperimentConfig, compare, run_experiment, summarize
-from salsa_opt.harness import build_problem
+from salsa_opt import (ExperimentConfig, build_problem, compare,
+                       run_experiment, summarize)
 
 PROBLEMS = [
     {"kind": "logreg", "n": 2000, "dim": 20, "seed": 0, "label_noise": 0.1},

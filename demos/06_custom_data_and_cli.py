@@ -12,13 +12,13 @@ from pathlib import Path
 
 import numpy as np
 
-from salsa_opt import finite_diff_grad, problem_from_csv, seeded_rng
+from salsa_opt import finite_diff_grad, problem_from_csv
 from salsa_opt.cli import main as salsa_opt_cli
 
 workdir = Path(tempfile.mkdtemp(prefix="salsa_opt_demo_"))
 
 # write a small synthetic dataset the way a user's export might look
-rng = seeded_rng(2024)
+rng = np.random.default_rng(2024)
 X = rng.standard_normal((120, 4))
 labels = (X @ np.array([1.0, -0.5, 2.0, 0.0]) > 0).astype(int)
 csv_path = workdir / "mydata.csv"

@@ -12,29 +12,46 @@ Two search families over SGD and Adam directions:
 Fixed-learning-rate SGD/Adam baselines (flat or warmup+cosine schedules),
 analytic-gradient toy problems, and an experiment harness with reproducible
 traces round out the package.
+
+The public API is ``__all__``: problems, configs, runs, studies, the replay
+verifier and the pieces of a hand-written search loop. Every other name is
+internal to its module and may change without notice.
 """
 
-from .core import (EvalResult, ParamVector, StepRecord, TrainingTrace, axpy,
-                   norm_sq, param_vector, seeded_rng, stream_key)
-from .directions import (AdamState, adam_direction, adam_update_moments,
-                         preconditioned_grad_norm, sgd_direction)
-from .line_search import (BacktrackResult, SlsConfig, SlsState,
-                          apply_without_search, armijo_holds, backtrack,
-                          propose_initial_step, sls_step)
-from .salsa import (SalsaConfig, salsa_adam_step, salsa_backtrack,
-                    salsa_criterion, salsa_sgd_step, smooth_update)
-from .frequency import (FreqState, FrequencyController, compute_interval,
-                        update_emas)
-from .baselines import (ScheduleConfig, fixed_adam_step, fixed_sgd_step,
-                        schedule_lr)
-from .problems import (BatchObjective, BatchSampler, Problem, batch_for_step,
-                       finite_diff_grad, load_csv_dataset, make_logreg,
+from .core import ConfigError, EvalResult, StepRecord, TrainingTrace
+from .line_search import SlsConfig, SlsState, sls_step
+from .salsa import SalsaConfig
+from .frequency import FrequencyController
+from .baselines import ScheduleConfig
+from .problems import (BatchSampler, Problem, batch_for_step,
+                       finite_diff_grad, make_logreg,
                        make_matrix_factorization, make_mlp, make_quadratic,
                        problem_from_csv)
-from .harness import (AblationReport, ComparisonTable, ConfigError,
-                      ExperimentConfig, ReplayReport, RunResult, RunSummary,
-                      ScalingReport, batch_scaling_experiment, build_problem,
-                      compare, emit, final_smoothed_loss, frequency_ablation,
-                      replay_verify, run_experiment, run_single, summarize)
+from .harness import (AblationReport, ComparisonTable, ExperimentConfig,
+                      ReplayReport, RunResult, RunSummary, ScalingReport,
+                      batch_scaling_experiment, build_problem, compare, emit,
+                      final_smoothed_loss, frequency_ablation, replay_verify,
+                      run_experiment, run_single, summarize)
+
+__all__ = [
+    # problems
+    "Problem", "EvalResult", "make_quadratic", "make_logreg", "make_mlp",
+    "make_matrix_factorization", "problem_from_csv", "build_problem",
+    "finite_diff_grad",
+    # configs
+    "SlsConfig", "SalsaConfig", "ScheduleConfig", "ExperimentConfig",
+    "ConfigError",
+    # runs
+    "run_single", "RunResult", "run_experiment", "final_smoothed_loss",
+    "TrainingTrace", "StepRecord", "emit",
+    # studies
+    "summarize", "RunSummary", "compare", "ComparisonTable",
+    "batch_scaling_experiment", "ScalingReport", "frequency_ablation",
+    "AblationReport", "FrequencyController",
+    # verifier
+    "replay_verify", "ReplayReport",
+    # a hand-written search loop
+    "sls_step", "SlsState", "BatchSampler", "batch_for_step",
+]
 
 __version__ = "0.1.0"

@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 from .core import ConfigError, ParamVector, StepRecord, check_fields
 # The two direction names stay bound here because perfbench/tracer.py
 # patches them by module; the engine calls its own bindings.
-from .directions import AdamState, adam_direction, \
-    adam_update_moments  # noqa: F401
+from .directions import adam_direction, adam_update_moments  # noqa: F401
 from .line_search import SlsState, apply_without_search
 
 SCHEDULE_SHAPES = ("cosine_warmup", "flat")
@@ -54,18 +53,15 @@ def schedule_lr(cfg: ScheduleConfig, k: int) -> float:
     return cfg.peak_lr * 0.5 * (1.0 + math.cos(math.pi * p))
 
 
-def fixed_sgd_step(batch, w: ParamVector, lr: float,
-                   k: int) -> tuple[ParamVector, StepRecord]:
-    """Plain SGD update w - lr * grad on this batch: the engine's step
-    with no search, at step size lr."""
-    return apply_without_search(batch, w, "sgd", SlsState(eta=lr, k=k))
+def fixed_sgd_step(batch, w: ParamVector,
+                   state: SlsState) -> tuple[ParamVector, StepRecord]:
+    """Plain SGD update w - state.eta * grad on this batch: the engine's
+    step with no search. Advances ``state.k``."""
+    return apply_without_search(batch, w, "sgd", state)
 
 
-def fixed_adam_step(batch, w: ParamVector, adam_state: AdamState, lr: float,
-                    k: int) -> tuple[ParamVector, StepRecord, AdamState]:
-    """Adam update with momentum at a fixed learning rate: the engine's
-    step with no search, at step size lr. Advances ``adam_state`` in place
-    and returns it as the third value."""
-    state = SlsState(eta=lr, k=k, adam=adam_state)
-    w_next, record = apply_without_search(batch, w, "adam", state)
-    return w_next, record, state.adam
+def fixed_adam_step(batch, w: ParamVector,
+                    state: SlsState) -> tuple[ParamVector, StepRecord]:
+    """Adam update with momentum at step size state.eta: the engine's step
+    with no search. Advances ``state.k`` and ``state.adam`` in place."""
+    return apply_without_search(batch, w, "adam", state)

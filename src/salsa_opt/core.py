@@ -27,16 +27,6 @@ FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
 
 
-def param_vector(values) -> ParamVector:
-    """Coerce to a finite 1-D float64 vector."""
-    v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError(f"parameter vector must be 1-D, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("parameter vector contains non-finite entries")
-    return v
-
-
 class ConfigError(ValueError):
     """An invalid configuration value."""
 

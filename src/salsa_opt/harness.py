@@ -141,10 +141,6 @@ class _LineSearchRunner:
             self.skip_step = lambda batch, w: \
                 logged(skip(batch, w, base, state))
 
-    @property
-    def eta(self) -> float:
-        return self.state.eta
-
 
 class _FixedLrRunner:
     """Steps the fixed-rate sgd/adam baselines; it has no h/s to log."""
@@ -164,24 +160,17 @@ class _FixedLrRunner:
         # ScheduleConfig owns the defaults of the fields the config leaves out
         self.schedule = ScheduleConfig(total_steps=max(total_steps, 1),
                                        **fixed)
-        self.adam = _adam_moments(kind, dim, params)
-        self.k = 0
+        self.state = SlsState(eta=self.schedule.peak_lr,
+                              adam=_adam_moments(kind, dim, params))
         self.h_series = []
         self.s_series = []
 
-    @property
-    def eta(self) -> float:
-        return self.schedule.peak_lr
-
     def step(self, batch, w):
-        lr = schedule_lr(self.schedule, self.k)
+        state = self.state
+        state.eta = schedule_lr(self.schedule, state.k)
         if self.base == "sgd":
-            w_next, rec = fixed_sgd_step(batch, w, lr, self.k)
-        else:
-            w_next, rec, self.adam = fixed_adam_step(batch, w, self.adam, lr,
-                                                     self.k)
-        self.k += 1
-        return w_next, rec
+            return fixed_sgd_step(batch, w, state)
+        return fixed_adam_step(batch, w, state)
 
 
 def _build_runner(opt: dict, dim: int,
@@ -231,7 +220,7 @@ def run_single(problem: Problem, optimizer: dict, seed: int, epochs: int,
     if total == 0:
         batch = batch_for_step(problem, sampler, 0)
         res = batch.eval(w)
-        trace.append(StepRecord(k=0, eta=runner.eta, loss=res.loss,
+        trace.append(StepRecord(k=0, eta=runner.state.eta, loss=res.loss,
                                 grad_norm_sq=norm_sq(res.grad), searched=False,
                                 backtracks=0, batch_seed=batch.key))
         return RunResult(trace, w, val_acc, runner.h_series,
@@ -389,10 +378,6 @@ def compare(summaries: list[RunSummary]) -> ComparisonTable:
     loss falls back to its arithmetic mean, with a warning, since the
     geometric mean is undefined there.
     """
-    # scipy.stats costs most of the package's import time; only ranking
-    # needs it
-    from scipy.stats import rankdata
-
     problems = list(dict.fromkeys(s.problem for s in summaries))
     optimizers = list(dict.fromkeys(s.optimizer for s in summaries))
     losses = {(s.problem, s.optimizer): s.mean_final_loss for s in summaries}
@@ -413,7 +398,10 @@ def compare(summaries: list[RunSummary]) -> ComparisonTable:
                 f"{[o for o, d in zip(optimizers, diverged) if d]}; "
                 f"ranked last")
             row[diverged] = np.inf
-        rank_rows.append(rankdata(row, method="average"))
+        # (places below + places up to and including + 1) / 2: ties share
+        # the mean of their places, and a NaN, now inf, ranks last
+        rank_rows.append(((row < row[:, None]).sum(1)
+                          + (row <= row[:, None]).sum(1) + 1) / 2)
     ranks = np.mean(rank_rows, axis=0)
     for i, o in enumerate(optimizers):
         vals = np.array([losses[(p, o)] for p in problems])

@@ -398,6 +398,8 @@ def finite_diff_grad(problem: Problem, w: ParamVector, h: float) -> ParamVector:
 def load_csv_dataset(path: str) -> tuple[np.ndarray, np.ndarray]:
     """Read rows of ``feature,...,feature,label``; a header line is skipped.
 
+    Every value must be finite: a ``nan`` or ``inf`` raises ValueError
+    naming the first data row (1-based, header excluded) that holds one.
     Labels are returned unchanged; ``problem_from_csv`` checks that they
     are {0,1} or {-1,1}.
     """
@@ -411,6 +413,10 @@ def load_csv_dataset(path: str) -> tuple[np.ndarray, np.ndarray]:
     data = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
     if data.shape[1] < 2:
         raise ValueError("need at least one feature column plus a label column")
+    bad = np.flatnonzero(~np.isfinite(data).all(axis=1))
+    if bad.size:
+        raise ValueError(f"data row {bad[0] + 1} holds a non-finite value: "
+                         f"{data[bad[0]].tolist()}")
     return data[:, :-1], data[:, -1]
 
 

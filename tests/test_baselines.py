@@ -13,6 +13,7 @@ from salsa_opt.baselines import (ScheduleConfig, fixed_adam_step,
 from salsa_opt.core import StepRecord, axpy, norm_sq
 from salsa_opt.directions import AdamState, adam_direction, \
     adam_update_moments
+from salsa_opt.line_search import SlsState
 from salsa_opt.problems import make_quadratic, BatchObjective
 
 
@@ -92,20 +93,21 @@ class TestFixedSgd:
     def test_zero_lr_keeps_params(self):
         prob = make_centered_quadratic(dim=2)
         w = np.array([1.0, -2.0])
-        w_next, rec = fixed_sgd_step(full_batch(prob), w, 0.0, k=0)
+        w_next, rec = fixed_sgd_step(full_batch(prob), w, SlsState(eta=0.0, k=0))
         np.testing.assert_array_equal(w_next, w)
         assert not rec.searched
 
     def test_halving_step(self, quadratic_1d):
         w_next, _ = fixed_sgd_step(full_batch(quadratic_1d),
-                                   np.array([1.0]), 0.5, k=0)
+                                   np.array([1.0]), SlsState(eta=0.5, k=0))
         assert w_next[0] == 0.5
 
     def test_unstable_lr_diverges(self, quadratic_1d):
         # classical bound: lr > 2/L with L = 1 blows up
         w = np.array([1.0])
         for k in range(40):
-            w, _ = fixed_sgd_step(full_batch(quadratic_1d), w, 2.5, k=k)
+            w, _ = fixed_sgd_step(full_batch(quadratic_1d), w,
+                                  SlsState(eta=2.5, k=k))
         assert abs(w[0]) > 1e3
 
 
@@ -114,16 +116,16 @@ class TestFixedAdam:
         prob = make_centered_quadratic(dim=3, eigs=[1.0, 3.0, 0.5])
         w = np.array([1.0, -2.0, 4.0])
         lr = 0.01
-        w_next, _, _ = fixed_adam_step(full_batch(prob), w,
-                                       AdamState.zeros(3), lr, k=0)
+        w_next, _ = fixed_adam_step(full_batch(prob), w, SlsState(
+            eta=lr, k=0, adam=AdamState.zeros(3)))
         # bias-corrected first step is sign(g) up to the eps perturbation
         np.testing.assert_allclose(np.abs(w_next - w), lr, rtol=1e-6)
 
     def test_zero_gradient_zero_moments_no_move(self):
         prob = make_centered_quadratic(dim=2)
         w = np.zeros(2)
-        w_next, _, _ = fixed_adam_step(full_batch(prob), w,
-                                       AdamState.zeros(2), 0.1, k=0)
+        w_next, _ = fixed_adam_step(full_batch(prob), w, SlsState(
+            eta=0.1, k=0, adam=AdamState.zeros(2)))
         np.testing.assert_array_equal(w_next, w)
 
     def test_quadratic_converges_at_small_lr(self):
@@ -132,7 +134,8 @@ class TestFixedAdam:
         state = AdamState.zeros(2)
         for k in range(5000):
             batch = BatchObjective(prob, np.arange(1), key=0)
-            w, _, state = fixed_adam_step(batch, w, state, 1e-2, k=k)
+            w, _ = fixed_adam_step(batch, w,
+                                   SlsState(eta=1e-2, k=k, adam=state))
         grad = prob.loss_grad(w, prob.full_indices()).grad
         assert float(np.linalg.norm(grad)) <= 1e-3
 
@@ -158,11 +161,12 @@ class TestEngineMatchesReference:
         for i, lr in enumerate(lrs):
             k = k0 + i
             batch = BatchObjective(prob, np.arange(1), key=k)
-            w_sgd, rec = fixed_sgd_step(batch, w_sgd, lr, k)
+            w_sgd, rec = fixed_sgd_step(batch, w_sgd, SlsState(eta=lr, k=k))
             w_sgd_ref, rec_ref = reference_sgd_step(batch, w_sgd_ref, lr, k)
             assert w_sgd.tobytes() == w_sgd_ref.tobytes()
             assert rec == rec_ref
-            w_adam, rec, adam = fixed_adam_step(batch, w_adam, adam, lr, k)
+            w_adam, rec = fixed_adam_step(batch, w_adam,
+                                          SlsState(eta=lr, k=k, adam=adam))
             w_adam_ref, rec_ref, adam_ref = reference_adam_step(
                 batch, w_adam_ref, adam_ref, lr, k)
             assert w_adam.tobytes() == w_adam_ref.tobytes()

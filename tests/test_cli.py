@@ -84,6 +84,23 @@ class TestRunCommand:
         assert err.startswith("error: bad csv parameters: labels must be")
         assert "[-1.0, 0.0, 1.0]" in err
 
+    def test_csv_with_non_finite_features_exit_code(self, tmp_path, capsys):
+        # accepted, a nan or inf feature gives NaN losses with 100
+        # backtracks per step, and the run still exits 0
+        data = tmp_path / "nonfinite.csv"
+        data.write_text("f0,f1,label\n1.0,2.0,1\n0.5,nan,0\n-1.0,0.3,1\n"
+                        "inf,1.0,0\n0.2,-0.4,1\n")
+        cfg = write_config(tmp_path, {
+            **RUN_CONFIG, "seeds": [0], "batch_size": 2,
+            "optimizer": {"kind": "sgd_sls"},
+            "problem": {"kind": "csv", "path": str(data),
+                        "kind_inner": "logreg"}})
+        assert main(["run", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "error: bad csv parameters: data row 2 holds a non-finite value")
+        assert captured.out == ""
+
     def test_missing_config_file(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "absent.json"),
                      "--out", str(tmp_path / "x.csv")]) == 2

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from salsa_opt.core import (StepRecord, TrainingTrace, axpy, norm_sq,
-                            param_vector, seeded_rng, stream_key)
+                            seeded_rng, stream_key)
 
 
 class TestNormSq:
@@ -60,19 +60,6 @@ class TestAxpy:
         y = rng.standard_normal(6)
         back = axpy(-1.0, x, axpy(1.0, x, y))
         np.testing.assert_allclose(back, y, atol=1e-12)
-
-
-class TestParamVector:
-    def test_rejects_nan(self):
-        with pytest.raises(ValueError):
-            param_vector([1.0, float("nan")])
-
-    def test_rejects_2d(self):
-        with pytest.raises(ValueError):
-            param_vector([[1.0], [2.0]])
-
-    def test_float64(self):
-        assert param_vector([1, 2, 3]).dtype == np.float64
 
 
 class TestSeededRng:

@@ -3,10 +3,13 @@
 import dataclasses
 import json
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from salsa_opt import harness
 from salsa_opt.baselines import ScheduleConfig, schedule_lr
@@ -257,6 +260,88 @@ class TestCompare:
                              self._summary("a", "p2", 1.0)])
         assert table.log_mean["a"] == table.arithmetic_mean["a"] == \
             pytest.approx(0.25)
+
+    def test_average_rank_matches_scipy_rankdata(self):
+        # scipy is a test extra: the package ranks in numpy alone
+        stats = pytest.importorskip("scipy.stats")
+        pool = st.sampled_from([-math.inf, -0.0, 0.0, 0.25, 0.5, 1.0,
+                                math.inf, math.nan])
+
+        @settings(max_examples=300, derandomize=True, database=None,
+                  deadline=None)
+        @given(st.integers(1, 8).flatmap(lambda n: st.lists(
+            st.lists(pool, min_size=n, max_size=n), min_size=1, max_size=4)))
+        def check(rows):
+            optimizers = [f"o{i}" for i in range(len(rows[0]))]
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                table = compare([
+                    self._summary(o, f"p{j}", v) for j, row in enumerate(rows)
+                    for o, v in zip(optimizers, row)])
+            expected = np.mean([stats.rankdata(
+                np.where(np.isnan(row), np.inf, row), method="average")
+                for row in rows], axis=0)
+            assert [table.average_rank[o].hex() for o in optimizers] == \
+                [float(r).hex() for r in expected]
+
+        check()
+
+    def _table(self, rows, optimizers):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return compare([self._summary(o, p, v) for p, row in rows.items()
+                            for o, v in zip(optimizers, row)])
+
+    def test_tied_table_bytes(self):
+        # recorded with scipy's rankdata, before compare ranked in numpy
+        table = self._table({"p1": [0.3, 0.1, 0.3, 0.2],
+                             "p2": [0.5, 0.5, 0.5, 0.1],
+                             "p3": [0.4, 0.4, 0.2, 0.2]}, "abcd")
+        assert table.to_csv() == (
+            "problem,a,b,c,d\n"
+            "p1,0.3,0.1,0.3,0.2\n"
+            "p2,0.5,0.5,0.5,0.1\n"
+            "p3,0.4,0.4,0.2,0.2\n"
+            "arithmetic_mean,0.4000000000000001,0.3333333333333333,"
+            "0.3333333333333333,0.16666666666666666\n"
+            "log_mean,0.3914867641168864,0.2714417616594907,"
+            "0.31072325059538586,0.15874010519681997\n"
+            "average_rank,3.3333333333333335,2.5,2.6666666666666665,1.5\n")
+        assert table.to_json() == (
+            '{"arithmetic_mean":{"a":0.4000000000000001,'
+            '"b":0.3333333333333333,"c":0.3333333333333333,'
+            '"d":0.16666666666666666},'
+            '"average_rank":{"a":3.3333333333333335,"b":2.5,'
+            '"c":2.6666666666666665,"d":1.5},'
+            '"log_mean":{"a":0.3914867641168864,"b":0.2714417616594907,'
+            '"c":0.31072325059538586,"d":0.15874010519681997},'
+            '"losses":{"p1":{"a":0.3,"b":0.1,"c":0.3,"d":0.2},'
+            '"p2":{"a":0.5,"b":0.5,"c":0.5,"d":0.1},'
+            '"p3":{"a":0.4,"b":0.4,"c":0.2,"d":0.2}},'
+            '"optimizers":["a","b","c","d"],"problems":["p1","p2","p3"]}\n')
+
+    def test_nan_table_bytes(self):
+        # recorded with scipy's rankdata, before compare ranked in numpy
+        table = self._table({"p1": [0.25, math.nan, 0.125],
+                             "p2": [math.nan, math.nan, 0.5],
+                             "p3": [0.75, 0.75, 0.375]}, "abc")
+        assert table.to_csv() == (
+            "problem,a,b,c\n"
+            "p1,0.25,nan,0.125\n"
+            "p2,nan,nan,0.5\n"
+            "p3,0.75,0.75,0.375\n"
+            "arithmetic_mean,nan,nan,0.3333333333333333\n"
+            "log_mean,nan,nan,0.28617856063833297\n"
+            "average_rank,2.3333333333333335,2.6666666666666665,1.0\n")
+        assert table.to_json() == (
+            '{"arithmetic_mean":{"a":NaN,"b":NaN,"c":0.3333333333333333},'
+            '"average_rank":{"a":2.3333333333333335,"b":2.6666666666666665,'
+            '"c":1.0},'
+            '"log_mean":{"a":NaN,"b":NaN,"c":0.28617856063833297},'
+            '"losses":{"p1":{"a":0.25,"b":NaN,"c":0.125},'
+            '"p2":{"a":NaN,"b":NaN,"c":0.5},'
+            '"p3":{"a":0.75,"b":0.75,"c":0.375}},'
+            '"optimizers":["a","b","c"],"problems":["p1","p2","p3"]}\n')
 
     def test_nan_loss_ranks_last_with_warning(self):
         with pytest.warns(UserWarning, match="NaN loss on p1"):

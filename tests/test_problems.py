@@ -422,6 +422,14 @@ class TestCsvIngestion:
         with pytest.raises(ValueError):
             problem_from_csv(str(path), kind="logreg")
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_rejected(self, tmp_path, value):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(f"f0,f1,label\n1.0,2.0,1\n0.5,1.5,0\n"
+                        f"3.0,{value},1\n{value},1.0,0\n")
+        with pytest.raises(ValueError, match=r"^data row 3 holds a non-finite"):
+            load_csv_dataset(str(path))
+
     @pytest.mark.parametrize("kind", ["logreg", "mlp"])
     def test_three_label_values_rejected(self, tmp_path, kind):
         # -1, 0 and 1 are three classes; either mapping would merge two
