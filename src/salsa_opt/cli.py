@@ -68,17 +68,22 @@ def _cmd_compare(args) -> int:
               if f.name in raw and f.name not in ("problem", "optimizer")}
     check_keys(raw, {*shared, *lists}, lists, "compare")
     problems, optimizers = (check_value(k, raw[k], list[dict]) for k in lists)
-    # every pair is checked before the first one runs
-    pairs = []
+    # every pair is checked before the first one runs; the table labels a
+    # pair by problem name and optimizer kind, so each label is used once
+    pairs = {}
     for prob_spec in problems:
         problem = build_problem(prob_spec)
         for opt in optimizers:
             cfg = ExperimentConfig.from_dict(
                 {**shared, "problem": prob_spec, "optimizer": opt})
             check_optimizer(problem, cfg)
-            pairs.append((problem.name, cfg))
-    table = compare([summarize(cfg.optimizer["kind"], name,
-                               run_experiment(cfg)) for name, cfg in pairs])
+            label = (problem.name, cfg.optimizer["kind"])
+            if label in pairs:
+                raise ConfigError(f"compare config repeats the pair "
+                                  f"({label[0]}, {label[1]})")
+            pairs[label] = cfg
+    table = compare([summarize(kind, name, run_experiment(cfg))
+                     for (name, kind), cfg in pairs.items()])
     return _finish(table, args)
 
 

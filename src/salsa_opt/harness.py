@@ -85,45 +85,72 @@ _SCHEDULE_KEYS = {"lr": "peak_lr", "peak_lr": "peak_lr",
                   "warm_frac": "warm_frac", "schedule": "shape"}
 
 
-def _adam_moments(kind: str, dim: int, params: dict) -> AdamState | None:
-    """Zero Adam moments for an adam kind, taking every key left in
-    ``params`` as an ``AdamState`` hyper-parameter; an sgd kind takes none."""
-    if not kind.startswith("adam"):
-        if params:
-            raise ConfigError(f"unknown {kind} parameters: {sorted(params)}")
-        return None
-    try:
-        return AdamState.zeros(dim, **params)
-    except TypeError as e:
-        raise ConfigError(f"bad {kind} parameters: {e}") from e
+class _Runner:
+    """Steps any of the six optimizer kinds; logs SaLSa's h and s.
 
+    Building it checks the optimizer dict once: the kind, then the
+    search-config fields of a search kind (the ``_SCHEDULE_KEYS`` of a
+    fixed-rate kind), then an adam kind's ``AdamState`` hyper-parameters.
+    ``checked`` holds each key the dict gave, in its order, with the value
+    stored in the field it fills (an int given for a float reads as a
+    float).
 
-class _LineSearchRunner:
-    """Steps one of the four line-search kinds; logs SaLSa's h and s.
-
-    ``step`` and ``skip_step`` take ``(batch, w)`` and are built once, when
-    the runner is built, from this module's bindings: a run built while
-    they are swapped (as the benchmark's tracer does) steps through the
-    swapped functions.
+    ``step``, and a search kind's ``skip_step``, take ``(batch, w)`` and are
+    bound when the runner is built, from this module's bindings: a run
+    built while they are swapped (as the benchmark's tracer does) steps
+    through the swapped functions.
     """
 
-    uses_line_search = True
-
-    def __init__(self, kind: str, dim: int, opt: dict):
-        self.base = "adam" if kind.startswith("adam") else "sgd"
-        self.family = "salsa" if kind.endswith("salsa") else "sls"
-        cfg_cls = SalsaConfig if self.family == "salsa" else SlsConfig
+    def __init__(self, opt: dict, dim: int, total_steps: int):
+        self.kind = kind = check_value("optimizer kind", opt.get("kind"), str,
+                                       OPTIMIZER_KINDS)
+        self.base = base = "adam" if kind.startswith("adam") else "sgd"
         params = {k: v for k, v in opt.items() if k != "kind"}
-        search_kw = {f.name: params.pop(f.name) for f in fields(cfg_cls)
-                     if f.name in params}
-        self.cfg = cfg_cls(**search_kw)
-        self.state = SlsState(eta=self.cfg.eta_init,
-                              adam=_adam_moments(kind, dim, params))
+        if kind in LINE_SEARCH_KINDS:
+            self.family = "salsa" if kind.endswith("salsa") else "sls"
+            cfg_cls = SalsaConfig if self.family == "salsa" else SlsConfig
+            search_kw = {f.name: params.pop(f.name) for f in fields(cfg_cls)
+                         if f.name in params}
+            self.cfg = cfg = cfg_cls(**search_kw)
+            checked = {key: getattr(cfg, key) for key in search_kw}
+            eta = cfg.eta_init
+        else:
+            if "lr" in params and "peak_lr" in params:
+                raise ConfigError(f"{kind} takes 'lr' or 'peak_lr', not both")
+            rules = field_rules(ScheduleConfig)
+            fixed = {name: check_value(key, params.pop(key), *rules[name])
+                     for key, name in _SCHEDULE_KEYS.items() if key in params}
+            if "peak_lr" not in fixed:
+                raise ConfigError(f"{kind} needs 'lr' or 'peak_lr'")
+            # ScheduleConfig owns the defaults of the fields the config
+            # leaves out
+            schedule = ScheduleConfig(total_steps=max(total_steps, 1), **fixed)
+            checked = {key: getattr(schedule, name)
+                       for key, name in _SCHEDULE_KEYS.items() if key in opt}
+            eta = schedule.peak_lr
+        adam = None
+        if base == "adam":
+            try:
+                adam = AdamState.zeros(dim, **params)
+            except TypeError as e:
+                raise ConfigError(f"bad {kind} parameters: {e}") from e
+            checked.update((key, getattr(adam, key)) for key in params)
+        elif params:
+            raise ConfigError(f"unknown {kind} parameters: {sorted(params)}")
+        checked["kind"] = kind
+        self.checked = {key: checked[key] for key in opt}
+        self.state = state = SlsState(eta=eta, adam=adam)
         self.h_series = []
         self.s_series = []
-        base, state, cfg = self.base, self.state, self.cfg
         skip = apply_without_search
-        if self.family == "sls":
+        if kind not in LINE_SEARCH_KINDS:
+            fixed_step = fixed_sgd_step if base == "sgd" else fixed_adam_step
+
+            def step(batch, w):
+                state.eta = schedule_lr(schedule, state.k)
+                return fixed_step(batch, w, state)
+            self.step = step
+        elif self.family == "sls":
             search = sls_step
             self.step = lambda batch, w: search(batch, w, base, state, cfg)
             self.skip_step = lambda batch, w: skip(batch, w, base, state)
@@ -142,52 +169,13 @@ class _LineSearchRunner:
                 logged(skip(batch, w, base, state))
 
 
-class _FixedLrRunner:
-    """Steps the fixed-rate sgd/adam baselines; it has no h/s to log."""
-
-    uses_line_search = False
-
-    def __init__(self, kind: str, dim: int, opt: dict, total_steps: int):
-        self.base = kind
-        params = {k: v for k, v in opt.items() if k != "kind"}
-        if "lr" in params and "peak_lr" in params:
-            raise ConfigError(f"{kind} takes 'lr' or 'peak_lr', not both")
-        rules = field_rules(ScheduleConfig)
-        fixed = {name: check_value(key, params.pop(key), *rules[name])
-                 for key, name in _SCHEDULE_KEYS.items() if key in params}
-        if "peak_lr" not in fixed:
-            raise ConfigError(f"{kind} needs 'lr' or 'peak_lr'")
-        # ScheduleConfig owns the defaults of the fields the config leaves out
-        self.schedule = ScheduleConfig(total_steps=max(total_steps, 1),
-                                       **fixed)
-        self.state = SlsState(eta=self.schedule.peak_lr,
-                              adam=_adam_moments(kind, dim, params))
-        self.h_series = []
-        self.s_series = []
-
-    def step(self, batch, w):
-        state = self.state
-        state.eta = schedule_lr(self.schedule, state.k)
-        if self.base == "sgd":
-            return fixed_sgd_step(batch, w, state)
-        return fixed_adam_step(batch, w, state)
-
-
-def _build_runner(opt: dict, dim: int,
-                  total_steps: int) -> _LineSearchRunner | _FixedLrRunner:
-    kind = check_value("optimizer kind", opt.get("kind"), str,
-                       OPTIMIZER_KINDS)
-    if kind in LINE_SEARCH_KINDS:
-        return _LineSearchRunner(kind, dim, opt)
-    return _FixedLrRunner(kind, dim, opt, total_steps)
-
-
-def check_optimizer(problem: Problem, cfg: ExperimentConfig) -> None:
-    """Build the runner ``cfg`` would run on ``problem``, which checks it."""
+def check_optimizer(problem: Problem, cfg: ExperimentConfig) -> dict:
+    """Build the runner ``cfg`` would run on ``problem``, which checks it;
+    returns the runner's ``checked`` optimizer values."""
     sampler = BatchSampler(seed=0, batch_size=cfg.batch_size,
                            dataset_size=problem.dataset_size)
-    _build_runner(cfg.optimizer, problem.dim,
-                  cfg.epochs * sampler.batches_per_epoch)
+    return _Runner(cfg.optimizer, problem.dim,
+                   cfg.epochs * sampler.batches_per_epoch).checked
 
 
 @dataclass
@@ -210,9 +198,9 @@ def run_single(problem: Problem, optimizer: dict, seed: int, epochs: int,
     batches_per_epoch = sampler.batches_per_epoch
     val_accuracy = problem.val_accuracy
     total = epochs * batches_per_epoch
-    runner = _build_runner(optimizer, problem.dim, total)
+    runner = _Runner(optimizer, problem.dim, total)
     controller = FrequencyController() \
-        if frequency_controller and runner.uses_line_search else None
+        if frequency_controller and runner.kind in LINE_SEARCH_KINDS else None
     trace = TrainingTrace(metadata={})
     val_acc = []
     params_hist = [] if collect_params else None
@@ -259,33 +247,20 @@ def _as_checked(config: dict, hints: dict) -> dict:
             else copy.deepcopy(value) for key, value in config.items()}
 
 
-def _optimizer_hints(kind: str) -> dict:
-    """Optimizer config key -> the annotation of the field it fills."""
-    if kind in LINE_SEARCH_KINDS:
-        rules = field_rules(SalsaConfig if kind.endswith("salsa")
-                            else SlsConfig)
-    else:
-        schedule = field_rules(ScheduleConfig)
-        rules = {key: schedule[name] for key, name in _SCHEDULE_KEYS.items()}
-    if kind.startswith("adam"):
-        rules = {**field_rules(AdamState), **rules}
-    return {key: hint for key, (hint, _) in rules.items()}
-
-
 def run_experiment(cfg: ExperimentConfig) -> list[TrainingTrace]:
     """One trace per seed, reproducible bit-exactly from (config, seed)."""
     problem = build_problem(cfg.problem)
+    checked = check_optimizer(problem, cfg)
     traces = [run_single(problem, cfg.optimizer, seed, cfg.epochs,
                          cfg.batch_size, cfg.frequency_controller).trace
               for seed in cfg.seeds]
-    # the runs have checked every value; the metadata keeps the config's
-    # keys with the values as checked, so configs that differ only in how
-    # a number is written write the same bytes
+    # the metadata keeps the config's keys with the values as checked, so
+    # configs that differ only in how a number is written write the same
+    # bytes
     snapshot = {
         "problem": _as_checked(cfg.problem, typing.get_type_hints(
             _PROBLEM_BUILDERS[cfg.problem["kind"]])),
-        "optimizer": _as_checked(cfg.optimizer,
-                                 _optimizer_hints(cfg.optimizer["kind"])),
+        "optimizer": checked,
         "epochs": cfg.epochs,
         "batch_size": cfg.batch_size,
         "frequency_controller": cfg.frequency_controller,
@@ -370,7 +345,8 @@ class ComparisonTable:
 
 
 def compare(summaries: list[RunSummary]) -> ComparisonTable:
-    """Cross-problem comparison with ranks (ties averaged).
+    """Cross-problem comparison with ranks (ties averaged); a repeated
+    (problem, optimizer) pair raises ConfigError.
 
     A NaN loss (a diverged run) ranks last on its problem, with a warning;
     the arithmetic and log means keep the NaN. The log mean is the
@@ -380,7 +356,12 @@ def compare(summaries: list[RunSummary]) -> ComparisonTable:
     """
     problems = list(dict.fromkeys(s.problem for s in summaries))
     optimizers = list(dict.fromkeys(s.optimizer for s in summaries))
-    losses = {(s.problem, s.optimizer): s.mean_final_loss for s in summaries}
+    losses = {}
+    for s in summaries:
+        if (s.problem, s.optimizer) in losses:
+            raise ConfigError(f"summaries repeat ({s.problem}, {s.optimizer});"
+                              f" each (problem, optimizer) pair is one cell")
+        losses[(s.problem, s.optimizer)] = s.mean_final_loss
     for p in problems:
         for o in optimizers:
             if (p, o) not in losses:
@@ -601,10 +582,11 @@ def replay_verify(problem: Problem, optimizer: dict, seed: int, epochs: int,
     config objects. Give-up steps (backtracks exhausted) accept no
     candidate and are not checked.
     """
-    kind = optimizer["kind"]
-    if kind not in LINE_SEARCH_KINDS:
+    # the hyper-parameters as the run read them, from the same runner
+    runner = _Runner(optimizer, problem.dim, 0)
+    if runner.kind not in LINE_SEARCH_KINDS:
         raise ConfigError(f"replay_verify applies to line-search runs, "
-                          f"got {kind!r}")
+                          f"got {runner.kind!r}")
     rerun = run_single(problem, optimizer, seed, epochs, batch_size,
                        frequency_controller, collect_params=True)
     # NaN != NaN, so unequal records are settled by the CSV bytes, where
@@ -614,8 +596,6 @@ def replay_verify(problem: Problem, optimizer: dict, seed: int, epochs: int,
         raise ValueError("trace does not replay bit-identically; "
                          "it was not produced by this configuration")
 
-    # the hyper-parameters as the run read them, from the same runner
-    runner = _LineSearchRunner(kind, problem.dim, optimizer)
     base, family, cfg = runner.base, runner.family, runner.cfg
     adam = runner.state.adam
 

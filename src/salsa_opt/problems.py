@@ -9,6 +9,7 @@ keeps traces bit-reproducible.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -398,8 +399,9 @@ def finite_diff_grad(problem: Problem, w: ParamVector, h: float) -> ParamVector:
 def load_csv_dataset(path: str) -> tuple[np.ndarray, np.ndarray]:
     """Read rows of ``feature,...,feature,label``; a header line is skipped.
 
-    Every value must be finite: a ``nan`` or ``inf`` raises ValueError
-    naming the first data row (1-based, header excluded) that holds one.
+    The file needs at least one data row. Every value must be finite: a
+    ``nan`` or ``inf`` raises ValueError naming the first data row
+    (1-based, header excluded) that holds one.
     Labels are returned unchanged; ``problem_from_csv`` checks that they
     are {0,1} or {-1,1}.
     """
@@ -410,7 +412,12 @@ def load_csv_dataset(path: str) -> tuple[np.ndarray, np.ndarray]:
         [float(tok) for tok in first.strip().split(",")]
     except ValueError:
         skip = 1
-    data = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
+    with warnings.catch_warnings():
+        # a file with no data rows is reported below, as one error
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        data = np.loadtxt(path, delimiter=",", skiprows=skip, ndmin=2)
+    if not data.size:
+        raise ValueError("the file holds no data rows")
     if data.shape[1] < 2:
         raise ValueError("need at least one feature column plus a label column")
     bad = np.flatnonzero(~np.isfinite(data).all(axis=1))

@@ -1,9 +1,14 @@
 """Command-line surface: configs in, CSV/JSON out, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from salsa_opt import cli
 from salsa_opt.cli import main
 from salsa_opt.core import TrainingTrace
 from salsa_opt.harness import batch_scaling_experiment, build_problem, \
@@ -101,6 +106,27 @@ class TestRunCommand:
             "error: bad csv parameters: data row 2 holds a non-finite value")
         assert captured.out == ""
 
+    def test_header_only_csv_is_one_error_line(self, tmp_path):
+        # a fresh interpreter, so that a warning numpy prints reaches the
+        # stderr this test reads
+        data = tmp_path / "header.csv"
+        data.write_text("f0,f1,label\n")
+        cfg = write_config(tmp_path, {
+            **RUN_CONFIG, "seeds": [0],
+            "problem": {"kind": "csv", "path": str(data),
+                        "kind_inner": "logreg"}})
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        pythonpath = os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run(
+            [sys.executable, "-m", "salsa_opt.cli", "run", "--config", cfg],
+            env={**os.environ, "PYTHONPATH": pythonpath},
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stderr == \
+            "error: bad csv parameters: the file holds no data rows\n"
+        assert proc.stdout == ""
+
     def test_missing_config_file(self, tmp_path):
         assert main(["run", "--config", str(tmp_path / "absent.json"),
                      "--out", str(tmp_path / "x.csv")]) == 2
@@ -176,6 +202,31 @@ class TestCompareCommand:
         assert main(["compare", "--config", cfg, "--out", str(out)]) == 2
         assert "unknown compare config fields: ['junk']" in \
             capsys.readouterr().err
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("problems, optimizers", [
+        ([{"kind": "quadratic", "dim": 3, "cond": 10}],
+         [{"kind": "sgd_sls"}, {"kind": "sgd_sls", "c": 0.5}]),
+        ([{"kind": "quadratic", "dim": 3, "cond": 10, "seed": 1},
+          {"kind": "quadratic", "dim": 3, "cond": 10, "seed": 2}],
+         [{"kind": "sgd_sls"}]),
+    ], ids=["two-configs-of-one-kind", "problems-differing-in-seed"])
+    def test_repeated_label_rejected_before_any_run(
+            self, tmp_path, capsys, monkeypatch, problems, optimizers):
+        # the table labels a pair by problem name and optimizer kind; two
+        # pairs with one label used to run and print as one cell
+        runs = []
+        monkeypatch.setattr(cli, "run_experiment",
+                            lambda cfg: runs.append(cfg) or [])
+        cfg = write_config(tmp_path, {
+            "problems": problems, "optimizers": optimizers, "seeds": [0],
+            "epochs": 20, "batch_size": 1})
+        out = tmp_path / "table.csv"
+        assert main(["compare", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: compare config repeats " \
+            "the pair (quadratic_d3_c10, sgd_sls)\n"
+        assert runs == []
         assert not out.exists()
 
 

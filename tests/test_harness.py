@@ -129,7 +129,14 @@ class TestRunExperiment:
         ({"kind": "quadratic", "dim": 2, "cond": 10}, {"kind": "sgd_sls"}),
         ({"kind": "quadratic", "dim": 2},
          {"kind": "adam_salsa", "eta_max": 10, "beta1": 0}),
-    ], ids=["sgd-lr", "problem-cond", "adam_salsa-eta_max-beta1"])
+        # keys of the schedule, search and Adam fields interleaved: the
+        # metadata keeps the config's order, not one grouped by field class
+        ({"kind": "quadratic", "dim": 2},
+         {"kind": "adam", "beta1": 0, "schedule": "flat", "lr": 1}),
+        ({"kind": "quadratic", "dim": 2},
+         {"kind": "adam_sls", "beta2": 0, "c": 0.5, "eta_init": 1}),
+    ], ids=["sgd-lr", "problem-cond", "adam_salsa-eta_max-beta1",
+            "adam-beta1-schedule-lr", "adam_sls-beta2-c-eta_init"])
     def test_int_and_float_values_give_the_same_json(self, problem,
                                                      optimizer):
         # a number written as 1 or 1.0 is the same float to every field,
@@ -245,6 +252,14 @@ class TestCompare:
                          for o, v in zip("abcd", row)])
         assert table.average_rank == {"a": 10 / 3, "b": 2.5, "c": 8 / 3,
                                       "d": 1.5}
+
+    def test_repeated_pair_rejected(self):
+        # two summaries of one (problem, optimizer) pair would share one
+        # cell, and the later one would silently replace the earlier
+        with pytest.raises(ConfigError, match=r"repeat \(p1, a\)"):
+            compare([self._summary("a", "p1", 0.1),
+                     self._summary("b", "p1", 0.2),
+                     self._summary("a", "p1", 0.3)])
 
     def test_rank_invariant_under_monotone_transform(self):
         base = {("a", "p1"): 0.1, ("b", "p1"): 0.7, ("a", "p2"): 0.4,
@@ -559,4 +574,21 @@ class TestReplayVerify:
         counted = dataclasses.replace(prob, loss_grad=counting_loss_grad)
         with pytest.raises(ConfigError, match="line-search runs"):
             replay_verify(counted, opt, 0, 3, 8, trace)
+        assert calls == []
+
+    def test_optimizer_without_kind_rejected_before_any_evaluation(self):
+        prob = make_logreg(n=200, dim=4)
+        trace = run_single(prob, {"kind": "sgd_sls"}, seed=0, epochs=3,
+                           batch_size=8).trace
+        calls = []
+
+        def counting_loss_grad(*args, **kwargs):
+            calls.append(1)
+            return prob.loss_grad(*args, **kwargs)
+
+        counted = dataclasses.replace(prob, loss_grad=counting_loss_grad)
+        # the dict is read by the runner, which names the missing kind
+        with pytest.raises(ConfigError,
+                           match="optimizer kind must be a string, got None"):
+            replay_verify(counted, {"c": 0.5}, 0, 3, 8, trace)
         assert calls == []

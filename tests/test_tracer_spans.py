@@ -34,14 +34,24 @@ def _load_tracer():
 
 TRACER = _load_tracer()
 
+FIXED_RATE_KINDS = ("sgd", "adam")
+
 # (optimizer, frequency controller, the spans its steps are recorded as,
-# and the other spans its steps must record): an SLS run, a SaLSa run
-# whose controller skips searches, and a fixed-rate baseline
+# and the other spans its steps must record), one run per optimizer kind:
+# SLS runs, SaLSa runs whose controller skips searches, and the fixed-rate
+# baselines, one of them with the controller asked for, which a fixed-rate
+# run never builds
 RUNS = (
     ({"kind": "sgd_sls"}, False, ("line_search.step",),
      ("line_search.backtrack", "directions", TRACER.TRIAL_EVAL)),
+    ({"kind": "adam_sls"}, False, ("line_search.step",),
+     ("line_search.backtrack", "directions", TRACER.TRIAL_EVAL)),
+    ({"kind": "sgd_salsa"}, True, ("salsa.step", "line_search.step"),
+     ("salsa.backtrack", "directions", "frequency", TRACER.TRIAL_EVAL)),
     ({"kind": "adam_salsa"}, True, ("salsa.step", "line_search.step"),
      ("salsa.backtrack", "directions", "frequency", TRACER.TRIAL_EVAL)),
+    ({"kind": "sgd", "lr": 0.01, "schedule": "cosine_warmup"}, True,
+     ("baselines.step",), ("directions",)),
     ({"kind": "adam", "lr": 0.05}, False, ("baselines.step",),
      ("directions",)),
 )
@@ -65,6 +75,8 @@ def test_every_layer_of_a_run_is_traced(optimizer, controller, step_spans,
     assert sum(calls[name] for name in step_spans) == len(records)
     for name in spans:
         assert calls[name] > 0, f"no {name} spans"
+    if optimizer["kind"] in FIXED_RATE_KINDS:
+        assert calls["frequency"] == 0
     # exactly the direction calls each step makes: sgd_direction for an
     # sgd step; the moment update and the update direction for an Adam
     # step, and the search direction and norm term when it searched
