@@ -19,7 +19,7 @@ print(f"problem: {problem.name}, start loss {problem.full_loss(w):.3f}")
 print(f"{'step':>5} {'loss':>12} {'eta':>10} {'backtracks':>10}")
 for k in range(400):
     batch = batch_for_step(problem, sampler, k)
-    w, rec = sls_step(batch, w, "sgd", state, cfg)
+    w, rec = sls_step(batch, w, state, cfg)
     if k % 50 == 0 or k == 399:
         print(f"{k:5d} {rec.loss:12.6f} {rec.eta:10.5f} {rec.backtracks:10d}")
 

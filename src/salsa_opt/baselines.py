@@ -11,11 +11,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .core import ConfigError, ParamVector, StepRecord, check_fields
+from .core import ConfigError, check_fields
 # The two direction names stay bound here because perfbench/tracer.py
 # patches them by module; the engine calls its own bindings.
 from .directions import adam_direction, adam_update_moments  # noqa: F401
-from .line_search import SlsState, apply_without_search
+from .line_search import apply_without_search
 
 SCHEDULE_SHAPES = ("cosine_warmup", "flat")
 
@@ -53,15 +53,6 @@ def schedule_lr(cfg: ScheduleConfig, k: int) -> float:
     return cfg.peak_lr * 0.5 * (1.0 + math.cos(math.pi * p))
 
 
-def fixed_sgd_step(batch, w: ParamVector,
-                   state: SlsState) -> tuple[ParamVector, StepRecord]:
-    """Plain SGD update w - state.eta * grad on this batch: the engine's
-    step with no search. Advances ``state.k``."""
-    return apply_without_search(batch, w, "sgd", state)
-
-
-def fixed_adam_step(batch, w: ParamVector,
-                    state: SlsState) -> tuple[ParamVector, StepRecord]:
-    """Adam update with momentum at step size state.eta: the engine's step
-    with no search. Advances ``state.k`` and ``state.adam`` in place."""
-    return apply_without_search(batch, w, "adam", state)
+# One step at ``state.eta``, Adam when ``state.adam`` is set;
+# perfbench/tracer.py patches both names in harness.
+fixed_sgd_step = fixed_adam_step = apply_without_search

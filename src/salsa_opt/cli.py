@@ -21,7 +21,7 @@ from .core import ConfigError, check_fields, check_keys, check_value, \
     config_from_dict, seeded_rng
 from .harness import ExperimentConfig, batch_scaling_experiment, \
     build_problem, check_optimizer, compare, emit, frequency_ablation, \
-    render, run_experiment, summarize
+    render, run_experiment, run_single, summarize
 from .problems import finite_diff_grad
 
 
@@ -65,7 +65,8 @@ def _cmd_compare(args) -> int:
     lists = ("problems", "optimizers")
     # the run settings every (problem, optimizer) pair shares
     shared = {f.name: raw[f.name] for f in fields(ExperimentConfig)
-              if f.name in raw and f.name not in ("problem", "optimizer")}
+              if f.name in raw and f.name not in ("problem", "optimizer",
+                                                  "out")}
     check_keys(raw, {*shared, *lists}, lists, "compare")
     problems, optimizers = (check_value(k, raw[k], list[dict]) for k in lists)
     # every pair is checked before the first one runs; the table labels a
@@ -81,9 +82,11 @@ def _cmd_compare(args) -> int:
             if label in pairs:
                 raise ConfigError(f"compare config repeats the pair "
                                   f"({label[0]}, {label[1]})")
-            pairs[label] = cfg
-    table = compare([summarize(kind, name, run_experiment(cfg))
-                     for (name, kind), cfg in pairs.items()])
+            pairs[label] = problem, cfg
+    table = compare([summarize(kind, name, [
+        run_single(problem, cfg.optimizer, seed, cfg.epochs, cfg.batch_size,
+                   cfg.frequency_controller).trace for seed in cfg.seeds])
+        for (name, kind), (problem, cfg) in pairs.items()])
     return _finish(table, args)
 
 

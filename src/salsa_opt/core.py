@@ -87,8 +87,12 @@ def check_value(name: str, value, hint, bounds=None):
         if not isinstance(value, (list, tuple)) or not value:
             raise ConfigError(f"{name} must be a non-empty list of "
                               f"{_PLURALS[args[0]]}, got {value!r}")
-        return origin(_checked(name, x, args[0], bounds, _PLURALS[args[0]])
-                      for x in value)
+        checked = origin(_checked(name, x, args[0], bounds,
+                                  _PLURALS[args[0]]) for x in value)
+        if args[0] is int and len(set(checked)) < len(checked):
+            raise ConfigError(f"{name} must not repeat a value, "
+                              f"got {value!r}")
+        return checked
     if origin is not None or not isinstance(hint, type) \
             or hint in (list, tuple):
         raise TypeError(f"no config check for {name}: {hint}")
@@ -282,8 +286,11 @@ class TrainingTrace:
         if not lines or lines[0] != CSV_HEADER:
             raise ValueError("missing or malformed trace CSV header")
         trace = cls(metadata=metadata or {})
-        for ln in lines[1:]:
+        for row, ln in enumerate(lines[1:], 1):
             k, eta, loss, gsq, searched, bts, bseed = ln.split(",")
+            if searched not in ("true", "false"):
+                raise ValueError(f"data row {row}: searched must be true or "
+                                 f"false, got {searched!r}")
             trace.append(
                 StepRecord(
                     k=int(k),

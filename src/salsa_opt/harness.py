@@ -104,7 +104,6 @@ class _Runner:
     def __init__(self, opt: dict, dim: int, total_steps: int):
         self.kind = kind = check_value("optimizer kind", opt.get("kind"), str,
                                        OPTIMIZER_KINDS)
-        self.base = base = "adam" if kind.startswith("adam") else "sgd"
         params = {k: v for k, v in opt.items() if k != "kind"}
         if kind in LINE_SEARCH_KINDS:
             self.family = "salsa" if kind.endswith("salsa") else "sls"
@@ -129,7 +128,7 @@ class _Runner:
                        for key, name in _SCHEDULE_KEYS.items() if key in opt}
             eta = schedule.peak_lr
         adam = None
-        if base == "adam":
+        if kind.startswith("adam"):
             try:
                 adam = AdamState.zeros(dim, **params)
             except TypeError as e:
@@ -144,7 +143,7 @@ class _Runner:
         self.s_series = []
         skip = apply_without_search
         if kind not in LINE_SEARCH_KINDS:
-            fixed_step = fixed_sgd_step if base == "sgd" else fixed_adam_step
+            fixed_step = fixed_sgd_step if adam is None else fixed_adam_step
 
             def step(batch, w):
                 state.eta = schedule_lr(schedule, state.k)
@@ -152,10 +151,10 @@ class _Runner:
             self.step = step
         elif self.family == "sls":
             search = sls_step
-            self.step = lambda batch, w: search(batch, w, base, state, cfg)
-            self.skip_step = lambda batch, w: skip(batch, w, base, state)
+            self.step = lambda batch, w: search(batch, w, state, cfg)
+            self.skip_step = lambda batch, w: skip(batch, w, state)
         else:
-            search = salsa_sgd_step if base == "sgd" else salsa_adam_step
+            search = salsa_sgd_step if adam is None else salsa_adam_step
             log_h, log_s = self.h_series.append, self.s_series.append
 
             def logged(out):
@@ -165,8 +164,7 @@ class _Runner:
                 return out
 
             self.step = lambda batch, w: logged(search(batch, w, state, cfg))
-            self.skip_step = lambda batch, w: \
-                logged(skip(batch, w, base, state))
+            self.skip_step = lambda batch, w: logged(skip(batch, w, state))
 
 
 def check_optimizer(problem: Problem, cfg: ExperimentConfig) -> dict:
@@ -596,8 +594,7 @@ def replay_verify(problem: Problem, optimizer: dict, seed: int, epochs: int,
         raise ValueError("trace does not replay bit-identically; "
                          "it was not produced by this configuration")
 
-    base, family, cfg = runner.base, runner.family, runner.cfg
-    adam = runner.state.adam
+    family, cfg, adam = runner.family, runner.cfg, runner.state.adam
 
     sampler = BatchSampler(seed=seed, batch_size=batch_size,
                            dataset_size=problem.dataset_size)
@@ -614,7 +611,7 @@ def replay_verify(problem: Problem, optimizer: dict, seed: int, epochs: int,
         indices = sampler.sample(rec.k)
         res = problem.loss_grad(w, indices)
         g = res.grad
-        if base == "adam":
+        if adam is not None:
             v = adam.beta2 * v + (1.0 - adam.beta2) * g * g
             adam_k += 1
         if not rec.searched:
@@ -625,7 +622,7 @@ def replay_verify(problem: Problem, optimizer: dict, seed: int, epochs: int,
         # recorded eta, so the EMA recurrences below must advance anyway
         accepted = rec.backtracks < cfg.max_backtracks
 
-        if base == "sgd":
+        if adam is None:
             d = -g
             gterm = float(g @ g)
         else:

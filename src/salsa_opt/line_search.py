@@ -1,12 +1,13 @@
 """The one line-search engine, and the backtracking Armijo search (SLS).
 
 Every search kind takes the same step (``search_step``): evaluate the batch
-once, fold the gradient into the Adam moments, regrow the previous step
-size by 2**(1/b), hand it to a search, apply the update and record the
-step. Every search shrinks the step size in the same loop (``shrink``),
-which takes the acceptance test as an argument and evaluates both sides on
-the same mini-batch. SLS passes the raw Armijo test and SaLSa
-(``salsa.py``) the smoothed one. Every kind runs on one state,
+once, fold the gradient into the Adam moments when the state holds them,
+regrow the previous step size by 2**(1/b), hand it to a search, apply the
+update and record the step. Every search shrinks the step size in the same
+loop (``shrink``), which takes the acceptance test as an argument,
+evaluates both sides on the same mini-batch and returns one ``Trial``. SLS
+passes the raw Armijo test and SaLSa (``salsa.py``) the smoothed one. Every
+kind runs on one state,
 ``SlsState``; only SaLSa's search reads and commits its smoothing fields
 ``h``/``s``, so SLS is SaLSa without the smoothing. Steps whose gradient
 is numerically zero skip the search and reuse the last accepted step size.
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .core import ConfigError, ParamVector, StepRecord, check_fields, \
     norm_sq
@@ -98,30 +99,29 @@ def armijo_holds(loss0: float, loss_trial: float, eta: float, c: float,
     return loss_trial <= loss0 - c * eta * gnorm_term
 
 
-@dataclass
-class BacktrackResult:
-    """The settled step size, its shrink count, and the batch loss at
-    ``point``, the array ``w + eta * d`` it was evaluated at."""
+class Trial(NamedTuple):
+    """What a search settled on: the step size, its shrink count, the batch
+    loss at ``point`` (the array ``w + eta * d`` it was evaluated at), and
+    whether the acceptance test held there."""
 
     eta: float
     backtracks: int
-    loss_trial: float
+    loss: float
     point: ParamVector
+    accepted: bool
 
 
 def shrink(objective_on_batch: Callable[[ParamVector], float],
            w: ParamVector, d: ParamVector, eta: float, loss0: float,
-           cfg: SlsConfig, holds: Callable[..., bool],
-           *args) -> tuple[float, int, float, bool, ParamVector]:
+           cfg: SlsConfig, holds: Callable[..., bool], *args) -> Trial:
     """Try eta, eta*delta, eta*delta**2, ... until the acceptance test holds.
 
     A candidate is accepted when its batch loss ``trial`` is finite and
     ``holds(loss0, trial, eta, *args)`` is true, so non-finite trial losses
     count as violations. Performs exactly backtracks+1 objective
-    evaluations and returns (eta, backtracks, loss_trial, accepted, point).
+    evaluations.
 
-    Accepted point: ``point`` is the array ``w + eta * d`` that
-    ``loss_trial`` was evaluated at, the very object handed to the
+    Accepted point: the trial's ``point`` is the very object handed to the
     objective, which must not modify it. A step that moves along ``d``
     itself takes it as its update rather than building the same
     expression from the same operands again; the bits are the same.
@@ -131,34 +131,41 @@ def shrink(objective_on_batch: Callable[[ParamVector], float],
     backtracks=cfg.max_backtracks, the same count as a candidate accepted
     on the last try. Each caller then settles the step size itself: the
     Armijo searches (``backtrack``, ``salsa_backtrack``) clamp it up to
-    cfg.eta_min, rebuilding the point and re-evaluating only if the clamp
-    changes it, and the non-decrease search drops to cfg.eta_min and
-    re-evaluates there. The step is still taken at the settled, unverified
-    step size.
+    cfg.eta_min (``shrink_clamped``), and the non-decrease search drops to
+    cfg.eta_min and re-evaluates there. The step is still taken at the
+    settled, unverified step size.
     """
     for i in range(cfg.max_backtracks + 1):
         point = w + eta * d
         trial = objective_on_batch(point)
         if math.isfinite(trial) and holds(loss0, trial, eta, *args):
-            return eta, i, trial, True, point
+            return Trial(eta, i, trial, point, True)
         if i < cfg.max_backtracks:
             eta *= cfg.delta
-    return eta, cfg.max_backtracks, trial, False, point
+    return Trial(eta, cfg.max_backtracks, trial, point, False)
+
+
+def shrink_clamped(objective_on_batch: Callable[[ParamVector], float],
+                   w: ParamVector, d: ParamVector, eta: float, loss0: float,
+                   cfg: SlsConfig, holds: Callable[..., bool],
+                   *args) -> Trial:
+    """``shrink``; a give-up below cfg.eta_min is clamped up to it and
+    evaluated there, still with accepted=False."""
+    trial = shrink(objective_on_batch, w, d, eta, loss0, cfg, holds, *args)
+    if trial.accepted or trial.eta >= cfg.eta_min:
+        return trial
+    point = w + cfg.eta_min * d
+    return Trial(cfg.eta_min, trial.backtracks, objective_on_batch(point),
+                 point, False)
 
 
 def backtrack(objective_on_batch: Callable[[ParamVector], float],
               w: ParamVector, d: ParamVector, eta_start: float, loss0: float,
-              gnorm_term: float, cfg: SlsConfig) -> BacktrackResult:
+              gnorm_term: float, cfg: SlsConfig) -> Trial:
     """Shrink eta by cfg.delta until the Armijo test holds on this batch;
     on giving up, clamp up to cfg.eta_min (see ``shrink``)."""
-    eta, backtracks, trial, accepted, point = shrink(
-        objective_on_batch, w, d, eta_start, loss0, cfg, armijo_holds, cfg.c,
-        gnorm_term)
-    if not accepted and eta < cfg.eta_min:
-        eta = cfg.eta_min
-        point = w + eta * d
-        trial = objective_on_batch(point)
-    return BacktrackResult(eta, backtracks, trial, point)
+    return shrink_clamped(objective_on_batch, w, d, eta_start, loss0, cfg,
+                          armijo_holds, cfg.c, gnorm_term)
 
 
 def _no_increase(loss0, loss_trial, eta):
@@ -167,68 +174,68 @@ def _no_increase(loss0, loss_trial, eta):
 
 def nondecrease_search(objective_on_batch: Callable[[ParamVector], float],
                        w: ParamVector, d: ParamVector, eta: float,
-                       loss0: float, cfg: SlsConfig) -> tuple[float, float]:
+                       loss0: float, cfg: SlsConfig) -> Trial:
     """Largest eta * delta**j whose batch loss does not exceed loss0;
-    drops to eta_min when the budget runs out (see ``shrink``). Returns
-    (eta, loss_at_eta). The j=0 probe costs one evaluation even when
-    nothing shrinks."""
-    eta, _, trial, accepted, _ = shrink(objective_on_batch, w, d, eta,
-                                        loss0, cfg, _no_increase)
-    if not accepted:
-        eta = cfg.eta_min
-        trial = objective_on_batch(w + eta * d)
-    return eta, trial
+    drops to eta_min when the budget runs out (see ``shrink``). The j=0
+    probe costs one evaluation even when nothing shrinks."""
+    trial = shrink(objective_on_batch, w, d, eta, loss0, cfg, _no_increase)
+    if trial.accepted:
+        return trial
+    point = w + cfg.eta_min * d
+    return Trial(cfg.eta_min, trial.backtracks, objective_on_batch(point),
+                 point, False)
 
 
-def search_step(batch, w: ParamVector, kind: str, state: SlsState,
+def search_step(batch, w: ParamVector, state: SlsState,
                 cfg: SlsConfig | None,
                 search: Callable | None) -> tuple[ParamVector, StepRecord]:
     """The step body shared by every search kind; mutates ``state``.
 
-    Evaluates the batch once at w, folds the gradient into the Adam moments
-    (advancing ``state.adam`` in place) and applies the update along the
-    momentum direction. ``search=None`` is a frequency-skipped step: the
-    current eta is applied as is. Otherwise
+    Evaluates the batch once at w. With ``state.adam`` set, the gradient is
+    folded into its moments and the update runs along the momentum
+    direction; otherwise along the negative gradient. ``search=None`` is a
+    frequency-skipped step: the current eta is applied as is. Otherwise
     ``search(batch, w, d_search, d_update, eta, loss0, gnorm_term, state,
-    cfg)`` returns (eta, backtracks, point). It gets the regrown step size,
-    the momentum-free search direction and its gradient-norm term (raw
-    squared norm for sgd, preconditioned for adam), or ``d_search=None``
-    and the current eta when the guard ||g|| <= grad_eps trips; the guard
-    compares squares, so a NaN norm still searches. ``point`` is the array
-    ``w + eta * d_search`` the search evaluated at the eta it returns, or
-    None when it has none. When the search ran along ``d_update`` itself
-    (every sgd search) that point is the update; otherwise the update
+    cfg)`` returns the ``Trial`` it settled on along ``d_search``. It gets
+    the regrown step size, the momentum-free search direction and its
+    gradient-norm term (raw squared norm for sgd, preconditioned for adam),
+    or ``d_search=None`` and the current eta when the guard ||g|| <=
+    grad_eps trips (the guard compares squares, so a NaN norm still
+    searches); there it returns None to keep eta, or a trial whose eta
+    alone is taken. When the search ran along ``d_update`` itself (every
+    sgd search) the trial's point is the update; otherwise the update
     ``w + eta * d_update`` is built here.
     """
     res = batch.eval(w)
     g = res.grad
     gsq = norm_sq(g)
-    if kind == "adam":
-        adam_update_moments(state.adam, g)
-        d_update = adam_direction(state.adam, g, use_momentum=True)
-    elif kind == "sgd":
-        d_update = sgd_direction(g)
+    adam = state.adam
+    if adam is not None:
+        adam_update_moments(adam, g)
+        d_update = adam_direction(adam, g, use_momentum=True)
     else:
-        raise ValueError(f"unknown optimizer_kind {kind!r}")
+        d_update = sgd_direction(g)
 
     eta, backtracks, searched, w_next = state.eta, 0, False, None
     if search is not None:
         if gsq <= cfg.grad_eps_sq:
-            eta, backtracks, _ = search(batch, w, None, d_update, eta,
-                                        res.loss, 0.0, state, cfg)
+            trial = search(batch, w, None, d_update, eta, res.loss, 0.0,
+                           state, cfg)
+            if trial is not None:
+                eta = trial.eta
         else:
             searched = True
-            if kind == "adam":
-                d_search = adam_direction(state.adam, g, use_momentum=False)
-                gnorm_term = preconditioned_grad_norm(state.adam, g)
+            if adam is not None:
+                d_search = adam_direction(adam, g, use_momentum=False)
+                gnorm_term = preconditioned_grad_norm(adam, g)
             else:
                 d_search, gnorm_term = d_update, gsq
-            eta, backtracks, point = search(
-                batch, w, d_search, d_update,
-                min(eta * cfg.regrowth, cfg.eta_max), res.loss, gnorm_term,
-                state, cfg)
+            trial = search(batch, w, d_search, d_update,
+                           min(eta * cfg.regrowth, cfg.eta_max), res.loss,
+                           gnorm_term, state, cfg)
+            eta, backtracks = trial.eta, trial.backtracks
             if d_search is d_update:
-                w_next = point
+                w_next = trial.point
 
     record = StepRecord(state.k, eta, res.loss, gsq, searched, backtracks,
                         batch.key)
@@ -242,21 +249,20 @@ def search_step(batch, w: ParamVector, kind: str, state: SlsState,
 def _armijo_search(batch, w, d_search, d_update, eta, loss0, gnorm_term,
                    state, cfg):
     if d_search is None:
-        return eta, 0, None
-    result = backtrack(batch.loss, w, d_search, eta, loss0, gnorm_term, cfg)
-    return result.eta, result.backtracks, result.point
+        return None
+    return backtrack(batch.loss, w, d_search, eta, loss0, gnorm_term, cfg)
 
 
-def sls_step(batch, w: ParamVector, optimizer_kind: str, state: SlsState,
+def sls_step(batch, w: ParamVector, state: SlsState,
              cfg: SlsConfig) -> tuple[ParamVector, StepRecord]:
     """One SLS step: ``search_step`` with the raw Armijo search."""
-    return search_step(batch, w, optimizer_kind, state, cfg, _armijo_search)
+    return search_step(batch, w, state, cfg, _armijo_search)
 
 
-def apply_without_search(batch, w: ParamVector, optimizer_kind: str,
+def apply_without_search(batch, w: ParamVector,
                          state: SlsState) -> tuple[ParamVector, StepRecord]:
     """Take a step with the current eta and no search (a frequency-skipped
     step, or a fixed-rate baseline step at its scheduled eta). The gradient
     is still evaluated and, for adam, folded into the moments;
     smoothing/search state stays frozen since no search runs."""
-    return search_step(batch, w, optimizer_kind, state, None, None)
+    return search_step(batch, w, state, None, None)

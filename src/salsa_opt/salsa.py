@@ -25,8 +25,8 @@ from .core import ConfigError, ParamVector, StepRecord
 # patches them by module; the engine calls its own bindings.
 from .directions import adam_direction, adam_update_moments, \
     preconditioned_grad_norm, sgd_direction  # noqa: F401
-from .line_search import SlsConfig, SlsState, nondecrease_search, \
-    search_step, shrink
+from .line_search import SlsConfig, SlsState, Trial, nondecrease_search, \
+    search_step, shrink_clamped
 
 
 @dataclass
@@ -72,69 +72,62 @@ def _smoothed_holds(loss0, loss_trial, eta, h, s, c, beta3, smoothed):
 def salsa_backtrack(objective_on_batch: Callable[[ParamVector], float],
                     w: ParamVector, d: ParamVector, eta_start: float,
                     loss0: float, state: SlsState, s_new: float,
-                    cfg: SalsaConfig
-                    ) -> tuple[float, int, float, float, ParamVector]:
+                    cfg: SalsaConfig) -> Trial:
     """Shrink eta until the smoothed criterion holds against s_new; on
     giving up, clamp up to cfg.eta_min (see ``line_search.shrink``).
 
     Each candidate forms a trial h from this batch's decrease at it and
-    the h last committed to ``state``, which is only read here. Only
-    the returned candidate's h comes back for committing, so rejected
+    the h last committed to ``state``, which is only read here. Only the
+    returned trial's loss reaches the h that is committed, so rejected
     trials never touch the average; after a give-up that is the step size
-    still taken. Returns (eta, backtracks, h_committed, loss_trial,
-    point), ``point`` being the array ``w + eta * d`` that ``loss_trial``
-    was evaluated at.
+    still taken.
     """
-    eta, backtracks, trial, accepted, point = shrink(
-        objective_on_batch, w, d, eta_start, loss0, cfg, _smoothed_holds,
-        state.h, s_new, cfg.c, cfg.beta3, state.smoothed)
-    if not accepted and eta < cfg.eta_min:
-        eta = cfg.eta_min
-        point = w + eta * d
-        trial = objective_on_batch(point)
-    h = smooth_update(state.h, loss0 - trial, cfg.beta3, state.smoothed)
-    return eta, backtracks, h, trial, point
+    return shrink_clamped(objective_on_batch, w, d, eta_start, loss0, cfg,
+                          _smoothed_holds, state.h, s_new, cfg.c, cfg.beta3,
+                          state.smoothed)
 
 
 def _smoothed_search(batch, w, d_search, d_update, eta, loss0, gnorm_term,
-                     state: SlsState, cfg: SalsaConfig):
+                     state: SlsState, cfg: SalsaConfig) -> Trial | None:
     """The SaLSa search handed to ``search_step``: smoothed backtracking,
     the optional non-decrease shrink, and the commit of h and s."""
     if d_search is None:
         # Guard path: smoothing state frozen, step still applied.
         if cfg.enforce_nondecrease:
-            eta, _ = nondecrease_search(batch.loss, w, d_update, eta, loss0,
-                                        cfg)
-        return eta, 0, None
+            return nondecrease_search(batch.loss, w, d_update, eta, loss0,
+                                      cfg)
+        return None
 
     s_new = smooth_update(state.s, gnorm_term, cfg.beta3, state.smoothed)
-    eta, backtracks, h_new, _, point = salsa_backtrack(
-        batch.loss, w, d_search, eta, loss0, state, s_new, cfg)
+    trial = salsa_backtrack(batch.loss, w, d_search, eta, loss0, state,
+                            s_new, cfg)
     if cfg.enforce_nondecrease:
-        eta_nd, trial_nd = nondecrease_search(batch.loss, w, d_update, eta,
-                                              loss0, cfg)
-        if eta_nd != eta:
-            eta, point = eta_nd, None
+        nd = nondecrease_search(batch.loss, w, d_update, trial.eta, loss0,
+                                cfg)
+        if nd.eta != trial.eta:
             # Keep h tied to the step size actually applied, measured along
             # the search direction, so a replay of the trace reproduces the
             # committed average.
-            if d_update is not d_search:
-                trial_nd = batch.loss(w + eta * d_search)
-            h_new = smooth_update(state.h, loss0 - trial_nd, cfg.beta3,
-                                  state.smoothed)
-    state.h, state.s, state.smoothed = h_new, s_new, True
-    return eta, backtracks, point
+            if d_update is d_search:
+                point, loss = nd.point, nd.loss
+            else:
+                point = w + nd.eta * d_search
+                loss = batch.loss(point)
+            trial = trial._replace(eta=nd.eta, loss=loss, point=point)
+    state.h = smooth_update(state.h, loss0 - trial.loss, cfg.beta3,
+                            state.smoothed)
+    state.s, state.smoothed = s_new, True
+    return trial
 
 
-def salsa_sgd_step(batch, w: ParamVector, state: SlsState,
-                   cfg: SalsaConfig) -> tuple[ParamVector, StepRecord]:
-    """One SaLSa step along the negative gradient."""
-    return search_step(batch, w, "sgd", state, cfg, _smoothed_search)
+def salsa_step(batch, w: ParamVector, state: SlsState,
+               cfg: SalsaConfig) -> tuple[ParamVector, StepRecord]:
+    """One SaLSa step. With ``state.adam`` set, the criterion uses the
+    momentum-free Adam direction and the preconditioned gradient-norm
+    term, and the applied update keeps momentum; otherwise both run along
+    the negative gradient."""
+    return search_step(batch, w, state, cfg, _smoothed_search)
 
 
-def salsa_adam_step(batch, w: ParamVector, state: SlsState,
-                    cfg: SalsaConfig) -> tuple[ParamVector, StepRecord]:
-    """One SaLSa step with the Adam direction: the criterion uses the
-    momentum-free direction and the preconditioned gradient-norm term; the
-    applied update keeps momentum."""
-    return search_step(batch, w, "adam", state, cfg, _smoothed_search)
+# perfbench/tracer.py patches both names in harness
+salsa_sgd_step = salsa_adam_step = salsa_step

@@ -1,4 +1,9 @@
-"""Shared fixtures: tiny deterministic problems wired up as batch objectives."""
+"""Shared fixtures: tiny deterministic problems wired up as batch objectives,
+and the step-cost benchmark's tracer loaded from its file."""
+
+import importlib.util
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,3 +48,19 @@ def full_batch(problem):
 @pytest.fixture
 def quadratic_1d():
     return make_centered_quadratic(dim=1)
+
+
+TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer",
+                                                  TRACER_PATH)
+    module = importlib.util.module_from_spec(spec)
+    # @dataclass looks its defining module up in sys.modules
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
+    return module

@@ -8,11 +8,11 @@ from pathlib import Path
 
 import pytest
 
-from salsa_opt import cli
+from salsa_opt import cli, harness
 from salsa_opt.cli import main
 from salsa_opt.core import TrainingTrace
 from salsa_opt.harness import batch_scaling_experiment, build_problem, \
-    frequency_ablation
+    compare, frequency_ablation, run_experiment, summarize
 
 RUN_CONFIG = {
     "problem": {"kind": "quadratic", "dim": 3, "cond": 10, "seed": 1},
@@ -69,6 +69,15 @@ class TestRunCommand:
         assert main(["run", "--config", cfg, "--seed", "0"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("k,eta,loss,")
+
+    def test_repeated_seeds_rejected(self, tmp_path, capsys):
+        # wrote r_seed3.csv twice and exited 0
+        cfg = write_config(tmp_path, {**RUN_CONFIG, "seeds": [3, 3]})
+        assert main(["run", "--config", cfg, "--out",
+                     str(tmp_path / "r.csv")]) == 2
+        assert capsys.readouterr().err == \
+            "error: seeds must not repeat a value, got [3, 3]\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
     def test_bad_config_exit_code(self, tmp_path):
         cfg = write_config(tmp_path, {**RUN_CONFIG,
@@ -204,6 +213,47 @@ class TestCompareCommand:
             capsys.readouterr().err
         assert not out.exists()
 
+    def test_out_in_config_rejected(self, tmp_path, capsys):
+        # the table goes where --out says; an "out" key used to be
+        # accepted and ignored, the table printed to stdout
+        out = tmp_path / "cmp.csv"
+        cfg = write_config(tmp_path, {
+            "problems": [{"kind": "quadratic", "dim": 2, "cond": 5, "seed": 1}],
+            "optimizers": [{"kind": "sgd_sls"}],
+            "seeds": [0], "epochs": 2, "batch_size": 1, "out": str(out)})
+        assert main(["compare", "--config", cfg]) == 2
+        assert capsys.readouterr() == (
+            "", "error: unknown compare config fields: ['out']\n")
+        assert not out.exists()
+
+    def test_each_problem_built_once(self, tmp_path, monkeypatch):
+        # every pair used to build its problem again, reading a csv
+        # problem's file again: 8 builds for 2 problems x 3 optimizers
+        builds = []
+        for kind in ("quadratic", "logreg"):
+            factory = harness._PROBLEM_BUILDERS[kind]
+            monkeypatch.setitem(
+                harness._PROBLEM_BUILDERS, kind,
+                lambda _f=factory, _k=kind, **p: builds.append(_k) or _f(**p))
+        config = {
+            "problems": [{"kind": "logreg", "n": 100, "dim": 3, "seed": 0},
+                         {"kind": "quadratic", "dim": 3, "cond": 10}],
+            "optimizers": [{"kind": "sgd_sls"}, {"kind": "adam_salsa"},
+                           {"kind": "sgd", "lr": 0.1}],
+            "seeds": [0, 1], "epochs": 2, "batch_size": 8}
+        out = tmp_path / "table.csv"
+        assert main(["compare", "--config", write_config(tmp_path, config),
+                     "--out", str(out)]) == 0
+        assert builds == ["logreg", "quadratic"]
+        # the table of the pairs run one experiment each
+        shared = {k: config[k] for k in ("seeds", "epochs", "batch_size")}
+        table = compare([
+            summarize(opt["kind"], build_problem(prob).name,
+                      run_experiment(harness.ExperimentConfig(
+                          problem=prob, optimizer=opt, **shared)))
+            for prob in config["problems"] for opt in config["optimizers"]])
+        assert out.read_text() == table.to_csv()
+
 
     @pytest.mark.parametrize("problems, optimizers", [
         ([{"kind": "quadratic", "dim": 3, "cond": 10}],
@@ -217,8 +267,9 @@ class TestCompareCommand:
         # the table labels a pair by problem name and optimizer kind; two
         # pairs with one label used to run and print as one cell
         runs = []
-        monkeypatch.setattr(cli, "run_experiment",
-                            lambda cfg: runs.append(cfg) or [])
+        run_single = cli.run_single
+        monkeypatch.setattr(cli, "run_single", lambda *args, **kwargs:
+                            runs.append(args) or run_single(*args, **kwargs))
         cfg = write_config(tmp_path, {
             "problems": problems, "optimizers": optimizers, "seeds": [0],
             "epochs": 20, "batch_size": 1})

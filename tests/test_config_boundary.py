@@ -472,6 +472,12 @@ FUZZ_CASES = {
     "check-grad-empty-problems": ("check-grad", {"problems": []},
                                   "problems must be a non-empty list of "
                                   "objects, got []"),
+    "run-repeated-seeds": ("run", {**RUN, "seeds": [3, 3]},
+                           "seeds must not repeat a value, got [3, 3]"),
+    "scaling-repeated-batch_sizes": ("scaling", {**SCALING,
+                                                 "batch_sizes": [8, 8]},
+                                     "batch_sizes must not repeat a value, "
+                                     "got [8, 8]"),
 }
 
 

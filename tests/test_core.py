@@ -119,6 +119,16 @@ class TestTrainingTrace:
         back = TrainingTrace.from_csv(trace.to_csv())
         assert back.records == trace.records
 
+    @pytest.mark.parametrize("searched", ["True", "yes", "1", ""])
+    def test_csv_searched_other_than_true_or_false_rejected(self, searched):
+        # any value but "true" used to load as an unsearched step
+        lines = _toy_trace().to_csv().splitlines()
+        lines[2] = lines[2].replace(",true,", f",{searched},")
+        with pytest.raises(ValueError, match=f"data row 2: searched must be "
+                                             f"true or false, got "
+                                             f"{searched!r}"):
+            TrainingTrace.from_csv("\n".join(lines) + "\n")
+
     def test_json_roundtrip_exact(self):
         trace = _toy_trace()
         back = TrainingTrace.from_json(trace.to_json())

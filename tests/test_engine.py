@@ -9,6 +9,7 @@ step returns, with the non-decrease mode and controller skips included.
 import dataclasses
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,9 +17,9 @@ from salsa_opt.core import axpy, norm_sq
 from salsa_opt.directions import AdamState, adam_direction, \
     preconditioned_grad_norm
 from salsa_opt.line_search import SlsConfig, SlsState, \
-    apply_without_search, propose_initial_step, sls_step
+    apply_without_search, backtrack, propose_initial_step, sls_step
 from salsa_opt.problems import BatchObjective, make_quadratic
-from salsa_opt.salsa import SalsaConfig, salsa_adam_step, \
+from salsa_opt.salsa import SalsaConfig, salsa_adam_step, salsa_backtrack, \
     salsa_sgd_step, smooth_update
 
 STEPS = 5
@@ -50,7 +51,7 @@ def runs(draw):
 
 def take_step(family, base, batch, w, state, cfg):
     if family == "sls":
-        return sls_step(batch, w, base, state, cfg)
+        return sls_step(batch, w, state, cfg)
     step = salsa_sgd_step if base == "sgd" else salsa_adam_step
     return step(batch, w, state, cfg)
 
@@ -133,7 +134,7 @@ def test_every_update_is_w_plus_eta_d_update_bit_for_bit(run):
         assert min(eta_prev * cfg.regrowth, cfg.eta_max) == \
             propose_initial_step(eta_prev, cfg.b, cfg.eta_max)
         batch = BatchObjective(problem, indices)
-        w_next, rec = apply_without_search(batch, w, base, state) if skip \
+        w_next, rec = apply_without_search(batch, w, state) if skip \
             else take_step(family, base, batch, w, state, cfg)
         g = problem.loss_grad(w, indices).grad
         d_update = -g if base == "sgd" else \
@@ -179,3 +180,29 @@ def test_sgd_search_step_returns_the_array_its_accepted_trial_evaluated():
             assert len(batch.points) == rec.backtracks + 1
             assert w_next is batch.points[-1]
             w = w_next
+
+
+@pytest.mark.parametrize("family", ["sls", "salsa"])
+def test_accepted_on_the_last_try_is_not_a_give_up(family):
+    # From eta 1 along d = -1, delta 0.5 gives the candidates 1, 0.5, 0.25
+    # and 0.125: with a budget of 3 shrinks an acceptance on the fourth
+    # try and a give-up both report backtracks == max_backtracks, and
+    # only ``accepted`` tells them apart.
+    w, d = np.zeros(1), -np.ones(1)
+    if family == "sls":
+        cfg = SlsConfig(delta=0.5, max_backtracks=3)
+
+        def search(objective):
+            return backtrack(objective, w, d, 1.0, 0.0, 1.0, cfg)
+    else:
+        cfg = SalsaConfig(delta=0.5, max_backtracks=3)
+
+        def search(objective):
+            return salsa_backtrack(objective, w, d, 1.0, 0.0,
+                                   SlsState(eta=1.0), 1.0, cfg)
+
+    last = search(lambda point: -10.0 if -point[0] < 0.2 else 1.0)
+    assert (last.eta, last.backtracks, last.accepted) == (0.125, 3, True)
+    gave_up = search(lambda point: 1.0)
+    assert (gave_up.eta, gave_up.backtracks, gave_up.accepted) == \
+        (0.125, 3, False)

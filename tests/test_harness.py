@@ -405,6 +405,16 @@ class TestScalingExperiment:
         for _, _, ratio in report.ratios:
             assert ratio == 1.0
 
+    @pytest.mark.parametrize("argument", ["batch_sizes", "seeds"])
+    def test_repeated_value_rejected(self, argument):
+        # (8, 8) with seeds (0, 0) averaged every run into mean_mid_eta but
+        # kept one h_series key
+        prob = make_logreg(n=64, dim=3, seed=1, label_noise=0.1)
+        args = {"batch_sizes": (8, 16), "seeds": (0,), argument: (8, 8)}
+        with pytest.raises(ConfigError, match=rf"{argument} must not repeat "
+                                              rf"a value, got \(8, 8\)"):
+            batch_scaling_experiment(prob, epochs=1, **args)
+
     def test_reports_h_and_s_series(self):
         prob = make_logreg(n=256, dim=5, seed=1, label_noise=0.1)
         report = batch_scaling_experiment(prob, batch_sizes=(8, 16),

@@ -58,7 +58,7 @@ class TestBacktrack:
                         cfg=SlsConfig())
         assert res.eta == 1.0
         assert res.backtracks == 0
-        assert res.loss_trial == 0.0
+        assert res.loss == 0.0
 
     def test_overshoot_matches_reference_loop(self, quadratic_1d):
         cfg = SlsConfig(eta_init=8.0, eta_max=16.0)
@@ -100,7 +100,7 @@ class TestBacktrack:
                         eta_start=1.0, loss0=1.0, gnorm_term=0.1,
                         cfg=SlsConfig())
         assert res.backtracks == 1
-        assert res.loss_trial == -1.0
+        assert res.loss == -1.0
 
     def test_giveup_returns_max_backtracks(self):
         cfg = SlsConfig(max_backtracks=5)
@@ -115,7 +115,7 @@ class TestSlsStep:
         prob = make_centered_quadratic(dim=2)
         state = SlsState(eta=0.7)
         batch = full_batch(prob)
-        w_next, rec = sls_step(batch, np.zeros(2), "sgd", state, SlsConfig())
+        w_next, rec = sls_step(batch, np.zeros(2), state, SlsConfig())
         assert not rec.searched
         assert rec.backtracks == 0
         assert rec.eta == 0.7
@@ -127,14 +127,14 @@ class TestSlsStep:
         state = SlsState(eta=cfg.eta_init)
         w = np.array([10.0])
         for _ in range(50):
-            w, _ = sls_step(full_batch(quadratic_1d), w, "sgd", state, cfg)
+            w, _ = sls_step(full_batch(quadratic_1d), w, state, cfg)
         assert abs(w[0]) <= 1e-4
 
     def test_eval_count_per_searched_step(self, quadratic_1d):
         cfg = SlsConfig()
         state = SlsState(eta=cfg.eta_init)
         batch = full_batch(quadratic_1d)
-        _, rec = sls_step(batch, np.array([10.0]), "sgd", state, cfg)
+        _, rec = sls_step(batch, np.array([10.0]), state, cfg)
         assert rec.searched
         assert batch.n_evals == rec.backtracks + 2
 
@@ -145,10 +145,10 @@ class TestSlsStep:
         cfg = SlsConfig()
         w = np.zeros(3)
         sgd_state = SlsState(eta=cfg.eta_init)
-        _, rec_sgd = sls_step(full_batch(prob), w, "sgd", sgd_state, cfg)
+        _, rec_sgd = sls_step(full_batch(prob), w, sgd_state, cfg)
         adam_state = SlsState(eta=cfg.eta_init,
                               adam=AdamState.zeros(3, epsilon=1e-300))
-        _, rec_adam = sls_step(full_batch(prob), w, "adam", adam_state, cfg)
+        _, rec_adam = sls_step(full_batch(prob), w, adam_state, cfg)
         assert rec_adam.eta == pytest.approx(rec_sgd.eta, rel=1e-12)
         assert rec_adam.backtracks == rec_sgd.backtracks
 
@@ -158,7 +158,7 @@ class TestSlsStep:
         w = np.array([50.0])
         etas = []
         for _ in range(200):
-            w, rec = sls_step(full_batch(quadratic_1d), w, "sgd", state, cfg)
+            w, rec = sls_step(full_batch(quadratic_1d), w, state, cfg)
             etas.append(rec.eta)
         assert all(cfg.eta_min <= e <= cfg.eta_max for e in etas)
 
@@ -168,7 +168,7 @@ class TestSlsStep:
         w = np.array([10.0])
         prev = cfg.eta_init
         for _ in range(100):
-            w, rec = sls_step(full_batch(quadratic_1d), w, "sgd", state, cfg)
+            w, rec = sls_step(full_batch(quadratic_1d), w, state, cfg)
             if rec.searched:
                 assert rec.eta <= prev * 2.0 ** (1.0 / cfg.b) + 1e-15
             prev = rec.eta
@@ -180,16 +180,11 @@ class TestSlsStep:
         for _ in range(30):
             w_before = w
             batch = full_batch(quadratic_1d)
-            w, rec = sls_step(batch, w, "sgd", state, cfg)
+            w, rec = sls_step(batch, w, state, cfg)
             if rec.searched and rec.backtracks < cfg.max_backtracks:
                 g = quadratic_1d.loss_grad(w_before, None).grad
                 trial = quadratic_1d.full_loss(axpy(rec.eta, -g, w_before))
                 assert trial <= rec.loss - cfg.c * rec.eta * norm_sq(g) + 1e-9
-
-    def test_unknown_kind_rejected(self, quadratic_1d):
-        with pytest.raises(ValueError):
-            sls_step(full_batch(quadratic_1d), np.array([1.0]), "newton",
-                     SlsState(eta=1.0), SlsConfig())
 
 
 class TestSlsConfig:

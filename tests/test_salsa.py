@@ -79,9 +79,10 @@ class TestSalsaBacktrack:
         cfg = SalsaConfig()
         state = SlsState(eta=1.0)
         batch = full_batch(quadratic_1d)
-        eta, bts, h, trial, _ = salsa_backtrack(
+        eta, bts, trial, _, _ = salsa_backtrack(
             batch.loss, np.array([1.0]), np.array([-1.0]), eta_start=1.0,
             loss0=0.5, state=state, s_new=1.0, cfg=cfg)
+        h = smooth_update(state.h, 0.5 - trial, cfg.beta3, state.smoothed)
         assert eta == 1.0 and bts == 0
         assert h == 0.5 - trial == 0.5  # decrease seeds h directly
 
@@ -90,9 +91,10 @@ class TestSalsaBacktrack:
         # trial h = 0.99*1 + 0.01*(-0.1) = 0.989 >= 0.3 -> accepted, 0 shrinks
         cfg = SalsaConfig()
         state = SlsState(eta=1.0, h=1.0, s=1.0, smoothed=True)
-        eta, bts, h, _, _ = salsa_backtrack(
+        eta, bts, trial, _, _ = salsa_backtrack(
             lambda w: 1.1, np.zeros(1), np.zeros(1), eta_start=1.0,
             loss0=1.0, state=state, s_new=1.0, cfg=cfg)
+        h = smooth_update(state.h, 1.0 - trial, cfg.beta3, state.smoothed)
         assert bts == 0
         assert eta == 1.0
         assert h == pytest.approx(0.989, rel=1e-12)
@@ -113,8 +115,9 @@ class TestSalsaBacktrack:
             bts_ref += 1
 
         batch = full_batch(quadratic_1d)
-        eta, bts, h, _, _ = salsa_backtrack(batch.loss, w, d, 8.0, loss0,
-                                            state, s_new, cfg)
+        eta, bts, trial, _, _ = salsa_backtrack(batch.loss, w, d, 8.0, loss0,
+                                                state, s_new, cfg)
+        h = smooth_update(state.h, loss0 - trial, cfg.beta3, state.smoothed)
         assert eta == pytest.approx(eta_ref, rel=1e-15)
         assert bts == bts_ref > 0
         assert h == pytest.approx(h_ref, rel=1e-12)
@@ -123,8 +126,8 @@ class TestSalsaBacktrack:
 class TestEnforceNondecrease:
     def test_already_nonincreasing_unchanged(self, quadratic_1d):
         batch = full_batch(quadratic_1d)
-        eta, _ = nondecrease_search(batch.loss, np.array([1.0]),
-                                    np.array([-1.0]), 1.0, 0.5, SalsaConfig())
+        eta = nondecrease_search(batch.loss, np.array([1.0]),
+                                 np.array([-1.0]), 1.0, 0.5, SalsaConfig()).eta
         assert eta == 1.0
         assert batch.n_evals == 1  # the check itself, nothing more
 
@@ -135,15 +138,15 @@ class TestEnforceNondecrease:
         while quadratic_1d.full_loss(np.array([1.0 - eta_ref])) > 0.5:
             eta_ref *= cfg.delta
         batch = full_batch(quadratic_1d)
-        eta, _ = nondecrease_search(batch.loss, np.array([1.0]),
-                                    np.array([-1.0]), 3.0, 0.5, cfg)
+        eta = nondecrease_search(batch.loss, np.array([1.0]),
+                                 np.array([-1.0]), 3.0, 0.5, cfg).eta
         assert eta == pytest.approx(eta_ref, rel=1e-15)
         assert eta <= 2.0
 
     def test_zero_direction_any_eta(self, quadratic_1d):
         batch = full_batch(quadratic_1d)
-        eta, _ = nondecrease_search(batch.loss, np.array([1.0]), np.zeros(1),
-                                    5.0, 0.5, SalsaConfig(eta_max=16.0))
+        eta = nondecrease_search(batch.loss, np.array([1.0]), np.zeros(1),
+                                 5.0, 0.5, SalsaConfig(eta_max=16.0)).eta
         assert eta == 5.0
 
 

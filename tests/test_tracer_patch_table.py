@@ -8,35 +8,18 @@ tracer also reads a few values off what the patched functions return and
 the objects they get; those are checked here too.
 """
 
-import importlib.util
+import importlib
 import inspect
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import _load_tracer
 from salsa_opt import core, harness, line_search, salsa
 from salsa_opt.frequency import L_MAX, L_MIN
 from salsa_opt.line_search import SlsConfig, SlsState
 from salsa_opt.problems import make_quadratic
 from salsa_opt.salsa import SalsaConfig
-
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-
-
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer",
-                                                  TRACER_PATH)
-    module = importlib.util.module_from_spec(spec)
-    # @dataclass looks its defining module up in sys.modules
-    sys.modules[spec.name] = module
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        del sys.modules[spec.name]
-    return module
-
 
 TRACER = _load_tracer()
 

@@ -7,30 +7,11 @@ would quietly lose those spans. These tests run one short run of each step
 family under the tracer and check that every layer recorded its calls.
 """
 
-import importlib.util
-import sys
-from pathlib import Path
-
 import pytest
 
+from conftest import _load_tracer
 from salsa_opt import harness
 from salsa_opt.problems import make_matrix_factorization, make_quadratic
-
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-
-
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer",
-                                                  TRACER_PATH)
-    module = importlib.util.module_from_spec(spec)
-    # @dataclass looks its defining module up in sys.modules
-    sys.modules[spec.name] = module
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        del sys.modules[spec.name]
-    return module
-
 
 TRACER = _load_tracer()
 
