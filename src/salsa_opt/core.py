@@ -250,6 +250,46 @@ def canonical_json(payload) -> str:
 CSV_HEADER = "k,eta,loss,grad_norm_sq,searched,backtracks,batch_seed"
 
 
+def _record_value(name: str, value, hint: type, text: bool):
+    """A loaded ``StepRecord`` field: from a CSV token when ``text``, else
+    a JSON value. An int field takes an int and not a bool, a float field
+    an int or a float (NaN and +-inf too: a diverged run's trace holds
+    them), ``searched`` a bool, written ``true``/``false`` in CSV."""
+    if hint is bool:
+        if value in ("true", "false") if text else isinstance(value, bool):
+            return value is True or value == "true"
+    elif text or (isinstance(value, (int, hint))
+                  and not isinstance(value, bool)):
+        try:
+            return hint(value)
+        except (ValueError, OverflowError):
+            pass
+    raise ValueError(f"{name} must be {_NOUNS[hint]}, got {value!r}")
+
+
+def _load_records(trace, rows, text: bool) -> None:
+    """Append one ``StepRecord`` per CSV row of tokens (``text``) or JSON
+    record object to ``trace``; a bad one raises ValueError naming its
+    1-based data row or record number."""
+    hints = _type_hints(StepRecord)
+    for n, values in enumerate(rows, 1):
+        try:
+            if text and len(values) != len(hints):
+                raise ValueError(f"expected {len(hints)} fields, "
+                                 f"got {len(values)}")
+            if not text:
+                if not isinstance(values, dict) or set(values) != set(hints):
+                    raise ValueError(f"expected an object with the fields "
+                                     f"{list(hints)}, got {values!r}")
+                values = [values[name] for name in hints]
+            trace.append(StepRecord(*(
+                _record_value(name, value, hint, text)
+                for (name, hint), value in zip(hints.items(), values))))
+        except ValueError as e:
+            raise ValueError(f"{'data row' if text else 'record'} {n}: "
+                             f"{e}") from None
+
+
 @dataclass
 class TrainingTrace:
     """Ordered per-step records plus run metadata.
@@ -281,27 +321,14 @@ class TrainingTrace:
         return "\n".join(lines) + "\n"
 
     @classmethod
-    def from_csv(cls, text: str, metadata: dict | None = None) -> "TrainingTrace":
+    def from_csv(cls, text: str) -> "TrainingTrace":
+        """Read a trace written by ``to_csv``; raises ValueError for a bad
+        header or row, naming the row (see ``_load_records``)."""
         lines = [ln for ln in text.splitlines() if ln]
         if not lines or lines[0] != CSV_HEADER:
             raise ValueError("missing or malformed trace CSV header")
-        trace = cls(metadata=metadata or {})
-        for row, ln in enumerate(lines[1:], 1):
-            k, eta, loss, gsq, searched, bts, bseed = ln.split(",")
-            if searched not in ("true", "false"):
-                raise ValueError(f"data row {row}: searched must be true or "
-                                 f"false, got {searched!r}")
-            trace.append(
-                StepRecord(
-                    k=int(k),
-                    eta=float(eta),
-                    loss=float(loss),
-                    grad_norm_sq=float(gsq),
-                    searched=searched == "true",
-                    backtracks=int(bts),
-                    batch_seed=int(bseed),
-                )
-            )
+        trace = cls(metadata={})
+        _load_records(trace, [ln.split(",") for ln in lines[1:]], text=True)
         return trace
 
     def to_json(self) -> str:
@@ -312,8 +339,13 @@ class TrainingTrace:
 
     @classmethod
     def from_json(cls, text: str) -> "TrainingTrace":
+        """Read a trace written by ``to_json``; raises ValueError for a bad
+        record, naming it (see ``_load_records``)."""
         payload = json.loads(text)
+        if not isinstance(payload, dict) or \
+                not isinstance(payload.get("records"), list):
+            raise ValueError("trace JSON must be an object with a records "
+                             "list")
         trace = cls(metadata=payload.get("metadata", {}))
-        for r in payload["records"]:
-            trace.append(StepRecord(**r))
+        _load_records(trace, payload["records"], text=False)
         return trace

@@ -13,7 +13,7 @@ import copy
 import math
 import typing
 import warnings
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -33,6 +33,8 @@ OPTIMIZER_KINDS = ("sgd", "adam", "sgd_sls", "adam_sls", "sgd_salsa",
                    "adam_salsa")
 LINE_SEARCH_KINDS = ("sgd_sls", "adam_sls", "sgd_salsa", "adam_salsa")
 REPORT_SMOOTHING = 0.99
+# how far replay lets an accepted step miss its criterion (rounding)
+REPLAY_SLACK = 1e-9
 
 
 @dataclass
@@ -180,44 +182,27 @@ def check_optimizer(problem: Problem, cfg: ExperimentConfig) -> dict:
 class RunResult:
     trace: TrainingTrace
     final_params: ParamVector
-    val_accuracy_by_epoch: list
     h_series: list
     s_series: list
-    params_before_step: list | None = None
 
 
 def run_single(problem: Problem, optimizer: dict, seed: int, epochs: int,
-               batch_size: int, frequency_controller: bool = False,
-               collect_params: bool = False) -> RunResult:
+               batch_size: int,
+               frequency_controller: bool = False) -> RunResult:
     """One deterministic run; the workhorse behind run_experiment."""
     sampler = BatchSampler(seed=seed, batch_size=batch_size,
                            dataset_size=problem.dataset_size)
     w = problem.init_params(seed)
-    batches_per_epoch = sampler.batches_per_epoch
-    val_accuracy = problem.val_accuracy
-    total = epochs * batches_per_epoch
+    total = epochs * sampler.batches_per_epoch
     runner = _Runner(optimizer, problem.dim, total)
     controller = FrequencyController() \
         if frequency_controller and runner.kind in LINE_SEARCH_KINDS else None
     trace = TrainingTrace(metadata={})
-    val_acc = []
-    params_hist = [] if collect_params else None
-
-    if total == 0:
-        batch = batch_for_step(problem, sampler, 0)
-        res = batch.eval(w)
-        trace.append(StepRecord(k=0, eta=runner.state.eta, loss=res.loss,
-                                grad_norm_sq=norm_sq(res.grad), searched=False,
-                                backtracks=0, batch_seed=batch.key))
-        return RunResult(trace, w, val_acc, runner.h_series,
-                         runner.s_series, params_hist)
 
     # looked up once per run, after any swap of the bindings
     batch_for, step, append = batch_for_step, runner.step, trace.append
     for k in range(total):
         batch = batch_for(problem, sampler, k)
-        if collect_params:
-            params_hist.append(w)
         if controller is None:
             w, rec = step(batch, w)
         elif not controller.should_search():
@@ -230,11 +215,14 @@ def run_single(problem: Problem, optimizer: dict, seed: int, epochs: int,
             else:
                 controller.record_skip()
         append(rec)
-        if val_accuracy is not None and (k + 1) % batches_per_epoch == 0:
-            val_acc.append(val_accuracy(w))
-
-    return RunResult(trace, w, val_acc, runner.h_series, runner.s_series,
-                     params_hist)
+    if total == 0:
+        # a run of no steps records the loss and gradient norm at its start
+        batch = batch_for(problem, sampler, 0)
+        res = batch.eval(w)
+        append(StepRecord(k=0, eta=runner.state.eta, loss=res.loss,
+                          grad_norm_sq=norm_sq(res.grad), searched=False,
+                          backtracks=0, batch_seed=batch.key))
+    return RunResult(trace, w, runner.h_series, runner.s_series)
 
 
 def _as_checked(config: dict, hints: dict) -> dict:
@@ -273,10 +261,11 @@ def run_experiment(cfg: ExperimentConfig) -> list[TrainingTrace]:
     return traces
 
 
-def final_smoothed_loss(trace: TrainingTrace, beta: float = REPORT_SMOOTHING) -> float:
-    """EMA over the per-step training losses, final value."""
+def final_smoothed_loss(trace: TrainingTrace) -> float:
+    """Final value of the REPORT_SMOOTHING EMA over the per-step losses."""
     if not trace.records:
         raise ValueError("empty trace")
+    beta = REPORT_SMOOTHING
     ema = trace.records[0].loss
     for r in trace.records[1:]:
         ema = beta * ema + (1.0 - beta) * r.loss
@@ -289,21 +278,14 @@ class RunSummary:
     problem: str
     final_losses: list
     mean_final_loss: float
-    peak_val_accuracy: float | None = None
 
 
 def summarize(optimizer_name: str, problem_name: str,
-              traces: list[TrainingTrace],
-              val_acc_series: list[list] | None = None) -> RunSummary:
+              traces: list[TrainingTrace]) -> RunSummary:
     losses = [final_smoothed_loss(t) for t in traces]
-    peak = None
-    if val_acc_series:
-        accs = [max(series) for series in val_acc_series if series]
-        peak = float(np.mean(accs)) if accs else None
     return RunSummary(optimizer=optimizer_name, problem=problem_name,
                       final_losses=losses,
-                      mean_final_loss=float(np.mean(losses)),
-                      peak_val_accuracy=peak)
+                      mean_final_loss=float(np.mean(losses)))
 
 
 @dataclass
@@ -397,8 +379,9 @@ def compare(summaries: list[RunSummary]) -> ComparisonTable:
                                          zip(optimizers, ranks)})
 
 
-def _mid_window(n: int, lo: float = 0.25, hi: float = 0.75) -> slice:
-    return slice(int(lo * n), max(int(lo * n) + 1, int(hi * n)))
+def _mid_window(n: int) -> slice:
+    """The middle half of n steps, at least one step long."""
+    return slice(n // 4, max(n // 4 + 1, 3 * n // 4))
 
 
 @dataclass
@@ -566,33 +549,44 @@ class ReplayReport:
 
 def replay_verify(problem: Problem, optimizer: dict, seed: int, epochs: int,
                   batch_size: int, trace: TrainingTrace,
-                  frequency_controller: bool = False,
-                  slack: float = 1e-9) -> ReplayReport:
+                  frequency_controller: bool = False) -> ReplayReport:
     """Re-run a configuration and confirm every accepted search step.
 
-    The run is replayed deterministically to recover the parameter sequence;
-    from there everything else (gradients, Adam's second moment, smoothing
+    The run is repeated on a copy of ``problem`` whose ``loss_grad``
+    records the point of each gradient evaluation. Every step makes exactly
+    one, at the point it starts from, so these are the run's base points.
+    From there everything else (gradients, Adam's second moment, smoothing
     EMAs, both sides of the criterion at the recorded step size) is
-    recomputed by straight-line code independent of the optimizer
-    implementations, and the inequality is re-checked within ``slack``.
-    The criterion runs along the momentum-free direction, so Adam's first
-    moment is not needed. Only the hyper-parameters come from the run's own
-    config objects. Give-up steps (backtracks exhausted) accept no
-    candidate and are not checked.
+    recomputed on ``problem`` itself by straight-line code independent of
+    the optimizer implementations, and the inequality is re-checked within
+    REPLAY_SLACK. The criterion runs along the momentum-free direction, so
+    Adam's first moment is not needed. Only the hyper-parameters come from
+    the run's own config objects. Give-up steps (backtracks exhausted)
+    accept no candidate and are not checked.
     """
     # the hyper-parameters as the run read them, from the same runner
     runner = _Runner(optimizer, problem.dim, 0)
     if runner.kind not in LINE_SEARCH_KINDS:
         raise ConfigError(f"replay_verify applies to line-search runs, "
                           f"got {runner.kind!r}")
-    rerun = run_single(problem, optimizer, seed, epochs, batch_size,
-                       frequency_controller, collect_params=True)
+    base_points, loss_grad = [], problem.loss_grad
+
+    def recording(w, indices, grad=True):
+        if grad:
+            base_points.append(w)
+        return loss_grad(w, indices, grad=grad)
+
+    rerun = run_single(replace(problem, loss_grad=recording), optimizer, seed,
+                       epochs, batch_size, frequency_controller)
     # NaN != NaN, so unequal records are settled by the CSV bytes, where
     # NaN reads "nan" and every finite float round-trips through repr
     if rerun.trace.records != trace.records and \
             rerun.trace.to_csv() != trace.to_csv():
         raise ValueError("trace does not replay bit-identically; "
                          "it was not produced by this configuration")
+    if len(base_points) != len(trace.records):
+        raise ValueError(f"the rerun made {len(base_points)} gradient "
+                         f"evaluations for {len(trace.records)} steps")
 
     family, cfg, adam = runner.family, runner.cfg, runner.state.adam
 
@@ -607,7 +601,7 @@ def replay_verify(problem: Problem, optimizer: dict, seed: int, epochs: int,
     violations = []
     max_violation = 0.0
 
-    for rec, w in zip(trace.records, rerun.params_before_step):
+    for rec, w in zip(trace.records, base_points):
         indices = sampler.sample(rec.k)
         res = problem.loss_grad(w, indices)
         g = res.grad
@@ -638,7 +632,7 @@ def replay_verify(problem: Problem, optimizer: dict, seed: int, epochs: int,
                 continue
             lhs = loss_trial
             rhs = res.loss - cfg.c * rec.eta * gterm
-            ok = lhs <= rhs + slack
+            ok = lhs <= rhs + REPLAY_SLACK
             gap = lhs - rhs
         else:
             beta3 = cfg.beta3
@@ -652,7 +646,7 @@ def replay_verify(problem: Problem, optimizer: dict, seed: int, epochs: int,
                 continue
             lhs = h
             rhs = cfg.c * rec.eta * s
-            ok = lhs >= rhs - slack
+            ok = lhs >= rhs - REPLAY_SLACK
             gap = rhs - lhs
         n_checked += 1
         if not ok:

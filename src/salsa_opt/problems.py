@@ -104,7 +104,6 @@ class BatchObjective:
     """
 
     def __init__(self, problem: Problem, indices: np.ndarray, key: int = 0):
-        self.problem = problem
         self.indices = indices
         self.key = key
         self.n_evals = 0

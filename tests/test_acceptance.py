@@ -51,7 +51,7 @@ def test_criterion_1_accepted_steps_satisfy_their_criterion():
                 result = run_single(problem, opt, seed=0, epochs=epochs,
                                     batch_size=batch)
                 report = replay_verify(problem, opt, 0, epochs, batch,
-                                       result.trace, slack=1e-9)
+                                       result.trace)
                 total_searched += report.n_searched
                 total_checked += report.n_checked
                 violations.extend(

@@ -1,5 +1,7 @@
 """Vector helpers, record invariants, and trace serialization."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -143,3 +145,78 @@ class TestTrainingTrace:
         trace = _toy_trace()
         assert trace.to_csv() == trace.to_csv()
         assert trace.to_json() == trace.to_json()
+
+
+def _csv_with_row(row):
+    return f"{_toy_trace().to_csv()}{row}\n"
+
+
+def _json_with_record(**fields):
+    payload = json.loads(_toy_trace().to_json())
+    payload["records"][1].update(fields)
+    return json.dumps(payload)
+
+
+class TestTraceLoaderErrors:
+    """Each loader names the bad data row or record, 1-based."""
+
+    def test_csv_short_row_named(self):
+        # used to raise "not enough values to unpack"
+        with pytest.raises(ValueError,
+                           match=r"^data row 4: expected 7 fields, got 6$"):
+            TrainingTrace.from_csv(_csv_with_row("3,0.9,0.3,0.1,true,0"))
+
+    def test_csv_non_integer_field_named(self):
+        # used to raise "invalid literal for int() with base 10: 'x'"
+        with pytest.raises(ValueError, match=r"^data row 4: batch_seed must "
+                                             r"be an integer, got 'x'$"):
+            TrainingTrace.from_csv(_csv_with_row("3,0.9,0.3,0.1,true,0,x"))
+
+    def test_csv_record_rejection_named(self):
+        # used to raise StepRecord's bare "negative eta=-1.0"
+        with pytest.raises(ValueError,
+                           match=r"^data row 4: negative eta=-1\.0$"):
+            TrainingTrace.from_csv(_csv_with_row("3,-1.0,0.3,0.1,false,0,5"))
+
+    def test_json_searched_must_be_a_bool(self):
+        # "no" used to load as a searched step, which to_csv wrote as true
+        with pytest.raises(ValueError, match=r"^record 2: searched must be "
+                                             r"true or false, got 'no'$"):
+            TrainingTrace.from_json(_json_with_record(searched="no"))
+
+    def test_json_float_field_must_be_a_number(self):
+        # "1.0" used to end in a TypeError inside StepRecord
+        with pytest.raises(ValueError, match=r"^record 2: eta must be a real "
+                                             r"number, got '1\.0'$"):
+            TrainingTrace.from_json(_json_with_record(eta="1.0"))
+
+    @pytest.mark.parametrize("field, value",
+                             [("k", True), ("backtracks", 1.0),
+                              ("batch_seed", "12")])
+    def test_json_int_field_must_be_an_int(self, field, value):
+        with pytest.raises(ValueError, match=f"^record 2: {field} must be an "
+                                             f"integer, got {value!r}$"):
+            TrainingTrace.from_json(_json_with_record(**{field: value}))
+
+    @pytest.mark.parametrize("record", [1, {"k": 1}])
+    def test_json_record_needs_the_seven_fields(self, record):
+        payload = json.loads(_toy_trace().to_json())
+        payload["records"][0] = record
+        with pytest.raises(ValueError, match=r"^record 1: expected an object "
+                                             r"with the fields"):
+            TrainingTrace.from_json(json.dumps(payload))
+
+    def test_json_int_given_for_a_float_reads_as_a_float(self):
+        trace = TrainingTrace.from_json(_json_with_record(eta=1))
+        assert trace.to_csv() == _toy_trace().to_csv().replace(
+            "1,0.9,0.4", "1,1.0,0.4")
+
+    def test_non_finite_values_round_trip(self):
+        # a diverged run's trace holds NaN and infinite losses and norms
+        trace = TrainingTrace(metadata={})
+        inf, nan = float("inf"), float("nan")
+        trace.append(StepRecord(0, 1.0, inf, inf, True, 0, 1))
+        trace.append(StepRecord(1, 0.5, nan, nan, False, 0, 2))
+        text = trace.to_csv()
+        assert TrainingTrace.from_csv(text).to_csv() == text
+        assert TrainingTrace.from_json(trace.to_json()).to_csv() == text

@@ -6,10 +6,20 @@ of ``loss_grad`` calls. A refactor of the search code must leave all of it
 bit-identical. The digests depend on the floating-point results of this
 numpy build (2.4.6); a numpy upgrade that changes rounding in the problem
 kernels may move them without any change to the optimizers.
+
+Each case's CSV trace is also checked in as ``tests/golden/<case>.csv``, so
+that a moved digest comes with the first trace line that moved. After a
+deliberate change to the traces, rewrite those files from the checkout
+with
+
+    PYTHONPATH=src python tests/test_golden_traces.py
+
+and update the digests of the same cases.
 """
 
 import dataclasses
 import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -173,3 +183,37 @@ def test_golden_run_digest(case_id, problem_key, optimizer, fc, epochs,
                            batch_size):
     assert run_digest(problem_key, optimizer, fc, epochs, batch_size) == \
         GOLDEN[case_id]
+
+
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+
+
+def case_csv(problem_key, optimizer, fc, epochs, batch_size, seed=3):
+    """The CSV trace of one case's run."""
+    return run_single(PROBLEMS[problem_key](), optimizer, seed, epochs,
+                      batch_size, frequency_controller=fc).trace.to_csv()
+
+
+def write_golden_csvs():
+    """Write ``golden/<case>.csv`` for every case, from this checkout."""
+    GOLDEN_DIR.mkdir(exist_ok=True)
+    for case_id, *case in CASES:
+        (GOLDEN_DIR / f"{case_id}.csv").write_text(case_csv(*case),
+                                                    newline="\n")
+
+
+@pytest.mark.parametrize("case_id,problem_key,optimizer,fc,epochs,batch_size",
+                         CASES, ids=[c[0] for c in CASES])
+def test_golden_run_csv(case_id, problem_key, optimizer, fc, epochs,
+                        batch_size):
+    got = case_csv(problem_key, optimizer, fc, epochs, batch_size)
+    want = (GOLDEN_DIR / f"{case_id}.csv").read_text()
+    end = ["<end of trace>"]
+    lines = zip(got.splitlines(True) + end, want.splitlines(True) + end)
+    for n, (g, w) in enumerate(lines, 1):
+        assert g == w, (f"{case_id}: trace line {n} moved\n"
+                        f"  golden: {w.rstrip()}\n  run:    {g.rstrip()}")
+
+
+if __name__ == "__main__":
+    write_golden_csvs()

@@ -384,15 +384,12 @@ class TestCompare:
 
 
 class TestSummarize:
-    def test_peak_val_accuracy_mean_over_seeds(self):
+    def test_final_losses_one_per_seed(self):
         prob = make_logreg(n=200, dim=5, seed=1, label_noise=0.1)
         results = [run_single(prob, {"kind": "sgd_sls"}, seed, epochs=2,
                               batch_size=16) for seed in (0, 1)]
         summary = summarize("sgd_sls", prob.name,
-                            [r.trace for r in results],
-                            [r.val_accuracy_by_epoch for r in results])
-        assert summary.peak_val_accuracy is not None
-        assert 0.0 <= summary.peak_val_accuracy <= 1.0
+                            [r.trace for r in results])
         assert len(summary.final_losses) == 2
 
 
@@ -602,3 +599,40 @@ class TestReplayVerify:
                            match="optimizer kind must be a string, got None"):
             replay_verify(counted, {"c": 0.5}, 0, 3, 8, trace)
         assert calls == []
+
+    def test_rerun_must_make_one_gradient_evaluation_per_step(
+            self, monkeypatch):
+        # replay takes each step's base point from the gradient evaluations
+        # of its rerun, so a step that makes two cannot be replayed
+        prob = make_quadratic(dim=3, cond=10, seed=1)
+        opt = {"kind": "sgd_sls"}
+        trace = run_single(prob, opt, seed=0, epochs=5, batch_size=1).trace
+        step = harness.sls_step
+
+        def twice_evaluated_step(batch, w, state, cfg):
+            batch.eval(w)
+            return step(batch, w, state, cfg)
+
+        monkeypatch.setattr(harness, "sls_step", twice_evaluated_step)
+        with pytest.raises(ValueError, match="the rerun made 10 gradient "
+                                             "evaluations for 5 steps"):
+            replay_verify(prob, opt, 0, 5, 1, trace)
+
+    def test_zero_epoch_run_replays_its_one_record(self):
+        prob = make_logreg(n=200, dim=4)
+        opt = {"kind": "adam_salsa"}
+        trace = run_single(prob, opt, seed=0, epochs=0, batch_size=8).trace
+        points = []
+
+        def recording_loss_grad(w, indices, grad=True):
+            points.append(w)
+            return prob.loss_grad(w, indices, grad=grad)
+
+        counted = dataclasses.replace(prob, loss_grad=recording_loss_grad)
+        report = replay_verify(counted, opt, 0, 0, 8, trace)
+        assert (report.n_steps, report.n_searched, report.n_checked,
+                report.violations, report.ok) == (1, 0, 0, [], True)
+        # the rerun's base evaluation and the replay's, both at the start
+        assert len(points) == 2
+        assert all(p.tobytes() == prob.init_params(0).tobytes()
+                   for p in points)
