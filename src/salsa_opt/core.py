@@ -109,8 +109,7 @@ def field_rules(cls) -> dict:
 def check_fields(config) -> None:
     """Check each init field of dataclass ``config`` with ``check_value``
     against its annotation and its ``"range"`` metadata, and store the
-    checked value. Fields are read and written through the instance dict,
-    so one behind a descriptor is checked as given."""
+    checked value through the instance dict."""
     given = vars(config)
     for name, (hint, bounds) in field_rules(type(config)).items():
         given[name] = check_value(name, given[name], hint, bounds)
@@ -324,7 +323,9 @@ class TrainingTrace:
     def from_csv(cls, text: str) -> "TrainingTrace":
         """Read a trace written by ``to_csv``; raises ValueError for a bad
         header or row, naming the row (see ``_load_records``)."""
-        lines = [ln for ln in text.splitlines() if ln]
+        lines = text.splitlines()
+        while lines and not lines[-1]:
+            lines.pop()
         if not lines or lines[0] != CSV_HEADER:
             raise ValueError("missing or malformed trace CSV header")
         trace = cls(metadata={})

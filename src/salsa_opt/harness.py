@@ -216,12 +216,16 @@ def run_single(problem: Problem, optimizer: dict, seed: int, epochs: int,
                 controller.record_skip()
         append(rec)
     if total == 0:
-        # a run of no steps records the loss and gradient norm at its start
+        # a run of no steps records the loss and gradient norm at its start,
+        # and a SaLSa run logs that record's h and s as unsmoothed (NaN)
         batch = batch_for(problem, sampler, 0)
         res = batch.eval(w)
         append(StepRecord(k=0, eta=runner.state.eta, loss=res.loss,
                           grad_norm_sq=norm_sq(res.grad), searched=False,
                           backtracks=0, batch_seed=batch.key))
+        if runner.kind.endswith("salsa"):
+            runner.h_series.append(math.nan)
+            runner.s_series.append(math.nan)
     return RunResult(trace, w, runner.h_series, runner.s_series)
 
 

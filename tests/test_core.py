@@ -166,6 +166,16 @@ class TestTraceLoaderErrors:
                            match=r"^data row 4: expected 7 fields, got 6$"):
             TrainingTrace.from_csv(_csv_with_row("3,0.9,0.3,0.1,true,0"))
 
+    def test_csv_interior_blank_line_is_a_short_row(self):
+        # a blank line used to be dropped, so later errors named the row
+        # above the bad one; only trailing empty lines are dropped
+        csv = _toy_trace().to_csv()
+        assert TrainingTrace.from_csv(csv + "\n\n").records == \
+            _toy_trace().records
+        with pytest.raises(ValueError,
+                           match=r"^data row 4: expected 7 fields, got 1$"):
+            TrainingTrace.from_csv(_csv_with_row("\n3,x,0.3,0.1,true,0,5"))
+
     def test_csv_non_integer_field_named(self):
         # used to raise "invalid literal for int() with base 10: 'x'"
         with pytest.raises(ValueError, match=r"^data row 4: batch_seed must "

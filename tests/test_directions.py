@@ -160,7 +160,6 @@ class TestCachedDenominator:
                 == search.tobytes()
             assert np.float64(preconditioned_grad_norm(state, g)).tobytes() \
                 == np.float64(gterm).tobytes()
-        assert state.denom is state.denom
 
     @pytest.mark.parametrize("read", [
         lambda s, g: adam_direction(s, g, use_momentum=True),
@@ -212,6 +211,14 @@ class TestInPlaceState:
         m0, v0 = rng.standard_normal(4), rng.random(4)
         m_before, v_before = m0.copy(), v0.copy()
         state = AdamState(m=m0, v=v0, k=2)
+        # moments read from the state, and moments assigned to it, before
+        # the updates below
+        read = [state.m, state.v]
+        read_before = [a.copy() for a in read]
+        adam_update_moments(state, rng.standard_normal(4))
+        m1, v1 = rng.standard_normal(4), rng.random(4)
+        m1_before, v1_before = m1.copy(), v1.copy()
+        state.m, state.v = m1, v1
         directions = []
         for _ in range(3):
             g = rng.standard_normal(4)
@@ -224,6 +231,10 @@ class TestInPlaceState:
             assert g.tobytes() == g_before.tobytes()
         assert m0.tobytes() == m_before.tobytes()
         assert v0.tobytes() == v_before.tobytes()
+        assert m1.tobytes() == m1_before.tobytes()
+        assert v1.tobytes() == v1_before.tobytes()
+        for a, a_then in zip(read, read_before):
+            assert a.tobytes() == a_then.tobytes()
         # each direction is its own array, untouched by later updates
         for d, d_then in directions:
             assert d.tobytes() == d_then.tobytes()

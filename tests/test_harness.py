@@ -116,6 +116,17 @@ class TestRunExperiment:
         rec = traces[0].records[0]
         assert rec.k == 0 and not rec.searched
 
+    @pytest.mark.parametrize("epochs", [0, 1])
+    @pytest.mark.parametrize("kind", ["sgd_salsa", "adam_salsa"])
+    def test_salsa_logs_one_h_and_s_per_record(self, kind, epochs):
+        # a zero-epoch run used to record one step but log no h or s
+        result = run_single(make_quadratic(3), {"kind": kind}, 0, epochs, 1)
+        assert len(result.trace.records) == 1
+        assert len(result.h_series) == len(result.s_series) == 1
+        if epochs == 0:
+            assert math.isnan(result.h_series[0])
+            assert math.isnan(result.s_series[0])
+
     def test_identical_configs_give_identical_traces(self):
         a = run_experiment(quick_config(seeds=[3, 4]))
         b = run_experiment(quick_config(seeds=[3, 4]))
