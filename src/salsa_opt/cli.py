@@ -77,7 +77,8 @@ def _cmd_compare(args) -> int:
         for opt in optimizers:
             cfg = ExperimentConfig.from_dict(
                 {**shared, "problem": prob_spec, "optimizer": opt})
-            check_optimizer(problem, cfg)
+            check_optimizer(problem, cfg.optimizer, cfg.epochs,
+                            cfg.batch_size)
             label = (problem.name, cfg.optimizer["kind"])
             if label in pairs:
                 raise ConfigError(f"compare config repeats the pair "

@@ -15,7 +15,7 @@ import math
 import sys
 import types
 import typing
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -213,7 +213,10 @@ class EvalResult:
 @dataclass
 class StepRecord:
     """What one optimizer step did: step size, loss before the step,
-    raw squared gradient norm, whether a search ran and how hard."""
+    raw squared gradient norm, whether a search ran and how hard; and, in
+    memory only (neither written nor compared), SaLSa's ``h``/``s`` after
+    the step (NaN before its first search commits, and for other kinds)
+    and ``gave_up``, a search that accepted no candidate."""
 
     k: int
     eta: float
@@ -222,6 +225,9 @@ class StepRecord:
     searched: bool
     backtracks: int
     batch_seed: int
+    h: float = field(default=math.nan, compare=False)
+    s: float = field(default=math.nan, compare=False)
+    gave_up: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         if self.k < 0:
@@ -247,6 +253,7 @@ def canonical_json(payload) -> str:
 
 
 CSV_HEADER = "k,eta,loss,grad_norm_sq,searched,backtracks,batch_seed"
+_TRACE_FIELDS = CSV_HEADER.split(",")
 
 
 def _record_value(name: str, value, hint: type, text: bool):
@@ -270,7 +277,7 @@ def _load_records(trace, rows, text: bool) -> None:
     """Append one ``StepRecord`` per CSV row of tokens (``text``) or JSON
     record object to ``trace``; a bad one raises ValueError naming its
     1-based data row or record number."""
-    hints = _type_hints(StepRecord)
+    hints = {name: _type_hints(StepRecord)[name] for name in _TRACE_FIELDS}
     for n, values in enumerate(rows, 1):
         try:
             if text and len(values) != len(hints):
@@ -335,7 +342,8 @@ class TrainingTrace:
     def to_json(self) -> str:
         return canonical_json({
             "metadata": self.metadata,
-            "records": [asdict(r) for r in self.records],
+            "records": [{name: getattr(r, name) for name in _TRACE_FIELDS}
+                        for r in self.records],
         })
 
     @classmethod

@@ -10,7 +10,6 @@ smoothed by an EMA with factor 0.99.
 from __future__ import annotations
 
 import copy
-import math
 import typing
 import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -88,14 +87,16 @@ _SCHEDULE_KEYS = {"lr": "peak_lr", "peak_lr": "peak_lr",
 
 
 class _Runner:
-    """Steps any of the six optimizer kinds; logs SaLSa's h and s.
+    """Steps any of the six optimizer kinds.
 
-    Building it checks the optimizer dict once: the kind, then the
-    search-config fields of a search kind (the ``_SCHEDULE_KEYS`` of a
-    fixed-rate kind), then an adam kind's ``AdamState`` hyper-parameters.
-    ``checked`` holds each key the dict gave, in its order, with the value
-    stored in the field it fills (an int given for a float reads as a
-    float).
+    Building it splits the kind into its two axes, once: the base (sgd, or
+    adam when ``state.adam`` is set) and ``search`` ("" for a fixed rate,
+    "sls" or "salsa"). It checks the optimizer dict: the kind, then the
+    search config ``cfg`` of a search kind (None for a fixed-rate kind,
+    which takes the ``_SCHEDULE_KEYS``), then an adam kind's ``AdamState``
+    hyper-parameters. ``checked`` holds each key the dict gave, in its
+    order, with the value stored in the field it fills (an int given for a
+    float reads as a float).
 
     ``step``, and a search kind's ``skip_step``, take ``(batch, w)`` and are
     bound when the runner is built, from this module's bindings: a run
@@ -106,10 +107,11 @@ class _Runner:
     def __init__(self, opt: dict, dim: int, total_steps: int):
         self.kind = kind = check_value("optimizer kind", opt.get("kind"), str,
                                        OPTIMIZER_KINDS)
+        base, _, self.search = kind.partition("_")
         params = {k: v for k, v in opt.items() if k != "kind"}
-        if kind in LINE_SEARCH_KINDS:
-            self.family = "salsa" if kind.endswith("salsa") else "sls"
-            cfg_cls = SalsaConfig if self.family == "salsa" else SlsConfig
+        self.cfg = cfg = None
+        if self.search:
+            cfg_cls = SalsaConfig if self.search == "salsa" else SlsConfig
             search_kw = {f.name: params.pop(f.name) for f in fields(cfg_cls)
                          if f.name in params}
             self.cfg = cfg = cfg_cls(**search_kw)
@@ -130,7 +132,7 @@ class _Runner:
                        for key, name in _SCHEDULE_KEYS.items() if key in opt}
             eta = schedule.peak_lr
         adam = None
-        if kind.startswith("adam"):
+        if base == "adam":
             try:
                 adam = AdamState.zeros(dim, **params)
             except TypeError as e:
@@ -141,49 +143,35 @@ class _Runner:
         checked["kind"] = kind
         self.checked = {key: checked[key] for key in opt}
         self.state = state = SlsState(eta=eta, adam=adam)
-        self.h_series = []
-        self.s_series = []
-        skip = apply_without_search
-        if kind not in LINE_SEARCH_KINDS:
+        if cfg is None:
             fixed_step = fixed_sgd_step if adam is None else fixed_adam_step
 
             def step(batch, w):
                 state.eta = schedule_lr(schedule, state.k)
                 return fixed_step(batch, w, state)
             self.step = step
-        elif self.family == "sls":
-            search = sls_step
-            self.step = lambda batch, w: search(batch, w, state, cfg)
-            self.skip_step = lambda batch, w: skip(batch, w, state)
-        else:
-            search = salsa_sgd_step if adam is None else salsa_adam_step
-            log_h, log_s = self.h_series.append, self.s_series.append
-
-            def logged(out):
-                smoothed = state.smoothed
-                log_h(state.h if smoothed else math.nan)
-                log_s(state.s if smoothed else math.nan)
-                return out
-
-            self.step = lambda batch, w: logged(search(batch, w, state, cfg))
-            self.skip_step = lambda batch, w: logged(skip(batch, w, state))
+            return
+        search = sls_step if self.search == "sls" else \
+            salsa_sgd_step if adam is None else salsa_adam_step
+        skip = apply_without_search
+        self.step = lambda batch, w: search(batch, w, state, cfg)
+        self.skip_step = lambda batch, w: skip(batch, w, state)
 
 
-def check_optimizer(problem: Problem, cfg: ExperimentConfig) -> dict:
-    """Build the runner ``cfg`` would run on ``problem``, which checks it;
-    returns the runner's ``checked`` optimizer values."""
-    sampler = BatchSampler(seed=0, batch_size=cfg.batch_size,
+def check_optimizer(problem: Problem, optimizer: dict, epochs: int,
+                    batch_size: int) -> _Runner:
+    """The runner a run of ``optimizer`` on ``problem`` builds, which
+    checks the optimizer dict; its ``checked`` holds the checked values."""
+    sampler = BatchSampler(seed=0, batch_size=batch_size,
                            dataset_size=problem.dataset_size)
-    return _Runner(cfg.optimizer, problem.dim,
-                   cfg.epochs * sampler.batches_per_epoch).checked
+    return _Runner(optimizer, problem.dim,
+                   epochs * sampler.batches_per_epoch)
 
 
 @dataclass
 class RunResult:
     trace: TrainingTrace
     final_params: ParamVector
-    h_series: list
-    s_series: list
 
 
 def run_single(problem: Problem, optimizer: dict, seed: int, epochs: int,
@@ -196,7 +184,7 @@ def run_single(problem: Problem, optimizer: dict, seed: int, epochs: int,
     total = epochs * sampler.batches_per_epoch
     runner = _Runner(optimizer, problem.dim, total)
     controller = FrequencyController() \
-        if frequency_controller and runner.kind in LINE_SEARCH_KINDS else None
+        if frequency_controller and runner.cfg is not None else None
     trace = TrainingTrace(metadata={})
 
     # looked up once per run, after any swap of the bindings
@@ -216,17 +204,13 @@ def run_single(problem: Problem, optimizer: dict, seed: int, epochs: int,
                 controller.record_skip()
         append(rec)
     if total == 0:
-        # a run of no steps records the loss and gradient norm at its start,
-        # and a SaLSa run logs that record's h and s as unsmoothed (NaN)
+        # a run of no steps records the loss and gradient norm at its start
         batch = batch_for(problem, sampler, 0)
         res = batch.eval(w)
         append(StepRecord(k=0, eta=runner.state.eta, loss=res.loss,
                           grad_norm_sq=norm_sq(res.grad), searched=False,
                           backtracks=0, batch_seed=batch.key))
-        if runner.kind.endswith("salsa"):
-            runner.h_series.append(math.nan)
-            runner.s_series.append(math.nan)
-    return RunResult(trace, w, runner.h_series, runner.s_series)
+    return RunResult(trace, w)
 
 
 def _as_checked(config: dict, hints: dict) -> dict:
@@ -240,7 +224,8 @@ def _as_checked(config: dict, hints: dict) -> dict:
 def run_experiment(cfg: ExperimentConfig) -> list[TrainingTrace]:
     """One trace per seed, reproducible bit-exactly from (config, seed)."""
     problem = build_problem(cfg.problem)
-    checked = check_optimizer(problem, cfg)
+    checked = check_optimizer(problem, cfg.optimizer, cfg.epochs,
+                              cfg.batch_size).checked
     traces = [run_single(problem, cfg.optimizer, seed, cfg.epochs,
                          cfg.batch_size, cfg.frequency_controller).trace
               for seed in cfg.seeds]
@@ -438,21 +423,23 @@ def batch_scaling_experiment(problem: Problem, optimizer: dict | None = None,
     the per-run smoothed h/s series.
     """
     optimizer = optimizer or {"kind": "adam_salsa"}
-    mean_eta = {}
-    h_series, s_series = {}, {}
+    smoothed = check_optimizer(problem, optimizer, epochs,
+                               batch_sizes[0]).search == "salsa"
+    mean_eta, h_runs, s_runs = {}, {}, {}
     for bs in batch_sizes:
         per_seed = []
         for seed in seeds:
-            result = run_single(problem, optimizer, seed, epochs, bs)
-            etas = np.array([r.eta for r in result.trace.records])
+            records = run_single(problem, optimizer, seed, epochs,
+                                 bs).trace.records
+            etas = np.array([r.eta for r in records])
             per_seed.append(float(np.mean(etas[_mid_window(len(etas))])))
-            h_series[(bs, seed)] = result.h_series
-            s_series[(bs, seed)] = result.s_series
+            h_runs[(bs, seed)] = [r.h for r in records] if smoothed else []
+            s_runs[(bs, seed)] = [r.s for r in records] if smoothed else []
         mean_eta[bs] = float(np.mean(per_seed))
     ratios = [(a, b, mean_eta[b] / mean_eta[a])
               for a, b in zip(batch_sizes, batch_sizes[1:])]
     return ScalingReport(batch_sizes=list(batch_sizes), mean_mid_eta=mean_eta,
-                         ratios=ratios, h_series=h_series, s_series=s_series)
+                         ratios=ratios, h_series=h_runs, s_series=s_runs)
 
 
 @dataclass
@@ -565,12 +552,13 @@ def replay_verify(problem: Problem, optimizer: dict, seed: int, epochs: int,
     the optimizer implementations, and the inequality is re-checked within
     REPLAY_SLACK. The criterion runs along the momentum-free direction, so
     Adam's first moment is not needed. Only the hyper-parameters come from
-    the run's own config objects. Give-up steps (backtracks exhausted)
-    accept no candidate and are not checked.
+    the run's own config objects. Give-up steps (``gave_up`` on the
+    rerun's records) accepted no candidate and are not checked; a step
+    accepted on its last candidate is.
     """
     # the hyper-parameters as the run read them, from the same runner
-    runner = _Runner(optimizer, problem.dim, 0)
-    if runner.kind not in LINE_SEARCH_KINDS:
+    runner = check_optimizer(problem, optimizer, epochs, batch_size)
+    if runner.cfg is None:
         raise ConfigError(f"replay_verify applies to line-search runs, "
                           f"got {runner.kind!r}")
     base_points, loss_grad = [], problem.loss_grad
@@ -582,17 +570,18 @@ def replay_verify(problem: Problem, optimizer: dict, seed: int, epochs: int,
 
     rerun = run_single(replace(problem, loss_grad=recording), optimizer, seed,
                        epochs, batch_size, frequency_controller)
+    # the rerun's records must equal the trace's in their written fields;
     # NaN != NaN, so unequal records are settled by the CSV bytes, where
     # NaN reads "nan" and every finite float round-trips through repr
-    if rerun.trace.records != trace.records and \
-            rerun.trace.to_csv() != trace.to_csv():
+    records = rerun.trace.records
+    if records != trace.records and rerun.trace.to_csv() != trace.to_csv():
         raise ValueError("trace does not replay bit-identically; "
                          "it was not produced by this configuration")
-    if len(base_points) != len(trace.records):
+    if len(base_points) != len(records):
         raise ValueError(f"the rerun made {len(base_points)} gradient "
-                         f"evaluations for {len(trace.records)} steps")
+                         f"evaluations for {len(records)} steps")
 
-    family, cfg, adam = runner.family, runner.cfg, runner.state.adam
+    cfg, adam = runner.cfg, runner.state.adam
 
     sampler = BatchSampler(seed=seed, batch_size=batch_size,
                            dataset_size=problem.dataset_size)
@@ -605,7 +594,7 @@ def replay_verify(problem: Problem, optimizer: dict, seed: int, epochs: int,
     violations = []
     max_violation = 0.0
 
-    for rec, w in zip(trace.records, base_points):
+    for rec, w in zip(records, base_points):
         indices = sampler.sample(rec.k)
         res = problem.loss_grad(w, indices)
         g = res.grad
@@ -615,10 +604,9 @@ def replay_verify(problem: Problem, optimizer: dict, seed: int, epochs: int,
         if not rec.searched:
             continue
         n_searched += 1
-        # give-up steps (budget exhausted) accepted no candidate: they are
-        # not checked, but a smoothed run still committed h/s at the
-        # recorded eta, so the EMA recurrences below must advance anyway
-        accepted = rec.backtracks < cfg.max_backtracks
+        # give-up steps accepted no candidate: they are not checked, but a
+        # smoothed run still committed h/s at the recorded eta, so the EMA
+        # recurrences below must advance anyway
 
         if adam is None:
             d = -g
@@ -631,8 +619,8 @@ def replay_verify(problem: Problem, optimizer: dict, seed: int, epochs: int,
         loss_trial = problem.loss_grad(axpy(rec.eta, d, w), indices,
                                        grad=False).loss
 
-        if family == "sls":
-            if not accepted:
+        if runner.search == "sls":
+            if rec.gave_up:
                 continue
             lhs = loss_trial
             rhs = res.loss - cfg.c * rec.eta * gterm
@@ -646,7 +634,7 @@ def replay_verify(problem: Problem, optimizer: dict, seed: int, epochs: int,
             h = decrease if not smoothing_seeded else \
                 beta3 * h + (1.0 - beta3) * decrease
             smoothing_seeded = True
-            if not accepted:
+            if rec.gave_up:
                 continue
             lhs = h
             rhs = cfg.c * rec.eta * s

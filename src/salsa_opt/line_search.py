@@ -75,16 +75,16 @@ class SlsState:
     size, the step counter, the Adam moments of an adam kind, and SaLSa's
     smoothed loss decrease h and gradient-norm term s.
 
-    h and s hold no meaningful values until the first smoothed search
-    commits and sets ``smoothed``; that search seeds them with its raw
-    values. SLS and no-search steps never touch them.
+    h and s are NaN until the first smoothed search commits and sets
+    ``smoothed``; that search seeds them with its raw values. SLS and
+    no-search steps never touch them.
     """
 
     eta: float
     k: int = 0
     adam: AdamState | None = None
-    h: float = 0.0
-    s: float = 0.0
+    h: float = math.nan
+    s: float = math.nan
     smoothed: bool = False
 
 
@@ -204,7 +204,8 @@ def search_step(batch, w: ParamVector, state: SlsState,
     searches); there it returns None to keep eta, or a trial whose eta
     alone is taken. When the search ran along ``d_update`` itself (every
     sgd search) the trial's point is the update; otherwise the update
-    ``w + eta * d_update`` is built here.
+    ``w + eta * d_update`` is built here. The record copies ``state.h``/``s``
+    and flags a trial that was not accepted as ``gave_up``.
     """
     res = batch.eval(w)
     g = res.grad
@@ -216,7 +217,8 @@ def search_step(batch, w: ParamVector, state: SlsState,
     else:
         d_update = sgd_direction(g)
 
-    eta, backtracks, searched, w_next = state.eta, 0, False, None
+    eta, backtracks, w_next = state.eta, 0, None
+    searched = gave_up = False
     if search is not None:
         if gsq <= cfg.grad_eps_sq:
             trial = search(batch, w, None, d_update, eta, res.loss, 0.0,
@@ -233,12 +235,13 @@ def search_step(batch, w: ParamVector, state: SlsState,
             trial = search(batch, w, d_search, d_update,
                            min(eta * cfg.regrowth, cfg.eta_max), res.loss,
                            gnorm_term, state, cfg)
-            eta, backtracks = trial.eta, trial.backtracks
+            eta, backtracks, gave_up = trial.eta, trial.backtracks, \
+                not trial.accepted
             if d_search is d_update:
                 w_next = trial.point
 
     record = StepRecord(state.k, eta, res.loss, gsq, searched, backtracks,
-                        batch.key)
+                        batch.key, state.h, state.s, gave_up)
     state.eta = eta
     state.k += 1
     if w_next is None:

@@ -1,12 +1,13 @@
 """Vector helpers, record invariants, and trace serialization."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from salsa_opt.core import (StepRecord, TrainingTrace, axpy, norm_sq,
-                            seeded_rng, stream_key)
+from salsa_opt.core import (CSV_HEADER, StepRecord, TrainingTrace, axpy,
+                            norm_sq, seeded_rng, stream_key)
 
 
 class TestNormSq:
@@ -94,6 +95,22 @@ class TestStepRecord:
         rec = StepRecord(k=0, eta=0.0, loss=1.0, grad_norm_sq=1.0,
                          searched=False, backtracks=0, batch_seed=0)
         assert rec.eta == 0.0
+
+    def test_trace_fields_come_first_in_header_order(self):
+        names = [f.name for f in dataclasses.fields(StepRecord)]
+        assert names[:7] == CSV_HEADER.split(",")
+
+    def test_in_memory_fields_are_neither_compared_nor_written(self):
+        plain = StepRecord(0, 1.0, 0.5, 0.25, True, 2, 11)
+        marked = StepRecord(0, 1.0, 0.5, 0.25, True, 2, 11, h=0.3, s=0.7,
+                            gave_up=True)
+        assert plain == marked
+        one, other = (TrainingTrace(metadata={}, records=[r])
+                      for r in (plain, marked))
+        assert one.to_csv() == other.to_csv()
+        assert one.to_json() == other.to_json()
+        assert set(json.loads(other.to_json())["records"][0]) == \
+            set(CSV_HEADER.split(","))
 
 
 def _toy_trace():

@@ -240,8 +240,8 @@ class TestInPlaceState:
             assert d.tobytes() == d_then.tobytes()
 
     def test_deep_copy_updates_its_own_moments(self):
-        # m and v are rows of one stacked buffer; a copy's rows must be the
-        # rows of the copy's buffer, or its update would write elsewhere
+        # an update forms the new m and v through the state's scratch
+        # buffer; a copy's update must change only the copy's moments
         rng = seeded_rng(37)
         state = adam_update_moments(AdamState.zeros(4), rng.standard_normal(4))
         m_before, v_before = state.m.copy(), state.v.copy()

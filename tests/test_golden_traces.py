@@ -168,10 +168,14 @@ def run_digest(problem_key, optimizer, fc, epochs, batch_size, seed=3):
     problem = dataclasses.replace(problem, loss_grad=counting_loss_grad)
     result = run_single(problem, optimizer, seed, epochs, batch_size,
                         frequency_controller=fc)
+    # the h/s series as runs reported them before the records held them:
+    # one value per record for a SaLSa kind, none for the others
+    records = result.trace.records
+    smoothed = optimizer["kind"].endswith("salsa")
     digest = hashlib.sha256()
     digest.update(result.trace.to_csv().encode())
-    digest.update(repr(result.h_series).encode())
-    digest.update(repr(result.s_series).encode())
+    digest.update(repr([r.h for r in records] if smoothed else []).encode())
+    digest.update(repr([r.s for r in records] if smoothed else []).encode())
     digest.update(result.final_params.tobytes())
     digest.update(str(calls[0]).encode())
     return digest.hexdigest()

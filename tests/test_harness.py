@@ -122,10 +122,11 @@ class TestRunExperiment:
         # a zero-epoch run used to record one step but log no h or s
         result = run_single(make_quadratic(3), {"kind": kind}, 0, epochs, 1)
         assert len(result.trace.records) == 1
-        assert len(result.h_series) == len(result.s_series) == 1
+        rec = result.trace.records[0]
         if epochs == 0:
-            assert math.isnan(result.h_series[0])
-            assert math.isnan(result.s_series[0])
+            assert math.isnan(rec.h) and math.isnan(rec.s)
+        else:
+            assert math.isfinite(rec.h) and math.isfinite(rec.s)
 
     def test_identical_configs_give_identical_traces(self):
         a = run_experiment(quick_config(seeds=[3, 4]))
@@ -568,6 +569,23 @@ class TestReplayVerify:
         assert report.ok
         assert report.n_checked < report.n_searched
 
+    @pytest.mark.parametrize("kind, n_checked", [("sgd_sls", 18),
+                                                 ("adam_sls", 19)])
+    def test_step_accepted_on_its_last_candidate_is_checked(self, kind,
+                                                           n_checked):
+        # with one shrink allowed, a step accepted on its second candidate
+        # has as many backtracks as a give-up; replay used to skip it
+        prob = make_quadratic(dim=4, cond=10, seed=0)
+        opt = {"kind": kind, "max_backtracks": 1, "eta_init": 2.0,
+               "eta_max": 2.0, "delta": 0.5}
+        trace = run_single(prob, opt, seed=0, epochs=20, batch_size=1).trace
+        report = replay_verify(prob, opt, 0, 20, 1, trace)
+        assert report.ok
+        assert (report.n_searched, report.n_checked) == (20, n_checked)
+        records = trace.records
+        assert n_checked == 20 - sum(r.gave_up for r in records)
+        assert any(r.backtracks == 1 and not r.gave_up for r in records)
+
     def test_frequency_gated_run_verifies(self):
         prob = make_logreg(n=300, dim=6, seed=2, label_noise=0.1)
         opt = {"kind": "adam_salsa"}
@@ -581,8 +599,6 @@ class TestReplayVerify:
 
     def test_fixed_rate_kind_rejected_before_any_evaluation(self):
         prob = make_logreg(n=200, dim=4)
-        opt = {"kind": "sgd", "lr": 0.1}
-        trace = run_single(prob, opt, seed=0, epochs=3, batch_size=8).trace
         calls = []
 
         def counting_loss_grad(*args, **kwargs):
@@ -590,8 +606,13 @@ class TestReplayVerify:
             return prob.loss_grad(*args, **kwargs)
 
         counted = dataclasses.replace(prob, loss_grad=counting_loss_grad)
-        with pytest.raises(ConfigError, match="line-search runs"):
-            replay_verify(counted, opt, 0, 3, 8, trace)
+        # the cosine schedule's warmup needs the run's step count
+        for opt in ({"kind": "sgd", "lr": 0.1},
+                    {"kind": "adam", "lr": 0.1, "schedule": "cosine_warmup"}):
+            trace = run_single(prob, opt, seed=0, epochs=3,
+                               batch_size=8).trace
+            with pytest.raises(ConfigError, match="line-search runs"):
+                replay_verify(counted, opt, 0, 3, 8, trace)
         assert calls == []
 
     def test_optimizer_without_kind_rejected_before_any_evaluation(self):

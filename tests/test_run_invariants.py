@@ -8,16 +8,21 @@ checks two invariants:
 
 - I1, purity: runs interleaved on one ``Problem`` do not affect each
   other. A configuration run twice with the same seed gives byte-identical
-  trace CSV, ``h``/``s`` series and final parameters.
+  trace CSV, records' ``h``/``s`` and final parameters.
 - I2, update: each step moves from its base point ``w`` to ``w + eta *
   d_update``, bit for bit, with ``eta`` the step size its record holds. The
   base points are recorded as ``replay_verify`` records them, from the one
   gradient evaluation each step makes; ``d_update`` is computed here with
   the allocate-per-step SGD and Adam formulas that ``tests/test_directions.py``
   pins to the engine's.
+
+Each record's in-memory fields are checked too: a ``gave_up`` step
+searched and used its whole backtrack budget, and a fixed-rate or SLS run
+reports NaN ``h`` and ``s`` throughout.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 from hypothesis import given, settings
@@ -112,8 +117,9 @@ def same_bits(a, b):
 
 def run_bytes(result):
     """What a run exposes, as bytes taken when the run returns."""
-    return (result.trace.to_csv(), repr(result.h_series),
-            repr(result.s_series), result.final_params.tobytes())
+    records = result.trace.records
+    return (result.trace.to_csv(), repr([r.h for r in records]),
+            repr([r.s for r in records]), result.final_params.tobytes())
 
 
 @given(runs())
@@ -153,3 +159,11 @@ def test_runs_are_pure_and_each_update_is_w_plus_eta_d(run):
                     d_update = -g
                 assert same_bits(w_next, w + rec.eta * d_update), \
                     (opt, k, rec)
+                # the in-memory fields: a give-up searched its whole
+                # budget, and only a SaLSa run has smoothing to report
+                if rec.gave_up:
+                    assert rec.searched and \
+                        rec.backtracks == opt["max_backtracks"], (opt, k, rec)
+                if not opt["kind"].endswith("salsa"):
+                    assert math.isnan(rec.h) and math.isnan(rec.s), \
+                        (opt, k, rec)
