@@ -20,7 +20,7 @@ from .line_search import apply_without_search
 SCHEDULE_SHAPES = ("cosine_warmup", "flat")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScheduleConfig:
     """A fixed-rate schedule; ``shape`` is "flat" unless set."""
 

@@ -8,7 +8,6 @@ and byte-identical across repeated invocations.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import sys
 from dataclasses import dataclass, field, fields
@@ -17,8 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ConfigError, check_fields, check_keys, check_value, \
-    config_from_dict, seeded_rng
+from .core import ConfigError, call_keys, check_fields, check_keys, \
+    check_value, config_from_dict, seeded_rng
 from .harness import ExperimentConfig, batch_scaling_experiment, \
     build_problem, check_optimizer, compare, emit, frequency_ablation, \
     render, run_experiment, run_single, summarize
@@ -45,11 +44,11 @@ def _cmd_run(args) -> int:
     raw = _load_config(args)
     if args.out is not None:
         raw["out"] = args.out
-    cfg = ExperimentConfig.from_dict(raw)
+    cfg = ExperimentConfig.from_dict(raw, "run")
+    if cfg.out is None and len(cfg.seeds) > 1:
+        raise ConfigError("multiple seeds need --out (or 'out' in config)")
     traces = run_experiment(cfg)
     if cfg.out is None:
-        if len(traces) > 1:
-            raise ConfigError("multiple seeds need --out (or 'out' in config)")
         return _finish(traces[0], args)
     out = Path(cfg.out)
     for seed, trace in zip(cfg.seeds, traces):
@@ -76,7 +75,7 @@ def _cmd_compare(args) -> int:
         problem = build_problem(prob_spec)
         for opt in optimizers:
             cfg = ExperimentConfig.from_dict(
-                {**shared, "problem": prob_spec, "optimizer": opt})
+                {**shared, "problem": prob_spec, "optimizer": opt}, "compare")
             check_optimizer(problem, cfg.optimizer, cfg.epochs,
                             cfg.batch_size)
             label = (problem.name, cfg.optimizer["kind"])
@@ -97,8 +96,7 @@ def _run_study(study, args) -> int:
     keep the study's defaults), and ``--seed`` as the only seed. The study
     checks its arguments."""
     raw = _load_config(args)
-    check_keys(raw, inspect.signature(study).parameters, {"problem"},
-               args.command)
+    check_keys(raw, *call_keys(study), args.command)
     kwargs = {**raw, "problem": build_problem(raw["problem"])}
     return _finish(study(**kwargs), args)
 
@@ -124,8 +122,8 @@ def _cmd_check_grad(args) -> int:
     tol = check_value("tol", args.tol, float, "> 0")
     cfg = config_from_dict(CheckGradConfig, _load_config(args), "check-grad")
     worst_overall = 0.0
-    for spec in cfg.problems or [cfg.problem]:
-        problem = build_problem(spec)
+    for problem in [build_problem(spec)
+                    for spec in cfg.problems or [cfg.problem]]:
         worst = 0.0
         for i in range(cfg.points):
             w = problem.init_params(1000 + i)

@@ -15,7 +15,7 @@ import math
 import sys
 import types
 import typing
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -144,13 +144,19 @@ def check_keys(config: dict, known, required, where: str = "") -> None:
         raise ConfigError(f"missing {where}config fields: {sorted(missing)}")
 
 
+@functools.cache
+def call_keys(fn) -> tuple[tuple, tuple]:
+    """The keyword arguments callable ``fn`` takes (a dataclass: its init
+    fields), and those without a default, as ``check_keys`` reads them."""
+    params = inspect.signature(fn).parameters.values()
+    return (tuple(p.name for p in params),
+            tuple(p.name for p in params if p.default is p.empty))
+
+
 def config_from_dict(cls, config: dict, where: str = ""):
     """``cls(**config)`` for a config dataclass, once ``check_keys`` holds
     for its init fields."""
-    init = [f for f in fields(cls) if f.init]
-    check_keys(config, [f.name for f in init],
-               [f.name for f in init if f.default is MISSING
-                and f.default_factory is MISSING], where)
+    check_keys(config, *call_keys(cls), where)
     return cls(**config)
 
 

@@ -19,8 +19,8 @@ import numpy as np
 from .baselines import ScheduleConfig, fixed_adam_step, fixed_sgd_step, \
     schedule_lr
 from .core import ConfigError, ParamVector, StepRecord, TrainingTrace, \
-    axpy, canonical_json, check_fields, check_value, checked_arguments, \
-    config_from_dict, field_rules, norm_sq
+    axpy, call_keys, canonical_json, check_fields, check_keys, check_value, \
+    checked_arguments, config_from_dict, field_rules, norm_sq
 from .directions import AdamState
 from .frequency import FrequencyController
 from .line_search import SlsConfig, SlsState, apply_without_search, sls_step
@@ -69,15 +69,16 @@ _PROBLEM_BUILDERS = {
 def build_problem(problem_config: dict) -> Problem:
     """Instantiate a problem from its config dict ({'kind': ..., params});
     params are the factory's arguments, ``kind_inner`` standing for csv's
-    ``kind``. Whatever the factory rejects raises ConfigError."""
+    ``kind``. A value the factory rejects raises ConfigError."""
     params = dict(check_value("problem", problem_config, dict))
     kind = check_value("problem kind", params.pop("kind", None), str,
                        tuple(_PROBLEM_BUILDERS))
     if kind == "csv" and "kind_inner" in params:
         params["kind"] = params.pop("kind_inner")
+    check_keys(params, *call_keys(_PROBLEM_BUILDERS[kind]), f"{kind} problem")
     try:
         return _PROBLEM_BUILDERS[kind](**params)
-    except (TypeError, ValueError) as e:
+    except ValueError as e:
         raise ConfigError(f"bad {kind} parameters: {e}") from e
 
 
@@ -91,12 +92,13 @@ class _Runner:
 
     Building it splits the kind into its two axes, once: the base (sgd, or
     adam when ``state.adam`` is set) and ``search`` ("" for a fixed rate,
-    "sls" or "salsa"). It checks the optimizer dict: the kind, then the
-    search config ``cfg`` of a search kind (None for a fixed-rate kind,
-    which takes the ``_SCHEDULE_KEYS``), then an adam kind's ``AdamState``
-    hyper-parameters. ``checked`` holds each key the dict gave, in its
-    order, with the value stored in the field it fills (an int given for a
-    float reads as a float).
+    "sls" or "salsa"). It checks the optimizer dict: the kind, its keys
+    against those their owners take (the search config's fields or the
+    ``_SCHEDULE_KEYS``, plus ``AdamState``'s hyper-parameters on an adam
+    kind), then the values, in ``cfg`` (None for a fixed rate) and
+    ``state.adam``. ``checked`` holds each key the dict gave, in its order,
+    with the value stored in the field it fills (an int given for a float
+    reads as a float).
 
     ``step``, and a search kind's ``skip_step``, take ``(batch, w)`` and are
     bound when the runner is built, from this module's bindings: a run
@@ -108,20 +110,23 @@ class _Runner:
         self.kind = kind = check_value("optimizer kind", opt.get("kind"), str,
                                        OPTIMIZER_KINDS)
         base, _, self.search = kind.partition("_")
-        params = {k: v for k, v in opt.items() if k != "kind"}
-        self.cfg = cfg = None
-        if self.search:
-            cfg_cls = SalsaConfig if self.search == "salsa" else SlsConfig
-            search_kw = {f.name: params.pop(f.name) for f in fields(cfg_cls)
-                         if f.name in params}
-            self.cfg = cfg = cfg_cls(**search_kw)
-            checked = {key: getattr(cfg, key) for key in search_kw}
+        cfg_cls = {"sls": SlsConfig, "salsa": SalsaConfig}.get(self.search)
+        own = call_keys(cfg_cls)[0] if cfg_cls else tuple(_SCHEDULE_KEYS)
+        # AdamState.zeros sets the moments and their step count
+        adam_keys = [key for key in call_keys(AdamState)[0]
+                     if key not in ("m", "v", "k")] if base == "adam" else []
+        check_keys(opt, ("kind", *own, *adam_keys), (), f"{kind} optimizer")
+        params = {key: opt[key] for key in own if key in opt}
+        hyper = {key: opt[key] for key in adam_keys if key in opt}
+        self.cfg = cfg = cfg_cls(**params) if cfg_cls else None
+        if cfg is not None:
+            checked = {key: getattr(cfg, key) for key in params}
             eta = cfg.eta_init
         else:
             if "lr" in params and "peak_lr" in params:
                 raise ConfigError(f"{kind} takes 'lr' or 'peak_lr', not both")
             rules = field_rules(ScheduleConfig)
-            fixed = {name: check_value(key, params.pop(key), *rules[name])
+            fixed = {name: check_value(key, params[key], *rules[name])
                      for key, name in _SCHEDULE_KEYS.items() if key in params}
             if "peak_lr" not in fixed:
                 raise ConfigError(f"{kind} needs 'lr' or 'peak_lr'")
@@ -133,13 +138,8 @@ class _Runner:
             eta = schedule.peak_lr
         adam = None
         if base == "adam":
-            try:
-                adam = AdamState.zeros(dim, **params)
-            except TypeError as e:
-                raise ConfigError(f"bad {kind} parameters: {e}") from e
-            checked.update((key, getattr(adam, key)) for key in params)
-        elif params:
-            raise ConfigError(f"unknown {kind} parameters: {sorted(params)}")
+            adam = AdamState.zeros(dim, **hyper)
+            checked.update((key, getattr(adam, key)) for key in hyper)
         checked["kind"] = kind
         self.checked = {key: checked[key] for key in opt}
         self.state = state = SlsState(eta=eta, adam=adam)
@@ -420,11 +420,12 @@ def batch_scaling_experiment(problem: Problem, optimizer: dict | None = None,
     Runs the (by default) adam_salsa optimizer at each batch size and
     reports the mean accepted step size over the middle half of each run,
     averaged over seeds, together with the consecutive-doubling ratios and
-    the per-run smoothed h/s series.
+    the per-run smoothed h/s series. The optimizer is checked at every
+    batch size before the first run.
     """
     optimizer = optimizer or {"kind": "adam_salsa"}
-    smoothed = check_optimizer(problem, optimizer, epochs,
-                               batch_sizes[0]).search == "salsa"
+    smoothed = {check_optimizer(problem, optimizer, epochs, bs).search
+                for bs in batch_sizes} == {"salsa"}
     mean_eta, h_runs, s_runs = {}, {}, {}
     for bs in batch_sizes:
         per_seed = []

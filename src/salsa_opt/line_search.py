@@ -25,7 +25,7 @@ from .directions import AdamState, adam_direction, adam_update_moments, \
     preconditioned_grad_norm, sgd_direction
 
 
-@dataclass
+@dataclass(frozen=True)
 class SlsConfig:
     """Knobs of the classic stochastic Armijo search.
 
@@ -38,11 +38,11 @@ class SlsConfig:
     eta_min/eta_max: hard clamps on the step size; being finite, eta_max
                     cannot switch the clamp off
 
-    Building the config also forms the search's two per-step constants,
-    with the expressions ``propose_initial_step`` and the guard would use:
-    ``regrowth`` = 2**(1/b) and ``grad_eps_sq`` = grad_eps**2. They are
-    fixed then; build a new config (``dataclasses.replace``) to change
-    ``b`` or ``grad_eps``.
+    Building the config also forms the search's two per-step constants:
+    ``regrowth`` = 2**(1/b), by which each step regrows the last step size
+    (clamped to eta_max), and the guard's ``grad_eps_sq`` = grad_eps**2.
+    The config is frozen, so they always match ``b`` and ``grad_eps``;
+    ``dataclasses.replace`` builds a changed config and checks it again.
     """
 
     c: float = field(default=0.1, metadata={"range": "(0,1)"})
@@ -62,11 +62,11 @@ class SlsConfig:
                 f"{self.eta_min}, {self.eta_init}, {self.eta_max}"
             )
         try:
-            self.regrowth = 2.0 ** (1.0 / self.b)
+            regrowth = 2.0 ** (1.0 / self.b)
         except OverflowError:
             raise ConfigError(f"b must leave 2**(1/b) finite, "
                               f"got {self.b}") from None
-        self.grad_eps_sq = self.grad_eps ** 2
+        vars(self).update(regrowth=regrowth, grad_eps_sq=self.grad_eps ** 2)
 
 
 @dataclass
@@ -86,11 +86,6 @@ class SlsState:
     h: float = math.nan
     s: float = math.nan
     smoothed: bool = False
-
-
-def propose_initial_step(eta_prev: float, b: float, eta_max: float) -> float:
-    """Regrow the previous step size by 2**(1/b), clamped to eta_max."""
-    return min(eta_prev * 2.0 ** (1.0 / b), eta_max)
 
 
 def armijo_holds(loss0: float, loss_trial: float, eta: float, c: float,

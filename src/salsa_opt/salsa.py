@@ -29,7 +29,7 @@ from .line_search import SlsConfig, SlsState, Trial, nondecrease_search, \
     search_step, shrink_clamped
 
 
-@dataclass
+@dataclass(frozen=True)
 class SalsaConfig(SlsConfig):
     """SLS knobs plus the smoothing factor and the non-decrease switch.
 

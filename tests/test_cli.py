@@ -1,5 +1,6 @@
 """Command-line surface: configs in, CSV/JSON out, exit codes."""
 
+import functools
 import hashlib
 import json
 import os
@@ -70,6 +71,18 @@ class TestRunCommand:
         assert main(["run", "--config", cfg, "--seed", "0"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("k,eta,loss,")
+
+    def test_several_seeds_without_out_rejected(self, tmp_path, capsys,
+                                                monkeypatch):
+        # the seeds used to run before the missing --out was reported; with
+        # no run_single to call, the check must come before any run
+        monkeypatch.setattr(harness, "run_single", None)
+        cfg = write_config(tmp_path, RUN_CONFIG)
+        assert main(["run", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == \
+            "error: multiple seeds need --out (or 'out' in config)\n"
+        assert captured.out == ""
 
     def test_repeated_seeds_rejected(self, tmp_path, capsys):
         # wrote r_seed3.csv twice and exited 0
@@ -233,9 +246,11 @@ class TestCompareCommand:
         builds = []
         for kind in ("quadratic", "logreg"):
             factory = harness._PROBLEM_BUILDERS[kind]
+            # wraps keeps the factory's signature, which the key check reads
             monkeypatch.setitem(
-                harness._PROBLEM_BUILDERS, kind,
-                lambda _f=factory, _k=kind, **p: builds.append(_k) or _f(**p))
+                harness._PROBLEM_BUILDERS, kind, functools.wraps(factory)(
+                    lambda _f=factory, _k=kind, **p:
+                    builds.append(_k) or _f(**p)))
         config = {
             "problems": [{"kind": "logreg", "n": 100, "dim": 3, "seed": 0},
                          {"kind": "quadratic", "dim": 3, "cond": 10}],

@@ -7,7 +7,9 @@ value gives once stored as its field's type (an int given for a float runs
 as that float), or ends the same way as a wrong type when out of range.
 """
 
+import ast
 import dataclasses
+import functools
 import inspect
 import io
 import json
@@ -38,6 +40,7 @@ from salsa_opt.problems import (BatchSampler, make_logreg,
                                 make_quadratic, problem_from_csv)
 from salsa_opt.salsa import SalsaConfig
 
+SRC = Path(__file__).resolve().parents[1] / "src" / "salsa_opt"
 CONFIG_CLASSES = [SlsConfig, SalsaConfig, ScheduleConfig, AdamState,
                   ExperimentConfig, CheckGradConfig, BatchSampler]
 FACTORIES = {"quadratic": make_quadratic, "logreg": make_logreg,
@@ -142,6 +145,31 @@ class TestCheckValue:
         with pytest.raises(ConfigError, match=r"shape must be one of "
                                               r"\('flat',\), got 'x'"):
             check_value("shape", "x", str, ("flat",))
+
+
+class TestFrozenConfigs:
+    """A built search or schedule config cannot drift from its checks."""
+
+    CHANGES = [(SlsConfig(), "c", 5.0, "c must be in (0,1), got 5.0"),
+               (SalsaConfig(), "beta3", 1.0, "beta3 must be in (0,1)"),
+               (ScheduleConfig(peak_lr=0.1, total_steps=10), "warm_frac",
+                1.0, "warm_frac must be in [0,1)")]
+
+    @pytest.mark.parametrize("config, name, value, message", CHANGES,
+                             ids=["SlsConfig", "SalsaConfig",
+                                  "ScheduleConfig"])
+    def test_assignment_raises_and_replace_checks_again(self, config, name,
+                                                        value, message):
+        # an assignment used to skip the range check
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(config, name, value)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            dataclasses.replace(config, **{name: value})
+
+    def test_replace_forms_the_per_step_constants_again(self):
+        # assigning b used to leave regrowth at 2**(1/500)
+        cfg = dataclasses.replace(SlsConfig(), b=1.0, grad_eps=0.5)
+        assert (cfg.regrowth, cfg.grad_eps_sq) == (2.0, 0.25)
 
 
 class TestRegressions:
@@ -495,6 +523,30 @@ def test_a_run_config_that_is_a_list_is_a_config_error():
     assert err == f"error: config cfg.json must be an object, got {[RUN]!r}\n"
 
 
+@pytest.fixture
+def loss_grad_calls(monkeypatch):
+    """The batches every problem built from a config evaluates, in order;
+    each factory keeps its signature (``functools.wraps``), which the key
+    check reads."""
+    calls = []
+
+    def counted(factory):
+        @functools.wraps(factory)
+        def build(**params):
+            problem = factory(**params)
+            loss_grad = problem.loss_grad
+
+            def counting(*args, **kwargs):
+                calls.append(args[1])
+                return loss_grad(*args, **kwargs)
+            return dataclasses.replace(problem, loss_grad=counting)
+        return build
+
+    for kind, factory in FACTORIES.items():
+        monkeypatch.setitem(harness._PROBLEM_BUILDERS, kind, counted(factory))
+    return calls
+
+
 @pytest.mark.parametrize("later, message", [
     ({"kind": "sgd_sls", "c": "x"}, "c must be a real number, got 'x'"),
     ({"kind": "adam_salsa", "beta2": 1}, "beta2 must be in [0,1), got 1"),
@@ -502,26 +554,26 @@ def test_a_run_config_that_is_a_list_is_a_config_error():
      "schedule must be one of ('cosine_warmup', 'flat'), got 'x'"),
 ], ids=["search", "adam", "schedule"])
 def test_compare_checks_every_optimizer_before_the_first_pair_runs(
-        monkeypatch, later, message):
-    calls = []
-
-    def counted_logreg(**params):
-        problem = make_logreg(**params)
-        loss_grad = problem.loss_grad
-
-        def counting(*args, **kwargs):
-            calls.append(args[1])
-            return loss_grad(*args, **kwargs)
-        return dataclasses.replace(problem, loss_grad=counting)
-
-    monkeypatch.setitem(harness._PROBLEM_BUILDERS, "logreg", counted_logreg)
+        loss_grad_calls, later, message):
     config = {"problems": [{"kind": "logreg", "n": 2000, "dim": 20}],
               "optimizers": [{"kind": "sgd_sls"}, later],
               "seeds": [0, 1, 2], "epochs": 3, "batch_size": 8}
     code, out, err, written = invoke("compare", config)
     assert_rejected(code, out, err, written)
     assert err == f"error: {message}\n"
-    assert calls == []
+    assert loss_grad_calls == []
+
+
+def test_scaling_checks_every_batch_size_before_the_first_run(
+        loss_grad_calls):
+    # batch 64 leaves one step, too few for a warmup: the batch-4 runs
+    # used to run before that was found
+    config = {**SCALING, "batch_sizes": [4, 64], "optimizer": {
+        "kind": "adam", "lr": 0.01, "schedule": "cosine_warmup"}}
+    code, out, err, written = invoke("scaling", config)
+    assert_rejected(code, out, err, written)
+    assert err == "error: cosine_warmup needs warm_frac * total_steps >= 1\n"
+    assert loss_grad_calls == []
 
 
 @pytest.mark.parametrize("optimizer, message", [
@@ -532,9 +584,126 @@ def test_compare_checks_every_optimizer_before_the_first_pair_runs(
      "schedule must be a string, got ['flat']"),
     ({"kind": "adam", "lr": 0.1, "schedule": "cosine"},
      "schedule must be one of ('cosine_warmup', 'flat'), got 'cosine'"),
-], ids=["lr", "peak_lr", "schedule-type", "schedule-choice"])
+    ({"kind": "adam", "warm_frac": 0.2}, "adam needs 'lr' or 'peak_lr'"),
+], ids=["lr", "peak_lr", "schedule-type", "schedule-choice", "no-rate"])
 def test_a_fixed_rate_error_names_the_key_the_config_used(optimizer,
                                                           message):
     result = invoke("run", {**RUN, "optimizer": optimizer})
     assert_rejected(*result)
     assert result[2] == f"error: {message}\n"
+
+
+# ---------------------------------------------------------------------------
+# one rule for config keys: each dict is checked against what its callee
+# takes, before the callee runs
+
+
+def _without(config, key):
+    return {k: v for k, v in config.items() if k != key}
+
+
+# a key another kind takes: Adam's on an sgd kind, SaLSa's on a fixed or
+# SLS kind, a fixed rate's on a search kind
+FOREIGN_KEYS = {"sgd": "beta1", "adam": "beta3", "sgd_sls": "beta3",
+                "adam_sls": "beta3", "sgd_salsa": "beta1",
+                "adam_salsa": "lr"}
+
+
+def _with_foreign_key(kind):
+    """An optimizer dict of ``kind`` that also holds its foreign key."""
+    rate = {} if kind in LINE_SEARCH_KINDS else {"lr": 0.1}
+    return {"kind": kind, **rate, FOREIGN_KEYS[kind]: 0.5}
+
+
+REQUIRED_PROBLEM_KEYS = {"quadratic": "dim", "logreg": "n", "mlp": "hidden",
+                         "matrix_factorization": "rank", "csv": "path"}
+KEY_CASES = {
+    **{f"{command}-unknown": (command, {**base, "junk": 1},
+                              f"unknown {command} config fields: ['junk']")
+       for command, base in BASES.items()},
+    # every problem is built before the first one is evaluated
+    "check-grad-later-problem-unknown": (
+        "check-grad", {"problems": [QUAD, {**QUAD, "junk": 1}]},
+        "unknown quadratic problem config fields: ['junk']"),
+    "run-missing": ("run", _without(RUN, "seeds"),
+                    "missing run config fields: ['seeds']"),
+    "compare-missing": ("compare", _without(COMPARE, "seeds"),
+                        "missing compare config fields: ['seeds']"),
+    "compare-missing-list": ("compare", _without(COMPARE, "problems"),
+                             "missing compare config fields: ['problems']"),
+    "scaling-missing": ("scaling", _without(SCALING, "problem"),
+                        "missing scaling config fields: ['problem']"),
+    "freq-ablation-missing": ("freq-ablation", _without(ABLATION, "problem"),
+                              "missing freq-ablation config fields: "
+                              "['problem']"),
+    **{f"{kind}-problem-unknown": (
+        "run", {**RUN, "problem": {**base, "junk": 1}},
+        f"unknown {kind} problem config fields: ['junk']")
+       for kind, base in PROBLEM_BASES.items()},
+    **{f"{kind}-problem-missing": (
+        "run", {**RUN, "problem": _without(base, key)},
+        f"missing {kind} problem config fields: ['{key}']")
+       for kind, base in PROBLEM_BASES.items()
+       for key in (REQUIRED_PROBLEM_KEYS[kind],)},
+    **{f"{kind}-optimizer-unknown": (
+        "run", {**RUN, "optimizer": _with_foreign_key(kind)},
+        f"unknown {kind} optimizer config fields: ['{key}']")
+       for kind, key in FOREIGN_KEYS.items()},
+}
+
+
+@pytest.mark.parametrize("command, config, message", KEY_CASES.values(),
+                         ids=KEY_CASES.keys())
+def test_a_wrong_key_is_named_before_any_evaluation(loss_grad_calls, command,
+                                                    config, message):
+    result = invoke(command, config)
+    assert_rejected(*result)
+    assert result[2] == f"error: {message}\n"
+    assert loss_grad_calls == []
+
+
+@pytest.mark.parametrize("kind", OPTIMIZER_KINDS)
+def test_run_single_names_a_foreign_optimizer_key(loss_grad_calls, kind):
+    problem = harness.build_problem(QUAD)
+    with pytest.raises(ConfigError, match=re.escape(
+            f"unknown {kind} optimizer config fields: "
+            f"['{FOREIGN_KEYS[kind]}']")):
+        run_single(problem, _with_foreign_key(kind), seed=0, epochs=1,
+                   batch_size=1)
+    assert loss_grad_calls == []
+
+
+def test_a_type_error_in_a_factory_stays_a_type_error(monkeypatch):
+    @functools.wraps(make_quadratic)
+    def broken(**params):
+        return len(None)
+
+    monkeypatch.setitem(harness._PROBLEM_BUILDERS, "quadratic", broken)
+    with pytest.raises(TypeError, match="NoneType"):
+        harness.build_problem(QUAD)
+
+
+def test_a_type_error_in_adam_state_stays_a_type_error(monkeypatch):
+    class BrokenAdam(AdamState):
+        def __post_init__(self):
+            len(None)
+
+    monkeypatch.setattr(harness, "AdamState", BrokenAdam)
+    with pytest.raises(TypeError, match="NoneType"):
+        run_single(make_quadratic(2), {"kind": "adam_sls"}, seed=0, epochs=1,
+                   batch_size=1)
+
+
+def test_no_except_clause_in_the_package_names_type_error():
+    # a TypeError is a bug in the program; a wrong key is caught by name
+    # before the call, so none is turned into a config error
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                names = node.type.elts if isinstance(node.type, ast.Tuple) \
+                    else [node.type]
+                if any(isinstance(n, ast.Name) and n.id == "TypeError"
+                       for n in names):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -204,6 +205,31 @@ class TestTraceLoaderErrors:
         with pytest.raises(ValueError,
                            match=r"^data row 4: negative eta=-1\.0$"):
             TrainingTrace.from_csv(_csv_with_row("3,-1.0,0.3,0.1,false,0,5"))
+
+    @pytest.mark.parametrize("row, message", [
+        ("-3,0.9,0.3,0.1,false,0,5", "step index must be >= 0, got -3"),
+        ("3,0.9,0.3,-0.1,false,0,5", "negative grad_norm_sq=-0.1"),
+        ("3,0.9,0.3,0.1,true,-1,5", "negative backtracks=-1"),
+    ], ids=["k", "grad_norm_sq", "backtracks"])
+    def test_csv_negative_field_named(self, row, message):
+        with pytest.raises(ValueError,
+                           match=f"^data row 4: {re.escape(message)}$"):
+            TrainingTrace.from_csv(_csv_with_row(row))
+
+    @pytest.mark.parametrize("text", ["", "k,eta,loss\n1,0.5,0.1\n",
+                                      CSV_HEADER.upper() + "\n"],
+                             ids=["empty", "short", "case"])
+    def test_csv_bad_header_rejected(self, text):
+        with pytest.raises(ValueError,
+                           match="missing or malformed trace CSV header"):
+            TrainingTrace.from_csv(text)
+
+    @pytest.mark.parametrize("payload", [[], "trace", {"records": {}},
+                                         {"metadata": {}}])
+    def test_json_needs_an_object_with_a_records_list(self, payload):
+        with pytest.raises(ValueError, match="trace JSON must be an object "
+                                             "with a records list"):
+            TrainingTrace.from_json(json.dumps(payload))
 
     def test_json_searched_must_be_a_bool(self):
         # "no" used to load as a searched step, which to_csv wrote as true

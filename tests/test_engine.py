@@ -17,7 +17,7 @@ from salsa_opt.core import axpy, norm_sq
 from salsa_opt.directions import AdamState, adam_direction, \
     preconditioned_grad_norm
 from salsa_opt.line_search import SlsConfig, SlsState, \
-    apply_without_search, backtrack, propose_initial_step, sls_step
+    apply_without_search, backtrack, sls_step
 from salsa_opt.problems import BatchObjective, make_quadratic
 from salsa_opt.salsa import SalsaConfig, salsa_adam_step, salsa_backtrack, \
     salsa_sgd_step, smooth_update
@@ -57,7 +57,7 @@ def take_step(family, base, batch, w, state, cfg):
 
 
 def last_candidate(eta_prev, cfg):
-    eta = propose_initial_step(eta_prev, cfg.b, cfg.eta_max)
+    eta = min(eta_prev * cfg.regrowth, cfg.eta_max)
     for _ in range(cfg.max_backtracks):
         eta *= cfg.delta
     return eta
@@ -129,10 +129,6 @@ def test_every_update_is_w_plus_eta_d_update_bit_for_bit(run):
     w = problem.init_params(0)
     indices = np.arange(problem.dataset_size)
     for skip in skips:
-        eta_prev = state.eta
-        # the regrowth stored on the config is propose_initial_step's
-        assert min(eta_prev * cfg.regrowth, cfg.eta_max) == \
-            propose_initial_step(eta_prev, cfg.b, cfg.eta_max)
         batch = BatchObjective(problem, indices)
         w_next, rec = apply_without_search(batch, w, state) if skip \
             else take_step(family, base, batch, w, state, cfg)
@@ -144,15 +140,17 @@ def test_every_update_is_w_plus_eta_d_update_bit_for_bit(run):
 
 
 @given(b=st.floats(1e-3, 1e6), grad_eps=st.floats(0.0, 1e3),
-       eta_prev=st.floats(1e-10, 1e3), eta_max=st.floats(1e-9, 1e4))
+       eta_max=st.floats(1e-9, 1e4))
 @settings(max_examples=200, deadline=None)
-def test_stored_constants_are_the_per_step_expressions(b, grad_eps, eta_prev,
-                                                        eta_max):
+def test_stored_constants_are_the_per_step_expressions(b, grad_eps, eta_max):
     cfg = SlsConfig(b=b, grad_eps=grad_eps, eta_init=min(1.0, eta_max),
                     eta_max=eta_max)
     assert cfg.grad_eps_sq == grad_eps ** 2
-    assert min(eta_prev * cfg.regrowth, eta_max) == \
-        propose_initial_step(eta_prev, b, eta_max)
+    assert cfg.regrowth == 2.0 ** (1.0 / b)
+    # a changed config forms them again
+    changed = dataclasses.replace(cfg, b=2 * b, grad_eps=grad_eps / 2)
+    assert changed.regrowth == 2.0 ** (1.0 / (2 * b))
+    assert changed.grad_eps_sq == (grad_eps / 2) ** 2
 
 
 class RecordingBatch(BatchObjective):

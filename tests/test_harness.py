@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from salsa_opt import harness
+from salsa_opt import harness, line_search, salsa
 from salsa_opt.baselines import ScheduleConfig, schedule_lr
 from salsa_opt.core import TrainingTrace, StepRecord
 from salsa_opt.directions import AdamState
@@ -97,7 +97,8 @@ class TestConfig:
         {"kind": "sgd", "lr": 0.1}, {"kind": "sgd_sls"}, {"kind": "sgd_salsa"}
     ], ids=lambda o: o["kind"])
     def test_adam_keys_rejected_on_sgd_kinds(self, optimizer):
-        with pytest.raises(ConfigError, match="unknown .* parameters"):
+        with pytest.raises(ConfigError, match=r"unknown \w+ optimizer config "
+                                              r"fields: \['beta1'\]"):
             run_experiment(quick_config(
                 optimizer={**optimizer, "beta1": 0.5}, epochs=1))
 
@@ -213,6 +214,10 @@ class TestRunExperiment:
 
 
 class TestFinalSmoothedLoss:
+    def test_empty_trace_rejected(self):
+        with pytest.raises(ValueError, match="empty trace"):
+            final_smoothed_loss(TrainingTrace(metadata={}))
+
     def test_single_record(self):
         trace = TrainingTrace(metadata={})
         trace.append(StepRecord(0, 1.0, 0.7, 1.0, False, 0, 0))
@@ -497,12 +502,12 @@ class TestReplayVerify:
                                                batch_size, monkeypatch):
         # a default-config run and its replay must read the same defaults,
         # so moving a dataclass default cannot desynchronise the verifier
-        @dataclass
+        @dataclass(frozen=True)
         class LaxSls(SlsConfig):
             c: float = 0.01
             max_backtracks: int = 3
 
-        @dataclass
+        @dataclass(frozen=True)
         class LaxSalsa(SalsaConfig):
             c: float = 0.02
             beta3: float = 0.9
@@ -585,6 +590,23 @@ class TestReplayVerify:
         records = trace.records
         assert n_checked == 20 - sum(r.gave_up for r in records)
         assert any(r.backtracks == 1 and not r.gave_up for r in records)
+
+    @pytest.mark.parametrize("kind, n_violations", [
+        ("sgd_sls", 5), ("adam_sls", 4), ("sgd_salsa", 5), ("adam_salsa", 5)])
+    def test_a_broken_acceptance_test_is_flagged(self, kind, n_violations,
+                                                 monkeypatch):
+        # the engine accepts every finite candidate, so from eta 8 every
+        # step overshoots the bowl; replay's own criterion must say so
+        monkeypatch.setattr(line_search, "armijo_holds", lambda *a: True)
+        monkeypatch.setattr(salsa, "salsa_criterion", lambda *a: True)
+        prob = make_quadratic(dim=4, cond=10, seed=0)
+        opt = {"kind": kind, "eta_init": 8.0}
+        trace = run_single(prob, opt, seed=3, epochs=5, batch_size=1).trace
+        report = replay_verify(prob, opt, 3, 5, 1, trace)
+        assert not report.ok
+        assert report.max_violation > 0
+        assert (report.n_searched, len(report.violations)) == \
+            (5, n_violations)
 
     def test_frequency_gated_run_verifies(self):
         prob = make_logreg(n=300, dim=6, seed=2, label_noise=0.1)

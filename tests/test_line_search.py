@@ -7,23 +7,36 @@ from conftest import full_batch, make_centered_quadratic, make_linear
 from salsa_opt.core import axpy, norm_sq
 from salsa_opt.directions import AdamState
 from salsa_opt.line_search import (SlsConfig, SlsState, armijo_holds,
-                                   backtrack, propose_initial_step, sls_step)
+                                   backtrack, sls_step)
 
 
-class TestProposeInitialStep:
+class TestRegrowth:
+    """A step whose first candidate is accepted records the regrown step
+    size, min(eta * cfg.regrowth, cfg.eta_max): on a linear objective the
+    Armijo test holds for every step size, so nothing shrinks."""
+
+    @staticmethod
+    def first_candidate(eta_prev, **knobs):
+        cfg = SlsConfig(**knobs)
+        state = SlsState(eta=eta_prev)
+        _, rec = sls_step(full_batch(make_linear()), np.zeros(2), state, cfg)
+        assert rec.searched and rec.backtracks == 0
+        assert rec.eta == min(eta_prev * cfg.regrowth, cfg.eta_max)
+        return rec.eta
+
     def test_exponent_one_doubles(self):
-        assert propose_initial_step(1.0, 1.0, 10.0) == 2.0
+        assert self.first_candidate(1.0, b=1.0) == 2.0
 
     def test_default_growth_factor(self):
         # independent route: exp(ln2 / 500) = 1.0013872557...
         import math
-        assert propose_initial_step(1.0, 500.0, 10.0) == \
-            pytest.approx(math.exp(math.log(2.0) / 500.0), rel=1e-14)
-        assert propose_initial_step(1.0, 500.0, 10.0) == \
-            pytest.approx(1.0013872557, abs=1e-9)
+        eta = self.first_candidate(1.0)
+        assert eta == pytest.approx(math.exp(math.log(2.0) / 500.0),
+                                    rel=1e-14)
+        assert eta == pytest.approx(1.0013872557, abs=1e-9)
 
     def test_clamped_at_eta_max(self):
-        assert propose_initial_step(10.0, 500.0, eta_max=10.0) == 10.0
+        assert self.first_candidate(10.0, eta_max=10.0) == 10.0
 
 
 class TestArmijoHolds:

@@ -221,6 +221,12 @@ class TestLinearFiniteDiff:
             np.testing.assert_allclose(finite_diff_grad(prob, w, h),
                                        np.full(4, 2.5), rtol=1e-9)
 
+    @pytest.mark.parametrize("h", [0.0, -1e-5])
+    def test_non_positive_h_rejected(self, h):
+        from conftest import make_linear
+        with pytest.raises(ValueError, match=f"h must be > 0, got {h}"):
+            finite_diff_grad(make_linear(), np.zeros(2), h)
+
 
 class TestLogreg:
     def test_separable_loss_approaches_regularizer(self):
@@ -246,6 +252,16 @@ class TestLogreg:
 
 
 class TestMlp:
+    def test_val_accuracy_of_one_class_predictors(self):
+        # only the output bias set: every held-out row gets one class, so
+        # the two signs' accuracies are the two class shares
+        prob = make_mlp(n=100, in_dim=4, hidden=3, seed=3)
+        w = np.zeros(prob.dim)
+        w[-1] = 1.0
+        ones = prob.val_accuracy(w)
+        assert 0.0 < ones < 1.0
+        assert ones + prob.val_accuracy(-w) == pytest.approx(1.0)
+
     def test_zero_weights_give_ln2(self):
         prob = make_mlp(n=200, in_dim=5, hidden=3, seed=2)
         assert prob.full_loss(np.zeros(prob.dim)) == \
@@ -415,6 +431,12 @@ class TestCsvIngestion:
         prob = problem_from_csv(str(path), kind="mlp", hidden=3)
         assert prob.full_loss(np.zeros(prob.dim)) == \
             pytest.approx(np.log(2.0), rel=1e-12)
+
+    def test_one_column_rejected(self, tmp_path):
+        path = tmp_path / "labels.csv"
+        path.write_text("1\n0\n1\n")
+        with pytest.raises(ValueError, match="at least one feature column"):
+            load_csv_dataset(str(path))
 
     def test_bad_labels_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
