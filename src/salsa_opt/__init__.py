@@ -1,21 +1,9 @@
-"""Stochastic Armijo line-search optimizers and a desk-scale benchmark harness.
+"""Stochastic Armijo line-search optimizers over SGD and Adam directions:
+SLS, which backtracks on each mini-batch, and SaLSa, which smooths both
+sides of the Armijo test with an exponential moving average.
 
-Two search families over SGD and Adam directions:
-
-* SLS: the classic per-batch Armijo backtracking search with step regrowth.
-* SaLSa: the same search with both batch-dependent sides of the criterion
-  exponentially smoothed, which keeps the step size stable under mini-batch
-  noise. An optional non-decrease mode restores a full-batch convergence
-  guarantee, and a frequency controller cuts the search overhead by an
-  order of magnitude on plateaus.
-
-Fixed-learning-rate SGD/Adam baselines (flat or warmup+cosine schedules),
-analytic-gradient toy problems, and an experiment harness with reproducible
-traces round out the package.
-
-The public API is ``__all__``: problems, configs, runs, studies, the replay
-verifier and the pieces of a hand-written search loop. Every other name is
-internal to its module and may change without notice.
+The public API is ``__all__``; every other name is internal to its module
+and may change without notice.
 """
 
 from .core import ConfigError, EvalResult, StepRecord, TrainingTrace

@@ -28,7 +28,8 @@ _FNV_PRIME = 0x100000001B3
 
 
 class ConfigError(ValueError):
-    """An invalid configuration value."""
+    """An invalid configuration value. A TypeError raised inside a factory
+    or a config class is a bug, and is never turned into one."""
 
 
 # The types a value of each annotation may have, and what it must be in the
@@ -101,7 +102,8 @@ def check_value(name: str, value, hint, bounds=None):
 
 @functools.cache
 def field_rules(cls) -> dict:
-    """Init field name -> (annotation, range) of config dataclass ``cls``."""
+    """Init field name -> (annotation, range) of config dataclass ``cls``;
+    cached, so each class's rules are resolved once."""
     return {f.name: (_type_hints(cls)[f.name], f.metadata.get("range"))
             for f in fields(cls) if f.init}
 
@@ -335,7 +337,9 @@ class TrainingTrace:
     @classmethod
     def from_csv(cls, text: str) -> "TrainingTrace":
         """Read a trace written by ``to_csv``; raises ValueError for a bad
-        header or row, naming the row (see ``_load_records``)."""
+        header or row, naming the row (see ``_load_records``). Only
+        trailing empty lines are dropped: a blank line inside the data is
+        a one-field row, and every row keeps its number in the file."""
         lines = text.splitlines()
         while lines and not lines[-1]:
             lines.pop()
@@ -355,12 +359,21 @@ class TrainingTrace:
     @classmethod
     def from_json(cls, text: str) -> "TrainingTrace":
         """Read a trace written by ``to_json``; raises ValueError for a bad
-        record, naming it (see ``_load_records``)."""
+        record, naming it (see ``_load_records``), for a key other than
+        ``metadata`` and ``records``, and for a ``metadata`` that is not an
+        object."""
         payload = json.loads(text)
         if not isinstance(payload, dict) or \
                 not isinstance(payload.get("records"), list):
             raise ValueError("trace JSON must be an object with a records "
                              "list")
-        trace = cls(metadata=payload.get("metadata", {}))
+        extra = sorted(set(payload) - {"metadata", "records"})
+        if extra:
+            raise ValueError(f"unknown trace JSON fields: {extra}")
+        metadata = payload.get("metadata", {})
+        if not isinstance(metadata, dict):
+            raise ValueError(f"trace JSON metadata must be an object, "
+                             f"got {metadata!r}")
+        trace = cls(metadata=metadata)
         _load_records(trace, payload["records"], text=False)
         return trace

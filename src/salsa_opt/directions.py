@@ -9,7 +9,8 @@ An ``AdamState`` holds its moments as two plain arrays, which each update
 replaces with new ones. The update also fills m_hat and the negated
 denominator -(sqrt(v_hat) + eps) into two arrays of the state's own, so
 each direction is one division. IEEE negation commutes with division and
-summation, so every value keeps the allocating formulas' bits.
+summation, so every value keeps the allocating formulas' bits (only a NaN
+may come out with the other sign bit, which no trace shows).
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ class AdamState:
     (``core.check_fields``). Each update (and a build with k >= 1) forms
     m_hat and the negated denominator, so a moment assigned after an update
     reaches the directions from the next update on. Mutable:
-    ``adam_update_moments`` advances a state in place. Two states compare
+    ``adam_update_moments`` advances a state in place, so each run keeps
+    its own state (or a ``copy.deepcopy`` of one). Two states compare
     equal only when they are the same object.
     """
 

@@ -4,6 +4,13 @@ Every problem reduces its loss by the batch mean, so gradient magnitudes are
 comparable across batch sizes. All randomness flows through counter-based
 generators keyed by explicit seeds; nothing reads global RNG state, which
 keeps traces bit-reproducible.
+
+``loss_grad`` is a step's hot path, and on a small batch numpy's per-call
+overhead outweighs its arithmetic. The built-in kernels therefore make few
+numpy calls, each with the bits of the plain expression:
+``np.add.reduce(x)`` is ``x.sum()`` (and ``/ n`` is ``x.mean()``) without
+the Python wrapper in numpy's ``_methods``, and ``X.take(indices, axis=0)``
+gathers the rows of ``X[indices]``.
 """
 
 from __future__ import annotations
@@ -30,11 +37,11 @@ class Problem:
     ``grad=False`` it returns ``EvalResult(loss, None)`` and skips the
     gradient; the loss must come from the same expression either way, so
     that a loss probed during a line search and the loss recorded at the
-    next step agree bit for bit. ``init_params(seed)`` draws a starting
-    point. ``val_accuracy`` is present only for classification problems
-    (held-out split). Problems are immutable after construction and safe to
-    share: the built-in factories mark the data their closures read
-    read-only.
+    next step agree bit for bit. ``loss_grad`` must not modify ``w``.
+    ``init_params(seed)`` draws a starting point. ``val_accuracy`` is
+    present only for classification problems (held-out split). Problems
+    are immutable after construction and safe to share: the built-in
+    factories mark the data their closures read read-only.
     """
 
     name: str
@@ -182,8 +189,9 @@ def _logreg_from_data(X: np.ndarray, y: np.ndarray, seed: int,
 
     Every label must be exactly +1.0 or -1.0: the training rows are stored
     with their labels folded in, ``Xy = y[:, None] * X[tr]``, which is
-    exact only because a product with +-1 flips no more than a sign. 80% of
-    the rows (seeded shuffle) form the training objective; held-out
+    exact only because a product with +-1 flips no more than a sign
+    (folding in -y would save a negation, but flip a NaN margin's sign).
+    80% of the rows (seeded shuffle) form the training objective; held-out
     accuracy on the remaining 20% is the validation metric. ``extras``
     holds the training split as ``Xy`` and ``ytr``; ``ytr[:, None] * Xy``
     gives back the training rows bit for bit.

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import full_batch, make_centered_quadratic
+from helpers import full_batch, make_centered_quadratic
 from salsa_opt.baselines import (ScheduleConfig, fixed_adam_step,
                                  fixed_sgd_step, schedule_lr)
 from salsa_opt.core import StepRecord, axpy, norm_sq

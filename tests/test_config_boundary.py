@@ -5,6 +5,12 @@ A config value of the wrong type ends as exit 2 with one ``error:`` line
 and no output; a value of the right type either runs, with the output the
 value gives once stored as its field's type (an int given for a float runs
 as that float), or ends the same way as a wrong type when out of range.
+
+It also holds the key rule's cases: an unknown or missing key in each
+command's config, each problem kind's dict and each optimizer kind's dict,
+each named before any evaluation. Two guards keep the check whole: every
+config field, factory and study parameter has an annotation the check
+knows, and no ``except`` clause in the package names ``TypeError``.
 """
 
 import ast

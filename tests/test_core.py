@@ -231,6 +231,20 @@ class TestTraceLoaderErrors:
                                              "with a records list"):
             TrainingTrace.from_json(json.dumps(payload))
 
+    @pytest.mark.parametrize("metadata", [5, None, [], "run"])
+    def test_json_metadata_must_be_an_object(self, metadata):
+        # 5 used to load as the metadata, and to_json wrote "metadata":5
+        with pytest.raises(ValueError, match=r"^trace JSON metadata must be "
+                                             r"an object, got "):
+            TrainingTrace.from_json(json.dumps({"metadata": metadata,
+                                                "records": []}))
+
+    def test_json_unknown_top_level_key_named(self):
+        # used to load, the key dropped without a word
+        with pytest.raises(ValueError, match=r"^unknown trace JSON fields: "
+                                             r"\['junk'\]$"):
+            TrainingTrace.from_json('{"records": [], "junk": 1}')
+
     def test_json_searched_must_be_a_bool(self):
         # "no" used to load as a searched step, which to_csv wrote as true
         with pytest.raises(ValueError, match=r"^record 2: searched must be "

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import full_batch, make_centered_quadratic, make_linear
+from helpers import full_batch, make_centered_quadratic, make_linear
 from salsa_opt.core import axpy, norm_sq
 from salsa_opt.directions import AdamState
 from salsa_opt.line_search import (SlsConfig, SlsState, armijo_holds,

@@ -214,7 +214,7 @@ class TestQuadratic:
 
 class TestLinearFiniteDiff:
     def test_exact_for_any_h(self):
-        from conftest import make_linear
+        from helpers import make_linear
         prob = make_linear(dim=4, slope=2.5)
         w = seeded_rng(11).standard_normal(4)
         for h in (1e-6, 1e-2, 1.0):
@@ -223,7 +223,7 @@ class TestLinearFiniteDiff:
 
     @pytest.mark.parametrize("h", [0.0, -1e-5])
     def test_non_positive_h_rejected(self, h):
-        from conftest import make_linear
+        from helpers import make_linear
         with pytest.raises(ValueError, match=f"h must be > 0, got {h}"):
             finite_diff_grad(make_linear(), np.zeros(2), h)
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import full_batch, make_centered_quadratic
+from helpers import full_batch, make_centered_quadratic
 from salsa_opt.core import axpy, seeded_rng
 from salsa_opt.directions import AdamState
 from salsa_opt.line_search import SlsState, nondecrease_search
@@ -194,7 +194,7 @@ class TestSalsaSgdStep:
 class TestSalsaAdamStep:
     def test_unit_preconditioner_matches_sgd_s_update(self):
         # one linear-gradient step where v_hat lands exactly at 1
-        from conftest import make_linear
+        from helpers import make_linear
         prob = make_linear(dim=3, slope=1.0)
         cfg = SalsaConfig()
         st_sgd = SlsState(eta=cfg.eta_init)

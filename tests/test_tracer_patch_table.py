@@ -14,7 +14,7 @@ import inspect
 import numpy as np
 import pytest
 
-from conftest import _load_tracer
+from helpers import _load_tracer
 from salsa_opt import core, harness, line_search, salsa
 from salsa_opt.frequency import L_MAX, L_MIN
 from salsa_opt.line_search import SlsConfig, SlsState

@@ -9,7 +9,7 @@ family under the tracer and check that every layer recorded its calls.
 
 import pytest
 
-from conftest import _load_tracer
+from helpers import _load_tracer
 from salsa_opt import harness
 from salsa_opt.problems import make_matrix_factorization, make_quadratic
 
