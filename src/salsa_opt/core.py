@@ -224,7 +224,8 @@ class StepRecord:
     raw squared gradient norm, whether a search ran and how hard; and, in
     memory only (neither written nor compared), SaLSa's ``h``/``s`` after
     the step (NaN before its first search commits, and for other kinds)
-    and ``gave_up``, a search that accepted no candidate."""
+    and ``gave_up``, a search that accepted no candidate (the step took
+    eta_min)."""
 
     k: int
     eta: float
@@ -304,6 +305,12 @@ def _load_records(trace, rows, text: bool) -> None:
                              f"{e}") from None
 
 
+def _check_order(prev: StepRecord, record: StepRecord) -> None:
+    if record.k <= prev.k:
+        raise ValueError(f"records must have strictly increasing k: "
+                         f"{record.k} after {prev.k}")
+
+
 @dataclass
 class TrainingTrace:
     """Ordered per-step records plus run metadata.
@@ -317,12 +324,17 @@ class TrainingTrace:
     metadata: dict
     records: list[StepRecord] = field(default_factory=list)
 
+    def __post_init__(self):
+        # the loaders' checks, so every trace built can be read back
+        if not isinstance(self.metadata, dict):
+            raise ValueError(f"trace JSON metadata must be an object, "
+                             f"got {self.metadata!r}")
+        for prev, record in zip(self.records, self.records[1:]):
+            _check_order(prev, record)
+
     def append(self, record: StepRecord) -> None:
-        if self.records and record.k <= self.records[-1].k:
-            raise ValueError(
-                f"records must have strictly increasing k: "
-                f"{record.k} after {self.records[-1].k}"
-            )
+        if self.records:
+            _check_order(self.records[-1], record)
         self.records.append(record)
 
     def to_csv(self) -> str:
@@ -370,10 +382,6 @@ class TrainingTrace:
         extra = sorted(set(payload) - {"metadata", "records"})
         if extra:
             raise ValueError(f"unknown trace JSON fields: {extra}")
-        metadata = payload.get("metadata", {})
-        if not isinstance(metadata, dict):
-            raise ValueError(f"trace JSON metadata must be an object, "
-                             f"got {metadata!r}")
-        trace = cls(metadata=metadata)
+        trace = cls(metadata=payload.get("metadata", {}))
         _load_records(trace, payload["records"], text=False)
         return trace

@@ -71,8 +71,9 @@ class FrequencyController:
 
     ``record_search`` after every completed line search (feeds the EMAs and
     recomputes L), ``record_skip`` on steps without one. A scheduled search
-    that gets skipped by the tiny-gradient guard counts as a skip; the
-    counter saturates at L-1 so the search is retried on the next step.
+    that gets skipped by the tiny-gradient guard or gives up counts as a
+    skip; the counter saturates at L-1 so the search is retried on the next
+    step.
     """
 
     def __init__(self):

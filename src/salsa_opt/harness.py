@@ -198,7 +198,8 @@ def run_single(problem: Problem, optimizer: dict, seed: int, epochs: int,
             controller.record_skip()
         else:
             w, rec = step(batch, w)
-            if rec.searched:
+            # a give-up counts as a skip, so the next step searches
+            if rec.searched and not rec.gave_up:
                 controller.record_search(rec.eta)
             else:
                 controller.record_skip()
@@ -554,8 +555,9 @@ def replay_verify(problem: Problem, optimizer: dict, seed: int, epochs: int,
     REPLAY_SLACK. The criterion runs along the momentum-free direction, so
     Adam's first moment is not needed. Only the hyper-parameters come from
     the run's own config objects. Give-up steps (``gave_up`` on the
-    rerun's records) accepted no candidate and are not checked; a step
-    accepted on its last candidate is.
+    rerun's records) accepted no candidate and committed nothing, so they
+    are neither checked nor folded into the smoothing EMAs; a step
+    accepted on its last candidate is checked.
     """
     # the hyper-parameters as the run read them, from the same runner
     runner = check_optimizer(problem, optimizer, epochs, batch_size)
@@ -605,9 +607,6 @@ def replay_verify(problem: Problem, optimizer: dict, seed: int, epochs: int,
         if not rec.searched:
             continue
         n_searched += 1
-        # give-up steps accepted no candidate: they are not checked, but a
-        # smoothed run still committed h/s at the recorded eta, so the EMA
-        # recurrences below must advance anyway
 
         if adam is None:
             d = -g
@@ -619,10 +618,13 @@ def replay_verify(problem: Problem, optimizer: dict, seed: int, epochs: int,
             gterm = float(np.add.reduce(g * g / denom))
         loss_trial = problem.loss_grad(axpy(rec.eta, d, w), indices,
                                        grad=False).loss
+        if rec.gave_up:
+            # committed nothing, so it is neither checked nor smoothed; its
+            # point is still evaluated, one per searched step, as
+            # perfbench/run.py counts the replay's evaluations
+            continue
 
         if runner.search == "sls":
-            if rec.gave_up:
-                continue
             lhs = loss_trial
             rhs = res.loss - cfg.c * rec.eta * gterm
             ok = lhs <= rhs + REPLAY_SLACK
@@ -635,8 +637,6 @@ def replay_verify(problem: Problem, optimizer: dict, seed: int, epochs: int,
             h = decrease if not smoothing_seeded else \
                 beta3 * h + (1.0 - beta3) * decrease
             smoothing_seeded = True
-            if rec.gave_up:
-                continue
             lhs = h
             rhs = cfg.c * rec.eta * s
             ok = lhs >= rhs - REPLAY_SLACK

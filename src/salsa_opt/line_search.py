@@ -6,11 +6,12 @@ regrow the previous step size by 2**(1/b), hand it to a search, apply the
 update and record the step. Every search shrinks the step size in the same
 loop (``shrink``), which takes the acceptance test as an argument,
 evaluates both sides on the same mini-batch and returns one ``Trial``. SLS
-passes the raw Armijo test and SaLSa (``salsa.py``) the smoothed one. Every
-kind runs on one state,
+passes the raw Armijo test and SaLSa (``salsa.py``) the smoothed one. A
+search that accepts no candidate is settled by one give-up rule, in
+``search_step`` (see ``shrink``). Every kind runs on one state,
 ``SlsState``; only SaLSa's search reads and commits its smoothing fields
 ``h``/``s``, so SLS is SaLSa without the smoothing. Steps whose gradient
-is numerically zero skip the search and reuse the last accepted step size.
+is numerically zero skip the search and reuse the last step size.
 """
 
 from __future__ import annotations
@@ -35,8 +36,10 @@ class SlsConfig:
     grad_eps:       skip the search when the gradient norm is <= this
     max_backtracks: shrink budget before giving up on a step
     eta_init:       step size before the first search
-    eta_min/eta_max: hard clamps on the step size; being finite, eta_max
-                    cannot switch the clamp off
+    eta_min:        > 0; the step a give-up takes, and the floor of the
+                    step size a give-up leaves to the next search
+    eta_max:        the cap on each search's first candidate; being
+                    finite, it cannot switch the cap off
 
     Building the config also forms the search's two per-step constants:
     ``regrowth`` = 2**(1/b), by which each step regrows the last step size
@@ -51,7 +54,7 @@ class SlsConfig:
     grad_eps: float = field(default=1e-8, metadata={"range": ">= 0"})
     max_backtracks: int = field(default=100, metadata={"range": ">= 0"})
     eta_init: float = 1.0
-    eta_min: float = field(default=1e-10, metadata={"range": ">= 0"})
+    eta_min: float = field(default=1e-10, metadata={"range": "> 0"})
     eta_max: float = 10.0
 
     def __post_init__(self):
@@ -71,13 +74,17 @@ class SlsConfig:
 
 @dataclass
 class SlsState:
-    """Mutable per-run state of every search kind: the last accepted step
-    size, the step counter, the Adam moments of an adam kind, and SaLSa's
+    """Mutable per-run state of every search kind: the step size ``eta``,
+    the step counter, the Adam moments of an adam kind, and SaLSa's
     smoothed loss decrease h and gradient-norm term s.
 
+    ``eta`` is the last accepted step size, or after a give-up the larger
+    of the search's last candidate and cfg.eta_min: the next search
+    regrows from it and a no-search step applies it.
+
     h and s are NaN until the first smoothed search commits and sets
-    ``smoothed``; that search seeds them with its raw values. SLS and
-    no-search steps never touch them.
+    ``smoothed``; that search seeds them with its raw values. SLS steps,
+    no-search steps and give-ups never touch them.
     """
 
     eta: float
@@ -111,10 +118,10 @@ def shrink(objective_on_batch: Callable[[ParamVector], float],
            cfg: SlsConfig, holds: Callable[..., bool], *args) -> Trial:
     """Try eta, eta*delta, eta*delta**2, ... until the acceptance test holds.
 
-    A candidate is accepted when its batch loss ``trial`` is finite and
-    ``holds(loss0, trial, eta, *args)`` is true, so non-finite trial losses
-    count as violations. Performs exactly backtracks+1 objective
-    evaluations.
+    A candidate is accepted when its step size is above 0, its batch loss
+    ``trial`` is finite and ``holds(loss0, trial, eta, *args)`` is true, so
+    a step size that underflowed to 0 and a non-finite trial loss count as
+    violations. Performs exactly backtracks+1 objective evaluations.
 
     Accepted point: the trial's ``point`` is the very object handed to the
     objective, which must not modify it. A step that moves along ``d``
@@ -124,61 +131,31 @@ def shrink(objective_on_batch: Callable[[ParamVector], float],
     Giving up: after cfg.max_backtracks shrinks without an accepted
     candidate the loop returns the last candidate with accepted=False and
     backtracks=cfg.max_backtracks, the same count as a candidate accepted
-    on the last try. Each caller then settles the step size itself: the
-    Armijo searches (``backtrack``, ``salsa_backtrack``) clamp it up to
-    cfg.eta_min (``shrink_clamped``), and the non-decrease search drops to
-    cfg.eta_min and re-evaluates there. The step is still taken at the
-    settled, unverified step size.
+    on the last try. ``search_step`` settles every give-up by one rule
+    (a safeguarded fallback, as in Nocedal & Wright, *Numerical
+    Optimization*, ch. 3): the step moves by cfg.eta_min along the update
+    direction, unevaluated, and records eta_min and ``gave_up``; nothing
+    is committed, and the next search regrows from max(last candidate,
+    eta_min).
     """
     for i in range(cfg.max_backtracks + 1):
         point = w + eta * d
         trial = objective_on_batch(point)
-        if math.isfinite(trial) and holds(loss0, trial, eta, *args):
+        if eta > 0 and math.isfinite(trial) and \
+                holds(loss0, trial, eta, *args):
             return Trial(eta, i, trial, point, True)
         if i < cfg.max_backtracks:
             eta *= cfg.delta
     return Trial(eta, cfg.max_backtracks, trial, point, False)
 
 
-def shrink_clamped(objective_on_batch: Callable[[ParamVector], float],
-                   w: ParamVector, d: ParamVector, eta: float, loss0: float,
-                   cfg: SlsConfig, holds: Callable[..., bool],
-                   *args) -> Trial:
-    """``shrink``; a give-up below cfg.eta_min is clamped up to it and
-    evaluated there, still with accepted=False."""
-    trial = shrink(objective_on_batch, w, d, eta, loss0, cfg, holds, *args)
-    if trial.accepted or trial.eta >= cfg.eta_min:
-        return trial
-    point = w + cfg.eta_min * d
-    return Trial(cfg.eta_min, trial.backtracks, objective_on_batch(point),
-                 point, False)
-
-
 def backtrack(objective_on_batch: Callable[[ParamVector], float],
               w: ParamVector, d: ParamVector, eta_start: float, loss0: float,
               gnorm_term: float, cfg: SlsConfig) -> Trial:
-    """Shrink eta by cfg.delta until the Armijo test holds on this batch;
-    on giving up, clamp up to cfg.eta_min (see ``shrink``)."""
-    return shrink_clamped(objective_on_batch, w, d, eta_start, loss0, cfg,
-                          armijo_holds, cfg.c, gnorm_term)
-
-
-def _no_increase(loss0, loss_trial, eta):
-    return loss_trial <= loss0
-
-
-def nondecrease_search(objective_on_batch: Callable[[ParamVector], float],
-                       w: ParamVector, d: ParamVector, eta: float,
-                       loss0: float, cfg: SlsConfig) -> Trial:
-    """Largest eta * delta**j whose batch loss does not exceed loss0;
-    drops to eta_min when the budget runs out (see ``shrink``). The j=0
-    probe costs one evaluation even when nothing shrinks."""
-    trial = shrink(objective_on_batch, w, d, eta, loss0, cfg, _no_increase)
-    if trial.accepted:
-        return trial
-    point = w + cfg.eta_min * d
-    return Trial(cfg.eta_min, trial.backtracks, objective_on_batch(point),
-                 point, False)
+    """Shrink eta by cfg.delta until the Armijo test holds on this batch
+    (see ``shrink``)."""
+    return shrink(objective_on_batch, w, d, eta_start, loss0, cfg,
+                  armijo_holds, cfg.c, gnorm_term)
 
 
 def search_step(batch, w: ParamVector, state: SlsState,
@@ -197,10 +174,13 @@ def search_step(batch, w: ParamVector, state: SlsState,
     or ``d_search=None`` and the current eta when the guard ||g|| <=
     grad_eps trips (the guard compares squares, so a NaN norm still
     searches); there it returns None to keep eta, or a trial whose eta
-    alone is taken. When the search ran along ``d_update`` itself (every
-    sgd search) the trial's point is the update; otherwise the update
-    ``w + eta * d_update`` is built here. The record copies ``state.h``/``s``
-    and flags a trial that was not accepted as ``gave_up``.
+    alone is taken. When an accepted search ran along ``d_update`` itself
+    (every sgd search) the trial's point is the update; otherwise the
+    update ``w + eta * d_update`` is built here.
+
+    A trial that was not accepted, on either path, is a give-up, settled
+    here by the one rule in ``shrink``'s docstring. The record copies
+    ``state.h``/``s`` and flags a give-up as ``gave_up``.
     """
     res = batch.eval(w)
     g = res.grad
@@ -212,14 +192,12 @@ def search_step(batch, w: ParamVector, state: SlsState,
     else:
         d_update = sgd_direction(g)
 
-    eta, backtracks, w_next = state.eta, 0, None
+    eta, backtracks, w_next, trial = state.eta, 0, None, None
     searched = gave_up = False
     if search is not None:
         if gsq <= cfg.grad_eps_sq:
             trial = search(batch, w, None, d_update, eta, res.loss, 0.0,
                            state, cfg)
-            if trial is not None:
-                eta = trial.eta
         else:
             searched = True
             if adam is not None:
@@ -230,14 +208,20 @@ def search_step(batch, w: ParamVector, state: SlsState,
             trial = search(batch, w, d_search, d_update,
                            min(eta * cfg.regrowth, cfg.eta_max), res.loss,
                            gnorm_term, state, cfg)
-            eta, backtracks, gave_up = trial.eta, trial.backtracks, \
-                not trial.accepted
-            if d_search is d_update:
+            backtracks = trial.backtracks
+            if trial.accepted and d_search is d_update:
                 w_next = trial.point
+    next_eta = eta
+    if trial is not None:
+        if trial.accepted:
+            eta = next_eta = trial.eta
+        else:
+            gave_up = True
+            eta, next_eta = cfg.eta_min, max(trial.eta, cfg.eta_min)
 
     record = StepRecord(state.k, eta, res.loss, gsq, searched, backtracks,
                         batch.key, state.h, state.s, gave_up)
-    state.eta = eta
+    state.eta = next_eta
     state.k += 1
     if w_next is None:
         w_next = w + eta * d_update

@@ -5,8 +5,8 @@ the realized loss decrease (h) and the gradient-norm term (s). A step size
 is accepted when h >= c * eta * s, with h recomputed per candidate step
 size because the decrease depends on it. The gradient side does not depend
 on the step size, so s is formed before backtracking starts. Everything
-else (the step body, the shrink loop, the guard, the run state
-``SlsState`` with its ``h``/``s`` fields) is the engine in
+else (the step body, the shrink loop, the guard, the give-up rule, the
+run state ``SlsState`` with its ``h``/``s`` fields) is the engine in
 ``line_search.py``; this module holds only the smoothed test and its
 commit.
 
@@ -20,13 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable
 
-from .core import ConfigError, ParamVector, StepRecord
+from .core import ParamVector, StepRecord
 # The four direction names stay bound here because perfbench/tracer.py
 # patches them by module; the engine calls its own bindings.
 from .directions import adam_direction, adam_update_moments, \
     preconditioned_grad_norm, sgd_direction  # noqa: F401
-from .line_search import SlsConfig, SlsState, Trial, nondecrease_search, \
-    search_step, shrink_clamped
+from .line_search import SlsConfig, SlsState, Trial, search_step, shrink
 
 
 @dataclass(frozen=True)
@@ -43,14 +42,6 @@ class SalsaConfig(SlsConfig):
     beta3: float = field(default=0.99, metadata={"range": "(0,1)"})
     enforce_nondecrease: bool = False
 
-    def __post_init__(self):
-        super().__post_init__()
-        if self.enforce_nondecrease and self.eta_min == 0:
-            # a non-decrease search that runs out of budget settles on
-            # eta_min, and a searched step cannot take eta = 0
-            raise ConfigError(f"enforce_nondecrease needs eta_min > 0, "
-                              f"got {self.eta_min}")
-
 
 def smooth_update(prev: float, x: float, beta3: float, initialized: bool) -> float:
     """One EMA update; seeds with the raw value on the first observation."""
@@ -64,6 +55,11 @@ def salsa_criterion(h: float, s: float, eta: float, c: float) -> bool:
     return h >= c * eta * s
 
 
+def no_increase(loss0: float, loss_trial: float, eta: float) -> bool:
+    """The non-decrease mode's test: the batch loss does not rise."""
+    return loss_trial <= loss0
+
+
 def _smoothed_holds(loss0, loss_trial, eta, h, s, c, beta3, smoothed):
     return salsa_criterion(
         smooth_update(h, loss0 - loss_trial, beta3, smoothed), s, eta, c)
@@ -73,37 +69,46 @@ def salsa_backtrack(objective_on_batch: Callable[[ParamVector], float],
                     w: ParamVector, d: ParamVector, eta_start: float,
                     loss0: float, state: SlsState, s_new: float,
                     cfg: SalsaConfig) -> Trial:
-    """Shrink eta until the smoothed criterion holds against s_new; on
-    giving up, clamp up to cfg.eta_min (see ``line_search.shrink``).
+    """Shrink eta until the smoothed criterion holds against s_new (see
+    ``line_search.shrink``).
 
     Each candidate forms a trial h from this batch's decrease at it and
-    the h last committed to ``state``, which is only read here. Only the
-    returned trial's loss reaches the h that is committed, so rejected
-    trials never touch the average; after a give-up that is the step size
-    still taken.
+    the h last committed to ``state``, which is only read here. Only an
+    accepted trial's loss reaches the h that is committed, so rejected
+    trials and give-ups never touch the average.
     """
-    return shrink_clamped(objective_on_batch, w, d, eta_start, loss0, cfg,
-                          _smoothed_holds, state.h, s_new, cfg.c, cfg.beta3,
-                          state.smoothed)
+    return shrink(objective_on_batch, w, d, eta_start, loss0, cfg,
+                  _smoothed_holds, state.h, s_new, cfg.c, cfg.beta3,
+                  state.smoothed)
 
 
 def _smoothed_search(batch, w, d_search, d_update, eta, loss0, gnorm_term,
                      state: SlsState, cfg: SalsaConfig) -> Trial | None:
     """The SaLSa search handed to ``search_step``: smoothed backtracking,
-    the optional non-decrease shrink, and the commit of h and s."""
+    the optional non-decrease shrink along ``d_update`` from the accepted
+    step size, and the commit of h and s.
+
+    A give-up of either search returns its trial, not accepted, and
+    commits nothing; a smoothed search that gave up runs no non-decrease
+    search. ``search_step`` settles the give-up.
+    """
     if d_search is None:
         # Guard path: smoothing state frozen, step still applied.
         if cfg.enforce_nondecrease:
-            return nondecrease_search(batch.loss, w, d_update, eta, loss0,
-                                      cfg)
+            return shrink(batch.loss, w, d_update, eta, loss0, cfg,
+                          no_increase)
         return None
 
     s_new = smooth_update(state.s, gnorm_term, cfg.beta3, state.smoothed)
     trial = salsa_backtrack(batch.loss, w, d_search, eta, loss0, state,
                             s_new, cfg)
+    if not trial.accepted:
+        return trial
     if cfg.enforce_nondecrease:
-        nd = nondecrease_search(batch.loss, w, d_update, trial.eta, loss0,
-                                cfg)
+        nd = shrink(batch.loss, w, d_update, trial.eta, loss0, cfg,
+                    no_increase)
+        if not nd.accepted:
+            return nd
         if nd.eta != trial.eta:
             # Keep h tied to the step size actually applied, measured along
             # the search direction, so a replay of the trace reproduces the

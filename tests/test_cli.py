@@ -57,6 +57,20 @@ class TestRunCommand:
                      "--out", str(out)]) == 0
         assert out.exists()
 
+    def test_step_size_underflow_is_a_give_up(self, tmp_path):
+        # the third candidate, 1e-200 * 1e-200, is 0.0; it used to pass the
+        # smoothed test and end the run in a traceback
+        cfg = write_config(tmp_path, {
+            **RUN_CONFIG, "seeds": [0], "epochs": 5,
+            "problem": {"kind": "quadratic", "dim": 4, "cond": 10.0,
+                        "seed": 0},
+            "optimizer": {"kind": "sgd_salsa", "delta": 1e-200,
+                          "max_backtracks": 3}})
+        out = tmp_path / "trace.csv"
+        assert main(["run", "--config", cfg, "--out", str(out)]) == 0
+        records = TrainingTrace.from_csv(out.read_text()).records
+        assert len(records) == 5 and records[0].eta == 1e-10
+
     def test_json_format(self, tmp_path):
         cfg = write_config(tmp_path, RUN_CONFIG)
         out = tmp_path / "t.json"
@@ -167,7 +181,7 @@ class TestRunConfigErrors:
 
     @pytest.mark.parametrize("overrides, message", [
         ({"optimizer": {"kind": "sgd_sls", "eta_min": -2, "eta_init": -1,
-                        "eta_max": 1}}, "eta_min must be >= 0, got -2"),
+                        "eta_max": 1}}, "eta_min must be > 0, got -2"),
         ({"optimizer": {"kind": "sgd_sls", "max_backtracks": 2.5}},
          "max_backtracks must be an integer, got 2.5"),
         ({"optimizer": {"kind": "adam_salsa", "max_backtracks": True}},

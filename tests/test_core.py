@@ -155,6 +155,19 @@ class TestTrainingTrace:
         assert back.records == trace.records
         assert back.metadata == trace.metadata
 
+    def test_metadata_must_be_an_object(self):
+        # used to build, and to_json wrote a file that from_json refuses
+        with pytest.raises(ValueError, match=r"^trace JSON metadata must be "
+                                             r"an object, got 5$"):
+            TrainingTrace(metadata=5)
+
+    def test_records_must_have_increasing_k(self):
+        # used to build, and to_csv wrote a file that from_csv refuses
+        rec = StepRecord(1, 1.0, 0.5, 0.25, True, 2, 11)
+        with pytest.raises(ValueError, match=r"^records must have strictly "
+                                             r"increasing k: 1 after 1$"):
+            TrainingTrace(metadata={}, records=[rec, rec])
+
     def test_empty_trace_csv_is_header_only(self):
         assert TrainingTrace(metadata={}).to_csv() == \
             "k,eta,loss,grad_norm_sq,searched,backtracks,batch_seed\n"

@@ -28,7 +28,7 @@ STEPS = 5
 @st.composite
 def runs(draw):
     """A random quadratic, a search kind and a config that reaches give-ups,
-    eta_min clamps and the gradient guard."""
+    with last candidates above and below eta_min, and the gradient guard."""
     family = draw(st.sampled_from(["sls", "salsa"]))
     base = draw(st.sampled_from(["sgd", "adam"]))
     eta_init = 10.0 ** draw(st.floats(-2.0, 3.0))
@@ -77,14 +77,18 @@ def test_eval_count_and_commit_of_h_and_s(run):
         h_prev, s_prev, seeded = state.h, state.s, state.smoothed
         w_next, rec = take_step(family, base, batch, w, state, cfg)
 
-        gave_up_low = (rec.searched and rec.backtracks == cfg.max_backtracks
-                       and last_candidate(eta_prev, cfg) < cfg.eta_min)
-        clamped = gave_up_low and rec.eta == cfg.eta_min
+        # a give-up costs its whole budget and nothing more
         assert batch.n_evals == 1 + (rec.backtracks + 1 if rec.searched
-                                     else 0) + (1 if clamped else 0)
+                                     else 0)
+        if rec.gave_up:
+            assert rec.searched and rec.backtracks == cfg.max_backtracks
+            assert rec.eta == cfg.eta_min
+            assert state.eta == max(last_candidate(eta_prev, cfg),
+                                    cfg.eta_min)
 
-        if family == "sls" or not rec.searched:
-            # SLS never touches the smoothing fields; SaLSa only on a search
+        if family == "sls" or not rec.searched or rec.gave_up:
+            # SLS never touches the smoothing fields; SaLSa only on a
+            # search that accepted a candidate
             assert (state.h, state.s, state.smoothed) == \
                 (h_prev, s_prev, seeded)
         else:
@@ -107,8 +111,8 @@ def test_eval_count_and_commit_of_h_and_s(run):
 
 @st.composite
 def update_runs(draw):
-    """``runs()``, sometimes with a give-up clamp whose budget runs out far
-    above the minimizer, SaLSa's non-decrease mode, and a random pattern of
+    """``runs()``, sometimes with a give-up whose budget runs out far above
+    the minimizer, SaLSa's non-decrease mode, and a random pattern of
     steps that a frequency controller skips."""
     family, base, cfg, problem = draw(runs())
     if draw(st.booleans()):

@@ -14,7 +14,9 @@ with
 
     PYTHONPATH=src python tests/test_golden_traces.py
 
-and update the digests of the same cases.
+It prints one line, ``<case> csv|digest <new sha256>``, for each case
+whose CSV or digest differs from the checked-in one, and nothing for the
+others; copy each new digest into ``GOLDEN``.
 """
 
 import dataclasses
@@ -35,7 +37,7 @@ PROBLEMS = {
 # sufficient decrease within a budget of 2 shrinks.
 _HUGE = {"eta_init": 1e6, "eta_max": 1e6, "max_backtracks": 2}
 # Steps above 0.2 overshoot the quadratic and the third candidate lands
-# below eta_min, so every give-up clamps up to eta_min and re-evaluates.
+# below eta_min, so each give-up takes eta_min, above its last candidate.
 _CLAMP = {"eta_init": 10.0, "eta_min": 3.0, "delta": 0.25, "max_backtracks": 2}
 # Every gradient norm sits under the guard: no step searches.
 _GUARD = {"grad_eps": 1e3, "eta_init": 8.0}
@@ -110,7 +112,7 @@ GOLDEN = {
     "sgd_salsa-nondecrease":
         "4facec265ff29b7b1dcdd896cb286309770d460428f5fa25c837ee2c3f50df6d",
     "adam_salsa-nondecrease":
-        "d26bff92b6734a31a58c3c31a9244e4b7ac766b1affac3cb4fbe207d5739e5c0",
+        "5c455dd1c8ea666bc90ecc635a0eae28c5d97e660e72a646c9cbdf3acd20bd7d",
     "sgd_sls-eta8-fc0":
         "8e14afbf103e9616c204bc98755e3647db9ffc45aac75de2a20c073381c3b435",
     "sgd_sls-eta8-fc1":
@@ -120,19 +122,19 @@ GOLDEN = {
     "sgd_salsa-eta8-fc1":
         "c69bb190062a4e3d57cb50ef5ec8f17edd098178f48e943ce5dabc029633ff9e",
     "sgd_sls-giveup":
-        "60a7255b6f226d98cd0224715cecc7886925f70d3b152f2e357f44ec32f540dd",
+        "eee628dd53175223f6f32b284678ab6314970a3e53ca1c8cf862444257dfddbc",
     "adam_sls-giveup":
-        "23fa43a702a3c1f4ac6a33cd532a4d1b9361208477fd8ffedfda367868eb627c",
+        "204ac28b7ddb335a377ea3a079526c479e5d89314f748d1d86893792422eb3a8",
     "sgd_salsa-giveup":
-        "5ce4b74f8b4b2513087d3c941c0d48c9d1910410321acbc2ee429283062996b2",
+        "e804dd9fe6a1ba31c7992ec57523a4f22f2fbe2f2d3f25fc7915b815036746ba",
     "adam_salsa-giveup":
-        "9e5f94050d2607ebedf9c7480e4b94f0d15c51366a27163f071ce9206658c14d",
+        "308a21c075b69f2500eeec7979a2da2e43d9601fa274e27495fd26a6a9953723",
     "sgd_sls-clamp":
-        "f61734eaf4228e42d80deb8398f579de6c4bbc4931071a03a814e0079cedc305",
+        "f8b1386644e00af43cd4cee02d21bbda4c6d1c8a19b84cd934718939f32efb05",
     "adam_sls-clamp":
         "d0eebe88bd130bff1f0e0a7046666c49fd28038ee4176d7cb17a314f468eea64",
     "sgd_salsa-clamp":
-        "7c2902f12ddb1397fc1bc8fef83bd809283a955641f17121eac269bd52412a13",
+        "624b54a823eb2f79784b9e00148774e7ca3c23cafd9256e9d82cd67643e5b11f",
     "adam_salsa-clamp":
         "1acd786ad92b6e72e27f7172dca879615b0a83cee80331045d45a29d4eef3f72",
     "sgd_sls-guard":
@@ -144,13 +146,13 @@ GOLDEN = {
     "adam_salsa-guard":
         "cf173452701f046955d95d1b59cf7182dd262086301a9e4984b77f07e0c32779",
     "sgd_salsa-giveup-nondecrease":
-        "6b0f1f431003d197fbdab06ce6ce7a07102bb368d0a5a978337c202eefb23a45",
+        "e804dd9fe6a1ba31c7992ec57523a4f22f2fbe2f2d3f25fc7915b815036746ba",
     "adam_salsa-giveup-nondecrease":
-        "30f105571bc44c99b06e94a4640dc5a07d0dc07832eb3d7506b32a5cd94aaf79",
+        "308a21c075b69f2500eeec7979a2da2e43d9601fa274e27495fd26a6a9953723",
     "sgd_salsa-guard-nondecrease":
         "bc295f1e372c7030e82ab22566985ef31ca4e0f6759e7cda766c727590928d44",
     "adam_salsa-guard-nondecrease":
-        "92c2bacb436a5c858d512abf046a0c6e6d9b8eda86ac1f844b7a37d7fa695100",
+        "f0956b60c70864ee112477e45c768498bf3d15ae0cdfc845f6caff4501e85d18",
 }
 
 
@@ -199,11 +201,19 @@ def case_csv(problem_key, optimizer, fc, epochs, batch_size, seed=3):
 
 
 def write_golden_csvs():
-    """Write ``golden/<case>.csv`` for every case, from this checkout."""
+    """Write ``golden/<case>.csv`` for every case, from this checkout, and
+    print what moved: the new sha256 of each CSV that differs from the
+    checked-in file, and each run digest that differs from ``GOLDEN``."""
     GOLDEN_DIR.mkdir(exist_ok=True)
     for case_id, *case in CASES:
-        (GOLDEN_DIR / f"{case_id}.csv").write_text(case_csv(*case),
-                                                    newline="\n")
+        path = GOLDEN_DIR / f"{case_id}.csv"
+        csv = case_csv(*case)
+        if not path.exists() or path.read_text() != csv:
+            path.write_text(csv, newline="\n")
+            print(case_id, "csv", hashlib.sha256(csv.encode()).hexdigest())
+        digest = run_digest(*case)
+        if digest != GOLDEN.get(case_id):
+            print(case_id, "digest", digest)
 
 
 @pytest.mark.parametrize("case_id,problem_key,optimizer,fc,epochs,batch_size",

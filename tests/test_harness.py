@@ -15,7 +15,8 @@ from salsa_opt import harness, line_search, salsa
 from salsa_opt.baselines import ScheduleConfig, schedule_lr
 from salsa_opt.core import TrainingTrace, StepRecord
 from salsa_opt.directions import AdamState
-from salsa_opt.harness import (ConfigError, ExperimentConfig, RunSummary,
+from salsa_opt.harness import (LINE_SEARCH_KINDS, ConfigError,
+                               ExperimentConfig, RunSummary,
                                batch_scaling_experiment, build_problem,
                                compare, emit, final_smoothed_loss,
                                frequency_ablation, replay_verify,
@@ -58,8 +59,7 @@ class TestConfig:
             quick_config(frequency_controller=value)
 
     def test_run_single_rejects_nondecrease_with_zero_eta_min(self):
-        with pytest.raises(ConfigError, match="enforce_nondecrease needs "
-                                              "eta_min > 0"):
+        with pytest.raises(ConfigError, match="eta_min must be > 0"):
             run_single(make_mlp(96, 4, 6, seed=1),
                        {"kind": "adam_salsa", "enforce_nondecrease": True,
                         "eta_min": 0.0}, 3, 3, 8)
@@ -481,6 +481,47 @@ class TestEmit:
             emit(trace, "csv", "/no/such/dir/t.csv")
 
 
+class TestGiveUp:
+    """One give-up rule for every search: the step takes eta_min,
+    unevaluated, and commits nothing."""
+
+    @pytest.mark.parametrize("kind", ["sgd_salsa", "adam_salsa"])
+    def test_step_size_underflow_is_a_give_up(self, kind):
+        # the third candidate is 0.0, which the smoothed test reads as
+        # 0 >= 0; it used to be accepted and the step raised
+        records = run_single(make_quadratic(dim=4, cond=10.0, seed=0),
+                             {"kind": kind, "delta": 1e-200,
+                              "max_backtracks": 3}, 0, 5, 1).trace.records
+        assert records[0].gave_up and records[0].eta == 1e-10
+        assert all(r.eta > 0 for r in records)
+
+    @pytest.mark.parametrize("kind", LINE_SEARCH_KINDS)
+    def test_one_give_up_does_not_collapse_the_run(self, kind):
+        # a blown-up first step gives up once; the run used to take the
+        # unverified last candidate there (loss 2.54 -> 8576), and a SaLSa
+        # run then committed its decrease into h and gave up on every step
+        prob = make_quadratic(dim=4, cond=10, seed=0)
+        records = run_single(prob, {"kind": kind, "eta_init": 1e6,
+                                    "eta_max": 1e6}, 0, 30, 1).trace.records
+        gave_up = [r for r in records if r.gave_up]
+        assert len(gave_up) <= 1
+        assert all(r.eta == SlsConfig.eta_min for r in gave_up)
+        assert records[-1].loss < records[0].loss
+
+    @pytest.mark.parametrize("kind", ["sgd_salsa", "adam_salsa"])
+    def test_give_up_leaves_later_steps_checkable(self, kind):
+        # the first search gives up; it used to commit the failed trial's
+        # decrease into h, every later search gave up too, and replay
+        # reported ok with 0 of the 20 searched steps checked
+        prob = make_quadratic(dim=4, cond=10, seed=0)
+        opt = {"kind": kind, "max_backtracks": 1, "eta_init": 2.0,
+               "eta_max": 2.0, "delta": 0.5}
+        trace = run_single(prob, opt, seed=0, epochs=20, batch_size=1).trace
+        report = replay_verify(prob, opt, 0, 20, 1, trace)
+        assert report.ok
+        assert report.n_searched == 20 and report.n_checked >= 18
+
+
 class TestReplayVerify:
     @pytest.mark.parametrize("kind", ["sgd_sls", "adam_sls", "sgd_salsa",
                                       "adam_salsa"])
@@ -543,10 +584,10 @@ class TestReplayVerify:
         prob = make_matrix_factorization(8, 6, 2, seed=3)
         opt = {"kind": "sgd_sls", "eta_init": 8.0}
         with np.errstate(all="ignore"):
-            result = run_single(prob, opt, seed=5, epochs=2, batch_size=1,
+            result = run_single(prob, opt, seed=0, epochs=2, batch_size=1,
                                 frequency_controller=True)
-            assert sum(math.isnan(r.loss) for r in result.trace.records) == 40
-            report = replay_verify(prob, opt, 5, 2, 1, result.trace,
+            assert sum(math.isnan(r.loss) for r in result.trace.records) == 56
+            report = replay_verify(prob, opt, 0, 2, 1, result.trace,
                                    frequency_controller=True)
         assert report.n_steps == 96
         assert report.ok
@@ -562,8 +603,8 @@ class TestReplayVerify:
         assert report.n_checked > 0
 
     def test_giveup_steps_keep_replay_in_sync(self):
-        # a tiny backtrack budget forces give-ups; those steps still commit
-        # the smoothed state, so later accepted steps must verify cleanly
+        # a tiny backtrack budget forces give-ups; those steps commit
+        # nothing, so later accepted steps must verify cleanly
         prob = make_logreg(n=400, dim=12, seed=4, label_noise=0.2)
         opt = {"kind": "adam_salsa", "max_backtracks": 2}
         result = run_single(prob, opt, seed=1, epochs=6, batch_size=8)
@@ -574,8 +615,8 @@ class TestReplayVerify:
         assert report.ok
         assert report.n_checked < report.n_searched
 
-    @pytest.mark.parametrize("kind, n_checked", [("sgd_sls", 18),
-                                                 ("adam_sls", 19)])
+    @pytest.mark.parametrize("kind, n_checked", [("sgd_sls", 19),
+                                                 ("adam_sls", 18)])
     def test_step_accepted_on_its_last_candidate_is_checked(self, kind,
                                                            n_checked):
         # with one shrink allowed, a step accepted on its second candidate

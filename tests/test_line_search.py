@@ -211,7 +211,7 @@ class TestSlsConfig:
 
     def test_negative_eta_min_rejected(self):
         # a negative floor let a give-up settle on a negative step size
-        with pytest.raises(ValueError, match="eta_min must be >= 0"):
+        with pytest.raises(ValueError, match="eta_min must be > 0"):
             SlsConfig(eta_min=-2.0, eta_init=-1.0, eta_max=1.0)
 
     @pytest.mark.parametrize("max_backtracks", [2.5, True, "3"])

@@ -4,7 +4,7 @@ One derandomized hypothesis property draws a problem from each of the four
 factories (dimension 8 or less, a few data rows), any of the six optimizer
 kinds, the frequency controller on or off, SaLSa's non-decrease mode, and
 extreme step sizes, gradient guards and backtrack budgets. Each example
-checks two invariants:
+checks three invariants:
 
 - I1, purity: runs interleaved on one ``Problem`` do not affect each
   other. A configuration run twice with the same seed gives byte-identical
@@ -15,10 +15,12 @@ checks two invariants:
   gradient evaluation each step makes; ``d_update`` is computed here with
   the allocate-per-step SGD and Adam formulas that ``tests/test_directions.py``
   pins to the engine's.
+- I4, give-up: a ``gave_up`` step took ``eta_min``, after its whole
+  backtrack budget when it searched (a guard-path non-decrease give-up
+  records no backtracks), and committed nothing: its ``h``/``s`` equal the
+  previous record's, or are NaN before the first commit.
 
-Each record's in-memory fields are checked too: a ``gave_up`` step
-searched and used its whole backtrack budget, and a fixed-rate or SLS run
-reports NaN ``h`` and ``s`` throughout.
+A fixed-rate or SLS run reports NaN ``h`` and ``s`` throughout.
 """
 
 import dataclasses
@@ -29,6 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from salsa_opt.harness import LINE_SEARCH_KINDS, OPTIMIZER_KINDS, run_single
+from salsa_opt.line_search import SlsConfig
 from salsa_opt.problems import BatchSampler, make_logreg, \
     make_matrix_factorization, make_mlp, make_quadratic
 
@@ -74,7 +77,7 @@ def optimizers(draw):
            "max_backtracks": draw(st.sampled_from([0, 1, 100])),
            "delta": draw(st.sampled_from([0.1, 0.9]))}
     if draw(st.booleans()):
-        # a give-up below eta_min is clamped up to it
+        # a give-up takes eta_min, half the first step size
         opt["eta_min"] = 0.5 * eta_init
     if kind.endswith("salsa") and draw(st.booleans()):
         opt["enforce_nondecrease"] = True
@@ -115,6 +118,10 @@ def same_bits(a, b):
         a[~nan].tobytes() == b[~nan].tobytes()
 
 
+def same_float(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
 def run_bytes(result):
     """What a run exposes, as bytes taken when the run returns."""
     records = result.trace.records
@@ -146,8 +153,9 @@ def test_runs_are_pure_and_each_update_is_w_plus_eta_d(run):
             adam = opt["kind"].startswith("adam")
             m = v = np.zeros(problem.dim)
             nexts = base_points[1:] + [result.final_params]
-            for k, (rec, w, w_next) in enumerate(zip(records, base_points,
-                                                     nexts)):
+            prevs = [None] + records[:-1]
+            for k, (rec, prev, w, w_next) in enumerate(zip(
+                    records, prevs, base_points, nexts)):
                 g = problem.loss_grad(w, sampler.sample(k)).grad
                 if adam:
                     t = k + 1
@@ -159,11 +167,16 @@ def test_runs_are_pure_and_each_update_is_w_plus_eta_d(run):
                     d_update = -g
                 assert same_bits(w_next, w + rec.eta * d_update), \
                     (opt, k, rec)
-                # the in-memory fields: a give-up searched its whole
-                # budget, and only a SaLSa run has smoothing to report
+                # I4: a give-up takes eta_min and commits nothing
                 if rec.gave_up:
-                    assert rec.searched and \
-                        rec.backtracks == opt["max_backtracks"], (opt, k, rec)
+                    assert rec.eta == opt.get("eta_min", SlsConfig.eta_min) \
+                        and rec.backtracks == (opt["max_backtracks"]
+                                               if rec.searched else 0), \
+                        (opt, k, rec)
+                    h, s = (prev.h, prev.s) if prev else (math.nan, math.nan)
+                    assert same_float(rec.h, h) and same_float(rec.s, s), \
+                        (opt, k, rec)
+                # only a SaLSa run has smoothing to report
                 if not opt["kind"].endswith("salsa"):
                     assert math.isnan(rec.h) and math.isnan(rec.s), \
                         (opt, k, rec)

@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 from helpers import full_batch, make_centered_quadratic
 from salsa_opt.core import axpy, seeded_rng
 from salsa_opt.directions import AdamState
-from salsa_opt.line_search import SlsState, nondecrease_search
+from salsa_opt.line_search import SlsState, shrink
 from salsa_opt.problems import BatchObjective, make_quadratic
-from salsa_opt.salsa import (SalsaConfig, salsa_adam_step, salsa_backtrack,
-                             salsa_criterion, salsa_sgd_step, smooth_update)
+from salsa_opt.salsa import (SalsaConfig, no_increase, salsa_adam_step,
+                             salsa_backtrack, salsa_criterion, salsa_sgd_step,
+                             smooth_update)
 
 
 def reference_ema(xs, beta):
@@ -121,6 +122,11 @@ class TestSalsaBacktrack:
         assert eta == pytest.approx(eta_ref, rel=1e-15)
         assert bts == bts_ref > 0
         assert h == pytest.approx(h_ref, rel=1e-12)
+
+
+def nondecrease_search(objective, w, d, eta, loss0, cfg):
+    """The non-decrease search that SaLSa's non-decrease mode runs."""
+    return shrink(objective, w, d, eta, loss0, cfg, no_increase)
 
 
 class TestEnforceNondecrease:
@@ -312,10 +318,10 @@ class TestSalsaConfig:
             SalsaConfig(enforce_nondecrease=value)
 
     def test_nondecrease_with_zero_eta_min_rejected(self):
-        # a budget-exhausted non-decrease search settles on eta_min
-        with pytest.raises(ValueError, match="enforce_nondecrease needs "
-                                             "eta_min > 0"):
+        # every give-up takes eta_min, and a searched step cannot take 0
+        with pytest.raises(ValueError, match="eta_min must be > 0"):
             SalsaConfig(enforce_nondecrease=True, eta_min=0.0)
 
-    def test_zero_eta_min_without_nondecrease_accepted(self):
-        assert SalsaConfig(eta_min=0.0).eta_min == 0.0
+    def test_zero_eta_min_rejected(self):
+        with pytest.raises(ValueError, match="eta_min must be > 0, got 0.0"):
+            SalsaConfig(eta_min=0.0)
