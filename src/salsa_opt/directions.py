@@ -6,11 +6,12 @@ moment replaced by the raw gradient) so that a backtracking criterion along
 it can always be satisfied; the applied update keeps momentum.
 
 An ``AdamState`` holds its moments as two plain arrays, which each update
-replaces with new ones. The update also fills m_hat and the negated
-denominator -(sqrt(v_hat) + eps) into two arrays of the state's own, so
-each direction is one division. IEEE negation commutes with division and
-summation, so every value keeps the allocating formulas' bits (only a NaN
-may come out with the other sign bit, which no trace shows).
+replaces, and fills m_hat and -(sqrt(v_hat) + eps) into two arrays of its
+own, so each direction is one division. IEEE negation commutes with
+division and summation, and a 0-d float64 constant, which numpy takes
+faster than a Python float, is not weak under NEP 50: with the float64
+gradients ``core`` requires, every value keeps the allocating formulas'
+bits (a NaN alone may flip its sign bit, which no trace shows).
 """
 
 from __future__ import annotations
@@ -30,13 +31,15 @@ class AdamState:
     ``m`` and ``v`` are plain float64 arrays. The state copies the ones it
     is built from, and each ``adam_update_moments`` replaces both with new
     arrays, so an array read from or assigned to ``m`` or ``v`` is never
-    written afterwards. Every field is checked when the state is built
-    (``core.check_fields``). Each update (and a build with k >= 1) forms
-    m_hat and the negated denominator, so a moment assigned after an update
-    reaches the directions from the next update on. Mutable:
-    ``adam_update_moments`` advances a state in place, so each run keeps
-    its own state (or a ``copy.deepcopy`` of one). Two states compare
-    equal only when they are the same object.
+    written afterwards. The build checks every field (``core.check_fields``)
+    and forms from them, once, the constants the updates pass to numpy
+    (as ``SlsConfig.regrowth`` is formed): change a hyper-parameter with
+    ``dataclasses.replace``, not by assignment. Each update (and a build
+    with k >= 1) forms m_hat and the negated denominator, so a moment
+    assigned after an update reaches the directions from the next update
+    on. Mutable: ``adam_update_moments`` advances a state in place, so each
+    run keeps its own state (or a ``copy.deepcopy`` of one). Two states
+    compare equal only when they are the same object.
     """
 
     m: ParamVector
@@ -48,6 +51,7 @@ class AdamState:
     _scratch: ParamVector = field(init=False, repr=False)
     _m_hat: ParamVector = field(init=False, repr=False)
     _neg_denom: ParamVector = field(init=False, repr=False)
+    _consts: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         check_fields(self)
@@ -58,6 +62,9 @@ class AdamState:
                 f"moment shapes differ: m {m.shape} vs v {v.shape}")
         self._scratch, self._m_hat, self._neg_denom = (
             np.empty_like(m), np.empty_like(m), np.empty_like(v))
+        b1, b2 = self.beta1, self.beta2
+        self._consts = tuple(np.array(x, dtype=np.float64) for x in (
+            b1, 1.0 - b1, b2, 1.0 - b2, -self.epsilon, 1.0, 1.0))
         if self.k >= 1:
             _correct(self)
 
@@ -76,10 +83,13 @@ class AdamState:
 
 def _correct(state: AdamState) -> None:
     """Form m_hat and -eps - sqrt(v_hat), -(sqrt(v_hat) + eps) bit for bit."""
-    np.divide(state.m, 1.0 - state.beta1 ** state.k, state._m_hat)
-    d = np.divide(state.v, 1.0 - state.beta2 ** state.k, state._neg_denom)
+    _, _, _, _, neg_eps, bc1, bc2 = state._consts
+    bc1[()] = 1.0 - state.beta1 ** state.k
+    bc2[()] = 1.0 - state.beta2 ** state.k
+    np.divide(state.m, bc1, state._m_hat)
+    d = np.divide(state.v, bc2, state._neg_denom)
     np.sqrt(d, d)
-    np.subtract(-state.epsilon, d, d)
+    np.subtract(neg_eps, d, d)
 
 
 def _negated_denom(state: AdamState) -> ParamVector:
@@ -102,10 +112,11 @@ def adam_update_moments(state: AdamState, grad: ParamVector) -> AdamState:
     g, t = np.asarray(grad), state._scratch
     if g.shape != t.shape:
         raise ValueError(f"gradient shape {g.shape} vs moments {t.shape}")
-    m = np.multiply(state.m, state.beta1)
-    state.m = np.add(m, np.multiply(g, 1.0 - state.beta1, t), m)
-    np.multiply(g, 1.0 - state.beta2, t)
-    v = np.multiply(state.v, state.beta2)
+    b1, one_b1, b2, one_b2, _, _, _ = state._consts
+    m = np.multiply(state.m, b1)
+    state.m = np.add(m, np.multiply(g, one_b1, t), m)
+    np.multiply(g, one_b2, t)
+    v = np.multiply(state.v, b2)
     state.v = np.add(v, np.multiply(t, g, t), v)
     state.k += 1
     _correct(state)

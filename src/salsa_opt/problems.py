@@ -9,8 +9,9 @@ keeps traces bit-reproducible.
 overhead outweighs its arithmetic. The built-in kernels therefore make few
 numpy calls, each with the bits of the plain expression:
 ``np.add.reduce(x)`` is ``x.sum()`` (and ``/ n`` is ``x.mean()``) without
-the Python wrapper in numpy's ``_methods``, and ``X.take(indices, axis=0)``
-gathers the rows of ``X[indices]``.
+the Python wrapper in numpy's ``_methods``, ``X.take(indices, axis=0)``
+gathers the rows of ``X[indices]``, and a literal operand is a read-only
+0-d float64 array, which numpy takes faster than a Python float.
 """
 
 from __future__ import annotations
@@ -172,15 +173,17 @@ def make_quadratic(dim: int, cond: float = 1.0, seed: int = 0) -> Problem:
                    extras={"w_star": w_star, "eigs": eigs})
 
 
+_L2_REG = 1e-4
+_ZERO, _ONE, _TWO_L2_REG = (_readonly(np.array(x))
+                            for x in (0.0, 1.0, 2.0 * _L2_REG))
+
+
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # 1 / (1 + e^-z) for z >= 0 and e^z / (1 + e^z) otherwise, both from
     # one exp of -|z|, which never overflows; np.minimum returns a NaN z
     # itself, where -np.abs(z) would flip its sign bit
     e = np.exp(np.minimum(z, -z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
-
-
-_L2_REG = 1e-4
+    return np.where(z >= _ZERO, _ONE, e) / (_ONE + e)
 
 
 def _logreg_from_data(X: np.ndarray, y: np.ndarray, seed: int,
@@ -215,13 +218,13 @@ def _logreg_from_data(X: np.ndarray, y: np.ndarray, seed: int,
         neg_margins = -(Xb @ w)
         # np.add.reduce(x) / n is x.mean() bit for bit, without its Python
         # wrapper
-        loss = float(np.add.reduce(np.logaddexp(0.0, neg_margins)) / len(Xb)
+        loss = float(np.add.reduce(np.logaddexp(_ZERO, neg_margins)) / len(Xb)
                      + _L2_REG * (w @ w))
         if not grad:
             return EvalResult(loss, None)
         # d/dw mean log(1+exp(-y x.w)) = mean(-y * sigma(-y x.w) * x); the
         # label rides in Xb, and (y x) (s / -n) == x ((-y s) / n) exactly
-        g = Xb.T @ (_sigmoid(neg_margins) / -len(Xb)) + 2.0 * _L2_REG * w
+        g = Xb.T @ (_sigmoid(neg_margins) / -len(Xb)) + _TWO_L2_REG * w
         return EvalResult(loss=loss, grad=g)
 
     def init_params(run_seed):
@@ -284,13 +287,13 @@ def _mlp_from_data(X: np.ndarray, y01: np.ndarray, hidden: int, seed: int,
         A = np.tanh(Xb @ W1 + b1)
         z = A @ w2 + b2
         # BCE on logits: mean(log(1+e^z) - y z), stable for either sign
-        loss = float(np.add.reduce(np.logaddexp(0.0, z) - yb * z) / len(yb))
+        loss = float(np.add.reduce(np.logaddexp(_ZERO, z) - yb * z) / len(yb))
         if not grad:
             return EvalResult(loss, None)
         dz = (_sigmoid(z) - yb) / len(yb)
         gw2 = A.T @ dz
         gb2 = float(np.add.reduce(dz))
-        dA = dz[:, None] * w2 * (1.0 - A * A)
+        dA = dz[:, None] * w2 * (_ONE - A * A)
         gW1 = Xb.T @ dA
         gb1 = np.add.reduce(dA, 0)
         g = np.concatenate([gW1.ravel(), gb1, gw2, [gb2]])

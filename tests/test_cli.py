@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from salsa_opt import cli, harness
@@ -440,6 +441,18 @@ class TestCheckGradCommand:
             "points": 2,
         })
         assert main(["check-grad", "--config", cfg, "--tol", "1e-16"]) == 1
+
+    def test_a_nan_error_fails(self, tmp_path, capsys):
+        # the finite-difference losses overflow to inf, so the relative
+        # error is inf / inf: a NaN must count as the worst error
+        cfg = write_config(tmp_path, {
+            "problem": {"kind": "quadratic", "dim": 4, "cond": 1e308},
+            "points": 2,
+        })
+        with np.errstate(over="ignore"):
+            assert main(["check-grad", "--config", cfg]) == 1
+        assert capsys.readouterr().out == \
+            "quadratic_d4_c1e+308: max rel err nan [FAIL]\n"
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {

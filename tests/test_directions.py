@@ -1,6 +1,7 @@
 """SGD/Adam directions, moment recurrences, and the preconditioned norm."""
 
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from salsa_opt import directions
 from salsa_opt.core import norm_sq, seeded_rng
 from salsa_opt.directions import (AdamState, adam_direction,
                                   adam_update_moments,
@@ -327,3 +329,136 @@ class TestInPlaceState:
         assert a == a and a != b
         assert SlsState(eta=1.0, adam=a) == SlsState(eta=1.0, adam=a)
         assert SlsState(eta=1.0, adam=a) != SlsState(eta=1.0, adam=b)
+
+
+def _reads(state, g):
+    """The moments, both directions and the norm term, as bytes."""
+    return [state.m.tobytes(), state.v.tobytes(),
+            adam_direction(state, g, use_momentum=True).tobytes(),
+            adam_direction(state, g, use_momentum=False).tobytes(),
+            np.float64(preconditioned_grad_norm(state, g)).tobytes()]
+
+
+def _formula_reads(m, v, k, g, beta1, beta2, epsilon):
+    """What ``_reads`` gives, from the allocating formulas."""
+    denom = np.sqrt(v / (1.0 - beta2 ** k)) + epsilon
+    return [m.tobytes(), v.tobytes(),
+            (-(m / (1.0 - beta1 ** k)) / denom).tobytes(),
+            (-g / denom).tobytes(),
+            np.float64(float(np.sum(g * g / denom))).tobytes()]
+
+
+class TestPerStateConstants:
+    """Each state forms its ufunc constants from its own fields."""
+
+    HYPER = {"beta1": 0.8, "beta2": 0.99, "epsilon": 1e-6}
+
+    def test_deep_copy_mid_run_steps_bit_identically(self):
+        # the copy runs one update behind the original, so an array the
+        # two shared would be read after the other wrote it; states of
+        # the default config, built before and between, must lend
+        # neither of them their constants
+        AdamState.zeros(4)
+        rng = seeded_rng(43)
+        state = AdamState.zeros(4, **self.HYPER)
+        for _ in range(3):
+            adam_update_moments(state, rng.standard_normal(4))
+        twin = copy.deepcopy(state)
+        m, v = state.m, state.v
+        b1, b2 = self.HYPER["beta1"], self.HYPER["beta2"]
+        gs = [rng.standard_normal(4) for _ in range(4)]
+        ahead = []
+        for i, g in enumerate(gs + [None]):
+            adam_update_moments(AdamState.zeros(4), rng.standard_normal(4))
+            if g is not None:
+                adam_update_moments(state, g)
+            if i:
+                adam_update_moments(twin, gs[i - 1])
+                assert _reads(twin, gs[i - 1]) == ahead[i - 1]
+            if g is not None:
+                ahead.append(_reads(state, g))
+                m = b1 * m + (1.0 - b1) * g
+                v = b2 * v + (1.0 - b2) * g * g
+                assert ahead[-1] == _formula_reads(m, v, 4 + i, g,
+                                                   **self.HYPER)
+
+    def test_replace_forms_the_new_constants(self):
+        rng = seeded_rng(47)
+        state = AdamState.zeros(3)
+        for _ in range(2):
+            adam_update_moments(state, rng.standard_normal(3))
+        changed = dataclasses.replace(state, beta2=0.99)
+        fresh = AdamState(state.m, state.v, state.k, beta2=0.99)
+        for _ in range(3):
+            g = rng.standard_normal(3)
+            adam_update_moments(changed, g)
+            adam_update_moments(fresh, g)
+            assert _reads(changed, g) == _reads(fresh, g)
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_built_at_k_matches_stepped_to_k(self, k):
+        rng = seeded_rng(53)
+        stepped = AdamState.zeros(3, **self.HYPER)
+        for _ in range(k):
+            adam_update_moments(stepped, rng.standard_normal(3))
+        built = AdamState(stepped.m, stepped.v, k, **self.HYPER)
+        for _ in range(3):
+            g = rng.standard_normal(3)
+            assert _reads(built, g) == _reads(stepped, g)
+            adam_update_moments(built, g)
+            adam_update_moments(stepped, g)
+
+
+class _StrictUfunc:
+    """A ufunc that refuses a Python or numpy scalar operand, which numpy
+    takes on a slower path than a 0-d array."""
+
+    def __init__(self, ufunc, calls):
+        self._ufunc, self._calls = ufunc, calls
+
+    def _check(self, args, kwargs):
+        self._calls.append(self._ufunc.__name__)
+        for a in (*args, *kwargs.values()):
+            assert not isinstance(a, (int, float, complex, np.generic)), \
+                f"np.{self._ufunc.__name__} got the scalar {a!r}"
+
+    def __call__(self, *args, **kwargs):
+        self._check(args, kwargs)
+        return self._ufunc(*args, **kwargs)
+
+    def reduce(self, *args, **kwargs):
+        self._check(args, kwargs)
+        return self._ufunc.reduce(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._ufunc, name)
+
+
+class _StrictNumpy:
+    """numpy, with every ufunc wrapped in ``_StrictUfunc``."""
+
+    def __init__(self, calls):
+        self._calls = calls
+
+    def __getattr__(self, name):
+        attr = getattr(np, name)
+        if isinstance(attr, np.ufunc):
+            return _StrictUfunc(attr, self._calls)
+        return attr
+
+
+def test_adam_passes_numpy_no_scalar_operand(monkeypatch):
+    rng = seeded_rng(59)
+    state = AdamState(rng.standard_normal(5), rng.random(5), k=2)
+    g = rng.standard_normal(5)
+    calls = []
+    monkeypatch.setattr(directions, "np", _StrictNumpy(calls))
+    adam_update_moments(state, g)
+    adam_direction(state, g, use_momentum=True)
+    adam_direction(state, g, use_momentum=False)
+    preconditioned_grad_norm(state, g)
+    # every ufunc call went through the proxy
+    assert calls == ["multiply", "multiply", "add", "multiply", "multiply",
+                     "multiply", "add", "divide", "divide", "sqrt",
+                     "subtract", "divide", "divide", "multiply", "divide",
+                     "add"]

@@ -8,6 +8,7 @@ reference the faster kernels must reproduce. It reads the same data, from
 
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -224,15 +225,25 @@ def test_sigmoid_matches_the_masked_form():
         assert _bits(problems_module._sigmoid(z)) == _bits(ref_sigmoid(z))
 
 
+# the 0-d operands every logreg/MLP kernel shares, as one more "problem"
+KERNEL_CONSTANTS = SimpleNamespace(name="kernel-constants", extras={
+    name: getattr(problems_module, name)
+    for name in ("_ZERO", "_ONE", "_TWO_L2_REG")})
+
+
 @pytest.mark.parametrize("prob, names", [
     (CASES[0][0], ("eigs", "w_star")),
     (CASES[1][0], ("Xy", "ytr")),
     (CASES[3][0], ("Xtr", "ytr")),
     (CASES[4][0], ("M",)),
+    (KERNEL_CONSTANTS, tuple(KERNEL_CONSTANTS.extras)),
 ], ids=lambda x: getattr(x, "name", ""))
 def test_factory_data_is_read_only(prob, names):
     for name in names:
-        assert not prob.extras[name].flags.writeable, name
+        a = prob.extras[name]
+        assert not a.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0.0
 
 
 def test_writing_into_problem_data_raises():
