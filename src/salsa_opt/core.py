@@ -223,9 +223,10 @@ class StepRecord:
     """What one optimizer step did: step size, loss before the step,
     raw squared gradient norm, whether a search ran and how hard; and, in
     memory only (neither written nor compared), SaLSa's ``h``/``s`` after
-    the step (NaN before its first search commits, and for other kinds)
-    and ``gave_up``, a search that accepted no candidate (the step took
-    eta_min)."""
+    the step (NaN before its first search commits, and for other kinds),
+    ``gave_up``, a search that accepted no candidate (the step took
+    eta_min), and ``evals``, the step's ``loss_grad`` calls (None on a
+    loaded trace)."""
 
     k: int
     eta: float
@@ -237,6 +238,7 @@ class StepRecord:
     h: float = field(default=math.nan, compare=False)
     s: float = field(default=math.nan, compare=False)
     gave_up: bool = field(default=False, compare=False)
+    evals: int | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.k < 0:

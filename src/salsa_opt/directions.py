@@ -16,11 +16,15 @@ bits (a NaN alone may flip its sign bit, which no trace shows).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 
 import numpy as np
 
 from .core import ConfigError, ParamVector, check_fields
+
+
+# the fields the build's constants are formed from
+_HYPER = frozenset({"beta1", "beta2", "epsilon"})
 
 
 @dataclass(eq=False)
@@ -33,13 +37,15 @@ class AdamState:
     arrays, so an array read from or assigned to ``m`` or ``v`` is never
     written afterwards. The build checks every field (``core.check_fields``)
     and forms from them, once, the constants the updates pass to numpy
-    (as ``SlsConfig.regrowth`` is formed): change a hyper-parameter with
-    ``dataclasses.replace``, not by assignment. Each update (and a build
-    with k >= 1) forms m_hat and the negated denominator, so a moment
-    assigned after an update reaches the directions from the next update
-    on. Mutable: ``adam_update_moments`` advances a state in place, so each
-    run keeps its own state (or a ``copy.deepcopy`` of one). Two states
-    compare equal only when they are the same object.
+    (as ``SlsConfig.regrowth`` is formed), so ``beta1``, ``beta2`` and
+    ``epsilon`` are read-only once built: assigning one raises
+    ``FrozenInstanceError``, and ``dataclasses.replace`` builds a changed
+    state. Each update (and a build with k >= 1) forms m_hat and the
+    negated denominator, so a moment assigned after an update reaches the
+    directions from the next update on. Mutable: ``adam_update_moments``
+    advances a state in place, so each run keeps its own state (or a
+    ``copy.deepcopy`` of one). Two states compare equal only when they are
+    the same object.
     """
 
     m: ParamVector
@@ -68,17 +74,19 @@ class AdamState:
         if self.k >= 1:
             _correct(self)
 
+    def __setattr__(self, name, value):
+        # the build's own first assignment of each field passes
+        if name in _HYPER and name in vars(self):
+            raise FrozenInstanceError(
+                f"cannot assign to field {name!r}: it is fixed at build; "
+                f"dataclasses.replace builds a changed state")
+        object.__setattr__(self, name, value)
+
     @classmethod
     def zeros(cls, dim: int, **hyper) -> "AdamState":
         """Zero moments of length ``dim``; ``hyper`` overrides any of
         ``beta1``, ``beta2`` and ``epsilon``."""
         return cls(m=np.zeros(dim), v=np.zeros(dim), k=0, **hyper)
-
-    @property
-    def denom(self) -> ParamVector:
-        """Adam's denominator sqrt(v_hat) + eps for the last update's
-        moments, as a new array on each read; requires k >= 1."""
-        return np.negative(_negated_denom(self))
 
 
 def _correct(state: AdamState) -> None:
@@ -108,17 +116,20 @@ def adam_update_moments(state: AdamState, grad: ParamVector) -> AdamState:
 
     m <- beta1 m + (1 - beta1) g and v <- beta2 v + ((1 - beta2) g) g, each
     a new array, then m_hat and the negated denominator for step k + 1.
+    The three fields are stored through the instance dict, past
+    ``AdamState.__setattr__``.
     """
     g, t = np.asarray(grad), state._scratch
     if g.shape != t.shape:
         raise ValueError(f"gradient shape {g.shape} vs moments {t.shape}")
     b1, one_b1, b2, one_b2, _, _, _ = state._consts
+    fields = vars(state)
     m = np.multiply(state.m, b1)
-    state.m = np.add(m, np.multiply(g, one_b1, t), m)
+    fields["m"] = np.add(m, np.multiply(g, one_b1, t), m)
     np.multiply(g, one_b2, t)
     v = np.multiply(state.v, b2)
-    state.v = np.add(v, np.multiply(t, g, t), v)
-    state.k += 1
+    fields["v"] = np.add(v, np.multiply(t, g, t), v)
+    fields["k"] += 1
     _correct(state)
     return state
 

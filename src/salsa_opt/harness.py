@@ -210,7 +210,8 @@ def run_single(problem: Problem, optimizer: dict, seed: int, epochs: int,
         res = batch.eval(w)
         append(StepRecord(k=0, eta=runner.state.eta, loss=res.loss,
                           grad_norm_sq=norm_sq(res.grad), searched=False,
-                          backtracks=0, batch_seed=batch.key))
+                          backtracks=0, batch_seed=batch.key,
+                          evals=batch.n_evals))
     return RunResult(trace, w)
 
 

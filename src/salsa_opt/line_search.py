@@ -180,7 +180,8 @@ def search_step(batch, w: ParamVector, state: SlsState,
 
     A trial that was not accepted, on either path, is a give-up, settled
     here by the one rule in ``shrink``'s docstring. The record copies
-    ``state.h``/``s`` and flags a give-up as ``gave_up``.
+    ``state.h``/``s``, flags a give-up as ``gave_up`` and counts the
+    step's evaluations, ``batch.n_evals``, as ``evals``.
     """
     res = batch.eval(w)
     g = res.grad
@@ -220,7 +221,7 @@ def search_step(batch, w: ParamVector, state: SlsState,
             eta, next_eta = cfg.eta_min, max(trial.eta, cfg.eta_min)
 
     record = StepRecord(state.k, eta, res.loss, gsq, searched, backtracks,
-                        batch.key, state.h, state.s, gave_up)
+                        batch.key, state.h, state.s, gave_up, batch.n_evals)
     state.eta = next_eta
     state.k += 1
     if w_next is None:

@@ -104,7 +104,7 @@ class TestStepRecord:
     def test_in_memory_fields_are_neither_compared_nor_written(self):
         plain = StepRecord(0, 1.0, 0.5, 0.25, True, 2, 11)
         marked = StepRecord(0, 1.0, 0.5, 0.25, True, 2, 11, h=0.3, s=0.7,
-                            gave_up=True)
+                            gave_up=True, evals=4)
         assert plain == marked
         one, other = (TrainingTrace(metadata={}, records=[r])
                       for r in (plain, marked))
@@ -112,6 +112,9 @@ class TestStepRecord:
         assert one.to_json() == other.to_json()
         assert set(json.loads(other.to_json())["records"][0]) == \
             set(CSV_HEADER.split(","))
+        for loaded in (TrainingTrace.from_csv(other.to_csv()),
+                       TrainingTrace.from_json(other.to_json())):
+            assert loaded.records[0].evals is None
 
 
 def _toy_trace():

@@ -200,7 +200,7 @@ class TestInPlaceState:
             assert state.k == k
             assert state.m.tobytes() == m.tobytes()
             assert state.v.tobytes() == v.tobytes()
-            assert state.denom.tobytes() == denom.tobytes()
+            assert state._neg_denom.tobytes() == (-denom).tobytes()
             assert adam_direction(state, g, use_momentum=True).tobytes() == \
                 update.tobytes()
             assert adam_direction(state, g, use_momentum=False).tobytes() \
@@ -283,7 +283,7 @@ class TestInPlaceState:
                 == search.tobytes()
             assert np.float64(preconditioned_grad_norm(state, g)).tobytes() \
                 == np.float64(gterm).tobytes() == np.float64(0.0).tobytes()
-            assert state.denom.tobytes() == denom.tobytes()
+            assert state._neg_denom.tobytes() == (-denom).tobytes()
 
     def test_a_moment_assigned_after_an_update_is_read_from_the_next(self):
         # the directions read what the last update formed; a moment
@@ -308,7 +308,7 @@ class TestInPlaceState:
         denom = np.sqrt(v / (1.0 - 0.999 ** 2)) + 1e-8
         assert adam_direction(state, g, use_momentum=True).tobytes() == \
             (-(m / (1.0 - 0.9 ** 2)) / denom).tobytes()
-        assert state.denom.tobytes() == denom.tobytes()
+        assert state._neg_denom.tobytes() == (-denom).tobytes()
 
     def test_assigning_a_moment_writes_the_buffer(self):
         state = AdamState.zeros(2)
@@ -394,6 +394,20 @@ class TestPerStateConstants:
             adam_update_moments(changed, g)
             adam_update_moments(fresh, g)
             assert _reads(changed, g) == _reads(fresh, g)
+
+    @pytest.mark.parametrize("name", ["beta1", "beta2", "epsilon"])
+    def test_assigning_a_hyper_parameter_raises(self, name):
+        # an assignment would reach the bias correction but not the
+        # constants formed at build: a = AdamState.zeros(2); a.beta1 = 0.5
+        # then gave m from beta1 0.9 and m_hat from 0.5
+        state = AdamState.zeros(2)
+        with pytest.raises(dataclasses.FrozenInstanceError, match=name):
+            setattr(state, name, 0.5)
+        g = np.array([1.0, -2.0])
+        adam_update_moments(state, g)
+        fresh = adam_update_moments(AdamState.zeros(2), g)
+        assert getattr(state, name) == getattr(fresh, name)
+        assert _reads(state, g) == _reads(fresh, g)
 
     @pytest.mark.parametrize("k", [1, 2, 5])
     def test_built_at_k_matches_stepped_to_k(self, k):

@@ -215,6 +215,30 @@ def test_kernels_match_the_reference_formulas(prob, ref, data):
         assert _bits(got.grad) == _bits(want.grad)
 
 
+@pytest.mark.parametrize("prob", [prob for prob, _ in CASES],
+                         ids=[prob.name for prob, _ in CASES])
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_kernels_write_only_arrays_they_allocate(prob, data):
+    # the kernels form temporaries in place; they must never write into
+    # their inputs, and each gradient must be a new array of its own
+    w = data.draw(arrays(np.float64, prob.dim, elements=ENTRIES), label="w")
+    idx = data.draw(index_sets(prob.dataset_size), label="indices")
+    w_bytes, idx_bytes = w.tobytes(), idx.tobytes()
+    with np.errstate(all="ignore"):
+        first = prob.loss_grad(w, idx).grad
+        first_bytes = first.tobytes()
+        prob.loss_grad(w, idx, grad=False)
+        second = prob.loss_grad(w, idx).grad
+    assert w.tobytes() == w_bytes
+    assert idx.tobytes() == idx_bytes
+    assert first.tobytes() == first_bytes
+    assert not np.shares_memory(second, first)
+    for grad in (first, second):
+        for name, other in [("w", w), *prob.extras.items()]:
+            assert not np.shares_memory(grad, other), name
+
+
 def test_sigmoid_matches_the_masked_form():
     z = np.concatenate([
         np.linspace(-800.0, 800.0, 4001),

@@ -4,7 +4,7 @@ One derandomized hypothesis property draws a problem from each of the four
 factories (dimension 8 or less, a few data rows), any of the six optimizer
 kinds, the frequency controller on or off, SaLSa's non-decrease mode, and
 extreme step sizes, gradient guards and backtrack budgets. Each example
-checks three invariants:
+checks four invariants:
 
 - I1, purity: runs interleaved on one ``Problem`` do not affect each
   other. A configuration run twice with the same seed gives byte-identical
@@ -19,6 +19,9 @@ checks three invariants:
   backtrack budget when it searched (a guard-path non-decrease give-up
   records no backtracks), and committed nothing: its ``h``/``s`` equal the
   previous record's, or are NaN before the first commit.
+- I5, evaluations: the records' summed ``evals`` equals the run's
+  ``loss_grad`` calls, a search's trials and a guard-path search's
+  included.
 
 A fixed-rate or SLS run reports NaN ``h`` and ``s`` throughout.
 """
@@ -27,7 +30,7 @@ import dataclasses
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from salsa_opt.harness import LINE_SEARCH_KINDS, OPTIMIZER_KINDS, run_single
@@ -97,17 +100,19 @@ def runs(draw):
 
 def recorded_run(problem, opt, seed, fc, batch_size, epochs):
     """``run_single`` on a copy of ``problem`` that records the point of
-    each gradient evaluation, as ``replay_verify`` does."""
-    base_points = []
+    each gradient evaluation, as ``replay_verify`` does, and counts every
+    evaluation."""
+    base_points, calls = [], []
 
     def recording(w, indices, grad=True):
+        calls.append(grad)
         if grad:
             base_points.append(w)
         return problem.loss_grad(w, indices, grad=grad)
 
     result = run_single(dataclasses.replace(problem, loss_grad=recording),
                         opt, seed, epochs, batch_size, frequency_controller=fc)
-    return result, base_points, run_bytes(result)
+    return result, base_points, len(calls), run_bytes(result)
 
 
 def same_bits(a, b):
@@ -129,7 +134,15 @@ def run_bytes(result):
             repr([r.s for r in records]), result.final_params.tobytes())
 
 
+# with enforce_nondecrease, a step under the gradient guard still runs a
+# search along d_update, which its record shows as backtracks=0: here 343
+# loss_grad calls over 10 steps, of which step 7 gives up after 101 trials
+FOUND_219 = ({"kind": "adam_salsa", "enforce_nondecrease": True,
+              "grad_eps": 1e3, "eta_init": 8.0}, 3, False, 8)
+
+
 @given(runs())
+@example((make_mlp(n=96, in_dim=4, hidden=6, seed=1), [FOUND_219] * 2, 1))
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_runs_are_pure_and_each_update_is_w_plus_eta_d(run):
     problem, configs, epochs = run
@@ -144,10 +157,12 @@ def test_runs_are_pure_and_each_update_is_w_plus_eta_d(run):
             assert one == other
 
         # I2: every step of both runs is w + eta * d_update
-        for (opt, seed, fc, batch_size), (result, base_points, _) in \
+        for (opt, seed, fc, batch_size), (result, base_points, calls, _) in \
                 zip(configs, again):
             records = result.trace.records
             assert len(base_points) == len(records)
+            # I5: each call is counted in its step's record
+            assert sum(r.evals for r in records) == calls, opt
             sampler = BatchSampler(seed=seed, batch_size=batch_size,
                                    dataset_size=problem.dataset_size)
             adam = opt["kind"].startswith("adam")
