@@ -18,9 +18,9 @@ import numpy as np
 
 from .baselines import ScheduleConfig, fixed_adam_step, fixed_sgd_step, \
     schedule_lr
-from .core import ConfigError, ParamVector, StepRecord, TrainingTrace, \
-    axpy, call_keys, canonical_json, check_fields, check_keys, check_value, \
-    checked_arguments, config_from_dict, field_rules, norm_sq
+from .core import ConfigError, ParamVector, TrainingTrace, axpy, call_keys, \
+    canonical_json, check_fields, check_keys, check_value, \
+    checked_arguments, config_from_dict, field_rules
 from .directions import AdamState
 from .frequency import FrequencyController
 from .line_search import SlsConfig, SlsState, apply_without_search, sls_step
@@ -85,6 +85,15 @@ def build_problem(problem_config: dict) -> Problem:
 # each fixed-rate optimizer key, as the ScheduleConfig field it sets
 _SCHEDULE_KEYS = {"lr": "peak_lr", "peak_lr": "peak_lr",
                   "warm_frac": "warm_frac", "schedule": "shape"}
+# AdamState.zeros sets the moments and their step count
+_ADAM_KEYS = tuple(key for key in call_keys(AdamState)[0]
+                   if key not in ("m", "v", "k"))
+# each optimizer key -> the annotation of the field it fills
+_OPTIMIZER_HINTS = {
+    **{key: hint for key, (hint, _) in field_rules(SalsaConfig).items()},
+    **{key: field_rules(ScheduleConfig)[name][0]
+       for key, name in _SCHEDULE_KEYS.items()},
+    **{key: field_rules(AdamState)[key][0] for key in _ADAM_KEYS}}
 
 
 class _Runner:
@@ -96,14 +105,11 @@ class _Runner:
     against those their owners take (the search config's fields or the
     ``_SCHEDULE_KEYS``, plus ``AdamState``'s hyper-parameters on an adam
     kind), then the values, in ``cfg`` (None for a fixed rate) and
-    ``state.adam``. ``checked`` holds each key the dict gave, in its order,
-    with the value stored in the field it fills (an int given for a float
-    reads as a float).
+    ``state.adam``.
 
-    ``step``, and a search kind's ``skip_step``, take ``(batch, w)`` and are
-    bound when the runner is built, from this module's bindings: a run
-    built while they are swapped (as the benchmark's tracer does) steps
-    through the swapped functions.
+    ``step`` takes ``(batch, w)`` and is bound when the runner is built,
+    from this module's bindings: a run built while they are swapped (as
+    the benchmark's tracer does) steps through the swapped functions.
     """
 
     def __init__(self, opt: dict, dim: int, total_steps: int):
@@ -112,15 +118,11 @@ class _Runner:
         base, _, self.search = kind.partition("_")
         cfg_cls = {"sls": SlsConfig, "salsa": SalsaConfig}.get(self.search)
         own = call_keys(cfg_cls)[0] if cfg_cls else tuple(_SCHEDULE_KEYS)
-        # AdamState.zeros sets the moments and their step count
-        adam_keys = [key for key in call_keys(AdamState)[0]
-                     if key not in ("m", "v", "k")] if base == "adam" else []
+        adam_keys = _ADAM_KEYS if base == "adam" else ()
         check_keys(opt, ("kind", *own, *adam_keys), (), f"{kind} optimizer")
         params = {key: opt[key] for key in own if key in opt}
-        hyper = {key: opt[key] for key in adam_keys if key in opt}
         self.cfg = cfg = cfg_cls(**params) if cfg_cls else None
         if cfg is not None:
-            checked = {key: getattr(cfg, key) for key in params}
             eta = cfg.eta_init
         else:
             if "lr" in params and "peak_lr" in params:
@@ -133,15 +135,9 @@ class _Runner:
             # ScheduleConfig owns the defaults of the fields the config
             # leaves out
             schedule = ScheduleConfig(total_steps=max(total_steps, 1), **fixed)
-            checked = {key: getattr(schedule, name)
-                       for key, name in _SCHEDULE_KEYS.items() if key in opt}
             eta = schedule.peak_lr
-        adam = None
-        if base == "adam":
-            adam = AdamState.zeros(dim, **hyper)
-            checked.update((key, getattr(adam, key)) for key in hyper)
-        checked["kind"] = kind
-        self.checked = {key: checked[key] for key in opt}
+        adam = AdamState.zeros(dim, **{key: opt[key] for key in adam_keys
+                                       if key in opt}) if adam_keys else None
         self.state = state = SlsState(eta=eta, adam=adam)
         if cfg is None:
             fixed_step = fixed_sgd_step if adam is None else fixed_adam_step
@@ -153,15 +149,13 @@ class _Runner:
             return
         search = sls_step if self.search == "sls" else \
             salsa_sgd_step if adam is None else salsa_adam_step
-        skip = apply_without_search
         self.step = lambda batch, w: search(batch, w, state, cfg)
-        self.skip_step = lambda batch, w: skip(batch, w, state)
 
 
 def check_optimizer(problem: Problem, optimizer: dict, epochs: int,
                     batch_size: int) -> _Runner:
     """The runner a run of ``optimizer`` on ``problem`` builds, which
-    checks the optimizer dict; its ``checked`` holds the checked values."""
+    checks the optimizer dict."""
     sampler = BatchSampler(seed=0, batch_size=batch_size,
                            dataset_size=problem.dataset_size)
     return _Runner(optimizer, problem.dim,
@@ -177,7 +171,9 @@ class RunResult:
 def run_single(problem: Problem, optimizer: dict, seed: int, epochs: int,
                batch_size: int,
                frequency_controller: bool = False) -> RunResult:
-    """One deterministic run; the workhorse behind run_experiment."""
+    """One deterministic run; the workhorse behind run_experiment. A run of
+    no steps records one no-search step at its start and drops its update.
+    """
     sampler = BatchSampler(seed=seed, batch_size=batch_size,
                            dataset_size=problem.dataset_size)
     w = problem.init_params(seed)
@@ -188,13 +184,14 @@ def run_single(problem: Problem, optimizer: dict, seed: int, epochs: int,
     trace = TrainingTrace(metadata={})
 
     # looked up once per run, after any swap of the bindings
-    batch_for, step, append = batch_for_step, runner.step, trace.append
+    batch_for, step, skip = batch_for_step, runner.step, apply_without_search
+    state, append = runner.state, trace.append
     for k in range(total):
         batch = batch_for(problem, sampler, k)
         if controller is None:
             w, rec = step(batch, w)
         elif not controller.should_search():
-            w, rec = runner.skip_step(batch, w)
+            w, rec = skip(batch, w, state)
             controller.record_skip()
         else:
             w, rec = step(batch, w)
@@ -205,13 +202,7 @@ def run_single(problem: Problem, optimizer: dict, seed: int, epochs: int,
                 controller.record_skip()
         append(rec)
     if total == 0:
-        # a run of no steps records the loss and gradient norm at its start
-        batch = batch_for(problem, sampler, 0)
-        res = batch.eval(w)
-        append(StepRecord(k=0, eta=runner.state.eta, loss=res.loss,
-                          grad_norm_sq=norm_sq(res.grad), searched=False,
-                          backtracks=0, batch_seed=batch.key,
-                          evals=batch.n_evals))
+        append(skip(batch_for(problem, sampler, 0), w, state)[1])
     return RunResult(trace, w)
 
 
@@ -226,8 +217,6 @@ def _as_checked(config: dict, hints: dict) -> dict:
 def run_experiment(cfg: ExperimentConfig) -> list[TrainingTrace]:
     """One trace per seed, reproducible bit-exactly from (config, seed)."""
     problem = build_problem(cfg.problem)
-    checked = check_optimizer(problem, cfg.optimizer, cfg.epochs,
-                              cfg.batch_size).checked
     traces = [run_single(problem, cfg.optimizer, seed, cfg.epochs,
                          cfg.batch_size, cfg.frequency_controller).trace
               for seed in cfg.seeds]
@@ -237,7 +226,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[TrainingTrace]:
     snapshot = {
         "problem": _as_checked(cfg.problem, typing.get_type_hints(
             _PROBLEM_BUILDERS[cfg.problem["kind"]])),
-        "optimizer": checked,
+        "optimizer": _as_checked(cfg.optimizer, _OPTIMIZER_HINTS),
         "epochs": cfg.epochs,
         "batch_size": cfg.batch_size,
         "frequency_controller": cfg.frequency_controller,

@@ -301,12 +301,12 @@ def _mlp_from_data(X: np.ndarray, y01: np.ndarray, hidden: int, seed: int,
         Xb, yb = Xtr.take(indices, axis=0), ytr[indices]
         W1, b1, w2, b2 = unpack(w)
         n = len(yb)
-        # A = tanh(Xb @ W1 + b1) and z = A @ w2 + b2, each formed in the
-        # array its matmul returned
+        # A = tanh(Xb @ W1 + b1), formed in the array its matmul returned;
+        # z = A @ w2 + b2 gets its own, since on a short batch an in-place
+        # add of two NaNs may return the other one than the allocating form
         A = Xb @ W1
         np.tanh(np.add(A, b1, out=A), out=A)
-        z = A @ w2
-        np.add(z, b2, out=z)
+        z = np.add(A @ w2, b2)
         # BCE on logits: mean(log(1+e^z) - y z), stable for either sign
         t = np.logaddexp(_ZERO, z)
         loss = float(np.add.reduce(np.subtract(t, yb * z, out=t)) / n)

@@ -12,7 +12,9 @@ commit.
 
 An optional non-decrease mode additionally shrinks the accepted step until
 the batch loss does not increase, which restores a classical convergence
-guarantee in the full-batch setting.
+guarantee in the full-batch setting. The promise covers a step under the
+gradient guard too, whose update (along Adam's momentum) is shrunk from the
+current step size; a frequency-skipped step runs no search and lies outside.
 """
 
 from __future__ import annotations
@@ -90,7 +92,9 @@ def _smoothed_search(batch, w, d_search, d_update, eta, loss0, gnorm_term,
 
     A give-up of either search returns its trial, not accepted, and
     commits nothing; a smoothed search that gave up runs no non-decrease
-    search. ``search_step`` settles the give-up.
+    search, nor does an sgd search whose accepted loss did not rise (the
+    non-decrease test holds at its point). ``search_step`` settles the
+    give-up.
     """
     if d_search is None:
         # Guard path: smoothing state frozen, step still applied.
@@ -104,7 +108,8 @@ def _smoothed_search(batch, w, d_search, d_update, eta, loss0, gnorm_term,
                             s_new, cfg)
     if not trial.accepted:
         return trial
-    if cfg.enforce_nondecrease:
+    if cfg.enforce_nondecrease and not (d_update is d_search
+                                        and trial.loss <= loss0):
         nd = shrink(batch.loss, w, d_update, trial.eta, loss0, cfg,
                     no_increase)
         if not nd.accepted:

@@ -215,6 +215,23 @@ def test_kernels_match_the_reference_formulas(prob, ref, data):
         assert _bits(got.grad) == _bits(want.grad)
 
 
+def test_mlp_kernel_keeps_the_reference_nan_sign_on_a_short_batch():
+    # on one row, z = A @ w2 + b2 adds a NaN to b2 = -NaN; an in-place add
+    # there returned the other NaN than the allocating form, so the loss
+    # came out -NaN against the reference's +NaN
+    prob, ref = CASES[3]
+    w = np.full(prob.dim, np.nan)
+    w[-2], w[-1] = 0.0, -np.nan
+    idx = np.array([0])
+    with np.errstate(all="ignore"):
+        want = ref(prob)(w, idx)
+        got = prob.loss_grad(w, idx)
+        loss_only = prob.loss_grad(w, idx, grad=False)
+    assert _bits(got.loss) == _bits(want.loss)
+    assert _bits(loss_only.loss) == _bits(want.loss)
+    assert _bits(got.grad) == _bits(want.grad)
+
+
 @pytest.mark.parametrize("prob", [prob for prob, _ in CASES],
                          ids=[prob.name for prob, _ in CASES])
 @given(data=st.data())

@@ -4,7 +4,7 @@ One derandomized hypothesis property draws a problem from each of the four
 factories (dimension 8 or less, a few data rows), any of the six optimizer
 kinds, the frequency controller on or off, SaLSa's non-decrease mode, and
 extreme step sizes, gradient guards and backtrack budgets. Each example
-checks four invariants:
+checks five invariants:
 
 - I1, purity: runs interleaved on one ``Problem`` do not affect each
   other. A configuration run twice with the same seed gives byte-identical
@@ -22,6 +22,9 @@ checks four invariants:
 - I5, evaluations: the records' summed ``evals`` equals the run's
   ``loss_grad`` calls, a search's trials and a guard-path search's
   included.
+- I7, non-decrease: with ``enforce_nondecrease``, every searched step
+  that did not give up lands at a point whose batch loss is at most its
+  recorded loss, on the same batch.
 
 A fixed-rate or SLS run reports NaN ``h`` and ``s`` throughout.
 """
@@ -171,7 +174,8 @@ def test_runs_are_pure_and_each_update_is_w_plus_eta_d(run):
             prevs = [None] + records[:-1]
             for k, (rec, prev, w, w_next) in enumerate(zip(
                     records, prevs, base_points, nexts)):
-                g = problem.loss_grad(w, sampler.sample(k)).grad
+                indices = sampler.sample(k)
+                g = problem.loss_grad(w, indices).grad
                 if adam:
                     t = k + 1
                     m = BETA1 * m + (1.0 - BETA1) * g
@@ -191,6 +195,11 @@ def test_runs_are_pure_and_each_update_is_w_plus_eta_d(run):
                     h, s = (prev.h, prev.s) if prev else (math.nan, math.nan)
                     assert same_float(rec.h, h) and same_float(rec.s, s), \
                         (opt, k, rec)
+                # I7: a non-decrease search does not raise the batch loss
+                if opt.get("enforce_nondecrease") and rec.searched \
+                        and not rec.gave_up:
+                    assert problem.loss_grad(w_next, indices, grad=False) \
+                        .loss <= rec.loss, (opt, k, rec)
                 # only a SaLSa run has smoothing to report
                 if not opt["kind"].endswith("salsa"):
                     assert math.isnan(rec.h) and math.isnan(rec.s), \

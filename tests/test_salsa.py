@@ -1,5 +1,8 @@
 """Smoothed criterion: EMA updates, backtracking, steps, non-decrease mode."""
 
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,8 +11,10 @@ from hypothesis import strategies as st
 from helpers import full_batch, make_centered_quadratic
 from salsa_opt.core import axpy, seeded_rng
 from salsa_opt.directions import AdamState
+from salsa_opt.harness import run_single
 from salsa_opt.line_search import SlsState, shrink
-from salsa_opt.problems import BatchObjective, make_quadratic
+from salsa_opt.problems import BatchObjective, BatchSampler, \
+    batch_for_step, make_logreg, make_mlp, make_quadratic
 from salsa_opt.salsa import (SalsaConfig, no_increase, salsa_adam_step,
                              salsa_backtrack, salsa_criterion, salsa_sgd_step,
                              smooth_update)
@@ -156,6 +161,26 @@ class TestEnforceNondecrease:
         assert eta == 5.0
 
 
+    def test_guard_steps_do_not_raise_the_full_batch_loss(self):
+        # on a one-row dataset every batch is the whole objective; steps
+        # 50-59 of this run fall under the gradient guard, where Adam's
+        # momentum alone would carry the loss from 0.002503 up to 0.004210
+        # unless the non-decrease search shrinks the update. The one guard
+        # step that gives up takes eta_min unchecked.
+        prob = make_quadratic(dim=8, cond=100, seed=1)
+        result = run_single(prob, {"kind": "adam_salsa", "grad_eps": 1.0,
+                                   "enforce_nondecrease": True},
+                            seed=0, epochs=60, batch_size=1)
+        records = result.trace.records
+        after = [rec.loss for rec in records[1:]] + [prob.loss_grad(
+            result.final_params, np.arange(1), grad=False).loss]
+        guard = [(rec, loss) for rec, loss in zip(records, after)
+                 if not rec.searched]
+        assert len(guard) == 10
+        assert all(loss <= rec.loss
+                   for rec, loss in guard if not rec.gave_up), guard
+
+
 class TestSalsaSgdStep:
     def test_guard_freezes_smoothing_state(self):
         prob = make_centered_quadratic(dim=2)
@@ -179,13 +204,35 @@ class TestSalsaSgdStep:
         assert abs(w[0]) <= 1e-4
         assert all(b <= a for a, b in zip(losses, losses[1:]))
 
+    def test_nondecrease_adds_no_evaluation_where_the_step_did_not_rise(
+            self):
+        # an sgd search runs along d_update itself, so where its accepted
+        # trial did not raise the batch loss, the non-decrease test holds
+        # there already: the step is the plain SaLSa step, at its cost of
+        # 2 + backtracks evaluations (the golden sgd_salsa-nondecrease run)
+        prob = make_mlp(n=96, in_dim=4, hidden=6, seed=1)
+        sampler = BatchSampler(seed=3, batch_size=8,
+                               dataset_size=prob.dataset_size)
+        cfg = SalsaConfig(enforce_nondecrease=True)
+        plain_cfg = dataclasses.replace(cfg, enforce_nondecrease=False)
+        state, w, same = SlsState(eta=cfg.eta_init), prob.init_params(3), 0
+        for k in range(3 * sampler.batches_per_epoch):
+            w_plain, plain = salsa_sgd_step(batch_for_step(prob, sampler, k),
+                                            w, copy.deepcopy(state),
+                                            plain_cfg)
+            batch = batch_for_step(prob, sampler, k)
+            w, rec = salsa_sgd_step(batch, w, state, cfg)
+            if prob.loss_grad(w_plain, batch.indices,
+                              grad=False).loss <= rec.loss:
+                same += 1
+                assert rec == plain and w.tobytes() == w_plain.tobytes()
+                assert rec.evals == batch.n_evals == 2 + rec.backtracks, k
+        assert same > 0
+
     def test_lower_eta_variance_than_sls_under_noise(self):
         # noisy mini-batch streams, paired by run seed; the run is long
         # enough that the raw search's step size has reached its criterion
         # boundary, where per-batch noise makes it jitter seed-dependently
-        from salsa_opt.harness import run_single
-        from salsa_opt.problems import make_logreg
-
         prob = make_logreg(n=1000, dim=10, seed=2, label_noise=0.3)
         finals = {"sgd_sls": [], "sgd_salsa": []}
         for kind in finals:
