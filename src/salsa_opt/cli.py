@@ -41,16 +41,13 @@ def _load_config(args) -> dict:
 
 
 def _cmd_run(args) -> int:
-    raw = _load_config(args)
-    if args.out is not None:
-        raw["out"] = args.out
-    cfg = ExperimentConfig.from_dict(raw, "run")
-    if cfg.out is None and len(cfg.seeds) > 1:
-        raise ConfigError("multiple seeds need --out (or 'out' in config)")
+    cfg = ExperimentConfig.from_dict(_load_config(args), "run")
+    if args.out is None and len(cfg.seeds) > 1:
+        raise ConfigError("multiple seeds need --out")
     traces = run_experiment(cfg)
-    if cfg.out is None:
+    if args.out is None:
         return _finish(traces[0], args)
-    out = Path(cfg.out)
+    out = Path(args.out)
     for seed, trace in zip(cfg.seeds, traces):
         path = out if len(traces) == 1 else \
             out.with_name(f"{out.stem}_seed{seed}{out.suffix}")
@@ -64,8 +61,7 @@ def _cmd_compare(args) -> int:
     lists = ("problems", "optimizers")
     # the run settings every (problem, optimizer) pair shares
     shared = {f.name: raw[f.name] for f in fields(ExperimentConfig)
-              if f.name in raw and f.name not in ("problem", "optimizer",
-                                                  "out")}
+              if f.name in raw and f.name not in ("problem", "optimizer")}
     check_keys(raw, {*shared, *lists}, lists, "compare")
     problems, optimizers = (check_value(k, raw[k], list[dict]) for k in lists)
     # every pair is checked before the first one runs; the table labels a
@@ -103,27 +99,22 @@ def _run_study(study, args) -> int:
 
 @dataclass
 class CheckGradConfig:
-    """One problem or a list of them, the number of random points to compare
-    at, and the finite-difference step."""
+    """The problems to check, the number of random points to compare at,
+    and the finite-difference step."""
 
-    problem: dict | None = None
-    problems: list[dict] | None = None
+    problems: list[dict]
     points: int = field(default=10, metadata={"range": ">= 1"})
     h: float = field(default=1e-5, metadata={"range": "> 0"})
 
     def __post_init__(self):
         check_fields(self)
-        if (self.problem is None) == (self.problems is None):
-            raise ConfigError("check-grad config needs 'problem' or "
-                              "'problems', one of the two")
 
 
 def _cmd_check_grad(args) -> int:
     tol = check_value("tol", args.tol, float, "> 0")
     cfg = config_from_dict(CheckGradConfig, _load_config(args), "check-grad")
     failed = False
-    for problem in [build_problem(spec)
-                    for spec in cfg.problems or [cfg.problem]]:
+    for problem in [build_problem(spec) for spec in cfg.problems]:
         errs = []
         for i in range(cfg.points):
             w = problem.init_params(1000 + i)

@@ -6,8 +6,10 @@ accepted step size (decay 0.9 and 0.99) estimate its rate of change; their
 ratio maps to an interval L in [1, 10] and a search runs only every L-th
 step. On plateaus the ratio is ~1 and L saturates at 10.
 
-``FrequencyController`` owns one ``FreqState`` and advances it in place;
-``compute_interval`` is the pure formula from the EMAs to L.
+``FrequencyController`` owns one ``FreqState`` and advances it in place:
+``record_search`` folds each accepted step size into the EMAs and sets L
+with ``compute_interval``, the pure formula from the EMAs to L. L starts
+at 1, so every step searches until the first ``record_search``.
 """
 
 from __future__ import annotations
@@ -34,20 +36,6 @@ class FreqState:
     L: int = 1
     since_search: int = 0
     seeded: bool = False
-
-
-def update_emas(state: FreqState, eta: float) -> FreqState:
-    """Fold a freshly accepted step size into both EMAs in place (seeding
-    them on the first call); returns ``state``."""
-    if eta <= 0:
-        raise ValueError(f"eta must be > 0, got {eta}")
-    if not state.seeded:
-        state.ema_fast = state.ema_slow = eta
-        state.seeded = True
-    else:
-        state.ema_fast = BETA_FAST * state.ema_fast + (1.0 - BETA_FAST) * eta
-        state.ema_slow = BETA_SLOW * state.ema_slow + (1.0 - BETA_SLOW) * eta
-    return state
 
 
 def compute_interval(state: FreqState) -> int:
@@ -80,13 +68,22 @@ class FrequencyController:
         self.state = FreqState()
 
     def should_search(self) -> bool:
-        """True when this step must run a search (always, before any
-        history)."""
+        """True when this step must run a search."""
         st = self.state
-        return not st.seeded or st.since_search + 1 >= st.L
+        return st.since_search + 1 >= st.L
 
     def record_search(self, eta: float) -> None:
-        st = update_emas(self.state, eta)
+        """Fold a freshly accepted step size into both EMAs (seeding them
+        on the first call), recompute L and reset the counter."""
+        if eta <= 0:
+            raise ValueError(f"eta must be > 0, got {eta}")
+        st = self.state
+        if not st.seeded:
+            st.ema_fast = st.ema_slow = eta
+            st.seeded = True
+        else:
+            st.ema_fast = BETA_FAST * st.ema_fast + (1.0 - BETA_FAST) * eta
+            st.ema_slow = BETA_SLOW * st.ema_slow + (1.0 - BETA_SLOW) * eta
         st.L = compute_interval(st)
         st.since_search = 0
 

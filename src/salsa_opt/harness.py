@@ -46,7 +46,6 @@ class ExperimentConfig:
     epochs: int = field(metadata={"range": ">= 0"})
     batch_size: int = field(metadata={"range": ">= 1"})
     frequency_controller: bool = False
-    out: str | None = None
 
     def __post_init__(self):
         check_fields(self)
@@ -113,6 +112,7 @@ class _Runner:
     """
 
     def __init__(self, opt: dict, dim: int, total_steps: int):
+        check_value("optimizer", opt, dict)
         self.kind = kind = check_value("optimizer kind", opt.get("kind"), str,
                                        OPTIMIZER_KINDS)
         base, _, self.search = kind.partition("_")
@@ -173,7 +173,13 @@ def run_single(problem: Problem, optimizer: dict, seed: int, epochs: int,
                frequency_controller: bool = False) -> RunResult:
     """One deterministic run; the workhorse behind run_experiment. A run of
     no steps records one no-search step at its start and drops its update.
+    Every argument but ``problem`` is checked as the run config's field is.
     """
+    rules = field_rules(ExperimentConfig)
+    epochs = check_value("epochs", epochs, *rules["epochs"])
+    frequency_controller = check_value(
+        "frequency_controller", frequency_controller,
+        *rules["frequency_controller"])
     sampler = BatchSampler(seed=seed, batch_size=batch_size,
                            dataset_size=problem.dataset_size)
     w = problem.init_params(seed)
@@ -262,6 +268,8 @@ class RunSummary:
 
 def summarize(optimizer_name: str, problem_name: str,
               traces: list[TrainingTrace]) -> RunSummary:
+    if not traces:
+        raise ValueError(f"no traces of {optimizer_name} on {problem_name}")
     losses = [final_smoothed_loss(t) for t in traces]
     return RunSummary(optimizer=optimizer_name, problem=problem_name,
                       final_losses=losses,

@@ -12,7 +12,8 @@ import pytest
 
 from salsa_opt.cli import main as cli_main
 from salsa_opt.core import seeded_rng
-from salsa_opt.frequency import FreqState, compute_interval, update_emas
+from salsa_opt.frequency import FreqState, FrequencyController, \
+    compute_interval
 from salsa_opt.harness import (final_smoothed_loss, frequency_ablation,
                                batch_scaling_experiment, replay_verify,
                                run_single)
@@ -152,10 +153,10 @@ def test_criterion_5_frequency_controller():
 
     def body():
         # constant step-size stream saturates at the maximum interval
-        state = FreqState()
+        controller = FrequencyController()
         for _ in range(25):
-            state = update_emas(state, 0.3)
-            assert compute_interval(state) == 10
+            controller.record_search(0.3)
+            assert compute_interval(controller.state) == 10
         # fast/slow = 1.2 maps exactly to 5
         assert compute_interval(FreqState(ema_fast=1.2, ema_slow=1.0,
                                           seeded=True)) == 5

@@ -8,17 +8,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from salsa_opt.frequency import (BETA_FAST, BETA_SLOW, FreqState,
-                                 FrequencyController, compute_interval,
-                                 update_emas)
+                                 FrequencyController, compute_interval)
 
 
 def ema_seq(etas):
-    """The state after each step size of ``etas``, one snapshot per step
-    (``update_emas`` advances a single state in place)."""
-    st = FreqState()
+    """The state after each search that accepts a step size of ``etas``, one
+    snapshot per search (the controller advances a single state in
+    place)."""
+    ctl = FrequencyController()
     out = []
     for e in etas:
-        out.append(replace(update_emas(st, e)))
+        ctl.record_search(e)
+        out.append(replace(ctl.state))
     return out
 
 
@@ -60,31 +61,39 @@ def controller_at(**fields):
 
 
 class TestUpdateEmas:
+    """The EMA update ``record_search`` makes."""
+
     def test_seed_call(self):
-        st = update_emas(FreqState(), 0.01)
+        ctl = FrequencyController()
+        ctl.record_search(0.01)
+        st = ctl.state
         assert st.ema_fast == st.ema_slow == 0.01
         assert st.seeded
 
     def test_arithmetic_after_seed(self):
-        st = FreqState(ema_fast=1.0, ema_slow=1.0, seeded=True)
-        st = update_emas(st, 2.0)
+        ctl = controller_at(ema_fast=1.0, ema_slow=1.0, seeded=True)
+        ctl.record_search(2.0)
+        st = ctl.state
         assert st.ema_fast == pytest.approx(1.1)
         assert st.ema_slow == pytest.approx(1.01)
 
     def test_constant_stream_fixed_point(self):
-        st = FreqState()
+        ctl = FrequencyController()
         for _ in range(50):
-            st = update_emas(st, 0.7)
+            ctl.record_search(0.7)
+        st = ctl.state
         assert st.ema_fast == pytest.approx(0.7, rel=1e-12)
         assert st.ema_slow == pytest.approx(0.7, rel=1e-12)
 
     def test_nonpositive_eta_rejected(self):
         with pytest.raises(ValueError):
-            update_emas(FreqState(), 0.0)
+            FrequencyController().record_search(0.0)
 
     def test_advances_its_argument(self):
-        st = FreqState()
-        assert update_emas(st, 0.5) is st
+        ctl = FrequencyController()
+        st = ctl.state
+        ctl.record_search(0.5)
+        assert ctl.state is st
         assert st.seeded and st.ema_fast == st.ema_slow == 0.5
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 import warnings
 from dataclasses import dataclass
 
@@ -69,6 +70,24 @@ class TestConfig:
             run_single(make_quadratic(dim=2, cond=5, seed=1),
                        {"kind": "nope", "lr": 0.1}, seed=0, epochs=1,
                        batch_size=1)
+
+    # unchecked, these ran no step, ran one epoch, ended in a TypeError or
+    # an AttributeError, and switched the controller on
+    @pytest.mark.parametrize("setting, message", [
+        ({"epochs": -1}, "epochs must be >= 0, got -1"),
+        ({"epochs": True}, "epochs must be an integer, got True"),
+        ({"epochs": 2.5}, "epochs must be an integer, got 2.5"),
+        ({"optimizer": "sgd_sls"},
+         "optimizer must be an object, got 'sgd_sls'"),
+        ({"frequency_controller": "yes"},
+         "frequency_controller must be true or false, got 'yes'"),
+    ], ids=["negative-epochs", "bool-epochs", "fractional-epochs",
+            "string-optimizer", "string-frequency_controller"])
+    def test_run_single_checks_its_settings(self, setting, message):
+        run = {"optimizer": {"kind": "sgd_sls"}, "seed": 0, "epochs": 1,
+               "batch_size": 1, "frequency_controller": False, **setting}
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            run_single(make_quadratic(dim=4, cond=10), **run)
 
     def test_unknown_optimizer_rejected(self):
         with pytest.raises(ConfigError):
@@ -409,6 +428,12 @@ class TestSummarize:
                             [r.trace for r in results])
         assert len(summary.final_losses) == 2
 
+    def test_no_traces_rejected(self):
+        # the mean of no losses is NaN, which compare reports as a diverged
+        # run
+        with pytest.raises(ValueError, match="no traces of sgd on p"):
+            summarize("sgd", "p", [])
+
 
 class TestScalingExperiment:
     def test_full_batch_deterministic_ratio_exactly_one(self):
@@ -694,6 +719,18 @@ class TestReplayVerify:
                            match="optimizer kind must be a string, got None"):
             replay_verify(counted, {"c": 0.5}, 0, 3, 8, trace)
         assert calls == []
+
+    @pytest.mark.parametrize("optimizer, epochs, message", [
+        ({"kind": "sgd_sls"}, -1, "epochs must be >= 0, got -1"),
+        ("sgd_sls", 1, "optimizer must be an object, got 'sgd_sls'"),
+    ], ids=["negative-epochs", "string-optimizer"])
+    def test_run_settings_are_checked(self, optimizer, epochs, message):
+        # a run of -1 epochs recorded no step, and its empty trace replayed
+        # as ok
+        prob = make_quadratic(dim=4, cond=10)
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            replay_verify(prob, optimizer, 0, epochs, 1,
+                          TrainingTrace(metadata={}))
 
     def test_rerun_must_make_one_gradient_evaluation_per_step(
             self, monkeypatch):

@@ -1,5 +1,5 @@
-"""Every fenced block in README.md runs, and its two hand-kept lists match
-the code.
+"""Every fenced block in README.md runs, and its three hand-kept lists
+(the public API, the subcommands and the Config table) match the code.
 
 Each block is classified by its language and, for a ``sh`` block, line by
 line; a block or line the test cannot classify fails it:
@@ -25,7 +25,13 @@ from pathlib import Path
 import pytest
 
 import salsa_opt
-from salsa_opt import cli
+from salsa_opt import cli, harness
+from salsa_opt.cli import CheckGradConfig
+from salsa_opt.core import call_keys
+from salsa_opt.harness import ExperimentConfig, batch_scaling_experiment, \
+    frequency_ablation
+from salsa_opt.line_search import SlsConfig
+from salsa_opt.salsa import SalsaConfig
 from test_demos import DEMOS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -146,6 +152,43 @@ def test_cli_lines_cover_every_subcommand():
     [subparsers] = [action for action in cli.build_parser()._actions
                     if isinstance(action, argparse._SubParsersAction)]
     assert {argv[0] for argv in cli_lines()} == set(subparsers.choices)
+
+
+def config_rows():
+    """Each row of README's Config table: its first cell -> its second."""
+    rows = {}
+    for line in section("Config").splitlines():
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        if line.startswith("|") and cells[0] not in ("config", "---"):
+            rows[cells[0]] = cells[1]
+    return rows
+
+
+def test_config_table_names_the_keys_each_owner_takes():
+    rows = config_rows()
+    sls, salsa = (set(call_keys(cls)[0]) for cls in (SlsConfig, SalsaConfig))
+    before, above, salsa_own = rows["`SalsaConfig`"].partition("the above")
+    assert above and not before
+    studies = (batch_scaling_experiment, frequency_ablation)
+    expected = {
+        "`SlsConfig`": sls,
+        "`SalsaConfig`": salsa - sls | {"c"},
+        "Adam kinds (`AdamState`)": set(harness._ADAM_KEYS),
+        "`sgd`, `adam` (`ScheduleConfig`)": set(harness._SCHEDULE_KEYS),
+        "`ExperimentConfig`": set(call_keys(ExperimentConfig)[0]),
+        "problems": {"kind_inner" if name == "kind" else name
+                     for factory in harness._PROBLEM_BUILDERS.values()
+                     for name in call_keys(factory)[0]},
+        "`scaling`, `freq-ablation`": {
+            name for study in studies for name in call_keys(study)[0]
+            if name != "problem"},
+        "`check-grad`": set(call_keys(CheckGradConfig)[0]),
+    }
+    assert rows.keys() == expected.keys()
+    for owner, keys in expected.items():
+        # SalsaConfig's row names its own keys after "the above"
+        cell = salsa_own if owner == "`SalsaConfig`" else rows[owner]
+        assert set(re.findall(r"`([a-z][a-z0-9_]*)`", cell)) == keys, owner
 
 
 @pytest.mark.parametrize("title", ["Config", "Trace format"])
