@@ -7,8 +7,7 @@ average rank (ties averaged), mirroring how optimizer benchmarks are
 usually summarized.
 """
 
-from salsa_opt import (ExperimentConfig, build_problem, compare,
-                       run_experiment, summarize)
+from salsa_opt import compare_optimizers
 
 PROBLEMS = [
     {"kind": "logreg", "n": 2000, "dim": 20, "seed": 0, "label_noise": 0.1},
@@ -25,16 +24,8 @@ OPTIMIZERS = [
     {"kind": "adam_salsa"},
 ]
 
-summaries = []
-for prob_spec in PROBLEMS:
-    problem = build_problem(prob_spec)
-    for opt in OPTIMIZERS:
-        cfg = ExperimentConfig(problem=prob_spec, optimizer=opt,
-                               seeds=[0, 1, 2], epochs=5, batch_size=32)
-        traces = run_experiment(cfg)
-        summaries.append(summarize(opt["kind"], problem.name, traces))
-
-table = compare(summaries)
+table = compare_optimizers(PROBLEMS, OPTIMIZERS, seeds=[0, 1, 2], epochs=5,
+                           batch_size=32)
 print(table.to_csv())
 print("lower is better everywhere; the last row is the average rank")
 print("note: on runs this short the sgd searches rarely meet a violating")

@@ -27,7 +27,7 @@ rows += [",".join(repr(float(v)) for v in x) + f",{y}"
          for x, y in zip(X, labels)]
 csv_path.write_text("\n".join(rows) + "\n")
 
-problem = problem_from_csv(str(csv_path), kind="logreg")
+problem = problem_from_csv(str(csv_path), model="logreg")
 print(f"loaded {problem.name}: dim={problem.dim}, "
       f"train points={problem.dataset_size}")
 
@@ -39,7 +39,7 @@ print(f"analytic vs finite-difference gradient: rel err {rel:.2e}")
 
 # the same workflow through the command line
 config = {
-    "problem": {"kind": "csv", "path": str(csv_path), "kind_inner": "logreg"},
+    "problem": {"kind": "csv", "path": str(csv_path), "model": "logreg"},
     "optimizer": {"kind": "adam_salsa"},
     "seeds": [0],
     "epochs": 3,

@@ -17,9 +17,10 @@ from .problems import (BatchSampler, Problem, batch_for_step,
                        problem_from_csv)
 from .harness import (AblationReport, ComparisonTable, ExperimentConfig,
                       ReplayReport, RunResult, RunSummary, ScalingReport,
-                      batch_scaling_experiment, build_problem, compare, emit,
-                      final_smoothed_loss, frequency_ablation, replay_verify,
-                      run_experiment, run_single, summarize)
+                      batch_scaling_experiment, build_problem, compare,
+                      compare_optimizers, emit, final_smoothed_loss,
+                      frequency_ablation, replay_verify, run_experiment,
+                      run_single, summarize)
 
 __all__ = [
     # problems
@@ -34,8 +35,8 @@ __all__ = [
     "TrainingTrace", "StepRecord", "emit",
     # studies
     "summarize", "RunSummary", "compare", "ComparisonTable",
-    "batch_scaling_experiment", "ScalingReport", "frequency_ablation",
-    "AblationReport", "FrequencyController",
+    "compare_optimizers", "batch_scaling_experiment", "ScalingReport",
+    "frequency_ablation", "AblationReport", "FrequencyController",
     # verifier
     "replay_verify", "ReplayReport",
     # a hand-written search loop

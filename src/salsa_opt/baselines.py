@@ -2,8 +2,8 @@
 
 A fixed-rate step is the line-search engine's step with no search
 (``line_search.apply_without_search``) at the scheduled step size. Two
-schedule shapes: flat, and linear warmup into a cosine decay (ramp from
-0 over the warmup fraction, then half-cosine down to 0).
+schedules: flat, and linear warmup into a cosine decay (ramp from 0 over
+the warmup fraction, then half-cosine down to 0).
 """
 
 from __future__ import annotations
@@ -17,23 +17,23 @@ from .core import ConfigError, check_fields
 from .directions import adam_direction, adam_update_moments  # noqa: F401
 from .line_search import apply_without_search
 
-SCHEDULE_SHAPES = ("cosine_warmup", "flat")
+SCHEDULES = ("cosine_warmup", "flat")
 
 
 @dataclass(frozen=True)
 class ScheduleConfig:
-    """A fixed-rate schedule; ``shape`` is "flat" unless set."""
+    """A fixed-rate schedule; ``schedule`` is "flat" unless set."""
 
     peak_lr: float = field(metadata={"range": "> 0"})
     total_steps: int = field(metadata={"range": "> 0"})
     warm_frac: float = field(default=0.1, metadata={"range": "[0,1)"})
-    shape: str = field(default="flat", metadata={"range": SCHEDULE_SHAPES})
+    schedule: str = field(default="flat", metadata={"range": SCHEDULES})
 
     def __post_init__(self):
         check_fields(self)
-        if self.shape == "cosine_warmup" and self.warmup_steps < 1:
-            raise ConfigError(
-                "cosine_warmup needs warm_frac * total_steps >= 1")
+        if self.schedule == "cosine_warmup" and self.warmup_steps < 1:
+            raise ConfigError("cosine_warmup needs at least one warmup step: "
+                              "round(warm_frac * total_steps) >= 1")
 
     @property
     def warmup_steps(self) -> int:
@@ -44,7 +44,7 @@ def schedule_lr(cfg: ScheduleConfig, k: int) -> float:
     """Learning rate at step k (0-based, k < total_steps)."""
     if not 0 <= k < cfg.total_steps:
         raise ValueError(f"step {k} outside [0, {cfg.total_steps})")
-    if cfg.shape == "flat":
+    if cfg.schedule == "flat":
         return cfg.peak_lr
     warm = cfg.warmup_steps
     if k <= warm:

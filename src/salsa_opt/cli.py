@@ -1,8 +1,8 @@
 """Command-line experiment runner.
 
-Subcommands: run, compare, scaling, freq-ablation, check-grad. Configs are
-JSON documents mirroring the harness dataclasses; outputs are CSV or JSON
-and byte-identical across repeated invocations.
+Subcommands: run, compare, scaling, freq-ablation, check-grad. A config's
+keys are the arguments of the one callable it feeds; outputs are CSV or
+JSON and byte-identical across repeated invocations.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
@@ -19,8 +19,8 @@ import numpy as np
 from .core import ConfigError, call_keys, check_fields, check_keys, \
     check_value, config_from_dict, seeded_rng
 from .harness import ExperimentConfig, batch_scaling_experiment, \
-    build_problem, check_optimizer, compare, emit, frequency_ablation, \
-    render, run_experiment, run_single, summarize
+    build_problem, compare_optimizers, emit, frequency_ablation, render, \
+    run_experiment
 from .problems import finite_diff_grad
 
 
@@ -56,45 +56,16 @@ def _cmd_run(args) -> int:
     return 0
 
 
-def _cmd_compare(args) -> int:
-    raw = _load_config(args)
-    lists = ("problems", "optimizers")
-    # the run settings every (problem, optimizer) pair shares
-    shared = {f.name: raw[f.name] for f in fields(ExperimentConfig)
-              if f.name in raw and f.name not in ("problem", "optimizer")}
-    check_keys(raw, {*shared, *lists}, lists, "compare")
-    problems, optimizers = (check_value(k, raw[k], list[dict]) for k in lists)
-    # every pair is checked before the first one runs; the table labels a
-    # pair by problem name and optimizer kind, so each label is used once
-    pairs = {}
-    for prob_spec in problems:
-        problem = build_problem(prob_spec)
-        for opt in optimizers:
-            cfg = ExperimentConfig.from_dict(
-                {**shared, "problem": prob_spec, "optimizer": opt}, "compare")
-            check_optimizer(problem, cfg.optimizer, cfg.epochs,
-                            cfg.batch_size)
-            label = (problem.name, cfg.optimizer["kind"])
-            if label in pairs:
-                raise ConfigError(f"compare config repeats the pair "
-                                  f"({label[0]}, {label[1]})")
-            pairs[label] = problem, cfg
-    table = compare([summarize(kind, name, [
-        run_single(problem, cfg.optimizer, seed, cfg.epochs, cfg.batch_size,
-                   cfg.frequency_controller).trace for seed in cfg.seeds])
-        for (name, kind), (problem, cfg) in pairs.items()])
-    return _finish(table, args)
-
-
 def _run_study(study, args) -> int:
-    """The scaling and freq-ablation commands: run ``study`` on the config's
-    problem, passing only the study's arguments the config sets (the rest
-    keep the study's defaults), and ``--seed`` as the only seed. The study
-    checks its arguments."""
+    """The compare, scaling and freq-ablation commands: call ``study`` with
+    the arguments the config sets (the rest keep the study's defaults),
+    its ``problem``, when it has one, built from its problem config, and
+    ``--seed`` as the only seed. The study checks its arguments."""
     raw = _load_config(args)
     check_keys(raw, *call_keys(study), args.command)
-    kwargs = {**raw, "problem": build_problem(raw["problem"])}
-    return _finish(study(**kwargs), args)
+    if "problem" in raw:
+        raw["problem"] = build_problem(raw["problem"])
+    return _finish(study(**raw), args)
 
 
 @dataclass
@@ -165,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 _COMMANDS = {
     "run": _cmd_run,
-    "compare": _cmd_compare,
+    "compare": partial(_run_study, compare_optimizers),
     "scaling": partial(_run_study, batch_scaling_experiment),
     "freq-ablation": partial(_run_study, frequency_ablation),
     "check-grad": _cmd_check_grad,

@@ -66,14 +66,11 @@ _PROBLEM_BUILDERS = {
 
 
 def build_problem(problem_config: dict) -> Problem:
-    """Instantiate a problem from its config dict ({'kind': ..., params});
-    params are the factory's arguments, ``kind_inner`` standing for csv's
-    ``kind``. A value the factory rejects raises ConfigError."""
+    """Instantiate a problem from its config dict: its ``kind`` and the
+    factory's arguments. A value the factory rejects raises ConfigError."""
     params = dict(check_value("problem", problem_config, dict))
     kind = check_value("problem kind", params.pop("kind", None), str,
                        tuple(_PROBLEM_BUILDERS))
-    if kind == "csv" and "kind_inner" in params:
-        params["kind"] = params.pop("kind_inner")
     check_keys(params, *call_keys(_PROBLEM_BUILDERS[kind]), f"{kind} problem")
     try:
         return _PROBLEM_BUILDERS[kind](**params)
@@ -83,7 +80,7 @@ def build_problem(problem_config: dict) -> Problem:
 
 # each fixed-rate optimizer key, as the ScheduleConfig field it sets
 _SCHEDULE_KEYS = {"lr": "peak_lr", "peak_lr": "peak_lr",
-                  "warm_frac": "warm_frac", "schedule": "shape"}
+                  "warm_frac": "warm_frac", "schedule": "schedule"}
 # AdamState.zeros sets the moments and their step count
 _ADAM_KEYS = tuple(key for key in call_keys(AdamState)[0]
                    if key not in ("m", "v", "k"))
@@ -101,10 +98,10 @@ class _Runner:
     Building it splits the kind into its two axes, once: the base (sgd, or
     adam when ``state.adam`` is set) and ``search`` ("" for a fixed rate,
     "sls" or "salsa"). It checks the optimizer dict: the kind, its keys
-    against those their owners take (the search config's fields or the
-    ``_SCHEDULE_KEYS``, plus ``AdamState``'s hyper-parameters on an adam
-    kind), then the values, in ``cfg`` (None for a fixed rate) and
-    ``state.adam``.
+    against those their owners take (the search config's fields, or
+    ``ScheduleConfig``'s with ``lr`` for ``peak_lr``, plus ``AdamState``'s
+    hyper-parameters on an adam kind), then the values, in ``cfg`` (None
+    for a fixed rate) and ``state.adam``.
 
     ``step`` takes ``(batch, w)`` and is bound when the runner is built,
     from this module's bindings: a run built while they are swapped (as
@@ -367,6 +364,36 @@ def compare(summaries: list[RunSummary]) -> ComparisonTable:
                                          zip(optimizers, ranks)})
 
 
+# The studies check their arguments as the problem factories do; one that
+# shares its name with an ExperimentConfig field takes that field's range.
+_STUDY_RANGES = {f.name: f.metadata["range"]
+                 for f in fields(ExperimentConfig) if "range" in f.metadata}
+
+
+@checked_arguments(**_STUDY_RANGES)
+def compare_optimizers(problems: list[dict], optimizers: list[dict],
+                       seeds: list[int], epochs: int, batch_size: int,
+                       frequency_controller: bool = False) -> ComparisonTable:
+    """Every optimizer on every problem config, run once per seed, as one
+    ``compare`` table; each problem is built once and every pair checked
+    before the first run. A cell is labelled by problem name and optimizer
+    kind, so a repeated label raises ConfigError."""
+    pairs = {}
+    for spec in problems:
+        problem = build_problem(spec)
+        for optimizer in optimizers:
+            check_optimizer(problem, optimizer, epochs, batch_size)
+            label = (problem.name, optimizer["kind"])
+            if label in pairs:
+                raise ConfigError(f"compare config repeats the pair "
+                                  f"({label[0]}, {label[1]})")
+            pairs[label] = problem, optimizer
+    return compare([summarize(kind, name, [
+        run_single(problem, optimizer, seed, epochs, batch_size,
+                   frequency_controller).trace for seed in seeds])
+        for (name, kind), (problem, optimizer) in pairs.items()])
+
+
 def _mid_window(n: int) -> slice:
     """The middle half of n steps, at least one step long."""
     return slice(n // 4, max(n // 4 + 1, 3 * n // 4))
@@ -401,12 +428,6 @@ class ScalingReport:
                          for (b, s), v in self.s_series.items()},
         }
         return canonical_json(payload)
-
-
-# The studies check their arguments as the problem factories do; one that
-# shares its name with an ExperimentConfig field takes that field's range.
-_STUDY_RANGES = {f.name: f.metadata["range"]
-                 for f in fields(ExperimentConfig) if "range" in f.metadata}
 
 
 @checked_arguments(**_STUDY_RANGES, batch_sizes=">= 1")

@@ -465,18 +465,18 @@ def load_csv_dataset(path: str) -> tuple[np.ndarray, np.ndarray]:
     return data[:, :-1], data[:, -1]
 
 
-@checked_arguments(kind=("logreg", "mlp"), hidden=">= 1")
-def problem_from_csv(path: str, kind: str = "logreg", hidden: int = 8,
+@checked_arguments(model=("logreg", "mlp"), hidden=">= 1")
+def problem_from_csv(path: str, model: str = "logreg", hidden: int = 8,
                      seed: int = 0) -> Problem:
-    """Build a logreg or mlp problem from a user-supplied CSV dataset."""
+    """Build a logreg or mlp problem, as ``model`` says, from a CSV file."""
     X, y = load_csv_dataset(path)
     labels = np.unique(y).tolist()
     # -1 and 0 together would name three classes, which both mappings
     # below would merge into two
     if not (set(labels) <= {0.0, 1.0} or set(labels) <= {-1.0, 1.0}):
         raise ValueError(f"labels must be binary (0/1 or -1/1), got {labels}")
-    name = f"csv_{kind}"
-    if kind == "logreg":
+    name = f"csv_{model}"
+    if model == "logreg":
         y_pm = np.where(y > 0, 1.0, -1.0)
         return _logreg_from_data(X, y_pm, seed, name=name)
     y01 = (y > 0).astype(np.float64)

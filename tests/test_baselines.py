@@ -1,6 +1,7 @@
 """Learning-rate schedules and fixed-rate SGD/Adam steps."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from helpers import full_batch, make_centered_quadratic
 from salsa_opt.baselines import (ScheduleConfig, fixed_adam_step,
                                  fixed_sgd_step, schedule_lr)
-from salsa_opt.core import StepRecord, axpy, norm_sq
+from salsa_opt.core import ConfigError, StepRecord, axpy, norm_sq
 from salsa_opt.directions import AdamState, adam_direction, \
     adam_update_moments
 from salsa_opt.line_search import SlsState
@@ -42,29 +43,29 @@ def reference_adam_step(batch, w, adam_state, lr, k):
 
 class TestSchedule:
     def test_flat_everywhere(self):
-        cfg = ScheduleConfig(peak_lr=0.3, total_steps=50, shape="flat")
+        cfg = ScheduleConfig(peak_lr=0.3, total_steps=50, schedule="flat")
         assert all(schedule_lr(cfg, k) == 0.3 for k in range(50))
 
     def test_warmup_boundary_hits_peak(self):
         cfg = ScheduleConfig(peak_lr=1.0, total_steps=100, warm_frac=0.1,
-                             shape="cosine_warmup")
+                             schedule="cosine_warmup")
         assert schedule_lr(cfg, cfg.warmup_steps) == 1.0
 
     def test_warmup_starts_at_zero(self):
         cfg = ScheduleConfig(peak_lr=1.0, total_steps=100, warm_frac=0.1,
-                             shape="cosine_warmup")
+                             schedule="cosine_warmup")
         assert schedule_lr(cfg, 0) == 0.0
 
     def test_cosine_endpoint_near_zero(self):
         cfg = ScheduleConfig(peak_lr=1.0, total_steps=100, warm_frac=0.1,
-                             shape="cosine_warmup")
+                             schedule="cosine_warmup")
         warm = cfg.warmup_steps
         bound = 0.5 * (1.0 - math.cos(math.pi / (100 - warm)))
         assert 0.0 <= schedule_lr(cfg, 99) <= bound + 1e-15
 
     def test_continuous_at_junction(self):
         cfg = ScheduleConfig(peak_lr=2.0, total_steps=200, warm_frac=0.25,
-                             shape="cosine_warmup")
+                             schedule="cosine_warmup")
         warm = cfg.warmup_steps
         before = schedule_lr(cfg, warm - 1)
         at = schedule_lr(cfg, warm)
@@ -75,18 +76,34 @@ class TestSchedule:
 
     def test_nonnegative_everywhere(self):
         cfg = ScheduleConfig(peak_lr=1.0, total_steps=77, warm_frac=0.13,
-                             shape="cosine_warmup")
+                             schedule="cosine_warmup")
         assert all(schedule_lr(cfg, k) >= 0.0 for k in range(77))
 
     def test_out_of_range_step_rejected(self):
-        cfg = ScheduleConfig(peak_lr=1.0, total_steps=10, shape="flat")
+        cfg = ScheduleConfig(peak_lr=1.0, total_steps=10, schedule="flat")
         with pytest.raises(ValueError):
             schedule_lr(cfg, 10)
 
     def test_cosine_needs_warmup_step(self):
         with pytest.raises(ValueError):
             ScheduleConfig(peak_lr=1.0, total_steps=5, warm_frac=0.0,
-                           shape="cosine_warmup")
+                           schedule="cosine_warmup")
+
+    @pytest.mark.parametrize("warm_frac, total_steps", [(0.15, 5), (0.6, 1)])
+    def test_cosine_takes_a_warmup_that_rounds_to_one_step(self, warm_frac,
+                                                           total_steps):
+        # warm_frac * total_steps is below 1, but rounds to one step
+        cfg = ScheduleConfig(peak_lr=1.0, total_steps=total_steps,
+                             warm_frac=warm_frac, schedule="cosine_warmup")
+        assert cfg.warmup_steps == 1
+
+    def test_cosine_rejects_a_warmup_that_rounds_to_no_step(self):
+        # 0.1 * 5 = 0.5 rounds to 0 steps (half to even)
+        with pytest.raises(ConfigError, match=re.escape(
+                "cosine_warmup needs at least one warmup step: "
+                "round(warm_frac * total_steps) >= 1")):
+            ScheduleConfig(peak_lr=1.0, total_steps=5, warm_frac=0.1,
+                           schedule="cosine_warmup")
 
 
 class TestFixedSgd:

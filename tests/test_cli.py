@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from salsa_opt import cli, harness
+from salsa_opt import harness
 from salsa_opt.cli import main
 from salsa_opt.core import TrainingTrace
 from salsa_opt.harness import batch_scaling_experiment, build_problem, \
@@ -121,7 +121,7 @@ class TestRunCommand:
         cfg = write_config(tmp_path, {
             **RUN_CONFIG, "seeds": [0],
             "problem": {"kind": "csv", "path": str(data),
-                        "kind_inner": "logreg"}})
+                        "model": "logreg"}})
         assert main(["run", "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: bad csv parameters: labels must be")
@@ -137,7 +137,7 @@ class TestRunCommand:
             **RUN_CONFIG, "seeds": [0], "batch_size": 2,
             "optimizer": {"kind": "sgd_sls"},
             "problem": {"kind": "csv", "path": str(data),
-                        "kind_inner": "logreg"}})
+                        "model": "logreg"}})
         assert main(["run", "--config", cfg]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith(
@@ -152,7 +152,7 @@ class TestRunCommand:
         cfg = write_config(tmp_path, {
             **RUN_CONFIG, "seeds": [0],
             "problem": {"kind": "csv", "path": str(data),
-                        "kind_inner": "logreg"}})
+                        "model": "logreg"}})
         src = str(Path(__file__).resolve().parents[1] / "src")
         pythonpath = os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p)
@@ -298,8 +298,8 @@ class TestCompareCommand:
         # the table labels a pair by problem name and optimizer kind; two
         # pairs with one label used to run and print as one cell
         runs = []
-        run_single = cli.run_single
-        monkeypatch.setattr(cli, "run_single", lambda *args, **kwargs:
+        run_single = harness.run_single
+        monkeypatch.setattr(harness, "run_single", lambda *args, **kwargs:
                             runs.append(args) or run_single(*args, **kwargs))
         cfg = write_config(tmp_path, {
             "problems": problems, "optimizers": optimizers, "seeds": [0],

@@ -39,7 +39,8 @@ from salsa_opt.core import ConfigError, check_value
 from salsa_opt.directions import AdamState
 from salsa_opt.harness import (LINE_SEARCH_KINDS, OPTIMIZER_KINDS,
                                ExperimentConfig, batch_scaling_experiment,
-                               frequency_ablation, run_single)
+                               compare_optimizers, frequency_ablation,
+                               run_single)
 from salsa_opt.line_search import SlsConfig
 from salsa_opt.problems import (BatchSampler, make_logreg,
                                 make_matrix_factorization, make_mlp,
@@ -53,8 +54,8 @@ FACTORIES = {"quadratic": make_quadratic, "logreg": make_logreg,
              "mlp": make_mlp,
              "matrix_factorization": make_matrix_factorization,
              "csv": problem_from_csv}
-CHECKED_FUNCTIONS = [*FACTORIES.values(), batch_scaling_experiment,
-                     frequency_ablation]
+CHECKED_FUNCTIONS = [*FACTORIES.values(), compare_optimizers,
+                     batch_scaling_experiment, frequency_ablation]
 
 
 def _declared(owner):
@@ -215,7 +216,7 @@ PROBLEM_BASES = {
             "separation": 2.0},
     "matrix_factorization": {"kind": "matrix_factorization", "rows": 5,
                              "cols": 4, "rank": 2, "seed": 0, "noise": 0.01},
-    "csv": {"kind": "csv", "path": "data.csv", "kind_inner": "logreg",
+    "csv": {"kind": "csv", "path": "data.csv", "model": "logreg",
             "hidden": 3, "seed": 0},
 }
 QUAD = PROBLEM_BASES["quadratic"]
@@ -297,13 +298,9 @@ def _sites():
         base = {**RUN, "problem": PROBLEM_BASES[kind]}
         add("run", base, ("problem", "kind"), str)
         for name, hint in _declared(factory):
-            add("run", base, ("problem",
-                              "kind_inner" if name == "kind" else name), hint)
-    for name in ("problems", "optimizers"):
-        add("compare", COMPARE, (name,), list[dict])
-    for name in ("seeds", "epochs", "batch_size", "frequency_controller"):
-        add("compare", COMPARE, (name,), hints[name])
-    for command, study in (("scaling", batch_scaling_experiment),
+            add("run", base, ("problem", name), hint)
+    for command, study in (("compare", compare_optimizers),
+                           ("scaling", batch_scaling_experiment),
                            ("freq-ablation", frequency_ablation)):
         for name, hint in _declared(study):
             add(command, BASES[command], (name,),
@@ -407,9 +404,9 @@ FUZZ_CASES = {
         **PROBLEM_BASES["matrix_factorization"], "rank": 5}),
         "bad matrix_factorization parameters: rank must be <= "
         "min(rows, cols)"),
-    "csv-unknown-kind_inner": ("run", _with(RUN, ("problem",), {
-        **PROBLEM_BASES["csv"], "kind_inner": "svm"}),
-        "bad csv parameters: kind must be one of ('logreg', 'mlp'), "
+    "csv-unknown-model": ("run", _with(RUN, ("problem",), {
+        **PROBLEM_BASES["csv"], "model": "svm"}),
+        "bad csv parameters: model must be one of ('logreg', 'mlp'), "
         "got 'svm'"),
     "compare-object-problems": ("compare", {**COMPARE, "problems": QUAD},
                                 f"problems must be a non-empty list of "
@@ -574,7 +571,8 @@ def test_scaling_checks_every_batch_size_before_the_first_run(
         "kind": "adam", "lr": 0.01, "schedule": "cosine_warmup"}}
     code, out, err, written = invoke("scaling", config)
     assert_rejected(code, out, err, written)
-    assert err == "error: cosine_warmup needs warm_frac * total_steps >= 1\n"
+    assert err == "error: cosine_warmup needs at least one warmup step: " \
+        "round(warm_frac * total_steps) >= 1\n"
     assert loss_grad_calls == []
 
 
@@ -642,6 +640,11 @@ KEY_CASES = {
         "run", {**RUN, "problem": {**base, "junk": 1}},
         f"unknown {kind} problem config fields: ['junk']")
        for kind, base in PROBLEM_BASES.items()},
+    # csv's model key used to be written kind_inner
+    "csv-problem-kind_inner": (
+        "run", {**RUN, "problem": {**PROBLEM_BASES["csv"],
+                                   "kind_inner": "logreg"}},
+        "unknown csv problem config fields: ['kind_inner']"),
     **{f"{kind}-problem-missing": (
         "run", {**RUN, "problem": _without(base, key)},
         f"missing {kind} problem config fields: ['{key}']")

@@ -142,7 +142,7 @@ def csv_logreg(labels, seed=4):
         path.write_text("".join(
             ",".join(repr(float(v)) for v in row) + f",{label}\n"
             for row, label in zip(X, labels)))
-        return problem_from_csv(str(path), kind="logreg", seed=seed), X
+        return problem_from_csv(str(path), model="logreg", seed=seed), X
 
 
 LABELS_01 = [int(v) for v in seeded_rng(5, 0x5D).integers(0, 2, 90)]

@@ -59,8 +59,8 @@ def test_full_batch_loss_equals_full_loss(problem):
 def test_loss_only_is_bit_identical(tmp_path):
     path, _, _ = _write_csv(tmp_path, header=True)
     problems = ALL_PROBLEMS + [
-        problem_from_csv(str(path), kind="logreg"),
-        problem_from_csv(str(path), kind="mlp", hidden=3),
+        problem_from_csv(str(path), model="logreg"),
+        problem_from_csv(str(path), model="mlp", hidden=3),
     ]
 
     @given(st.data())
@@ -419,7 +419,7 @@ class TestCsvIngestion:
 
     def test_logreg_problem_from_csv(self, tmp_path):
         path, _, _ = _write_csv(tmp_path, header=True)
-        prob = problem_from_csv(str(path), kind="logreg")
+        prob = problem_from_csv(str(path), model="logreg")
         assert prob.dim == 3
         w = prob.init_params(0)
         analytic = prob.loss_grad(w, prob.full_indices()).grad
@@ -428,7 +428,7 @@ class TestCsvIngestion:
 
     def test_mlp_problem_from_csv(self, tmp_path):
         path, _, _ = _write_csv(tmp_path, header=False)
-        prob = problem_from_csv(str(path), kind="mlp", hidden=3)
+        prob = problem_from_csv(str(path), model="mlp", hidden=3)
         assert prob.full_loss(np.zeros(prob.dim)) == \
             pytest.approx(np.log(2.0), rel=1e-12)
 
@@ -442,7 +442,7 @@ class TestCsvIngestion:
         path = tmp_path / "bad.csv"
         path.write_text("1.0,2.0,3.5\n")
         with pytest.raises(ValueError):
-            problem_from_csv(str(path), kind="logreg")
+            problem_from_csv(str(path), model="logreg")
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_value_rejected(self, tmp_path, value):
@@ -452,11 +452,11 @@ class TestCsvIngestion:
         with pytest.raises(ValueError, match=r"^data row 3 holds a non-finite"):
             load_csv_dataset(str(path))
 
-    @pytest.mark.parametrize("kind", ["logreg", "mlp"])
-    def test_three_label_values_rejected(self, tmp_path, kind):
+    @pytest.mark.parametrize("model", ["logreg", "mlp"])
+    def test_three_label_values_rejected(self, tmp_path, model):
         # -1, 0 and 1 are three classes; either mapping would merge two
         path = tmp_path / "three.csv"
         path.write_text("".join(f"{i}.0,{label}\n"
                                 for i, label in enumerate([1, 0, -1, 1, 0])))
         with pytest.raises(ValueError, match=r"\[-1\.0, 0\.0, 1\.0\]"):
-            problem_from_csv(str(path), kind=kind)
+            problem_from_csv(str(path), model=model)

@@ -29,8 +29,8 @@ PUBLIC = {
     "TrainingTrace", "StepRecord", "emit",
     # studies
     "summarize", "RunSummary", "compare", "ComparisonTable",
-    "batch_scaling_experiment", "ScalingReport", "frequency_ablation",
-    "AblationReport", "FrequencyController",
+    "compare_optimizers", "batch_scaling_experiment", "ScalingReport",
+    "frequency_ablation", "AblationReport", "FrequencyController",
     # verifier
     "replay_verify", "ReplayReport",
     # a hand-written search loop
@@ -57,7 +57,7 @@ def is_submodule(name: str) -> bool:
 
 
 def test_all_is_the_pinned_set():
-    assert len(salsa_opt.__all__) == len(PUBLIC) == 36
+    assert len(salsa_opt.__all__) == len(PUBLIC) == 37
     assert set(salsa_opt.__all__) == PUBLIC
 
 

@@ -28,8 +28,9 @@ import salsa_opt
 from salsa_opt import cli, harness
 from salsa_opt.cli import CheckGradConfig
 from salsa_opt.core import call_keys
+from salsa_opt.baselines import ScheduleConfig
 from salsa_opt.harness import ExperimentConfig, batch_scaling_experiment, \
-    frequency_ablation
+    compare_optimizers, frequency_ablation
 from salsa_opt.line_search import SlsConfig
 from salsa_opt.salsa import SalsaConfig
 from test_demos import DEMOS
@@ -140,6 +141,24 @@ def test_command_lines_run(tmp_path, monkeypatch):
         assert code == 0, (argv, err.getvalue())
 
 
+@pytest.mark.parametrize("flags, seeds", [
+    ([], None), (["--format", "json"], None), (["--seed", "1"], [1]),
+], ids=["csv", "json", "seed"])
+def test_compare_writes_what_compare_optimizers_returns(tmp_path, flags,
+                                                        seeds):
+    # the command is the library study, reading README's compare.json
+    [body] = [body for lang, name, body in blocks() if name == "compare.json"]
+    (tmp_path / "compare.json").write_text(body)
+    out = tmp_path / "out"
+    with contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(["compare", "--config", str(tmp_path / "compare.json"),
+                         "--out", str(out), *flags]) == 0
+    config = json.loads(body)
+    table = compare_optimizers(**{**config, "seeds": seeds or config["seeds"]})
+    expected = table.to_json() if "json" in flags else table.to_csv()
+    assert out.read_bytes() == expected.encode()
+
+
 def test_public_api_list_is_all():
     listed = re.findall(r"`(\w+)`", "\n".join(
         line for line in section("Public API").splitlines()
@@ -174,16 +193,19 @@ def test_config_table_names_the_keys_each_owner_takes():
         "`SlsConfig`": sls,
         "`SalsaConfig`": salsa - sls | {"c"},
         "Adam kinds (`AdamState`)": set(harness._ADAM_KEYS),
-        "`sgd`, `adam` (`ScheduleConfig`)": set(harness._SCHEDULE_KEYS),
+        # total_steps comes from the run's length; lr stands for peak_lr
+        "`sgd`, `adam` (`ScheduleConfig`)":
+            set(call_keys(ScheduleConfig)[0]) - {"total_steps"} | {"lr"},
         "`ExperimentConfig`": set(call_keys(ExperimentConfig)[0]),
-        "problems": {"kind_inner" if name == "kind" else name
-                     for factory in harness._PROBLEM_BUILDERS.values()
+        "`compare`": set(call_keys(compare_optimizers)[0]),
+        "problems": {name for factory in harness._PROBLEM_BUILDERS.values()
                      for name in call_keys(factory)[0]},
         "`scaling`, `freq-ablation`": {
             name for study in studies for name in call_keys(study)[0]
             if name != "problem"},
         "`check-grad`": set(call_keys(CheckGradConfig)[0]),
     }
+    assert "model" in expected["problems"]
     assert rows.keys() == expected.keys()
     for owner, keys in expected.items():
         # SalsaConfig's row names its own keys after "the above"
