@@ -1,8 +1,10 @@
 """Command-line experiment runner.
 
 Subcommands: run, compare, scaling, freq-ablation, check-grad. A config's
-keys are the arguments of the one callable it feeds; outputs are CSV or
-JSON and byte-identical across repeated invocations.
+keys are the arguments of the one callable it feeds, which checks them;
+outputs are CSV or JSON and byte-identical across repeated invocations.
+Exit status: 0, 1 for a bad gradient, 2 for a config or I/O error, 3 for a
+diverged run, whose trace is still written.
 """
 
 from __future__ import annotations
@@ -10,14 +12,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .core import ConfigError, call_keys, check_fields, check_keys, \
-    check_value, config_from_dict, seeded_rng
+from .core import ConfigError, call_keys, check_keys, check_value, \
+    checked_arguments, seeded_rng
 from .harness import ExperimentConfig, batch_scaling_experiment, \
     build_problem, compare_optimizers, emit, frequency_ablation, render, \
     run_experiment
@@ -44,16 +45,15 @@ def _cmd_run(args) -> int:
     cfg = ExperimentConfig.from_dict(_load_config(args), "run")
     if args.out is None and len(cfg.seeds) > 1:
         raise ConfigError("multiple seeds need --out")
-    traces = run_experiment(cfg)
-    if args.out is None:
-        return _finish(traces[0], args)
-    out = Path(args.out)
-    for seed, trace in zip(cfg.seeds, traces):
-        path = out if len(traces) == 1 else \
-            out.with_name(f"{out.stem}_seed{seed}{out.suffix}")
-        emit(trace, args.format, str(path))
-        print(f"wrote {path}", file=sys.stderr)
-    return 0
+    results = run_experiment(cfg)
+    path = None if args.out is None else Path(args.out)
+    for seed, result in zip(cfg.seeds, results):
+        out = path if len(results) == 1 else \
+            path.with_name(f"{path.stem}_seed{seed}{path.suffix}")
+        _finish(result.trace, args, out)
+        if result.status != "ok":
+            print(f"seed {seed}: {result.status}", file=sys.stderr)
+    return 3 if any(result.status != "ok" for result in results) else 0
 
 
 def _run_study(study, args) -> int:
@@ -65,48 +65,49 @@ def _run_study(study, args) -> int:
     check_keys(raw, *call_keys(study), args.command)
     if "problem" in raw:
         raw["problem"] = build_problem(raw["problem"])
-    return _finish(study(**raw), args)
+    return _finish(study(**raw), args, args.out)
 
 
-@dataclass
-class CheckGradConfig:
-    """The problems to check, the number of random points to compare at,
-    and the finite-difference step."""
-
-    problems: list[dict]
-    points: int = field(default=10, metadata={"range": ">= 1"})
-    h: float = field(default=1e-5, metadata={"range": "> 0"})
-
-    def __post_init__(self):
-        check_fields(self)
+@checked_arguments(points=">= 1", h="> 0")
+def gradient_errors(problems: list[dict], points: int = 10,
+                    h: float = 1e-5) -> list[tuple[str, float]]:
+    """Each problem's name and the largest relative error of its analytic
+    gradient against finite differences with step ``h`` at ``points``
+    seeded points; every problem is built before the first is checked."""
+    errors = []
+    for problem in [build_problem(spec) for spec in problems]:
+        errs = []
+        for i in range(points):
+            w = problem.init_params(1000 + i)
+            w = w + 0.1 * seeded_rng(2000 + i).standard_normal(problem.dim)
+            analytic = problem.loss_grad(w, problem.full_indices()).grad
+            fd = finite_diff_grad(problem, w, h)
+            denom = max(float(np.linalg.norm(fd)), 1e-12)
+            errs.append(float(np.linalg.norm(analytic - fd)) / denom)
+        # np.max keeps a NaN: it is the worst
+        errors.append((problem.name, float(np.max(errs))))
+    return errors
 
 
 def _cmd_check_grad(args) -> int:
     tol = check_value("tol", args.tol, float, "> 0")
-    cfg = config_from_dict(CheckGradConfig, _load_config(args), "check-grad")
+    raw = _load_config(args)
+    check_keys(raw, *call_keys(gradient_errors), args.command)
     failed = False
-    for problem in [build_problem(spec) for spec in cfg.problems]:
-        errs = []
-        for i in range(cfg.points):
-            w = problem.init_params(1000 + i)
-            w = w + 0.1 * seeded_rng(2000 + i).standard_normal(problem.dim)
-            analytic = problem.loss_grad(w, problem.full_indices()).grad
-            fd = finite_diff_grad(problem, w, cfg.h)
-            denom = max(float(np.linalg.norm(fd)), 1e-12)
-            errs.append(float(np.linalg.norm(analytic - fd)) / denom)
-        worst = float(np.max(errs))  # np.max keeps a NaN: it is the worst
+    for name, worst in gradient_errors(**raw):
         status = "ok" if worst <= tol else "FAIL"
-        print(f"{problem.name}: max rel err {worst:.3e} [{status}]")
+        print(f"{name}: max rel err {worst:.3e} [{status}]")
         failed = failed or status == "FAIL"
     return 1 if failed else 0
 
 
-def _finish(report, args) -> int:
-    if args.out is None:
+def _finish(report, args, out) -> int:
+    """Write ``report`` in ``--format`` to ``out``, or to stdout if None."""
+    if out is None:
         sys.stdout.write(render(report, args.format))
     else:
-        emit(report, args.format, args.out)
-        print(f"wrote {args.out}", file=sys.stderr)
+        emit(report, args.format, str(out))
+        print(f"wrote {out}", file=sys.stderr)
     return 0
 
 

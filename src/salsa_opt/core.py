@@ -120,11 +120,14 @@ def check_fields(config) -> None:
 def checked_arguments(**bounds):
     """Decorator: each call's arguments are checked with ``check_value``
     against the function's annotations and ``bounds`` (parameter name ->
-    range); arguments left at their defaults are not."""
+    range); arguments left at their defaults are not. The signature is
+    read once, when the function is decorated."""
     def decorate(fn):
+        signature = inspect.signature(fn)
+
         @functools.wraps(fn)
         def checked(*args, **kwargs):
-            bound = inspect.signature(fn).bind(*args, **kwargs)
+            bound = signature.bind(*args, **kwargs)
             hints = _type_hints(fn)
             for name, value in bound.arguments.items():
                 bound.arguments[name] = check_value(
@@ -153,13 +156,6 @@ def call_keys(fn) -> tuple[tuple, tuple]:
     params = inspect.signature(fn).parameters.values()
     return (tuple(p.name for p in params),
             tuple(p.name for p in params if p.default is p.empty))
-
-
-def config_from_dict(cls, config: dict, where: str = ""):
-    """``cls(**config)`` for a config dataclass, once ``check_keys`` holds
-    for its init fields."""
-    check_keys(config, *call_keys(cls), where)
-    return cls(**config)
 
 
 def norm_sq(v: ParamVector) -> float:

@@ -10,6 +10,7 @@ smoothed by an EMA with factor 0.99.
 from __future__ import annotations
 
 import copy
+import math
 import typing
 import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -20,7 +21,7 @@ from .baselines import ScheduleConfig, fixed_adam_step, fixed_sgd_step, \
     schedule_lr
 from .core import ConfigError, ParamVector, TrainingTrace, axpy, call_keys, \
     canonical_json, check_fields, check_keys, check_value, \
-    checked_arguments, config_from_dict, field_rules
+    checked_arguments, field_rules
 from .directions import AdamState
 from .frequency import FrequencyController
 from .line_search import SlsConfig, SlsState, apply_without_search, sls_step
@@ -52,8 +53,17 @@ class ExperimentConfig:
         check_value("optimizer kind", self.optimizer.get("kind"), str,
                     OPTIMIZER_KINDS)
 
-    # rejects unknown and missing keys before building the config
-    from_dict = classmethod(config_from_dict)
+    @classmethod
+    def from_dict(cls, config: dict, where: str = "") -> ExperimentConfig:
+        """``cls(**config)``, once ``check_keys`` holds for its fields."""
+        check_keys(config, *call_keys(cls), where)
+        return cls(**config)
+
+
+# The runs and studies check their arguments as the problem factories do;
+# one named as an ExperimentConfig field takes that field's range.
+_STUDY_RANGES = {f.name: f.metadata["range"]
+                 for f in fields(ExperimentConfig) if "range" in f.metadata}
 
 
 _PROBLEM_BUILDERS = {
@@ -93,7 +103,8 @@ _OPTIMIZER_HINTS = {
 
 
 class _Runner:
-    """Steps any of the six optimizer kinds.
+    """Steps any of the six optimizer kinds, for ``total`` steps: ``epochs``
+    passes over ``problem`` at ``batch_size``.
 
     Building it splits the kind into its two axes, once: the base (sgd, or
     adam when ``state.adam`` is set) and ``search`` ("" for a fixed rate,
@@ -108,8 +119,11 @@ class _Runner:
     the benchmark's tracer does) steps through the swapped functions.
     """
 
-    def __init__(self, opt: dict, dim: int, total_steps: int):
-        check_value("optimizer", opt, dict)
+    def __init__(self, opt: dict, problem: Problem, epochs: int,
+                 batch_size: int):
+        sampler = BatchSampler(seed=0, batch_size=batch_size,
+                               dataset_size=problem.dataset_size)
+        self.total = epochs * sampler.batches_per_epoch
         self.kind = kind = check_value("optimizer kind", opt.get("kind"), str,
                                        OPTIMIZER_KINDS)
         base, _, self.search = kind.partition("_")
@@ -119,9 +133,7 @@ class _Runner:
         check_keys(opt, ("kind", *own, *adam_keys), (), f"{kind} optimizer")
         params = {key: opt[key] for key in own if key in opt}
         self.cfg = cfg = cfg_cls(**params) if cfg_cls else None
-        if cfg is not None:
-            eta = cfg.eta_init
-        else:
+        if cfg is None:
             if "lr" in params and "peak_lr" in params:
                 raise ConfigError(f"{kind} takes 'lr' or 'peak_lr', not both")
             rules = field_rules(ScheduleConfig)
@@ -131,11 +143,11 @@ class _Runner:
                 raise ConfigError(f"{kind} needs 'lr' or 'peak_lr'")
             # ScheduleConfig owns the defaults of the fields the config
             # leaves out
-            schedule = ScheduleConfig(total_steps=max(total_steps, 1), **fixed)
-            eta = schedule.peak_lr
-        adam = AdamState.zeros(dim, **{key: opt[key] for key in adam_keys
-                                       if key in opt}) if adam_keys else None
-        self.state = state = SlsState(eta=eta, adam=adam)
+            schedule = ScheduleConfig(total_steps=max(self.total, 1), **fixed)
+        adam_kw = {key: opt[key] for key in adam_keys if key in opt}
+        adam = AdamState.zeros(problem.dim, **adam_kw) if adam_keys else None
+        self.state = state = SlsState(
+            eta=schedule.peak_lr if cfg is None else cfg.eta_init, adam=adam)
         if cfg is None:
             fixed_step = fixed_sgd_step if adam is None else fixed_adam_step
 
@@ -149,47 +161,39 @@ class _Runner:
         self.step = lambda batch, w: search(batch, w, state, cfg)
 
 
-def check_optimizer(problem: Problem, optimizer: dict, epochs: int,
-                    batch_size: int) -> _Runner:
-    """The runner a run of ``optimizer`` on ``problem`` builds, which
-    checks the optimizer dict."""
-    sampler = BatchSampler(seed=0, batch_size=batch_size,
-                           dataset_size=problem.dataset_size)
-    return _Runner(optimizer, problem.dim,
-                   epochs * sampler.batches_per_epoch)
-
-
 @dataclass
 class RunResult:
+    """A run's trace, its parameters after the last step, and its status:
+    "ok", or "diverged at k" when record k, the last, holds a non-finite
+    loss or gradient norm, or its step left non-finite parameters."""
+
     trace: TrainingTrace
     final_params: ParamVector
+    status: str
 
 
+@checked_arguments(**_STUDY_RANGES)
 def run_single(problem: Problem, optimizer: dict, seed: int, epochs: int,
                batch_size: int,
                frequency_controller: bool = False) -> RunResult:
     """One deterministic run; the workhorse behind run_experiment. A run of
     no steps records one no-search step at its start and drops its update.
-    Every argument but ``problem`` is checked as the run config's field is.
-    """
-    rules = field_rules(ExperimentConfig)
-    epochs = check_value("epochs", epochs, *rules["epochs"])
-    frequency_controller = check_value(
-        "frequency_controller", frequency_controller,
-        *rules["frequency_controller"])
+    It stops after the first record whose loss or gradient norm is not
+    finite. Every argument is checked against its annotation before the
+    first evaluation, and ``epochs`` and ``batch_size`` against the run
+    config's ranges."""
+    runner = _Runner(optimizer, problem, epochs, batch_size)
     sampler = BatchSampler(seed=seed, batch_size=batch_size,
                            dataset_size=problem.dataset_size)
     w = problem.init_params(seed)
-    total = epochs * sampler.batches_per_epoch
-    runner = _Runner(optimizer, problem.dim, total)
     controller = FrequencyController() \
         if frequency_controller and runner.cfg is not None else None
     trace = TrainingTrace(metadata={})
 
     # looked up once per run, after any swap of the bindings
     batch_for, step, skip = batch_for_step, runner.step, apply_without_search
-    state, append = runner.state, trace.append
-    for k in range(total):
+    state, append, finite = runner.state, trace.append, math.isfinite
+    for k in range(runner.total):
         batch = batch_for(problem, sampler, k)
         if controller is None:
             w, rec = step(batch, w)
@@ -204,9 +208,14 @@ def run_single(problem: Problem, optimizer: dict, seed: int, epochs: int,
             else:
                 controller.record_skip()
         append(rec)
-    if total == 0:
+        if not (finite(rec.loss) and finite(rec.grad_norm_sq)):
+            break
+    if runner.total == 0:
         append(skip(batch_for(problem, sampler, 0), w, state)[1])
-    return RunResult(trace, w)
+    last = trace.records[-1]
+    ok = finite(last.loss) and finite(last.grad_norm_sq) and \
+        np.isfinite(w).all()
+    return RunResult(trace, w, "ok" if ok else f"diverged at {last.k}")
 
 
 def _as_checked(config: dict, hints: dict) -> dict:
@@ -217,12 +226,12 @@ def _as_checked(config: dict, hints: dict) -> dict:
             else copy.deepcopy(value) for key, value in config.items()}
 
 
-def run_experiment(cfg: ExperimentConfig) -> list[TrainingTrace]:
-    """One trace per seed, reproducible bit-exactly from (config, seed)."""
+def run_experiment(cfg: ExperimentConfig) -> list[RunResult]:
+    """One run per seed, reproducible bit-exactly from (config, seed)."""
     problem = build_problem(cfg.problem)
-    traces = [run_single(problem, cfg.optimizer, seed, cfg.epochs,
-                         cfg.batch_size, cfg.frequency_controller).trace
-              for seed in cfg.seeds]
+    results = [run_single(problem, cfg.optimizer, seed, cfg.epochs,
+                          cfg.batch_size, cfg.frequency_controller)
+               for seed in cfg.seeds]
     # the metadata keeps the config's keys with the values as checked, so
     # configs that differ only in how a number is written write the same
     # bytes
@@ -234,14 +243,14 @@ def run_experiment(cfg: ExperimentConfig) -> list[TrainingTrace]:
         "batch_size": cfg.batch_size,
         "frequency_controller": cfg.frequency_controller,
     }
-    for seed, trace in zip(cfg.seeds, traces):
-        trace.metadata = {
+    for seed, result in zip(cfg.seeds, results):
+        result.trace.metadata = {
             "optimizer": cfg.optimizer["kind"],
             "problem": problem.name,
             "seed": seed,
             "config": snapshot,
         }
-    return traces
+    return results
 
 
 def final_smoothed_loss(trace: TrainingTrace) -> float:
@@ -313,9 +322,9 @@ def compare(summaries: list[RunSummary]) -> ComparisonTable:
     """Cross-problem comparison with ranks (ties averaged); a repeated
     (problem, optimizer) pair raises ConfigError.
 
-    A NaN loss (a diverged run) ranks last on its problem, with a warning;
-    the arithmetic and log means keep the NaN. The log mean is the
-    geometric mean exp(mean(ln loss)); any optimizer with a non-positive
+    A non-finite loss (a diverged run) ranks last on its problem, a NaN
+    with a warning; the arithmetic and log means keep it. The log mean is
+    the geometric mean exp(mean(ln loss)); any optimizer with a non-positive
     loss falls back to its arithmetic mean, with a warning, since the
     geometric mean is undefined there.
     """
@@ -364,12 +373,6 @@ def compare(summaries: list[RunSummary]) -> ComparisonTable:
                                          zip(optimizers, ranks)})
 
 
-# The studies check their arguments as the problem factories do; one that
-# shares its name with an ExperimentConfig field takes that field's range.
-_STUDY_RANGES = {f.name: f.metadata["range"]
-                 for f in fields(ExperimentConfig) if "range" in f.metadata}
-
-
 @checked_arguments(**_STUDY_RANGES)
 def compare_optimizers(problems: list[dict], optimizers: list[dict],
                        seeds: list[int], epochs: int, batch_size: int,
@@ -382,7 +385,7 @@ def compare_optimizers(problems: list[dict], optimizers: list[dict],
     for spec in problems:
         problem = build_problem(spec)
         for optimizer in optimizers:
-            check_optimizer(problem, optimizer, epochs, batch_size)
+            _Runner(optimizer, problem, epochs, batch_size)
             label = (problem.name, optimizer["kind"])
             if label in pairs:
                 raise ConfigError(f"compare config repeats the pair "
@@ -444,7 +447,7 @@ def batch_scaling_experiment(problem: Problem, optimizer: dict | None = None,
     batch size before the first run.
     """
     optimizer = optimizer or {"kind": "adam_salsa"}
-    smoothed = {check_optimizer(problem, optimizer, epochs, bs).search
+    smoothed = {_Runner(optimizer, problem, epochs, bs).search
                 for bs in batch_sizes} == {"salsa"}
     mean_eta, h_runs, s_runs = {}, {}, {}
     for bs in batch_sizes:
@@ -559,6 +562,7 @@ class ReplayReport:
         return not self.violations
 
 
+@checked_arguments(**_STUDY_RANGES)
 def replay_verify(problem: Problem, optimizer: dict, seed: int, epochs: int,
                   batch_size: int, trace: TrainingTrace,
                   frequency_controller: bool = False) -> ReplayReport:
@@ -576,10 +580,11 @@ def replay_verify(problem: Problem, optimizer: dict, seed: int, epochs: int,
     the run's own config objects. Give-up steps (``gave_up`` on the
     rerun's records) accepted no candidate and committed nothing, so they
     are neither checked nor folded into the smoothing EMAs; a step
-    accepted on its last candidate is checked.
+    accepted on its last candidate is checked. The arguments are checked
+    as ``run_single``'s are, before the rerun.
     """
     # the hyper-parameters as the run read them, from the same runner
-    runner = check_optimizer(problem, optimizer, epochs, batch_size)
+    runner = _Runner(optimizer, problem, epochs, batch_size)
     if runner.cfg is None:
         raise ConfigError(f"replay_verify applies to line-search runs, "
                           f"got {runner.kind!r}")
@@ -608,9 +613,7 @@ def replay_verify(problem: Problem, optimizer: dict, seed: int, epochs: int,
     sampler = BatchSampler(seed=seed, batch_size=batch_size,
                            dataset_size=problem.dataset_size)
     v = np.zeros(problem.dim)
-    adam_k = 0
     h = s = 0.0
-    smoothing_seeded = False
 
     n_searched = n_checked = 0
     violations = []
@@ -622,7 +625,6 @@ def replay_verify(problem: Problem, optimizer: dict, seed: int, epochs: int,
         g = res.grad
         if adam is not None:
             v = adam.beta2 * v + (1.0 - adam.beta2) * g * g
-            adam_k += 1
         if not rec.searched:
             continue
         n_searched += 1
@@ -631,7 +633,7 @@ def replay_verify(problem: Problem, optimizer: dict, seed: int, epochs: int,
             d = -g
             gterm = float(g @ g)
         else:
-            v_hat = v / (1.0 - adam.beta2 ** adam_k)
+            v_hat = v / (1.0 - adam.beta2 ** (rec.k + 1))
             denom = np.sqrt(v_hat) + adam.epsilon
             d = -g / denom
             gterm = float(np.add.reduce(g * g / denom))
@@ -649,13 +651,13 @@ def replay_verify(problem: Problem, optimizer: dict, seed: int, epochs: int,
             ok = lhs <= rhs + REPLAY_SLACK
             gap = lhs - rhs
         else:
+            # the first checked step seeds both averages
             beta3 = cfg.beta3
-            s = gterm if not smoothing_seeded else \
+            s = gterm if not n_checked else \
                 beta3 * s + (1.0 - beta3) * gterm
             decrease = res.loss - loss_trial
-            h = decrease if not smoothing_seeded else \
+            h = decrease if not n_checked else \
                 beta3 * h + (1.0 - beta3) * decrease
-            smoothing_seeded = True
             lhs = h
             rhs = cfg.c * rec.eta * s
             ok = lhs >= rhs - REPLAY_SLACK

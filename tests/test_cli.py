@@ -72,6 +72,42 @@ class TestRunCommand:
         records = TrainingTrace.from_csv(out.read_text()).records
         assert len(records) == 5 and records[0].eta == 1e-10
 
+    def test_a_diverged_seed_exits_3_with_every_trace_written(self, tmp_path,
+                                                            capsys):
+        # fixed sgd at lr 5 overflows this quadratic from any start, at
+        # step 92 from seed 0; it used to exit 0 with 107 non-finite
+        # losses in seed 0's trace. Each seed's line follows its file's.
+        cfg = write_config(tmp_path, {
+            **RUN_CONFIG, "seeds": [0, 3], "epochs": 200,
+            "problem": {"kind": "quadratic", "dim": 4, "cond": 10,
+                        "seed": 0},
+            "optimizer": {"kind": "sgd", "lr": 5}})
+        out = tmp_path / "trace.csv"
+        with np.errstate(all="ignore"):
+            code = main(["run", "--config", cfg, "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err.splitlines()
+        traces = {seed: TrainingTrace.from_csv(
+            (tmp_path / f"trace_seed{seed}.csv").read_text())
+            for seed in (0, 3)}
+        assert len(traces[0].records) == 93
+        assert err == [f"wrote {tmp_path / 'trace_seed0.csv'}",
+                       "seed 0: diverged at 92",
+                       f"wrote {tmp_path / 'trace_seed3.csv'}",
+                       f"seed 3: diverged at {traces[3].records[-1].k}"]
+
+    def test_a_diverged_run_to_stdout_exits_3(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {
+            **RUN_CONFIG, "seeds": [0], "epochs": 200,
+            "problem": {"kind": "quadratic", "dim": 4, "cond": 10,
+                        "seed": 0},
+            "optimizer": {"kind": "sgd", "lr": 5}})
+        with np.errstate(all="ignore"):
+            assert main(["run", "--config", cfg]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == "seed 0: diverged at 92\n"
+        assert len(TrainingTrace.from_csv(captured.out).records) == 93
+
     def test_json_format(self, tmp_path):
         cfg = write_config(tmp_path, RUN_CONFIG)
         out = tmp_path / "t.json"
@@ -279,9 +315,9 @@ class TestCompareCommand:
         # the table of the pairs run one experiment each
         shared = {k: config[k] for k in ("seeds", "epochs", "batch_size")}
         table = compare([
-            summarize(opt["kind"], build_problem(prob).name,
-                      run_experiment(harness.ExperimentConfig(
-                          problem=prob, optimizer=opt, **shared)))
+            summarize(opt["kind"], build_problem(prob).name, [
+                r.trace for r in run_experiment(harness.ExperimentConfig(
+                    problem=prob, optimizer=opt, **shared))])
             for prob in config["problems"] for opt in config["optimizers"]])
         assert out.read_text() == table.to_csv()
 

@@ -9,8 +9,10 @@ as that float), or ends the same way as a wrong type when out of range.
 It also holds the key rule's cases: an unknown or missing key in each
 command's config, each problem kind's dict and each optimizer kind's dict,
 each named before any evaluation. Two guards keep the check whole: every
-config field, factory and study parameter has an annotation the check
-knows, and no ``except`` clause in the package names ``TypeError``.
+config field and every parameter of a checked function (the factories,
+the studies, the run entry points and check-grad's ``gradient_errors``)
+has an annotation the check knows, and no ``except`` clause in the
+package names ``TypeError``.
 """
 
 import ast
@@ -34,13 +36,13 @@ from hypothesis import strategies as st
 
 from salsa_opt import harness
 from salsa_opt.baselines import ScheduleConfig
-from salsa_opt.cli import CheckGradConfig, main
+from salsa_opt.cli import gradient_errors, main
 from salsa_opt.core import ConfigError, check_value
 from salsa_opt.directions import AdamState
 from salsa_opt.harness import (LINE_SEARCH_KINDS, OPTIMIZER_KINDS,
                                ExperimentConfig, batch_scaling_experiment,
                                compare_optimizers, frequency_ablation,
-                               run_single)
+                               replay_verify, run_single)
 from salsa_opt.line_search import SlsConfig
 from salsa_opt.problems import (BatchSampler, make_logreg,
                                 make_matrix_factorization, make_mlp,
@@ -49,13 +51,14 @@ from salsa_opt.salsa import SalsaConfig
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "salsa_opt"
 CONFIG_CLASSES = [SlsConfig, SalsaConfig, ScheduleConfig, AdamState,
-                  ExperimentConfig, CheckGradConfig, BatchSampler]
+                  ExperimentConfig, BatchSampler]
 FACTORIES = {"quadratic": make_quadratic, "logreg": make_logreg,
              "mlp": make_mlp,
              "matrix_factorization": make_matrix_factorization,
              "csv": problem_from_csv}
 CHECKED_FUNCTIONS = [*FACTORIES.values(), compare_optimizers,
-                     batch_scaling_experiment, frequency_ablation]
+                     batch_scaling_experiment, frequency_ablation,
+                     run_single, replay_verify, gradient_errors]
 
 
 def _declared(owner):
@@ -305,7 +308,7 @@ def _sites():
         for name, hint in _declared(study):
             add(command, BASES[command], (name,),
                 dict if name == "problem" else hint)
-    for name, hint in _declared(CheckGradConfig):
+    for name, hint in _declared(gradient_errors):
         add("check-grad", CHECK_GRAD, (name,), hint)
     return out
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from salsa_opt import harness, line_search, salsa
 from salsa_opt.baselines import ScheduleConfig, schedule_lr
-from salsa_opt.core import TrainingTrace, StepRecord
+from salsa_opt.core import EvalResult, TrainingTrace, StepRecord
 from salsa_opt.directions import AdamState
 from salsa_opt.harness import (LINE_SEARCH_KINDS, ConfigError,
                                ExperimentConfig, RunSummary,
@@ -23,8 +23,8 @@ from salsa_opt.harness import (LINE_SEARCH_KINDS, ConfigError,
                                frequency_ablation, replay_verify,
                                run_experiment, run_single, summarize)
 from salsa_opt.line_search import SlsConfig
-from salsa_opt.problems import make_logreg, make_matrix_factorization, \
-    make_mlp, make_quadratic
+from salsa_opt.problems import Problem, make_logreg, \
+    make_matrix_factorization, make_mlp, make_quadratic
 from salsa_opt.salsa import SalsaConfig
 
 QUAD_SPEC = {"kind": "quadratic", "dim": 3, "cond": 10, "seed": 1}
@@ -130,7 +130,7 @@ class TestConfig:
 
 class TestRunExperiment:
     def test_zero_epochs_gives_initial_record_only(self):
-        traces = run_experiment(quick_config(epochs=0))
+        traces = [r.trace for r in run_experiment(quick_config(epochs=0))]
         assert len(traces) == 1
         assert len(traces[0].records) == 1
         rec = traces[0].records[0]
@@ -151,7 +151,7 @@ class TestRunExperiment:
     def test_identical_configs_give_identical_traces(self):
         a = run_experiment(quick_config(seeds=[3, 4]))
         b = run_experiment(quick_config(seeds=[3, 4]))
-        for ta, tb in zip(a, b):
+        for ta, tb in ((ra.trace, rb.trace) for ra, rb in zip(a, b)):
             assert ta.records == tb.records
             assert ta.to_csv() == tb.to_csv()
             assert ta.to_json() == tb.to_json()
@@ -178,7 +178,7 @@ class TestRunExperiment:
                     for k, v in config.items()}
 
         traces = [run_experiment(quick_config(problem=p, optimizer=o,
-                                              epochs=1))[0]
+                                              epochs=1))[0].trace
                   for p, o in ((problem, optimizer),
                                (as_floats(problem), as_floats(optimizer)))]
         assert traces[0].to_csv() == traces[1].to_csv()
@@ -187,24 +187,24 @@ class TestRunExperiment:
             list(optimizer)
 
     def test_one_trace_per_seed_in_order(self):
-        traces = run_experiment(quick_config(seeds=[5, 1, 9], epochs=2))
-        assert [t.metadata["seed"] for t in traces] == [5, 1, 9]
+        results = run_experiment(quick_config(seeds=[5, 1, 9], epochs=2))
+        assert [r.trace.metadata["seed"] for r in results] == [5, 1, 9]
 
     def test_quadratic_salsa_adam_reaches_tiny_loss(self):
         cfg = quick_config(problem={"kind": "quadratic", "dim": 5, "cond": 10,
                                     "seed": 11},
                            optimizer={"kind": "adam_salsa"},
                            seeds=[0, 1, 2, 3, 4], epochs=3500)
-        for trace in run_experiment(cfg):
-            assert final_smoothed_loss(trace) <= 1e-6
+        for result in run_experiment(cfg):
+            assert final_smoothed_loss(result.trace) <= 1e-6
 
     def test_all_optimizer_kinds_run(self):
         for kind in ("sgd", "adam", "sgd_sls", "adam_sls", "sgd_salsa",
                      "adam_salsa"):
             opt = {"kind": kind, "lr": 0.05} if kind in ("sgd", "adam") \
                 else {"kind": kind}
-            traces = run_experiment(quick_config(optimizer=opt, epochs=5))
-            assert len(traces[0].records) == 5
+            results = run_experiment(quick_config(optimizer=opt, epochs=5))
+            assert len(results[0].trace.records) == 5
 
     def test_adam_salsa_run_builds_one_adam_state(self, monkeypatch):
         # the moments are advanced in place, not rebuilt on every step
@@ -474,7 +474,7 @@ class TestFrequencyAblation:
 
 class TestEmit:
     def test_round_trip_json(self, tmp_path):
-        trace = run_experiment(quick_config(epochs=3))[0]
+        trace = run_experiment(quick_config(epochs=3))[0].trace
         path = tmp_path / "t.json"
         emit(trace, "json", str(path))
         back = TrainingTrace.from_json(path.read_text())
@@ -547,6 +547,118 @@ class TestGiveUp:
         assert report.n_searched == 20 and report.n_checked >= 18
 
 
+MATFAC = make_matrix_factorization(8, 6, 2, seed=3)
+
+
+class TestDivergence:
+    """A run stops on its first record with a non-finite loss or gradient
+    norm and reports ``diverged at k``; each of these runs used to go on
+    to the end, with NaN and inf losses and no status."""
+
+    def test_fixed_sgd_stops_where_the_gradient_norm_overflows(self):
+        # 200 records at the parent, 107 of them with non-finite losses
+        with np.errstate(all="ignore"):
+            result = run_single(make_quadratic(dim=4, cond=10, seed=0),
+                                {"kind": "sgd", "lr": 5}, 0, 200, 1)
+        records = result.trace.records
+        assert result.status == "diverged at 92" and len(records) == 93
+        assert math.isinf(records[-1].grad_norm_sq)
+        assert all(math.isfinite(r.loss) and math.isfinite(r.grad_norm_sq)
+                   for r in records[:-1])
+
+    @pytest.mark.parametrize("frequency_controller, status", [
+        (True, "diverged at 25"), (False, "ok")], ids=["on", "off"])
+    def test_frequency_skipped_steps_stop_at_the_first_overflow(
+            self, frequency_controller, status):
+        # skipped steps reapply the last step size unchecked: 65 of 96
+        # losses were non-finite with the controller on, and replay
+        # reported ok after checking 4 of the 69 searched steps
+        opt = {"kind": "sgd_sls", "eta_init": 8}
+        with np.errstate(all="ignore"):
+            result = run_single(MATFAC, opt, 0, 2, 1, frequency_controller)
+            report = replay_verify(MATFAC, opt, 0, 2, 1, result.trace,
+                                   frequency_controller)
+        assert result.status == status
+        assert report.n_steps == len(result.trace.records) == \
+            (26 if frequency_controller else 96)
+        assert report.ok
+
+    def test_a_give_up_run_with_the_controller_stops(self):
+        # 25 non-finite losses with the controller on
+        opt = {"kind": "sgd_sls", "eta_init": 1e6, "eta_max": 1e6,
+               "max_backtracks": 2}
+        with np.errstate(all="ignore"):
+            result = run_single(MATFAC, opt, 5, 2, 1,
+                                frequency_controller=True)
+        assert result.status == "diverged at 68"
+        assert len(result.trace.records) == 69
+
+    def test_a_zero_epoch_run_with_a_non_finite_start_diverged(self):
+        # its one record is the start point's, at which the loss
+        # overflows
+        with np.errstate(all="ignore"):
+            result = run_single(make_quadratic(dim=4, cond=1e308, seed=0),
+                                {"kind": "sgd_sls"}, 0, 0, 1)
+        assert result.status == "diverged at 0"
+
+    def test_non_finite_final_parameters_diverged(self):
+        # the last step overflows the parameters; no record holds a
+        # loss at them
+        with np.errstate(all="ignore"):
+            result = run_single(make_quadratic(dim=2, cond=1, seed=0),
+                                {"kind": "sgd", "lr": 1e308}, 0, 1, 1)
+        assert math.isfinite(result.trace.records[-1].loss)
+        assert not np.isfinite(result.final_params).all()
+        assert result.status == "diverged at 0"
+
+
+class TestEntryPointArguments:
+    """``run_single`` and ``replay_verify`` check every argument before
+    the first evaluation; a wrong type used to end in AttributeError."""
+
+    @staticmethod
+    def counting(problem):
+        calls = []
+
+        def loss_grad(w, indices, grad=True):
+            calls.append(grad)
+            return problem.loss_grad(w, indices, grad=grad)
+        return dataclasses.replace(problem, loss_grad=loss_grad), calls
+
+    def test_run_single_rejects_a_problem_that_is_not_one(self):
+        with pytest.raises(ConfigError,
+                           match="problem must be a Problem, got 'x'"):
+            run_single("x", {"kind": "sgd_sls"}, 0, 1, 1)
+
+    @pytest.mark.parametrize("args, message", [
+        (({"kind": "sgd_sls"}, "0", 1, 1), "seed must be an integer"),
+        (("sgd_sls", 0, 1, 1), "optimizer must be an object"),
+        (({"kind": "sgd_sls"}, 0, -1, 1), "epochs must be >= 0"),
+        (({"kind": "sgd_sls"}, 0, 1, 0), "batch_size must be >= 1"),
+    ], ids=["seed", "optimizer", "epochs", "batch_size"])
+    def test_run_single_checks_before_any_evaluation(self, args, message):
+        problem, calls = self.counting(make_quadratic(3, 10.0))
+        with pytest.raises(ConfigError, match=message):
+            run_single(problem, *args)
+        assert calls == []
+
+    def test_replay_verify_rejects_a_trace_before_the_rerun(self):
+        # it used to rerun the whole configuration first
+        problem, calls = self.counting(make_quadratic(3, 10.0))
+        with pytest.raises(ConfigError,
+                           match="trace must be a TrainingTrace, got 'x'"):
+            replay_verify(problem, {"kind": "sgd_sls"}, 0, 5, 1, trace="x")
+        assert calls == []
+
+    def test_the_checks_keep_the_int_and_float_rules(self):
+        # numpy integers run as the ints they hold
+        problem = make_quadratic(3, 10.0)
+        a = run_single(problem, {"kind": "sgd_sls"}, np.int64(2),
+                       np.int64(3), np.int64(1))
+        b = run_single(problem, {"kind": "sgd_sls"}, 2, 3, 1)
+        assert a.trace.to_csv() == b.trace.to_csv()
+
+
 class TestReplayVerify:
     @pytest.mark.parametrize("kind", ["sgd_sls", "adam_sls", "sgd_salsa",
                                       "adam_salsa"])
@@ -605,16 +717,25 @@ class TestReplayVerify:
             replay_verify(prob, opt, 0, 10, 1, result.trace)
 
     def test_nan_losses_replay(self):
-        # NaN != NaN, so a diverged run must still match its own rerun
-        prob = make_matrix_factorization(8, 6, 2, seed=3)
-        opt = {"kind": "sgd_sls", "eta_init": 8.0}
-        with np.errstate(all="ignore"):
-            result = run_single(prob, opt, seed=0, epochs=2, batch_size=1,
-                                frequency_controller=True)
-            assert sum(math.isnan(r.loss) for r in result.trace.records) == 56
-            report = replay_verify(prob, opt, 0, 2, 1, result.trace,
-                                   frequency_controller=True)
-        assert report.n_steps == 96
+        # NaN != NaN, so a diverged run must still match its own rerun; a
+        # run stops on its first NaN record, which here row 3 gives
+        def loss_grad(w, indices, grad=True):
+            loss = float("nan") if 3 in indices else 0.5 * float(w @ w)
+            return EvalResult(loss, w.copy() if grad else None)
+
+        prob = Problem(name="nan_row", dim=2, dataset_size=4,
+                       loss_grad=loss_grad,
+                       init_params=lambda seed: np.ones(2))
+        opt = {"kind": "sgd_sls", "max_backtracks": 2}
+        result = run_single(prob, opt, seed=0, epochs=3, batch_size=1)
+        last = result.trace.records[-1]
+        assert math.isnan(last.loss) and last.gave_up
+        assert result.status == f"diverged at {last.k}"
+        # as read back from a file, with NaN objects of its own
+        loaded = TrainingTrace.from_csv(result.trace.to_csv())
+        assert loaded.records != result.trace.records
+        report = replay_verify(prob, opt, 0, 3, 1, loaded)
+        assert report.n_steps == last.k + 1
         assert report.ok
 
     def test_nondecrease_mode_replays_exactly(self):

@@ -26,7 +26,7 @@ import pytest
 
 import salsa_opt
 from salsa_opt import cli, harness
-from salsa_opt.cli import CheckGradConfig
+from salsa_opt.cli import gradient_errors
 from salsa_opt.core import call_keys
 from salsa_opt.baselines import ScheduleConfig
 from salsa_opt.harness import ExperimentConfig, batch_scaling_experiment, \
@@ -203,7 +203,8 @@ def test_config_table_names_the_keys_each_owner_takes():
         "`scaling`, `freq-ablation`": {
             name for study in studies for name in call_keys(study)[0]
             if name != "problem"},
-        "`check-grad`": set(call_keys(CheckGradConfig)[0]),
+        "`check-grad` (`gradient_errors`)":
+            set(call_keys(gradient_errors)[0]),
     }
     assert "model" in expected["problems"]
     assert rows.keys() == expected.keys()

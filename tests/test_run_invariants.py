@@ -4,7 +4,7 @@ One derandomized hypothesis property draws a problem from each of the four
 factories (dimension 8 or less, a few data rows), any of the six optimizer
 kinds, the frequency controller on or off, SaLSa's non-decrease mode, and
 extreme step sizes, gradient guards and backtrack budgets. Each example
-checks five invariants:
+checks six invariants:
 
 - I1, purity: runs interleaved on one ``Problem`` do not affect each
   other. A configuration run twice with the same seed gives byte-identical
@@ -15,6 +15,9 @@ checks five invariants:
   gradient evaluation each step makes; ``d_update`` is computed here with
   the allocate-per-step SGD and Adam formulas that ``tests/test_directions.py``
   pins to the engine's.
+- I3, status: a run whose status is ``ok`` has finite losses, gradient
+  norms and final parameters; any other run is ``diverged at k``, ends on
+  record ``k`` and has no non-finite loss or gradient norm before it.
 - I4, give-up: a ``gave_up`` step took ``eta_min``, after its whole
   backtrack budget when it searched (a guard-path non-decrease give-up
   records no backtracks), and committed nothing: its ``h``/``s`` equal the
@@ -142,10 +145,15 @@ def run_bytes(result):
 # loss_grad calls over 10 steps, of which step 7 gives up after 101 trials
 FOUND_219 = ({"kind": "adam_salsa", "enforce_nondecrease": True,
               "grad_eps": 1e3, "eta_init": 8.0}, 3, False, 8)
+# frequency-skipped steps reapply a step size that overflows this run at
+# step 25, so its status is not ok
+DIVERGES = ({"kind": "sgd_sls", "eta_init": 8.0, "max_backtracks": 100}, 0,
+            True, 1)
 
 
 @given(runs())
 @example((make_mlp(n=96, in_dim=4, hidden=6, seed=1), [FOUND_219] * 2, 1))
+@example((make_matrix_factorization(8, 6, 2, seed=3), [DIVERGES] * 2, 2))
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_runs_are_pure_and_each_update_is_w_plus_eta_d(run):
     problem, configs, epochs = run
@@ -164,6 +172,15 @@ def test_runs_are_pure_and_each_update_is_w_plus_eta_d(run):
                 zip(configs, again):
             records = result.trace.records
             assert len(base_points) == len(records)
+            # I3: the status says whether the run stayed finite
+            finite = [math.isfinite(r.loss) and math.isfinite(r.grad_norm_sq)
+                      for r in records]
+            if result.status == "ok":
+                assert all(finite), opt
+                assert np.isfinite(result.final_params).all(), opt
+            else:
+                assert result.status == f"diverged at {records[-1].k}"
+                assert all(finite[:-1]), opt
             # I5: each call is counted in its step's record
             assert sum(r.evals for r in records) == calls, opt
             sampler = BatchSampler(seed=seed, batch_size=batch_size,
