@@ -16,11 +16,11 @@ from .problems import (BatchSampler, Problem, batch_for_step,
                        make_matrix_factorization, make_mlp, make_quadratic,
                        problem_from_csv)
 from .harness import (AblationReport, ComparisonTable, ExperimentConfig,
-                      ReplayReport, RunResult, RunSummary, ScalingReport,
+                      ReplayReport, RunResult, ScalingReport,
                       batch_scaling_experiment, build_problem, compare,
                       compare_optimizers, emit, final_smoothed_loss,
                       frequency_ablation, replay_verify, run_experiment,
-                      run_single, summarize)
+                      run_single)
 
 __all__ = [
     # problems
@@ -34,7 +34,7 @@ __all__ = [
     "run_single", "RunResult", "run_experiment", "final_smoothed_loss",
     "TrainingTrace", "StepRecord", "emit",
     # studies
-    "summarize", "RunSummary", "compare", "ComparisonTable",
+    "compare", "ComparisonTable",
     "compare_optimizers", "batch_scaling_experiment", "ScalingReport",
     "frequency_ablation", "AblationReport", "FrequencyController",
     # verifier

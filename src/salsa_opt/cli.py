@@ -4,7 +4,7 @@ Subcommands: run, compare, scaling, freq-ablation, check-grad. A config's
 keys are the arguments of the one callable it feeds, which checks them;
 outputs are CSV or JSON and byte-identical across repeated invocations.
 Exit status: 0, 1 for a bad gradient, 2 for a config or I/O error, 3 for a
-diverged run, whose trace is still written.
+run that is not ok, named on stderr; its trace or report is still written.
 """
 
 from __future__ import annotations
@@ -50,9 +50,8 @@ def _cmd_run(args) -> int:
     for seed, result in zip(cfg.seeds, results):
         out = path if len(results) == 1 else \
             path.with_name(f"{path.stem}_seed{seed}{path.suffix}")
-        _finish(result.trace, args, out)
-        if result.status != "ok":
-            print(f"seed {seed}: {result.status}", file=sys.stderr)
+        _finish(result.trace, args, out, [f"seed {seed}: {result.status}"]
+                if result.status != "ok" else [])
     return 3 if any(result.status != "ok" for result in results) else 0
 
 
@@ -65,7 +64,8 @@ def _run_study(study, args) -> int:
     check_keys(raw, *call_keys(study), args.command)
     if "problem" in raw:
         raw["problem"] = build_problem(raw["problem"])
-    return _finish(study(**raw), args, args.out)
+    report = study(**raw)
+    return _finish(report, args, args.out, report.not_ok)
 
 
 @checked_arguments(points=">= 1", h="> 0")
@@ -93,22 +93,24 @@ def _cmd_check_grad(args) -> int:
     tol = check_value("tol", args.tol, float, "> 0")
     raw = _load_config(args)
     check_keys(raw, *call_keys(gradient_errors), args.command)
-    failed = False
-    for name, worst in gradient_errors(**raw):
-        status = "ok" if worst <= tol else "FAIL"
-        print(f"{name}: max rel err {worst:.3e} [{status}]")
-        failed = failed or status == "FAIL"
-    return 1 if failed else 0
+    errors = gradient_errors(**raw)
+    for name, worst in errors:
+        print(f"{name}: max rel err {worst:.3e} "
+              f"[{'ok' if worst <= tol else 'FAIL'}]")
+    return 0 if all(worst <= tol for _, worst in errors) else 1
 
 
-def _finish(report, args, out) -> int:
-    """Write ``report`` in ``--format`` to ``out``, or to stdout if None."""
+def _finish(report, args, out, not_ok: list[str]) -> int:
+    """Write ``report`` in ``--format`` to ``out``, or to stdout if None,
+    then each ``not_ok`` line to stderr; the exit status, 3 if any."""
     if out is None:
         sys.stdout.write(render(report, args.format))
     else:
         emit(report, args.format, str(out))
         print(f"wrote {out}", file=sys.stderr)
-    return 0
+    for line in not_ok:
+        print(line, file=sys.stderr)
+    return 3 if not_ok else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

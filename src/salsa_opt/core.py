@@ -121,18 +121,17 @@ def checked_arguments(**bounds):
     """Decorator: each call's arguments are checked with ``check_value``
     against the function's annotations and ``bounds`` (parameter name ->
     range); arguments left at their defaults are not. The signature is
-    read once, when the function is decorated."""
+    read once, when the function is decorated; ``fn`` is called by name."""
     def decorate(fn):
         signature = inspect.signature(fn)
 
         @functools.wraps(fn)
         def checked(*args, **kwargs):
-            bound = signature.bind(*args, **kwargs)
             hints = _type_hints(fn)
-            for name, value in bound.arguments.items():
-                bound.arguments[name] = check_value(
-                    name, value, hints[name], bounds.get(name))
-            return fn(*bound.args, **bound.kwargs)
+            return fn(**{name: check_value(name, value, hints[name],
+                                           bounds.get(name))
+                         for name, value in
+                         signature.bind(*args, **kwargs).arguments.items()})
         return checked
     return decorate
 

@@ -14,6 +14,7 @@ import math
 import typing
 import warnings
 from dataclasses import asdict, dataclass, field, fields, replace
+from pathlib import Path
 
 import numpy as np
 
@@ -264,22 +265,13 @@ def final_smoothed_loss(trace: TrainingTrace) -> float:
     return ema
 
 
-@dataclass
-class RunSummary:
-    optimizer: str
-    problem: str
-    final_losses: list
-    mean_final_loss: float
-
-
-def summarize(optimizer_name: str, problem_name: str,
-              traces: list[TrainingTrace]) -> RunSummary:
-    if not traces:
-        raise ValueError(f"no traces of {optimizer_name} on {problem_name}")
-    losses = [final_smoothed_loss(t) for t in traces]
-    return RunSummary(optimizer=optimizer_name, problem=problem_name,
-                      final_losses=losses,
-                      mean_final_loss=float(np.mean(losses)))
+def _reported(result: RunResult, run: str, not_ok: list, *measures) -> list:
+    """Each of ``measures`` (trace -> number) of an ``ok`` run, else NaN for
+    each and ``"<run>: <status>"`` in ``not_ok``: a study's per-run numbers."""
+    if result.status == "ok":
+        return [measure(result.trace) for measure in measures]
+    not_ok.append(f"{run}: {result.status}")
+    return [math.nan] * len(measures)
 
 
 @dataclass
@@ -292,6 +284,7 @@ class ComparisonTable:
     arithmetic_mean: dict  # optimizer -> value
     log_mean: dict
     average_rank: dict
+    not_ok: list[str] = field(default_factory=list)   # not written
 
     def to_csv(self) -> str:
         lines = ["problem," + ",".join(self.optimizers)]
@@ -318,30 +311,24 @@ class ComparisonTable:
         return canonical_json(payload)
 
 
-def compare(summaries: list[RunSummary]) -> ComparisonTable:
-    """Cross-problem comparison with ranks (ties averaged); a repeated
-    (problem, optimizer) pair raises ConfigError.
+def compare(losses: dict) -> ComparisonTable:
+    """Cross-problem comparison of ``losses``, ``{(problem, optimizer):
+    loss}``, with ranks (ties averaged), rows and columns in first-seen key
+    order; a mapping that misses a (problem, optimizer) raises ConfigError.
 
-    A non-finite loss (a diverged run) ranks last on its problem, a NaN
-    with a warning; the arithmetic and log means keep it. The log mean is
-    the geometric mean exp(mean(ln loss)); any optimizer with a non-positive
+    A NaN loss (a run that is not ok) ranks last on its problem, with a
+    warning; the arithmetic and log means keep it. The log mean is the
+    geometric mean exp(mean(ln loss)); any optimizer with a non-positive
     loss falls back to its arithmetic mean, with a warning, since the
     geometric mean is undefined there.
     """
-    problems = list(dict.fromkeys(s.problem for s in summaries))
-    optimizers = list(dict.fromkeys(s.optimizer for s in summaries))
-    losses = {}
-    for s in summaries:
-        if (s.problem, s.optimizer) in losses:
-            raise ConfigError(f"summaries repeat ({s.problem}, {s.optimizer});"
-                              f" each (problem, optimizer) pair is one cell")
-        losses[(s.problem, s.optimizer)] = s.mean_final_loss
-    for p in problems:
-        for o in optimizers:
-            if (p, o) not in losses:
-                raise ConfigError(
-                    f"summaries do not cover the same problem set: "
-                    f"missing ({p}, {o})")
+    problems = list(dict.fromkeys(p for p, _ in losses))
+    optimizers = list(dict.fromkeys(o for _, o in losses))
+    missing = [f"({p}, {o})" for p in problems for o in optimizers
+               if (p, o) not in losses]
+    if missing:
+        raise ConfigError(f"losses do not cover the same problem set: "
+                          f"missing {missing[0]}")
 
     arith, logm, rank_rows = {}, {}, []
     for p in problems:
@@ -358,7 +345,7 @@ def compare(summaries: list[RunSummary]) -> ComparisonTable:
         rank_rows.append(((row < row[:, None]).sum(1)
                           + (row <= row[:, None]).sum(1) + 1) / 2)
     ranks = np.mean(rank_rows, axis=0)
-    for i, o in enumerate(optimizers):
+    for o in optimizers:
         vals = np.array([losses[(p, o)] for p in problems])
         arith[o] = float(np.mean(vals))
         if np.any(vals <= 0):
@@ -368,9 +355,9 @@ def compare(summaries: list[RunSummary]) -> ComparisonTable:
         else:
             logm[o] = float(np.exp(np.mean(np.log(vals))))
     return ComparisonTable(problems=problems, optimizers=optimizers,
-                           losses=losses, arithmetic_mean=arith, log_mean=logm,
-                           average_rank={o: float(r) for o, r in
-                                         zip(optimizers, ranks)})
+                           losses=dict(losses), arithmetic_mean=arith,
+                           log_mean=logm, average_rank={
+                               o: float(r) for o, r in zip(optimizers, ranks)})
 
 
 @checked_arguments(**_STUDY_RANGES)
@@ -380,7 +367,8 @@ def compare_optimizers(problems: list[dict], optimizers: list[dict],
     """Every optimizer on every problem config, run once per seed, as one
     ``compare`` table; each problem is built once and every pair checked
     before the first run. A cell is labelled by problem name and optimizer
-    kind, so a repeated label raises ConfigError."""
+    kind, so a repeated label raises ConfigError. A cell is the mean of its
+    seeds' final smoothed losses, NaN if any of its runs is not ok."""
     pairs = {}
     for spec in problems:
         problem = build_problem(spec)
@@ -391,32 +379,37 @@ def compare_optimizers(problems: list[dict], optimizers: list[dict],
                 raise ConfigError(f"compare config repeats the pair "
                                   f"({label[0]}, {label[1]})")
             pairs[label] = problem, optimizer
-    return compare([summarize(kind, name, [
-        run_single(problem, optimizer, seed, epochs, batch_size,
-                   frequency_controller).trace for seed in seeds])
-        for (name, kind), (problem, optimizer) in pairs.items()])
+    cells, not_ok = {}, []
+    for (name, kind), (problem, optimizer) in pairs.items():
+        cells[(name, kind)] = float(np.mean([_reported(run_single(
+            problem, optimizer, seed, epochs, batch_size, frequency_controller),
+            f"{name} {kind} seed {seed}", not_ok, final_smoothed_loss)[0]
+            for seed in seeds]))
+    return replace(compare(cells), not_ok=not_ok)
 
 
-def _mid_window(n: int) -> slice:
-    """The middle half of n steps, at least one step long."""
-    return slice(n // 4, max(n // 4 + 1, 3 * n // 4))
+def _mean_mid_eta(trace: TrainingTrace) -> float:
+    """The mean step size over the middle half of a run (at least one step)."""
+    etas, n = np.array([r.eta for r in trace.records]), len(trace.records)
+    return float(np.mean(etas[n // 4:max(n // 4 + 1, 3 * n // 4)]))
 
 
 @dataclass
 class ScalingReport:
+    """Mean mid-run step size per batch size, and the h/s series."""
+
     batch_sizes: list
     mean_mid_eta: dict        # batch size -> mean step size, mid-training
     ratios: list              # (bs_from, bs_to, ratio)
     h_series: dict            # (batch_size, seed) -> list
     s_series: dict
+    not_ok: list[str]         # not written
 
     def to_csv(self) -> str:
         lines = ["batch_size,mean_mid_eta,ratio_vs_prev"]
-        prev = None
-        for bs in self.batch_sizes:
-            ratio = "" if prev is None else repr(self.mean_mid_eta[bs] / prev)
+        ratios = [""] + [repr(r) for _, _, r in self.ratios]
+        for bs, ratio in zip(self.batch_sizes, ratios):
             lines.append(f"{bs},{self.mean_mid_eta[bs]!r},{ratio}")
-            prev = self.mean_mid_eta[bs]
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
@@ -444,30 +437,35 @@ def batch_scaling_experiment(problem: Problem, optimizer: dict | None = None,
     reports the mean accepted step size over the middle half of each run,
     averaged over seeds, together with the consecutive-doubling ratios and
     the per-run smoothed h/s series. The optimizer is checked at every
-    batch size before the first run.
+    batch size before the first run. A run that is not ok gives NaN for
+    its batch size's mean; its h/s series keep its records.
     """
     optimizer = optimizer or {"kind": "adam_salsa"}
     smoothed = {_Runner(optimizer, problem, epochs, bs).search
                 for bs in batch_sizes} == {"salsa"}
-    mean_eta, h_runs, s_runs = {}, {}, {}
+    mean_eta, h_runs, s_runs, not_ok = {}, {}, {}, []
     for bs in batch_sizes:
         per_seed = []
         for seed in seeds:
-            records = run_single(problem, optimizer, seed, epochs,
-                                 bs).trace.records
-            etas = np.array([r.eta for r in records])
-            per_seed.append(float(np.mean(etas[_mid_window(len(etas))])))
+            result = run_single(problem, optimizer, seed, epochs, bs)
+            records = result.trace.records
+            per_seed += _reported(
+                result, f"{problem.name} {optimizer['kind']} batch {bs} "
+                f"seed {seed}", not_ok, _mean_mid_eta)
             h_runs[(bs, seed)] = [r.h for r in records] if smoothed else []
             s_runs[(bs, seed)] = [r.s for r in records] if smoothed else []
         mean_eta[bs] = float(np.mean(per_seed))
     ratios = [(a, b, mean_eta[b] / mean_eta[a])
               for a, b in zip(batch_sizes, batch_sizes[1:])]
     return ScalingReport(batch_sizes=list(batch_sizes), mean_mid_eta=mean_eta,
-                         ratios=ratios, h_series=h_runs, s_series=s_runs)
+                         ratios=ratios, h_series=h_runs, s_series=s_runs,
+                         not_ok=not_ok)
 
 
 @dataclass
 class AblationReport:
+    """Final loss and searched fraction, frequency controller on and off."""
+
     seeds: list
     final_loss_on: list
     final_loss_off: list
@@ -475,6 +473,7 @@ class AblationReport:
     searched_fraction_off: float
     mean_delta: float          # mean(on) - mean(off)
     pooled_se: float
+    not_ok: list[str]          # not written
 
     def to_csv(self) -> str:
         lines = ["seed,final_loss_controller_on,final_loss_controller_off"]
@@ -487,14 +486,13 @@ class AblationReport:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
-        return canonical_json(asdict(self))
+        return canonical_json({key: value for key, value in
+                               asdict(self).items() if key != "not_ok"})
 
 
 def _pooled_se(a: list, b: list) -> float:
-    a, b = np.asarray(a), np.asarray(b)
-    var_a = a.var(ddof=1) / len(a) if len(a) > 1 else 0.0
-    var_b = b.var(ddof=1) / len(b) if len(b) > 1 else 0.0
-    return float(np.sqrt(var_a + var_b))
+    return float(np.sqrt(sum(np.var(x, ddof=1) / len(x) if len(x) > 1
+                             else 0.0 for x in (a, b))))
 
 
 @checked_arguments(**_STUDY_RANGES)
@@ -506,27 +504,29 @@ def frequency_ablation(problem: Problem,
 
     Batch streams are identical within a pair (same run seed), so the only
     difference is how often the search runs. The optimizer must be a
-    line-search kind: the controller only skips searches.
+    line-search kind: the controller only skips searches. A run that is
+    not ok gives NaN for its final loss and its searched fraction.
     """
     optimizer = optimizer or {"kind": "adam_salsa"}
-    check_value("frequency_ablation optimizer kind", optimizer.get("kind"),
-                str, LINE_SEARCH_KINDS)
-    on, off, frac_on, frac_off = [], [], [], []
+    kind = check_value("frequency_ablation optimizer kind",
+                       optimizer.get("kind"), str, LINE_SEARCH_KINDS)
+    numbers, not_ok = [], []
     for seed in seeds:
-        r_on = run_single(problem, optimizer, seed, epochs, batch_size,
-                          frequency_controller=True)
-        r_off = run_single(problem, optimizer, seed, epochs, batch_size,
-                           frequency_controller=False)
-        on.append(final_smoothed_loss(r_on.trace))
-        off.append(final_smoothed_loss(r_off.trace))
-        frac_on.append(np.mean([r.searched for r in r_on.trace.records]))
-        frac_off.append(np.mean([r.searched for r in r_off.trace.records]))
+        for switch in ("on", "off"):
+            numbers += _reported(
+                run_single(problem, optimizer, seed, epochs, batch_size,
+                           frequency_controller=switch == "on"),
+                f"{problem.name} {kind} controller {switch} seed {seed}",
+                not_ok, final_smoothed_loss,
+                lambda trace: np.mean([r.searched for r in trace.records]))
+    # per seed: final loss and searched fraction, controller on then off
+    on, frac_on, off, frac_off = (numbers[i::4] for i in range(4))
     return AblationReport(
         seeds=list(seeds), final_loss_on=on, final_loss_off=off,
         searched_fraction_on=float(np.mean(frac_on)),
         searched_fraction_off=float(np.mean(frac_off)),
         mean_delta=float(np.mean(on) - np.mean(off)),
-        pooled_se=_pooled_se(on, off))
+        pooled_se=_pooled_se(on, off), not_ok=not_ok)
 
 
 def render(obj, format: str) -> str:
@@ -537,10 +537,8 @@ def render(obj, format: str) -> str:
 
 def emit(obj, format: str, path: str) -> None:
     """Write a trace or report as CSV or JSON; bit-stable per input."""
-    text = render(obj, format)
     try:
-        with open(path, "w", newline="\n") as f:
-            f.write(text)
+        Path(path).write_text(render(obj, format), newline="\n")
     except OSError as e:
         raise OSError(f"cannot write {path}: {e}") from e
 

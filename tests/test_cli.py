@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,7 +16,7 @@ from salsa_opt import harness
 from salsa_opt.cli import main
 from salsa_opt.core import TrainingTrace
 from salsa_opt.harness import batch_scaling_experiment, build_problem, \
-    compare, frequency_ablation, run_experiment, summarize
+    compare, final_smoothed_loss, frequency_ablation, run_experiment
 
 RUN_CONFIG = {
     "problem": {"kind": "quadratic", "dim": 3, "cond": 10, "seed": 1},
@@ -263,6 +264,27 @@ class TestCompareCommand:
         assert lines[0].startswith("problem,")
         assert lines[-1].startswith("average_rank,")
 
+    def test_a_diverged_run_exits_3_with_the_table_written(self, tmp_path,
+                                                           capsys):
+        # it used to exit 0 with the diverged cell 5.13410625000935e+305
+        cfg = write_config(tmp_path, {
+            "problems": [{"kind": "quadratic", "dim": 4, "cond": 10,
+                          "seed": 0}],
+            "optimizers": [{"kind": "sgd", "lr": 5}, {"kind": "sgd_sls"}],
+            "seeds": [0], "epochs": 200, "batch_size": 1})
+        out = tmp_path / "table.csv"
+        with np.errstate(all="ignore"), pytest.warns(UserWarning,
+                                                     match="NaN loss"):
+            code = main(["compare", "--config", cfg, "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"wrote {out}\n"
+            "quadratic_d4_c10 sgd seed 0: diverged at 92\n")
+        lines = out.read_text().splitlines()
+        assert lines[0] == "problem,sgd,sgd_sls"
+        assert lines[1].startswith("quadratic_d4_c10,nan,")
+        assert lines[-1] == "average_rank,2.0,1.0"
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
             "problems": [{"kind": "quadratic", "dim": 2, "cond": 5, "seed": 1}],
@@ -314,11 +336,12 @@ class TestCompareCommand:
         assert builds == ["logreg", "quadratic"]
         # the table of the pairs run one experiment each
         shared = {k: config[k] for k in ("seeds", "epochs", "batch_size")}
-        table = compare([
-            summarize(opt["kind"], build_problem(prob).name, [
-                r.trace for r in run_experiment(harness.ExperimentConfig(
-                    problem=prob, optimizer=opt, **shared))])
-            for prob in config["problems"] for opt in config["optimizers"]])
+        table = compare({
+            (build_problem(prob).name, opt["kind"]): float(np.mean([
+                final_smoothed_loss(r.trace)
+                for r in run_experiment(harness.ExperimentConfig(
+                    problem=prob, optimizer=opt, **shared))]))
+            for prob in config["problems"] for opt in config["optimizers"]})
         assert out.read_text() == table.to_csv()
 
 
@@ -361,6 +384,22 @@ class TestScalingCommand:
         assert main(["scaling", "--config", cfg, "--out", str(out)]) == 0
         assert out.read_text().startswith("batch_size,mean_mid_eta")
 
+    def test_a_diverged_run_exits_3_with_the_report_written(self, tmp_path,
+                                                            capsys):
+        cfg = write_config(tmp_path, {
+            "problem": {"kind": "quadratic", "dim": 4, "cond": 10, "seed": 0},
+            "optimizer": {"kind": "sgd", "lr": 5},
+            "batch_sizes": [1], "seeds": [0], "epochs": 200})
+        out = tmp_path / "scaling.csv"
+        with np.errstate(all="ignore"):
+            code = main(["scaling", "--config", cfg, "--out", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"wrote {out}\n"
+            "quadratic_d4_c10 sgd batch 1 seed 0: diverged at 92\n")
+        assert out.read_text() == \
+            "batch_size,mean_mid_eta,ratio_vs_prev\n1,nan,\n"
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         # batch_size is a freq-ablation argument, not a scaling one
         cfg = write_config(tmp_path, {
@@ -390,6 +429,25 @@ class TestFreqAblationCommand:
                      "--format", "json"]) == 0
         payload = json.loads(out.read_text())
         assert payload["searched_fraction_off"] == 1.0
+
+    def test_a_diverged_run_exits_3_with_the_report_written(self, tmp_path,
+                                                            capsys):
+        cfg = write_config(tmp_path, {
+            "problem": {"kind": "matrix_factorization", "rows": 8, "cols": 6,
+                        "rank": 2, "seed": 3},
+            "optimizer": {"kind": "sgd_sls", "eta_init": 8},
+            "seeds": [0], "epochs": 2, "batch_size": 1})
+        with np.errstate(all="ignore"):
+            assert main(["freq-ablation", "--config", cfg,
+                         "--format", "json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == \
+            "matfac_8x6_r2 sgd_sls controller on seed 0: diverged at 25\n"
+        payload = json.loads(captured.out)
+        assert math.isnan(payload["final_loss_on"][0])
+        assert math.isnan(payload["searched_fraction_on"])
+        assert payload["searched_fraction_off"] == 1.0
+        assert "not_ok" not in payload
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {

@@ -94,6 +94,15 @@ class TestCoverageGuard:
         with pytest.raises(TypeError):
             check_value("x", 1, hint)
 
+    @pytest.mark.parametrize("fn", CHECKED_FUNCTIONS,
+                             ids=lambda fn: fn.__name__)
+    def test_checked_functions_take_every_parameter_by_name(self, fn):
+        # checked_arguments calls fn(**checked): the same call as by
+        # position only when no parameter is positional-only or variadic
+        kinds = {p.kind for p in inspect.signature(fn).parameters.values()}
+        assert kinds <= {inspect.Parameter.POSITIONAL_OR_KEYWORD,
+                         inspect.Parameter.KEYWORD_ONLY}
+
     def test_ranges_sit_on_declared_fields_only(self):
         for cls in CONFIG_CLASSES:
             for f in dataclasses.fields(cls):
@@ -493,6 +502,9 @@ FUZZ_CASES = {
                                                    "optimizer": _SGD},
                                  f"frequency_ablation optimizer kind must be "
                                  f"one of {LINE_SEARCH_KINDS}, got 'sgd'"),
+    "compare-empty-seeds": ("compare", {**COMPARE, "seeds": []},
+                            "seeds must be a non-empty list of integers, "
+                            "got []"),
     "ablation-empty-seeds": ("freq-ablation", {**ABLATION, "seeds": []},
                              "seeds must be a non-empty list of integers, "
                              "got []"),

@@ -17,11 +17,11 @@ from salsa_opt.baselines import ScheduleConfig, schedule_lr
 from salsa_opt.core import EvalResult, TrainingTrace, StepRecord
 from salsa_opt.directions import AdamState
 from salsa_opt.harness import (LINE_SEARCH_KINDS, ConfigError,
-                               ExperimentConfig, RunSummary,
-                               batch_scaling_experiment, build_problem,
-                               compare, emit, final_smoothed_loss,
+                               ExperimentConfig, batch_scaling_experiment,
+                               build_problem, compare, compare_optimizers,
+                               emit, final_smoothed_loss,
                                frequency_ablation, replay_verify,
-                               run_experiment, run_single, summarize)
+                               run_experiment, run_single)
 from salsa_opt.line_search import SlsConfig
 from salsa_opt.problems import Problem, make_logreg, \
     make_matrix_factorization, make_mlp, make_quadratic
@@ -254,61 +254,50 @@ class TestFinalSmoothedLoss:
 
 
 class TestCompare:
-    def _summary(self, opt, prob, loss):
-        return RunSummary(optimizer=opt, problem=prob, final_losses=[loss],
-                          mean_final_loss=loss)
-
     def test_single_candidate_rank_one(self):
-        table = compare([self._summary("adam_salsa", "p1", 0.5),
-                         self._summary("adam_salsa", "p2", 0.1)])
+        table = compare({("p1", "adam_salsa"): 0.5, ("p2", "adam_salsa"): 0.1})
         assert table.average_rank == {"adam_salsa": 1.0}
 
     def test_log_average_is_geometric_mean(self):
-        table = compare([self._summary("a", "p1", 0.01),
-                         self._summary("a", "p2", 1.0)])
+        table = compare({("p1", "a"): 0.01, ("p2", "a"): 1.0})
         assert table.log_mean["a"] == pytest.approx(0.1, rel=1e-12)
 
     def test_ranks_match_hand_computed_table(self):
-        losses = {("a", "p1"): 0.1, ("b", "p1"): 0.2, ("c", "p1"): 0.3,
-                  ("a", "p2"): 0.9, ("b", "p2"): 0.2, ("c", "p2"): 0.5}
-        table = compare([self._summary(o, p, v)
-                         for (o, p), v in losses.items()])
+        losses = {("p1", "a"): 0.1, ("p1", "b"): 0.2, ("p1", "c"): 0.3,
+                  ("p2", "a"): 0.9, ("p2", "b"): 0.2, ("p2", "c"): 0.5}
+        table = compare(losses)
         # p1 ranks: a=1 b=2 c=3 ; p2 ranks: a=3 b=1 c=2
         assert table.average_rank == {"a": 2.0, "b": 1.5, "c": 2.5}
 
     def test_ties_averaged(self):
-        table = compare([self._summary("a", "p1", 0.2),
-                         self._summary("b", "p1", 0.2)])
+        table = compare({("p1", "a"): 0.2, ("p1", "b"): 0.2})
         assert table.average_rank == {"a": 1.5, "b": 1.5}
         # ties share the mean of their places (scipy's method="average"):
         # p1 b=1 d=2 a=c=3.5 ; p2 d=1 a=b=c=3 ; p3 c=d=1.5 a=b=3.5
-        rows = {"p1": [0.3, 0.1, 0.3, 0.2], "p2": [0.5, 0.5, 0.5, 0.1],
-                "p3": [0.4, 0.4, 0.2, 0.2]}
-        table = compare([self._summary(o, p, v) for p, row in rows.items()
-                         for o, v in zip("abcd", row)])
+        table = self._table({"p1": [0.3, 0.1, 0.3, 0.2],
+                             "p2": [0.5, 0.5, 0.5, 0.1],
+                             "p3": [0.4, 0.4, 0.2, 0.2]}, "abcd")
         assert table.average_rank == {"a": 10 / 3, "b": 2.5, "c": 8 / 3,
                                       "d": 1.5}
 
-    def test_repeated_pair_rejected(self):
-        # two summaries of one (problem, optimizer) pair would share one
-        # cell, and the later one would silently replace the earlier
-        with pytest.raises(ConfigError, match=r"repeat \(p1, a\)"):
-            compare([self._summary("a", "p1", 0.1),
-                     self._summary("b", "p1", 0.2),
-                     self._summary("a", "p1", 0.3)])
+    def test_rows_and_columns_keep_first_seen_key_order(self):
+        table = compare({("p2", "b"): 0.1, ("p1", "a"): 0.2,
+                         ("p2", "a"): 0.3, ("p1", "b"): 0.4})
+        assert table.problems == ["p2", "p1"]
+        assert table.optimizers == ["b", "a"]
+        assert table.to_csv().splitlines()[:3] == [
+            "problem,b,a", "p2,0.1,0.3", "p1,0.4,0.2"]
 
     def test_rank_invariant_under_monotone_transform(self):
-        base = {("a", "p1"): 0.1, ("b", "p1"): 0.7, ("a", "p2"): 0.4,
-                ("b", "p2"): 0.2}
-        t1 = compare([self._summary(o, p, v) for (o, p), v in base.items()])
-        t2 = compare([self._summary(o, p, np.exp(v))
-                      for (o, p), v in base.items()])
+        base = {("p1", "a"): 0.1, ("p1", "b"): 0.7, ("p2", "a"): 0.4,
+                ("p2", "b"): 0.2}
+        t1 = compare(base)
+        t2 = compare({cell: np.exp(v) for cell, v in base.items()})
         assert t1.average_rank == t2.average_rank
 
     def test_nonpositive_loss_falls_back_with_warning(self):
         with pytest.warns(UserWarning):
-            table = compare([self._summary("a", "p1", -0.5),
-                             self._summary("a", "p2", 1.0)])
+            table = compare({("p1", "a"): -0.5, ("p2", "a"): 1.0})
         assert table.log_mean["a"] == table.arithmetic_mean["a"] == \
             pytest.approx(0.25)
 
@@ -324,11 +313,8 @@ class TestCompare:
             st.lists(pool, min_size=n, max_size=n), min_size=1, max_size=4)))
         def check(rows):
             optimizers = [f"o{i}" for i in range(len(rows[0]))]
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                table = compare([
-                    self._summary(o, f"p{j}", v) for j, row in enumerate(rows)
-                    for o, v in zip(optimizers, row)])
+            table = self._table({f"p{j}": row for j, row in enumerate(rows)},
+                                optimizers)
             expected = np.mean([stats.rankdata(
                 np.where(np.isnan(row), np.inf, row), method="average")
                 for row in rows], axis=0)
@@ -340,8 +326,8 @@ class TestCompare:
     def _table(self, rows, optimizers):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            return compare([self._summary(o, p, v) for p, row in rows.items()
-                            for o, v in zip(optimizers, row)])
+            return compare({(p, o): v for p, row in rows.items()
+                            for o, v in zip(optimizers, row)})
 
     def test_tied_table_bytes(self):
         # recorded with scipy's rankdata, before compare ranked in numpy
@@ -396,10 +382,8 @@ class TestCompare:
 
     def test_nan_loss_ranks_last_with_warning(self):
         with pytest.warns(UserWarning, match="NaN loss on p1"):
-            table = compare([self._summary("a", "p1", 0.1),
-                             self._summary("a", "p2", 0.3),
-                             self._summary("b", "p1", math.nan),
-                             self._summary("b", "p2", 0.2)])
+            table = compare({("p1", "a"): 0.1, ("p2", "a"): 0.3,
+                             ("p1", "b"): math.nan, ("p2", "b"): 0.2})
         assert table.average_rank == {"a": 1.5, "b": 1.5}
         assert table.arithmetic_mean["a"] == pytest.approx(0.2)
         assert math.isnan(table.arithmetic_mean["b"])
@@ -407,32 +391,43 @@ class TestCompare:
 
     def test_incomplete_problem_coverage_rejected(self):
         with pytest.raises(ConfigError):
-            compare([self._summary("a", "p1", 0.1),
-                     self._summary("b", "p2", 0.2)])
+            compare({("p1", "a"): 0.1, ("p2", "b"): 0.2})
 
     def test_csv_has_summary_rows(self):
-        table = compare([self._summary("a", "p1", 0.1),
-                         self._summary("b", "p1", 0.2)])
+        table = compare({("p1", "a"): 0.1, ("p1", "b"): 0.2})
         lines = table.to_csv().splitlines()
         assert lines[0] == "problem,a,b"
         labels = [ln.split(",")[0] for ln in lines[1:]]
         assert labels == ["p1", "arithmetic_mean", "log_mean", "average_rank"]
 
 
-class TestSummarize:
-    def test_final_losses_one_per_seed(self):
-        prob = make_logreg(n=200, dim=5, seed=1, label_noise=0.1)
-        results = [run_single(prob, {"kind": "sgd_sls"}, seed, epochs=2,
-                              batch_size=16) for seed in (0, 1)]
-        summary = summarize("sgd_sls", prob.name,
-                            [r.trace for r in results])
-        assert len(summary.final_losses) == 2
+class TestCompareOptimizers:
+    def test_cell_is_mean_of_per_seed_final_losses(self):
+        spec = {"kind": "logreg", "n": 200, "dim": 5, "seed": 1,
+                "label_noise": 0.1}
+        prob = build_problem(spec)
+        table = compare_optimizers([spec], [{"kind": "sgd_sls"}], [0, 1],
+                                   epochs=2, batch_size=16)
+        losses = [final_smoothed_loss(run_single(
+            prob, {"kind": "sgd_sls"}, seed, epochs=2, batch_size=16).trace)
+            for seed in (0, 1)]
+        assert table.losses == {(prob.name, "sgd_sls"):
+                                float(np.mean(losses))}
+        assert table.not_ok == []
 
-    def test_no_traces_rejected(self):
-        # the mean of no losses is NaN, which compare reports as a diverged
-        # run
-        with pytest.raises(ValueError, match="no traces of sgd on p"):
-            summarize("sgd", "p", [])
+    def test_diverged_run_reports_nan_ranked_last(self):
+        # the diverged cell used to be its finite smoothed loss,
+        # 5.13410625000935e+305, ranked by that number
+        with np.errstate(all="ignore"), \
+                pytest.warns(UserWarning, match="NaN loss on quadratic_d4_c10"):
+            table = compare_optimizers(
+                [{"kind": "quadratic", "dim": 4, "cond": 10, "seed": 0}],
+                [{"kind": "sgd", "lr": 5}, {"kind": "sgd_sls"}], [0], 200, 1)
+        assert math.isnan(table.losses[("quadratic_d4_c10", "sgd")])
+        assert math.isfinite(table.losses[("quadratic_d4_c10", "sgd_sls")])
+        assert table.average_rank == {"sgd": 2.0, "sgd_sls": 1.0}
+        assert table.not_ok == ["quadratic_d4_c10 sgd seed 0: diverged at 92"]
+        assert "diverged" not in table.to_csv() + table.to_json()
 
 
 class TestScalingExperiment:
@@ -460,6 +455,21 @@ class TestScalingExperiment:
                                           seeds=(0,), epochs=1)
         assert (8, 0) in report.h_series and (16, 0) in report.s_series
         assert len(report.h_series[(8, 0)]) > 0
+        assert report.not_ok == []
+
+    def test_diverged_run_reports_nan(self):
+        # the diverged run's mid-window mean used to be reported, 5.0
+        with np.errstate(all="ignore"):
+            report = batch_scaling_experiment(
+                make_quadratic(4, cond=10, seed=0),
+                optimizer={"kind": "sgd", "lr": 5}, batch_sizes=(1,),
+                seeds=(0,), epochs=200)
+        assert math.isnan(report.mean_mid_eta[1])
+        assert report.not_ok == [
+            "quadratic_d4_c10 sgd batch 1 seed 0: diverged at 92"]
+        assert report.to_csv() == "batch_size,mean_mid_eta,ratio_vs_prev\n" \
+            "1,nan,\n"
+        assert "not_ok" not in report.to_json()
 
 
 class TestFrequencyAblation:
@@ -470,6 +480,29 @@ class TestFrequencyAblation:
         assert report.searched_fraction_off == 1.0
         assert report.searched_fraction_on < 0.5
         assert len(report.final_loss_on) == 3
+        assert report.not_ok == []
+
+    def test_diverged_run_reports_nan(self):
+        # the controller-on run used to report its final loss,
+        # 5.6739593735347886e+268, and its searched fraction, 0.1538...
+        with np.errstate(all="ignore"):
+            report = frequency_ablation(
+                make_matrix_factorization(8, 6, 2, seed=3), seeds=(0,),
+                optimizer={"kind": "sgd_sls", "eta_init": 8}, epochs=2,
+                batch_size=1)
+        assert math.isnan(report.final_loss_on[0])
+        assert math.isnan(report.searched_fraction_on)
+        assert math.isnan(report.mean_delta)
+        assert report.not_ok == [
+            "matfac_8x6_r2 sgd_sls controller on seed 0: diverged at 25"]
+        # the controller-off run is ok and keeps its numbers
+        off = run_single(make_matrix_factorization(8, 6, 2, seed=3),
+                         {"kind": "sgd_sls", "eta_init": 8}, 0, 2, 1)
+        assert off.status == "ok"
+        assert report.final_loss_off == [final_smoothed_loss(off.trace)]
+        assert report.searched_fraction_off == 1.0
+        assert "not_ok" not in report.to_json()
+        assert "diverged" not in report.to_csv()
 
 
 class TestEmit:

@@ -11,12 +11,12 @@ ROOT = Path(__file__).resolve().parents[1]
 CODE = """
 import sys
 import salsa_opt, salsa_opt.cli
-from salsa_opt import RunSummary, compare
+from salsa_opt import compare
 
-summaries = [RunSummary(o, p, [loss], loss) for p, row in
-             (("p0", (1.0, 1.0, 2.0)), ("p1", (3.0, 0.5, 0.5)))
-             for o, loss in zip(("a", "b", "c"), row)]
-ranks = compare(summaries).average_rank
+losses = {(p, o): loss for p, row in
+          (("p0", (1.0, 1.0, 2.0)), ("p1", (3.0, 0.5, 0.5)))
+          for o, loss in zip(("a", "b", "c"), row)}
+ranks = compare(losses).average_rank
 assert ranks == {"a": 2.25, "b": 1.5, "c": 2.25}, ranks
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """

@@ -28,7 +28,7 @@ PUBLIC = {
     "run_single", "RunResult", "run_experiment", "final_smoothed_loss",
     "TrainingTrace", "StepRecord", "emit",
     # studies
-    "summarize", "RunSummary", "compare", "ComparisonTable",
+    "compare", "ComparisonTable",
     "compare_optimizers", "batch_scaling_experiment", "ScalingReport",
     "frequency_ablation", "AblationReport", "FrequencyController",
     # verifier
@@ -57,7 +57,7 @@ def is_submodule(name: str) -> bool:
 
 
 def test_all_is_the_pinned_set():
-    assert len(salsa_opt.__all__) == len(PUBLIC) == 37
+    assert len(salsa_opt.__all__) == len(PUBLIC) == 35
     assert set(salsa_opt.__all__) == PUBLIC
 
 
