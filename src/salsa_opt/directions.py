@@ -23,8 +23,8 @@ import numpy as np
 from .core import ConfigError, ParamVector, check_fields
 
 
-# the fields the build's constants are formed from
-_HYPER = frozenset({"beta1", "beta2", "epsilon"})
+# the hyper-parameters, which the build forms its constants from
+_HYPER = ("beta1", "beta2", "epsilon")
 
 
 @dataclass(eq=False)

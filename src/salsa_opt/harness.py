@@ -9,7 +9,6 @@ smoothed by an EMA with factor 0.99.
 
 from __future__ import annotations
 
-import copy
 import math
 import typing
 import warnings
@@ -23,7 +22,7 @@ from .baselines import ScheduleConfig, fixed_adam_step, fixed_sgd_step, \
 from .core import ConfigError, ParamVector, TrainingTrace, axpy, call_keys, \
     canonical_json, check_fields, check_keys, check_value, \
     checked_arguments, field_rules
-from .directions import AdamState
+from .directions import _HYPER, AdamState
 from .frequency import FrequencyController
 from .line_search import SlsConfig, SlsState, apply_without_search, sls_step
 from .problems import BatchSampler, Problem, batch_for_step, make_logreg, \
@@ -38,7 +37,7 @@ REPORT_SMOOTHING = 0.99
 REPLAY_SLACK = 1e-9
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """A problem and an optimizer config, run once per seed."""
 
@@ -51,8 +50,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_fields(self)
-        check_value("optimizer kind", self.optimizer.get("kind"), str,
-                    OPTIMIZER_KINDS)
+        _optimizer(self.optimizer)
 
     @classmethod
     def from_dict(cls, config: dict, where: str = "") -> ExperimentConfig:
@@ -92,74 +90,58 @@ def build_problem(problem_config: dict) -> Problem:
 # each fixed-rate optimizer key, as the ScheduleConfig field it sets
 _SCHEDULE_KEYS = {"lr": "peak_lr", "peak_lr": "peak_lr",
                   "warm_frac": "warm_frac", "schedule": "schedule"}
-# AdamState.zeros sets the moments and their step count
-_ADAM_KEYS = tuple(key for key in call_keys(AdamState)[0]
-                   if key not in ("m", "v", "k"))
-# each optimizer key -> the annotation of the field it fills
-_OPTIMIZER_HINTS = {
-    **{key: hint for key, (hint, _) in field_rules(SalsaConfig).items()},
-    **{key: field_rules(ScheduleConfig)[name][0]
-       for key, name in _SCHEDULE_KEYS.items()},
-    **{key: field_rules(AdamState)[key][0] for key in _ADAM_KEYS}}
 
 
-class _Runner:
-    """Steps any of the six optimizer kinds, for ``total`` steps: ``epochs``
-    passes over ``problem`` at ``batch_size``.
+@dataclass(frozen=True)
+class _Optimizer:
+    """An optimizer dict, checked: kind, search ("", "sls", "salsa") and its
+    config, the Adam keys set (None on sgd), and all its keys in order."""
 
-    Building it splits the kind into its two axes, once: the base (sgd, or
-    adam when ``state.adam`` is set) and ``search`` ("" for a fixed rate,
-    "sls" or "salsa"). It checks the optimizer dict: the kind, its keys
-    against those their owners take (the search config's fields, or
-    ``ScheduleConfig``'s with ``lr`` for ``peak_lr``, plus ``AdamState``'s
-    hyper-parameters on an adam kind), then the values, in ``cfg`` (None
-    for a fixed rate) and ``state.adam``.
+    kind: str
+    search: str
+    cfg: SlsConfig | None
+    adam: dict | None
+    config: dict
 
-    ``step`` takes ``(batch, w)`` and is bound when the runner is built,
-    from this module's bindings: a run built while they are swapped (as
-    the benchmark's tracer does) steps through the swapped functions.
-    """
+    def schedule_for(self, total: int) -> ScheduleConfig | None:
+        """A fixed rate's schedule for ``total`` steps; None for a search."""
+        return None if self.cfg is not None else ScheduleConfig(
+            total_steps=max(total, 1), **{_SCHEDULE_KEYS[key]: value for
+                                          key, value in self.config.items()
+                                          if key in _SCHEDULE_KEYS})
 
-    def __init__(self, opt: dict, problem: Problem, epochs: int,
-                 batch_size: int):
-        sampler = BatchSampler(seed=0, batch_size=batch_size,
-                               dataset_size=problem.dataset_size)
-        self.total = epochs * sampler.batches_per_epoch
-        self.kind = kind = check_value("optimizer kind", opt.get("kind"), str,
-                                       OPTIMIZER_KINDS)
-        base, _, self.search = kind.partition("_")
-        cfg_cls = {"sls": SlsConfig, "salsa": SalsaConfig}.get(self.search)
-        own = call_keys(cfg_cls)[0] if cfg_cls else tuple(_SCHEDULE_KEYS)
-        adam_keys = _ADAM_KEYS if base == "adam" else ()
-        check_keys(opt, ("kind", *own, *adam_keys), (), f"{kind} optimizer")
-        params = {key: opt[key] for key in own if key in opt}
-        self.cfg = cfg = cfg_cls(**params) if cfg_cls else None
-        if cfg is None:
-            if "lr" in params and "peak_lr" in params:
-                raise ConfigError(f"{kind} takes 'lr' or 'peak_lr', not both")
-            rules = field_rules(ScheduleConfig)
-            fixed = {name: check_value(key, params[key], *rules[name])
-                     for key, name in _SCHEDULE_KEYS.items() if key in params}
-            if "peak_lr" not in fixed:
-                raise ConfigError(f"{kind} needs 'lr' or 'peak_lr'")
-            # ScheduleConfig owns the defaults of the fields the config
-            # leaves out
-            schedule = ScheduleConfig(total_steps=max(self.total, 1), **fixed)
-        adam_kw = {key: opt[key] for key in adam_keys if key in opt}
-        adam = AdamState.zeros(problem.dim, **adam_kw) if adam_keys else None
-        self.state = state = SlsState(
-            eta=schedule.peak_lr if cfg is None else cfg.eta_init, adam=adam)
-        if cfg is None:
-            fixed_step = fixed_sgd_step if adam is None else fixed_adam_step
 
-            def step(batch, w):
-                state.eta = schedule_lr(schedule, state.k)
-                return fixed_step(batch, w, state)
-            self.step = step
-            return
-        search = sls_step if self.search == "sls" else \
-            salsa_sgd_step if adam is None else salsa_adam_step
-        self.step = lambda batch, w: search(batch, w, state, cfg)
+def _optimizer(optimizer: dict, kinds=OPTIMIZER_KINDS,
+               name: str = "optimizer kind") -> _Optimizer:
+    """The one reader of an optimizer dict. It checks the kind (as ``name``),
+    keys, search config or schedule fields, then Adam's; copies no default."""
+    kind = check_value(name, optimizer.get("kind"), str, kinds)
+    base, _, search = kind.partition("_")
+    cfg_cls = {"sls": SlsConfig, "salsa": SalsaConfig}.get(search)
+    own = call_keys(cfg_cls)[0] if cfg_cls else tuple(_SCHEDULE_KEYS)
+    adam_keys = _HYPER if base == "adam" else ()
+    check_keys(optimizer, ("kind", *own, *adam_keys), (), f"{kind} optimizer")
+    values = {key: optimizer[key] for key in own if key in optimizer}
+    cfg = cfg_cls(**values) if cfg_cls else None
+    if cfg is not None:
+        values = {key: getattr(cfg, key) for key in values}
+    elif "lr" in values and "peak_lr" in values:
+        raise ConfigError(f"{kind} takes 'lr' or 'peak_lr', not both")
+    else:
+        values = {key: check_value(key, value, *field_rules(ScheduleConfig)[
+            _SCHEDULE_KEYS[key]]) for key, value in values.items()}
+        if not values.keys() & {"lr", "peak_lr"}:
+            raise ConfigError(f"{kind} needs 'lr' or 'peak_lr'")
+    adam = {key: check_value(key, optimizer[key], *field_rules(AdamState)[key])
+            for key in adam_keys if key in optimizer}
+    values.update(adam, kind=kind)
+    return _Optimizer(kind, search, cfg, adam if base == "adam" else None,
+                      {key: values[key] for key in optimizer})
+
+
+def _run_length(problem: Problem, epochs: int, batch_size: int) -> int:
+    return epochs * BatchSampler(0, batch_size,
+                                 problem.dataset_size).batches_per_epoch
 
 
 @dataclass
@@ -177,76 +159,88 @@ class RunResult:
 def run_single(problem: Problem, optimizer: dict, seed: int, epochs: int,
                batch_size: int,
                frequency_controller: bool = False) -> RunResult:
-    """One deterministic run; the workhorse behind run_experiment. A run of
-    no steps records one no-search step at its start and drops its update.
-    It stops after the first record whose loss or gradient norm is not
-    finite. Every argument is checked against its annotation before the
-    first evaluation, and ``epochs`` and ``batch_size`` against the run
-    config's ranges."""
-    runner = _Runner(optimizer, problem, epochs, batch_size)
-    sampler = BatchSampler(seed=seed, batch_size=batch_size,
-                           dataset_size=problem.dataset_size)
+    """One deterministic run. A run of no steps records one no-search step
+    at its start and drops its update. It stops after the first record
+    whose loss or gradient norm is not finite, as its status says, with
+    no numpy warning. Every argument is checked (the optimizer dict read
+    once) before the first evaluation."""
+    return _run(problem, _optimizer(optimizer), seed, epochs, batch_size,
+                frequency_controller)
+
+
+def _run(problem: Problem, opt: _Optimizer, seed: int, epochs: int,
+         batch_size: int, frequency_controller: bool = False) -> RunResult:
+    """``run_single`` on an optimizer checked before the first run."""
+    sampler = BatchSampler(seed, batch_size, problem.dataset_size)
+    total, cfg = epochs * sampler.batches_per_epoch, opt.cfg
+    schedule = opt.schedule_for(total)
+    adam = None if opt.adam is None else \
+        AdamState.zeros(problem.dim, **opt.adam)
+    state = SlsState(eta=schedule.peak_lr if cfg is None else cfg.eta_init,
+                     adam=adam)
+    # each step takes (batch, w, state, cfg); bound once per run, after any
+    # swap of this module's bindings
+    if cfg is None:
+        fixed_step = fixed_sgd_step if adam is None else fixed_adam_step
+
+        def step(batch, w, state, cfg):
+            state.eta = schedule_lr(schedule, state.k)
+            return fixed_step(batch, w, state)
+    else:
+        step = sls_step if opt.search == "sls" else \
+            salsa_sgd_step if adam is None else salsa_adam_step
     w = problem.init_params(seed)
     controller = FrequencyController() \
-        if frequency_controller and runner.cfg is not None else None
+        if frequency_controller and cfg is not None else None
     trace = TrainingTrace(metadata={})
-
-    # looked up once per run, after any swap of the bindings
-    batch_for, step, skip = batch_for_step, runner.step, apply_without_search
-    state, append, finite = runner.state, trace.append, math.isfinite
-    for k in range(runner.total):
-        batch = batch_for(problem, sampler, k)
-        if controller is None:
-            w, rec = step(batch, w)
-        elif not controller.should_search():
-            w, rec = skip(batch, w, state)
-            controller.record_skip()
-        else:
-            w, rec = step(batch, w)
-            # a give-up counts as a skip, so the next step searches
-            if rec.searched and not rec.gave_up:
-                controller.record_search(rec.eta)
-            else:
+    batch_for, skip = batch_for_step, apply_without_search
+    append, finite = trace.append, math.isfinite
+    with np.errstate(all="ignore"):
+        for k in range(total):
+            batch = batch_for(problem, sampler, k)
+            if controller is None:
+                w, rec = step(batch, w, state, cfg)
+            elif not controller.should_search():
+                w, rec = skip(batch, w, state)
                 controller.record_skip()
-        append(rec)
-        if not (finite(rec.loss) and finite(rec.grad_norm_sq)):
-            break
-    if runner.total == 0:
-        append(skip(batch_for(problem, sampler, 0), w, state)[1])
+            else:
+                w, rec = step(batch, w, state, cfg)
+                # a give-up counts as a skip, so the next step searches
+                if rec.searched and not rec.gave_up:
+                    controller.record_search(rec.eta)
+                else:
+                    controller.record_skip()
+            append(rec)
+            if not (finite(rec.loss) and finite(rec.grad_norm_sq)):
+                break
+        if total == 0:
+            append(skip(batch_for(problem, sampler, 0), w, state)[1])
     last = trace.records[-1]
     ok = finite(last.loss) and finite(last.grad_norm_sq) and \
         np.isfinite(w).all()
     return RunResult(trace, w, "ok" if ok else f"diverged at {last.k}")
 
 
-def _as_checked(config: dict, hints: dict) -> dict:
-    """A copy of a checked ``config`` with each value that ``hints`` (key
-    -> annotation) covers stored as its check stores it: an int given for
-    a float reads as a float, as in the field it fills."""
-    return {key: check_value(key, value, hints[key]) if key in hints
-            else copy.deepcopy(value) for key, value in config.items()}
-
-
 def run_experiment(cfg: ExperimentConfig) -> list[RunResult]:
-    """One run per seed, reproducible bit-exactly from (config, seed)."""
+    """One run per seed, reproducible bit-exactly; the optimizer read once."""
     problem = build_problem(cfg.problem)
-    results = [run_single(problem, cfg.optimizer, seed, cfg.epochs,
-                          cfg.batch_size, cfg.frequency_controller)
-               for seed in cfg.seeds]
-    # the metadata keeps the config's keys with the values as checked, so
-    # configs that differ only in how a number is written write the same
-    # bytes
+    opt = _optimizer(cfg.optimizer)
+    results = [_run(problem, opt, seed, cfg.epochs, cfg.batch_size,
+                    cfg.frequency_controller) for seed in cfg.seeds]
+    # the metadata keeps the configs' keys with their values as checked:
+    # configs that differ only in how a number is written write one file
+    hints = typing.get_type_hints(_PROBLEM_BUILDERS[cfg.problem["kind"]])
     snapshot = {
-        "problem": _as_checked(cfg.problem, typing.get_type_hints(
-            _PROBLEM_BUILDERS[cfg.problem["kind"]])),
-        "optimizer": _as_checked(cfg.optimizer, _OPTIMIZER_HINTS),
+        "problem": {key: check_value(key, value, hints[key]) if key in hints
+                    else value for key, value in cfg.problem.items()},
+        "optimizer": opt.config,
         "epochs": cfg.epochs,
         "batch_size": cfg.batch_size,
         "frequency_controller": cfg.frequency_controller,
     }
     for seed, result in zip(cfg.seeds, results):
         result.trace.metadata = {
-            "optimizer": cfg.optimizer["kind"],
+            "optimizer": opt.kind,
             "problem": problem.name,
             "seed": seed,
             "config": snapshot,
@@ -365,27 +359,30 @@ def compare_optimizers(problems: list[dict], optimizers: list[dict],
                        seeds: list[int], epochs: int, batch_size: int,
                        frequency_controller: bool = False) -> ComparisonTable:
     """Every optimizer on every problem config, run once per seed, as one
-    ``compare`` table; each problem is built once and every pair checked
-    before the first run. A cell is labelled by problem name and optimizer
-    kind, so a repeated label raises ConfigError. A cell is the mean of its
-    seeds' final smoothed losses, NaN if any of its runs is not ok."""
+    ``compare`` table; each optimizer is read and each problem built once,
+    and every pair checked, before the first run. A cell, labelled by
+    problem name and optimizer kind (a repeated label raises ConfigError),
+    is its seeds' mean final smoothed loss, or NaN if a run is not ok."""
+    checked = [_optimizer(optimizer) for optimizer in optimizers]
     pairs = {}
     for spec in problems:
         problem = build_problem(spec)
-        for optimizer in optimizers:
-            _Runner(optimizer, problem, epochs, batch_size)
-            label = (problem.name, optimizer["kind"])
+        for opt in checked:
+            opt.schedule_for(_run_length(problem, epochs, batch_size))
+            label = (problem.name, opt.kind)
             if label in pairs:
                 raise ConfigError(f"compare config repeats the pair "
                                   f"({label[0]}, {label[1]})")
-            pairs[label] = problem, optimizer
+            pairs[label] = problem, opt
     cells, not_ok = {}, []
-    for (name, kind), (problem, optimizer) in pairs.items():
-        cells[(name, kind)] = float(np.mean([_reported(run_single(
-            problem, optimizer, seed, epochs, batch_size, frequency_controller),
+    for (name, kind), (problem, opt) in pairs.items():
+        cells[(name, kind)] = float(np.mean([_reported(_run(
+            problem, opt, seed, epochs, batch_size, frequency_controller),
             f"{name} {kind} seed {seed}", not_ok, final_smoothed_loss)[0]
             for seed in seeds]))
-    return replace(compare(cells), not_ok=not_ok)
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "NaN loss on ")
+        return replace(compare(cells), not_ok=not_ok)
 
 
 def _mean_mid_eta(trace: TrainingTrace) -> float:
@@ -436,22 +433,23 @@ def batch_scaling_experiment(problem: Problem, optimizer: dict | None = None,
     Runs the (by default) adam_salsa optimizer at each batch size and
     reports the mean accepted step size over the middle half of each run,
     averaged over seeds, together with the consecutive-doubling ratios and
-    the per-run smoothed h/s series. The optimizer is checked at every
-    batch size before the first run. A run that is not ok gives NaN for
-    its batch size's mean; its h/s series keep its records.
+    the per-run smoothed h/s series. The optimizer is read once and
+    checked at every batch size before the first run. A run that is not ok
+    gives NaN for its batch size's mean; its h/s series keep its records.
     """
-    optimizer = optimizer or {"kind": "adam_salsa"}
-    smoothed = {_Runner(optimizer, problem, epochs, bs).search
-                for bs in batch_sizes} == {"salsa"}
+    opt = _optimizer(optimizer or {"kind": "adam_salsa"})
+    for bs in batch_sizes:
+        opt.schedule_for(_run_length(problem, epochs, bs))
+    smoothed = opt.search == "salsa"
     mean_eta, h_runs, s_runs, not_ok = {}, {}, {}, []
     for bs in batch_sizes:
         per_seed = []
         for seed in seeds:
-            result = run_single(problem, optimizer, seed, epochs, bs)
+            result = _run(problem, opt, seed, epochs, bs)
             records = result.trace.records
             per_seed += _reported(
-                result, f"{problem.name} {optimizer['kind']} batch {bs} "
-                f"seed {seed}", not_ok, _mean_mid_eta)
+                result, f"{problem.name} {opt.kind} batch {bs} seed {seed}",
+                not_ok, _mean_mid_eta)
             h_runs[(bs, seed)] = [r.h for r in records] if smoothed else []
             s_runs[(bs, seed)] = [r.s for r in records] if smoothed else []
         mean_eta[bs] = float(np.mean(per_seed))
@@ -504,19 +502,18 @@ def frequency_ablation(problem: Problem,
 
     Batch streams are identical within a pair (same run seed), so the only
     difference is how often the search runs. The optimizer must be a
-    line-search kind: the controller only skips searches. A run that is
-    not ok gives NaN for its final loss and its searched fraction.
+    line-search kind, read once: the controller only skips searches. A run
+    that is not ok gives NaN for its final loss and its searched fraction.
     """
-    optimizer = optimizer or {"kind": "adam_salsa"}
-    kind = check_value("frequency_ablation optimizer kind",
-                       optimizer.get("kind"), str, LINE_SEARCH_KINDS)
+    opt = _optimizer(optimizer or {"kind": "adam_salsa"}, LINE_SEARCH_KINDS,
+                     "frequency_ablation optimizer kind")
     numbers, not_ok = [], []
     for seed in seeds:
         for switch in ("on", "off"):
             numbers += _reported(
-                run_single(problem, optimizer, seed, epochs, batch_size,
-                           frequency_controller=switch == "on"),
-                f"{problem.name} {kind} controller {switch} seed {seed}",
+                _run(problem, opt, seed, epochs, batch_size,
+                     frequency_controller=switch == "on"),
+                f"{problem.name} {opt.kind} controller {switch} seed {seed}",
                 not_ok, final_smoothed_loss,
                 lambda trace: np.mean([r.searched for r in trace.records]))
     # per seed: final loss and searched fraction, controller on then off
@@ -581,11 +578,10 @@ def replay_verify(problem: Problem, optimizer: dict, seed: int, epochs: int,
     accepted on its last candidate is checked. The arguments are checked
     as ``run_single``'s are, before the rerun.
     """
-    # the hyper-parameters as the run read them, from the same runner
-    runner = _Runner(optimizer, problem, epochs, batch_size)
-    if runner.cfg is None:
+    opt = _optimizer(optimizer)
+    if opt.cfg is None:
         raise ConfigError(f"replay_verify applies to line-search runs, "
-                          f"got {runner.kind!r}")
+                          f"got {opt.kind!r}")
     base_points, loss_grad = [], problem.loss_grad
 
     def recording(w, indices, grad=True):
@@ -593,6 +589,7 @@ def replay_verify(problem: Problem, optimizer: dict, seed: int, epochs: int,
             base_points.append(w)
         return loss_grad(w, indices, grad=grad)
 
+    # through run_single, which reads the dict again, as the benchmark times it
     rerun = run_single(replace(problem, loss_grad=recording), optimizer, seed,
                        epochs, batch_size, frequency_controller)
     # the rerun's records must equal the trace's in their written fields;
@@ -606,10 +603,11 @@ def replay_verify(problem: Problem, optimizer: dict, seed: int, epochs: int,
         raise ValueError(f"the rerun made {len(base_points)} gradient "
                          f"evaluations for {len(records)} steps")
 
-    cfg, adam = runner.cfg, runner.state.adam
+    # the hyper-parameters as the run read them, Adam's from its class
+    cfg = opt.cfg
+    adam = None if opt.adam is None else AdamState.zeros(0, **opt.adam)
 
-    sampler = BatchSampler(seed=seed, batch_size=batch_size,
-                           dataset_size=problem.dataset_size)
+    sampler = BatchSampler(seed, batch_size, problem.dataset_size)
     v = np.zeros(problem.dim)
     h = s = 0.0
 
@@ -643,7 +641,7 @@ def replay_verify(problem: Problem, optimizer: dict, seed: int, epochs: int,
             # perfbench/run.py counts the replay's evaluations
             continue
 
-        if runner.search == "sls":
+        if opt.search == "sls":
             lhs = loss_trial
             rhs = res.loss - cfg.c * rec.eta * gterm
             ok = lhs <= rhs + REPLAY_SLACK

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -97,6 +98,21 @@ class TestRunCommand:
                        f"wrote {tmp_path / 'trace_seed3.csv'}",
                        f"seed 3: diverged at {traces[3].records[-1].k}"]
 
+    def test_a_diverged_run_warns_of_nothing(self, tmp_path, capsys):
+        # numpy's overflow warning used to come before the status line
+        cfg = write_config(tmp_path, {
+            **RUN_CONFIG, "seeds": [0], "epochs": 200,
+            "problem": {"kind": "quadratic", "dim": 4, "cond": 10,
+                        "seed": 0},
+            "optimizer": {"kind": "sgd", "lr": 5}})
+        out = tmp_path / "trace.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["run", "--config", cfg, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == \
+            f"wrote {out}\nseed 0: diverged at 92\n"
+        assert caught == []
+
     def test_a_diverged_run_to_stdout_exits_3(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {
             **RUN_CONFIG, "seeds": [0], "epochs": 200,
@@ -127,8 +143,8 @@ class TestRunCommand:
     def test_several_seeds_without_out_rejected(self, tmp_path, capsys,
                                                 monkeypatch):
         # the seeds used to run before the missing --out was reported; with
-        # no run_single to call, the check must come before any run
-        monkeypatch.setattr(harness, "run_single", None)
+        # no run to call, the check must come before any run
+        monkeypatch.setattr(harness, "_run", None)
         cfg = write_config(tmp_path, RUN_CONFIG)
         assert main(["run", "--config", cfg]) == 2
         captured = capsys.readouterr()
@@ -273,13 +289,16 @@ class TestCompareCommand:
             "optimizers": [{"kind": "sgd", "lr": 5}, {"kind": "sgd_sls"}],
             "seeds": [0], "epochs": 200, "batch_size": 1})
         out = tmp_path / "table.csv"
-        with np.errstate(all="ignore"), pytest.warns(UserWarning,
-                                                     match="NaN loss"):
+        # numpy's overflow warning and compare's NaN warning used to come
+        # before these lines, each with a source line
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = main(["compare", "--config", cfg, "--out", str(out)])
         assert code == 3
         assert capsys.readouterr().err == (
             f"wrote {out}\n"
             "quadratic_d4_c10 sgd seed 0: diverged at 92\n")
+        assert caught == []
         lines = out.read_text().splitlines()
         assert lines[0] == "problem,sgd,sgd_sls"
         assert lines[1].startswith("quadratic_d4_c10,nan,")
@@ -357,9 +376,9 @@ class TestCompareCommand:
         # the table labels a pair by problem name and optimizer kind; two
         # pairs with one label used to run and print as one cell
         runs = []
-        run_single = harness.run_single
-        monkeypatch.setattr(harness, "run_single", lambda *args, **kwargs:
-                            runs.append(args) or run_single(*args, **kwargs))
+        run = harness._run
+        monkeypatch.setattr(harness, "_run", lambda *args, **kwargs:
+                            runs.append(args) or run(*args, **kwargs))
         cfg = write_config(tmp_path, {
             "problems": problems, "optimizers": optimizers, "seeds": [0],
             "epochs": 20, "batch_size": 1})

@@ -51,7 +51,7 @@ from salsa_opt.salsa import SalsaConfig
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "salsa_opt"
 CONFIG_CLASSES = [SlsConfig, SalsaConfig, ScheduleConfig, AdamState,
-                  ExperimentConfig, BatchSampler]
+                  ExperimentConfig, BatchSampler, harness._Optimizer]
 FACTORIES = {"quadratic": make_quadratic, "logreg": make_logreg,
              "mlp": make_mlp,
              "matrix_factorization": make_matrix_factorization,

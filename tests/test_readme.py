@@ -25,7 +25,7 @@ from pathlib import Path
 import pytest
 
 import salsa_opt
-from salsa_opt import cli, harness
+from salsa_opt import cli, directions, harness
 from salsa_opt.cli import gradient_errors
 from salsa_opt.core import call_keys
 from salsa_opt.baselines import ScheduleConfig
@@ -192,7 +192,7 @@ def test_config_table_names_the_keys_each_owner_takes():
     expected = {
         "`SlsConfig`": sls,
         "`SalsaConfig`": salsa - sls | {"c"},
-        "Adam kinds (`AdamState`)": set(harness._ADAM_KEYS),
+        "Adam kinds (`AdamState`)": set(directions._HYPER),
         # total_steps comes from the run's length; lr stands for peak_lr
         "`sgd`, `adam` (`ScheduleConfig`)":
             set(call_keys(ScheduleConfig)[0]) - {"total_steps"} | {"lr"},
