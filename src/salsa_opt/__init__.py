@@ -15,12 +15,11 @@ from .problems import (BatchSampler, Problem, batch_for_step,
                        finite_diff_grad, make_logreg,
                        make_matrix_factorization, make_mlp, make_quadratic,
                        problem_from_csv)
-from .harness import (AblationReport, ComparisonTable, ExperimentConfig,
-                      ReplayReport, RunResult, ScalingReport,
-                      batch_scaling_experiment, build_problem, compare,
-                      compare_optimizers, emit, final_smoothed_loss,
-                      frequency_ablation, replay_verify, run_experiment,
-                      run_single)
+from .harness import (AblationReport, ComparisonTable, ReplayReport,
+                      RunResult, ScalingReport, batch_scaling_experiment,
+                      build_problem, compare, compare_optimizers, emit,
+                      final_smoothed_loss, frequency_ablation, replay_verify,
+                      run_experiment, run_single)
 
 __all__ = [
     # problems
@@ -28,8 +27,7 @@ __all__ = [
     "make_matrix_factorization", "problem_from_csv", "build_problem",
     "finite_diff_grad",
     # configs
-    "SlsConfig", "SalsaConfig", "ScheduleConfig", "ExperimentConfig",
-    "ConfigError",
+    "SlsConfig", "SalsaConfig", "ScheduleConfig", "ConfigError",
     # runs
     "run_single", "RunResult", "run_experiment", "final_smoothed_loss",
     "TrainingTrace", "StepRecord", "emit",

@@ -1,7 +1,8 @@
 """Command-line experiment runner.
 
 Subcommands: run, compare, scaling, freq-ablation, check-grad. A config's
-keys are the arguments of the one callable it feeds, which checks them;
+keys are the arguments of the one checked function it feeds
+(``run_experiment``, a study, or ``gradient_errors``), which checks them;
 outputs are CSV or JSON and byte-identical across repeated invocations.
 Exit status: 0, 1 for a bad gradient, 2 for a config or I/O error, 3 for a
 run that is not ok, named on stderr; its trace or report is still written.
@@ -19,9 +20,8 @@ import numpy as np
 
 from .core import ConfigError, call_keys, check_keys, check_value, \
     checked_arguments, seeded_rng
-from .harness import ExperimentConfig, batch_scaling_experiment, \
-    build_problem, compare_optimizers, emit, frequency_ablation, render, \
-    run_experiment
+from .harness import batch_scaling_experiment, build_problem, \
+    compare_optimizers, emit, frequency_ablation, render, run_experiment
 from .problems import finite_diff_grad
 
 
@@ -42,12 +42,16 @@ def _load_config(args) -> dict:
 
 
 def _cmd_run(args) -> int:
-    cfg = ExperimentConfig.from_dict(_load_config(args), "run")
-    if args.out is None and len(cfg.seeds) > 1:
+    """The run command: ``run_experiment`` called with the config's keys,
+    which it checks; several seeds need ``--out``, one file per seed."""
+    raw = _load_config(args)
+    check_keys(raw, *call_keys(run_experiment), args.command)
+    seeds = raw["seeds"]
+    if args.out is None and isinstance(seeds, list) and len(seeds) > 1:
         raise ConfigError("multiple seeds need --out")
-    results = run_experiment(cfg)
+    results = run_experiment(**raw)
     path = None if args.out is None else Path(args.out)
-    for seed, result in zip(cfg.seeds, results):
+    for seed, result in zip(seeds, results):
         out = path if len(results) == 1 else \
             path.with_name(f"{path.stem}_seed{seed}{path.suffix}")
         _finish(result.trace, args, out, [f"seed {seed}: {result.status}"]

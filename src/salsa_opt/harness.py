@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import typing
 import warnings
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +20,7 @@ import numpy as np
 from .baselines import ScheduleConfig, fixed_adam_step, fixed_sgd_step, \
     schedule_lr
 from .core import ConfigError, ParamVector, TrainingTrace, axpy, call_keys, \
-    canonical_json, check_fields, check_keys, check_value, \
-    checked_arguments, field_rules
+    canonical_json, check_keys, check_value, checked_arguments, field_rules
 from .directions import _HYPER, AdamState
 from .frequency import FrequencyController
 from .line_search import SlsConfig, SlsState, apply_without_search, sls_step
@@ -37,32 +36,9 @@ REPORT_SMOOTHING = 0.99
 REPLAY_SLACK = 1e-9
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """A problem and an optimizer config, run once per seed."""
-
-    problem: dict
-    optimizer: dict
-    seeds: list[int]
-    epochs: int = field(metadata={"range": ">= 0"})
-    batch_size: int = field(metadata={"range": ">= 1"})
-    frequency_controller: bool = False
-
-    def __post_init__(self):
-        check_fields(self)
-        _optimizer(self.optimizer)
-
-    @classmethod
-    def from_dict(cls, config: dict, where: str = "") -> ExperimentConfig:
-        """``cls(**config)``, once ``check_keys`` holds for its fields."""
-        check_keys(config, *call_keys(cls), where)
-        return cls(**config)
-
-
 # The runs and studies check their arguments as the problem factories do;
-# one named as an ExperimentConfig field takes that field's range.
-_STUDY_RANGES = {f.name: f.metadata["range"]
-                 for f in fields(ExperimentConfig) if "range" in f.metadata}
+# one named here takes this range.
+_STUDY_RANGES = {"epochs": ">= 0", "batch_size": ">= 1"}
 
 
 _PROBLEM_BUILDERS = {
@@ -221,27 +197,32 @@ def _run(problem: Problem, opt: _Optimizer, seed: int, epochs: int,
     return RunResult(trace, w, "ok" if ok else f"diverged at {last.k}")
 
 
-def run_experiment(cfg: ExperimentConfig) -> list[RunResult]:
-    """One run per seed, reproducible bit-exactly; the optimizer read once."""
-    problem = build_problem(cfg.problem)
-    opt = _optimizer(cfg.optimizer)
-    results = [_run(problem, opt, seed, cfg.epochs, cfg.batch_size,
-                    cfg.frequency_controller) for seed in cfg.seeds]
+@checked_arguments(**_STUDY_RANGES)
+def run_experiment(problem: dict, optimizer: dict, seeds: list[int],
+                   epochs: int, batch_size: int,
+                   frequency_controller: bool = False) -> list[RunResult]:
+    """One run per seed of a problem config and an optimizer dict,
+    reproducible bit-exactly. Every argument is checked, the optimizer
+    read once and then the problem built, before the first run."""
+    opt = _optimizer(optimizer)
+    built = build_problem(problem)
+    results = [_run(built, opt, seed, epochs, batch_size,
+                    frequency_controller) for seed in seeds]
     # the metadata keeps the configs' keys with their values as checked:
     # configs that differ only in how a number is written write one file
-    hints = typing.get_type_hints(_PROBLEM_BUILDERS[cfg.problem["kind"]])
+    hints = typing.get_type_hints(_PROBLEM_BUILDERS[problem["kind"]])
     snapshot = {
         "problem": {key: check_value(key, value, hints[key]) if key in hints
-                    else value for key, value in cfg.problem.items()},
+                    else value for key, value in problem.items()},
         "optimizer": opt.config,
-        "epochs": cfg.epochs,
-        "batch_size": cfg.batch_size,
-        "frequency_controller": cfg.frequency_controller,
+        "epochs": epochs,
+        "batch_size": batch_size,
+        "frequency_controller": frequency_controller,
     }
-    for seed, result in zip(cfg.seeds, results):
+    for seed, result in zip(seeds, results):
         result.trace.metadata = {
             "optimizer": opt.kind,
-            "problem": problem.name,
+            "problem": built.name,
             "seed": seed,
             "config": snapshot,
         }
@@ -437,7 +418,8 @@ def batch_scaling_experiment(problem: Problem, optimizer: dict | None = None,
     checked at every batch size before the first run. A run that is not ok
     gives NaN for its batch size's mean; its h/s series keep its records.
     """
-    opt = _optimizer(optimizer or {"kind": "adam_salsa"})
+    opt = _optimizer({"kind": "adam_salsa"} if optimizer is None
+                     else optimizer)
     for bs in batch_sizes:
         opt.schedule_for(_run_length(problem, epochs, bs))
     smoothed = opt.search == "salsa"
@@ -505,7 +487,8 @@ def frequency_ablation(problem: Problem,
     line-search kind, read once: the controller only skips searches. A run
     that is not ok gives NaN for its final loss and its searched fraction.
     """
-    opt = _optimizer(optimizer or {"kind": "adam_salsa"}, LINE_SEARCH_KINDS,
+    opt = _optimizer({"kind": "adam_salsa"} if optimizer is None
+                     else optimizer, LINE_SEARCH_KINDS,
                      "frequency_ablation optimizer kind")
     numbers, not_ok = [], []
     for seed in seeds:

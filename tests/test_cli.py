@@ -152,6 +152,20 @@ class TestRunCommand:
             "error: multiple seeds need --out\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("seeds", [[0], [0, 1, 2]])
+    def test_the_optimizer_dict_is_read_once(self, tmp_path, monkeypatch,
+                                             seeds):
+        # the run config's check read it, then run_experiment again
+        reads = []
+        read = harness._optimizer
+        monkeypatch.setattr(harness, "_optimizer", lambda *args, **kwargs:
+                            reads.append(args) or read(*args, **kwargs))
+        cfg = write_config(tmp_path, {**RUN_CONFIG, "seeds": seeds,
+                                      "epochs": 2})
+        assert main(["run", "--config", cfg, "--out",
+                     str(tmp_path / "r.csv")]) == 0
+        assert reads == [(RUN_CONFIG["optimizer"],)]
+
     def test_repeated_seeds_rejected(self, tmp_path, capsys):
         # wrote r_seed3.csv twice and exited 0
         cfg = write_config(tmp_path, {**RUN_CONFIG, "seeds": [3, 3]})
@@ -358,8 +372,8 @@ class TestCompareCommand:
         table = compare({
             (build_problem(prob).name, opt["kind"]): float(np.mean([
                 final_smoothed_loss(r.trace)
-                for r in run_experiment(harness.ExperimentConfig(
-                    problem=prob, optimizer=opt, **shared))]))
+                for r in run_experiment(problem=prob, optimizer=opt,
+                                        **shared)]))
             for prob in config["problems"] for opt in config["optimizers"]})
         assert out.read_text() == table.to_csv()
 
@@ -496,6 +510,22 @@ class TestStudyDefaults:
                      "--format", "json"]) == 0
         assert out.read_bytes() == \
             study(build_problem(spec)).to_json().encode()
+
+    @pytest.mark.parametrize("command, message", [
+        ("scaling", "optimizer kind must be a string, got None"),
+        ("freq-ablation",
+         "frequency_ablation optimizer kind must be a string, got None"),
+    ])
+    def test_an_empty_optimizer_is_a_config_error(self, tmp_path, capsys,
+                                                  command, message):
+        # {} used to run the default adam_salsa, as null does
+        spec = {"kind": "logreg", "n": 64, "dim": 3, "seed": 0}
+        cfg = write_config(tmp_path, {"problem": spec, "optimizer": {}})
+        out = tmp_path / "out.csv"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == "" and not out.exists()
 
 
 class TestStudyBytes:

@@ -40,9 +40,9 @@ from salsa_opt.cli import gradient_errors, main
 from salsa_opt.core import ConfigError, check_value
 from salsa_opt.directions import AdamState
 from salsa_opt.harness import (LINE_SEARCH_KINDS, OPTIMIZER_KINDS,
-                               ExperimentConfig, batch_scaling_experiment,
-                               compare_optimizers, frequency_ablation,
-                               replay_verify, run_single)
+                               batch_scaling_experiment, compare_optimizers,
+                               frequency_ablation, replay_verify,
+                               run_experiment, run_single)
 from salsa_opt.line_search import SlsConfig
 from salsa_opt.problems import (BatchSampler, make_logreg,
                                 make_matrix_factorization, make_mlp,
@@ -51,14 +51,15 @@ from salsa_opt.salsa import SalsaConfig
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "salsa_opt"
 CONFIG_CLASSES = [SlsConfig, SalsaConfig, ScheduleConfig, AdamState,
-                  ExperimentConfig, BatchSampler, harness._Optimizer]
+                  BatchSampler, harness._Optimizer]
 FACTORIES = {"quadratic": make_quadratic, "logreg": make_logreg,
              "mlp": make_mlp,
              "matrix_factorization": make_matrix_factorization,
              "csv": problem_from_csv}
 CHECKED_FUNCTIONS = [*FACTORIES.values(), compare_optimizers,
                      batch_scaling_experiment, frequency_ablation,
-                     run_single, replay_verify, gradient_errors]
+                     run_experiment, run_single, replay_verify,
+                     gradient_errors]
 
 
 def _declared(owner):
@@ -288,9 +289,8 @@ def _sites():
     def add(command, base, path, hint):
         out.append((command, base, path, *_kind(hint)))
 
-    hints = typing.get_type_hints(ExperimentConfig)
-    for f in dataclasses.fields(ExperimentConfig):
-        add("run", RUN, (f.name,), hints[f.name])
+    for name, hint in _declared(run_experiment):
+        add("run", RUN, (name,), hint)
     for kind in OPTIMIZER_KINDS:
         fixed = kind not in LINE_SEARCH_KINDS
         opt = {"kind": kind, **({"lr": 0.1} if fixed else {})}

@@ -15,10 +15,11 @@ from hypothesis import strategies as st
 
 from salsa_opt import harness, line_search, salsa
 from salsa_opt.baselines import ScheduleConfig, schedule_lr
+from salsa_opt.cli import main
 from salsa_opt.core import EvalResult, TrainingTrace, StepRecord
 from salsa_opt.directions import AdamState
 from salsa_opt.harness import (LINE_SEARCH_KINDS, ConfigError,
-                               ExperimentConfig, batch_scaling_experiment,
+                               batch_scaling_experiment,
                                build_problem, compare, compare_optimizers,
                                emit, final_smoothed_loss,
                                frequency_ablation, replay_verify,
@@ -32,17 +33,18 @@ QUAD_SPEC = {"kind": "quadratic", "dim": 3, "cond": 10, "seed": 1}
 
 
 def quick_config(**overrides):
+    """run_experiment's keyword arguments for a short sgd_sls run."""
     base = dict(problem=QUAD_SPEC,
                 optimizer={"kind": "sgd_sls"}, seeds=[0], epochs=30,
                 batch_size=1)
     base.update(overrides)
-    return ExperimentConfig(**base)
+    return base
 
 
 class TestConfig:
     def test_empty_seeds_rejected(self):
         with pytest.raises(ConfigError):
-            quick_config(seeds=[])
+            run_experiment(**quick_config(seeds=[]))
 
     @pytest.mark.parametrize("field, value", [
         ("epochs", 2.0), ("epochs", True), ("epochs", "3"),
@@ -51,21 +53,14 @@ class TestConfig:
     ])
     def test_non_integer_run_fields_rejected(self, field, value):
         with pytest.raises(ConfigError, match=field):
-            quick_config(**{field: value})
-
-    def test_a_built_config_cannot_drift_from_its_checks(self):
-        # run_experiment runs the checked fields without checking them
-        # again, so none may be assigned after the build
-        cfg = quick_config()
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            cfg.epochs = -1
+            run_experiment(**quick_config(**{field: value}))
 
     @pytest.mark.parametrize("value", ["false", 0, 1, None])
     def test_non_bool_frequency_controller_rejected(self, value):
         # the string "false" is truthy: it used to switch the controller on
         with pytest.raises(ConfigError, match="frequency_controller must be "
                                               "true or false"):
-            quick_config(frequency_controller=value)
+            run_experiment(**quick_config(frequency_controller=value))
 
     def test_run_single_rejects_nondecrease_with_zero_eta_min(self):
         with pytest.raises(ConfigError, match="eta_min must be > 0"):
@@ -99,7 +94,7 @@ class TestConfig:
 
     def test_unknown_optimizer_rejected(self):
         with pytest.raises(ConfigError):
-            quick_config(optimizer={"kind": "lbfgs"})
+            run_experiment(**quick_config(optimizer={"kind": "lbfgs"}))
 
     def test_unknown_problem_kind_rejected(self):
         with pytest.raises(ConfigError):
@@ -109,15 +104,16 @@ class TestConfig:
         with pytest.raises(ConfigError):
             build_problem({"kind": "quadratic", "dim": 2, "curvature": 3})
 
-    def test_unknown_config_field_rejected(self):
-        with pytest.raises(ConfigError):
-            ExperimentConfig.from_dict({
-                "problem": QUAD_SPEC, "optimizer": {"kind": "sgd_sls"},
-                "seeds": [0], "epochs": 1, "batch_size": 1, "turbo": True})
+    def test_unknown_config_field_rejected(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**quick_config(epochs=1), "turbo": True}))
+        assert main(["run", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == \
+            "error: unknown run config fields: ['turbo']\n"
 
     def test_unknown_optimizer_param_rejected(self):
         with pytest.raises(ConfigError):
-            run_experiment(quick_config(
+            run_experiment(**quick_config(
                 optimizer={"kind": "sgd_sls", "momentum": 0.9}, epochs=1))
 
     @pytest.mark.parametrize("optimizer", [
@@ -126,19 +122,19 @@ class TestConfig:
     def test_adam_keys_rejected_on_sgd_kinds(self, optimizer):
         with pytest.raises(ConfigError, match=r"unknown \w+ optimizer config "
                                               r"fields: \['beta1'\]"):
-            run_experiment(quick_config(
+            run_experiment(**quick_config(
                 optimizer={**optimizer, "beta1": 0.5}, epochs=1))
 
     def test_lr_with_peak_lr_rejected(self):
         with pytest.raises(ConfigError, match="not both"):
-            run_experiment(quick_config(
+            run_experiment(**quick_config(
                 optimizer={"kind": "sgd", "lr": 0.1, "peak_lr": 0.01},
                 epochs=1))
 
 
 class TestRunExperiment:
     def test_zero_epochs_gives_initial_record_only(self):
-        traces = [r.trace for r in run_experiment(quick_config(epochs=0))]
+        traces = [r.trace for r in run_experiment(**quick_config(epochs=0))]
         assert len(traces) == 1
         assert len(traces[0].records) == 1
         rec = traces[0].records[0]
@@ -157,8 +153,8 @@ class TestRunExperiment:
             assert math.isfinite(rec.h) and math.isfinite(rec.s)
 
     def test_identical_configs_give_identical_traces(self):
-        a = run_experiment(quick_config(seeds=[3, 4]))
-        b = run_experiment(quick_config(seeds=[3, 4]))
+        a = run_experiment(**quick_config(seeds=[3, 4]))
+        b = run_experiment(**quick_config(seeds=[3, 4]))
         for ta, tb in ((ra.trace, rb.trace) for ra, rb in zip(a, b)):
             assert ta.records == tb.records
             assert ta.to_csv() == tb.to_csv()
@@ -185,7 +181,7 @@ class TestRunExperiment:
             return {k: float(v) if isinstance(v, int) and k != "dim" else v
                     for k, v in config.items()}
 
-        traces = [run_experiment(quick_config(problem=p, optimizer=o,
+        traces = [run_experiment(**quick_config(problem=p, optimizer=o,
                                               epochs=1))[0].trace
                   for p, o in ((problem, optimizer),
                                (as_floats(problem), as_floats(optimizer)))]
@@ -195,7 +191,7 @@ class TestRunExperiment:
             list(optimizer)
 
     def test_one_trace_per_seed_in_order(self):
-        results = run_experiment(quick_config(seeds=[5, 1, 9], epochs=2))
+        results = run_experiment(**quick_config(seeds=[5, 1, 9], epochs=2))
         assert [r.trace.metadata["seed"] for r in results] == [5, 1, 9]
 
     def test_quadratic_salsa_adam_reaches_tiny_loss(self):
@@ -203,7 +199,7 @@ class TestRunExperiment:
                                     "seed": 11},
                            optimizer={"kind": "adam_salsa"},
                            seeds=[0, 1, 2, 3, 4], epochs=3500)
-        for result in run_experiment(cfg):
+        for result in run_experiment(**cfg):
             assert final_smoothed_loss(result.trace) <= 1e-6
 
     def test_all_optimizer_kinds_run(self):
@@ -211,7 +207,7 @@ class TestRunExperiment:
                      "adam_salsa"):
             opt = {"kind": kind, "lr": 0.05} if kind in ("sgd", "adam") \
                 else {"kind": kind}
-            results = run_experiment(quick_config(optimizer=opt, epochs=5))
+            results = run_experiment(**quick_config(optimizer=opt, epochs=5))
             assert len(results[0].trace.records) == 5
 
     def test_adam_salsa_run_builds_one_adam_state(self, monkeypatch):
@@ -260,11 +256,11 @@ class TestRunExperiment:
     @pytest.mark.parametrize("epochs", [0, 2])
     def test_json_bytes_are_pinned(self, optimizer, controller, digests,
                                    epochs):
-        results = run_experiment(ExperimentConfig(
+        results = run_experiment(
             problem={"seed": 2, "kind": "logreg", "n": 16, "dim": 3,
                      "label_noise": 0},
             optimizer=optimizer, seeds=[0, 1], epochs=epochs, batch_size=4,
-            frequency_controller=controller))
+            frequency_controller=controller)
         text = "".join(result.trace.to_json() for result in results)
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == \
             digests[epochs // 2]
@@ -498,6 +494,14 @@ class TestScalingExperiment:
                                               rf"a value, got \(8, 8\)"):
             batch_scaling_experiment(prob, epochs=1, **args)
 
+    def test_an_empty_optimizer_is_rejected(self):
+        # {} used to run the default adam_salsa: mean_mid_eta {1: 1.0014}
+        with pytest.raises(ConfigError) as raised:
+            batch_scaling_experiment(make_quadratic(3), optimizer={},
+                                     batch_sizes=(1,), seeds=(0,), epochs=2)
+        assert str(raised.value) == \
+            "optimizer kind must be a string, got None"
+
     def test_reports_h_and_s_series(self):
         prob = make_logreg(n=256, dim=5, seed=1, label_noise=0.1)
         report = batch_scaling_experiment(prob, batch_sizes=(8, 16),
@@ -531,6 +535,14 @@ class TestFrequencyAblation:
         assert len(report.final_loss_on) == 3
         assert report.not_ok == []
 
+    def test_an_empty_optimizer_is_rejected(self):
+        # {} used to run the default adam_salsa, as None does
+        with pytest.raises(ConfigError) as raised:
+            frequency_ablation(make_quadratic(3), seeds=(0,), optimizer={},
+                               epochs=2, batch_size=1)
+        assert str(raised.value) == \
+            "frequency_ablation optimizer kind must be a string, got None"
+
     def test_diverged_run_reports_nan(self):
         # the controller-on run used to report its final loss,
         # 5.6739593735347886e+268, and its searched fraction, 0.1538...
@@ -556,7 +568,7 @@ class TestFrequencyAblation:
 
 class TestEmit:
     def test_round_trip_json(self, tmp_path):
-        trace = run_experiment(quick_config(epochs=3))[0].trace
+        trace = run_experiment(**quick_config(epochs=3))[0].trace
         path = tmp_path / "t.json"
         emit(trace, "json", str(path))
         back = TrainingTrace.from_json(path.read_text())

@@ -22,8 +22,7 @@ PUBLIC = {
     "make_matrix_factorization", "problem_from_csv", "build_problem",
     "finite_diff_grad",
     # configs
-    "SlsConfig", "SalsaConfig", "ScheduleConfig", "ExperimentConfig",
-    "ConfigError",
+    "SlsConfig", "SalsaConfig", "ScheduleConfig", "ConfigError",
     # runs
     "run_single", "RunResult", "run_experiment", "final_smoothed_loss",
     "TrainingTrace", "StepRecord", "emit",
@@ -57,7 +56,7 @@ def is_submodule(name: str) -> bool:
 
 
 def test_all_is_the_pinned_set():
-    assert len(salsa_opt.__all__) == len(PUBLIC) == 35
+    assert len(salsa_opt.__all__) == len(PUBLIC) == 34
     assert set(salsa_opt.__all__) == PUBLIC
 
 

@@ -29,8 +29,8 @@ from salsa_opt import cli, directions, harness
 from salsa_opt.cli import gradient_errors
 from salsa_opt.core import call_keys
 from salsa_opt.baselines import ScheduleConfig
-from salsa_opt.harness import ExperimentConfig, batch_scaling_experiment, \
-    compare_optimizers, frequency_ablation
+from salsa_opt.harness import batch_scaling_experiment, \
+    compare_optimizers, frequency_ablation, run_experiment
 from salsa_opt.line_search import SlsConfig
 from salsa_opt.salsa import SalsaConfig
 from test_demos import DEMOS
@@ -196,7 +196,7 @@ def test_config_table_names_the_keys_each_owner_takes():
         # total_steps comes from the run's length; lr stands for peak_lr
         "`sgd`, `adam` (`ScheduleConfig`)":
             set(call_keys(ScheduleConfig)[0]) - {"total_steps"} | {"lr"},
-        "`ExperimentConfig`": set(call_keys(ExperimentConfig)[0]),
+        "`run` (`run_experiment`)": set(call_keys(run_experiment)[0]),
         "`compare`": set(call_keys(compare_optimizers)[0]),
         "problems": {name for factory in harness._PROBLEM_BUILDERS.values()
                      for name in call_keys(factory)[0]},
