@@ -80,7 +80,8 @@ class _Optimizer:
     config: dict
 
     def schedule_for(self, total: int) -> ScheduleConfig | None:
-        """A fixed rate's schedule for ``total`` steps; None for a search."""
+        """A fixed rate's schedule for ``total`` steps, valid at any
+        length; None for a search."""
         return None if self.cfg is not None else ScheduleConfig(
             total_steps=max(total, 1), **{_SCHEDULE_KEYS[key]: value for
                                           key, value in self.config.items()
@@ -113,11 +114,6 @@ def _optimizer(optimizer: dict, kinds=OPTIMIZER_KINDS,
     values.update(adam, kind=kind)
     return _Optimizer(kind, search, cfg, adam if base == "adam" else None,
                       {key: values[key] for key in optimizer})
-
-
-def _run_length(problem: Problem, epochs: int, batch_size: int) -> int:
-    return epochs * BatchSampler(0, batch_size,
-                                 problem.dataset_size).batches_per_epoch
 
 
 @dataclass
@@ -340,16 +336,16 @@ def compare_optimizers(problems: list[dict], optimizers: list[dict],
                        seeds: list[int], epochs: int, batch_size: int,
                        frequency_controller: bool = False) -> ComparisonTable:
     """Every optimizer on every problem config, run once per seed, as one
-    ``compare`` table; each optimizer is read and each problem built once,
-    and every pair checked, before the first run. A cell, labelled by
-    problem name and optimizer kind (a repeated label raises ConfigError),
-    is its seeds' mean final smoothed loss, or NaN if a run is not ok."""
+    ``compare`` table; each optimizer is read and checked and each problem
+    built once, and every label checked, before the first run. A cell,
+    labelled by problem name and optimizer kind (a repeated label raises
+    ConfigError), is its seeds' mean final smoothed loss, or NaN if a run
+    is not ok."""
     checked = [_optimizer(optimizer) for optimizer in optimizers]
     pairs = {}
     for spec in problems:
         problem = build_problem(spec)
         for opt in checked:
-            opt.schedule_for(_run_length(problem, epochs, batch_size))
             label = (problem.name, opt.kind)
             if label in pairs:
                 raise ConfigError(f"compare config repeats the pair "
@@ -414,14 +410,12 @@ def batch_scaling_experiment(problem: Problem, optimizer: dict | None = None,
     Runs the (by default) adam_salsa optimizer at each batch size and
     reports the mean accepted step size over the middle half of each run,
     averaged over seeds, together with the consecutive-doubling ratios and
-    the per-run smoothed h/s series. The optimizer is read once and
-    checked at every batch size before the first run. A run that is not ok
-    gives NaN for its batch size's mean; its h/s series keep its records.
+    the per-run smoothed h/s series. The optimizer is read and checked
+    once, before the first run. A run that is not ok gives NaN for its
+    batch size's mean; its h/s series keep its records.
     """
     opt = _optimizer({"kind": "adam_salsa"} if optimizer is None
                      else optimizer)
-    for bs in batch_sizes:
-        opt.schedule_for(_run_length(problem, epochs, bs))
     smoothed = opt.search == "salsa"
     mean_eta, h_runs, s_runs, not_ok = {}, {}, {}, []
     for bs in batch_sizes:

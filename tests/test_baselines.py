@@ -1,7 +1,6 @@
 """Learning-rate schedules and fixed-rate SGD/Adam steps."""
 
 import math
-import re
 
 import numpy as np
 import pytest
@@ -11,7 +10,7 @@ from hypothesis import strategies as st
 from helpers import full_batch, make_centered_quadratic
 from salsa_opt.baselines import (ScheduleConfig, fixed_adam_step,
                                  fixed_sgd_step, schedule_lr)
-from salsa_opt.core import ConfigError, StepRecord, axpy, norm_sq
+from salsa_opt.core import StepRecord, axpy, norm_sq
 from salsa_opt.directions import AdamState, adam_direction, \
     adam_update_moments
 from salsa_opt.line_search import SlsState
@@ -84,11 +83,6 @@ class TestSchedule:
         with pytest.raises(ValueError):
             schedule_lr(cfg, 10)
 
-    def test_cosine_needs_warmup_step(self):
-        with pytest.raises(ValueError):
-            ScheduleConfig(peak_lr=1.0, total_steps=5, warm_frac=0.0,
-                           schedule="cosine_warmup")
-
     @pytest.mark.parametrize("warm_frac, total_steps", [(0.15, 5), (0.6, 1)])
     def test_cosine_takes_a_warmup_that_rounds_to_one_step(self, warm_frac,
                                                            total_steps):
@@ -97,13 +91,42 @@ class TestSchedule:
                              warm_frac=warm_frac, schedule="cosine_warmup")
         assert cfg.warmup_steps == 1
 
-    def test_cosine_rejects_a_warmup_that_rounds_to_no_step(self):
-        # 0.1 * 5 = 0.5 rounds to 0 steps (half to even)
-        with pytest.raises(ConfigError, match=re.escape(
-                "cosine_warmup needs at least one warmup step: "
-                "round(warm_frac * total_steps) >= 1")):
-            ScheduleConfig(peak_lr=1.0, total_steps=5, warm_frac=0.1,
-                           schedule="cosine_warmup")
+    @pytest.mark.parametrize("warm_frac", [0.0, 0.1])
+    def test_a_warmup_of_zero_steps_decays_from_the_peak(self, warm_frac):
+        # 0.1 * 5 = 0.5 rounds to 0 steps (half to even): no ramp, the
+        # half-cosine starts at peak_lr
+        cfg = ScheduleConfig(peak_lr=0.3, total_steps=5,
+                             warm_frac=warm_frac, schedule="cosine_warmup")
+        rates = [schedule_lr(cfg, k) for k in range(5)]
+        assert cfg.warmup_steps == 0
+        assert rates[0] == 0.3
+        assert all(b <= a for a, b in zip(rates, rates[1:]))
+
+    @pytest.mark.parametrize("peak_lr", [0.1, 0.3, 1.0, 2.0, 1e-3, 0.7])
+    def test_a_schedule_with_a_warmup_keeps_its_bits(self, peak_lr):
+        def reference(cfg, k):
+            # schedule_lr's cosine_warmup body as it was when a warmup of
+            # zero steps was rejected
+            warm = cfg.warmup_steps
+            if k <= warm:
+                return cfg.peak_lr * k / warm
+            p = (k - warm) / (cfg.total_steps - warm)
+            return cfg.peak_lr * 0.5 * (1.0 + math.cos(math.pi * p))
+
+        checked = 0
+        for total_steps in range(1, 41):
+            for warm_frac in (0.01, 0.05, 0.1, 0.13, 0.15, 0.25, 0.3, 0.5,
+                              0.6, 0.75, 0.9, 0.99):
+                if round(warm_frac * total_steps) < 1:
+                    continue
+                cfg = ScheduleConfig(peak_lr=peak_lr, total_steps=total_steps,
+                                     warm_frac=warm_frac,
+                                     schedule="cosine_warmup")
+                for k in range(total_steps):
+                    assert schedule_lr(cfg, k).hex() == \
+                        reference(cfg, k).hex(), (total_steps, warm_frac, k)
+                    checked += 1
+        assert checked > 5000
 
 
 class TestFixedSgd:
