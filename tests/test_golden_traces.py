@@ -26,9 +26,13 @@ from pathlib import Path
 import pytest
 
 from salsa_opt.harness import run_single
-from salsa_opt.problems import make_mlp, make_quadratic
+from salsa_opt.problems import (make_matrix_factorization, make_mlp,
+                                make_quadratic)
 
 PROBLEMS = {
+    # rank 3 is the first rank whose einsum sum is not in index order
+    "matfac": lambda: make_matrix_factorization(rows=8, cols=6, rank=3,
+                                                seed=3),
     "mlp": lambda: make_mlp(n=96, in_dim=4, hidden=6, seed=1),
     "quadratic": lambda: make_quadratic(dim=4, cond=10.0, seed=0),
 }
@@ -80,6 +84,9 @@ CASES = [
      {"kind": "sgd_salsa", "enforce_nondecrease": True, **_GUARD}, False, 1, 8),
     ("adam_salsa-guard-nondecrease", "mlp",
      {"kind": "adam_salsa", "enforce_nondecrease": True, **_GUARD}, False, 1, 8),
+] + [
+    (f"{kind}-matfac", "matfac", {"kind": kind}, False, 2, 8)
+    for kind in ("adam_sls", "sgd_salsa")
 ]
 
 GOLDEN = {
@@ -155,6 +162,10 @@ GOLDEN = {
         "bc295f1e372c7030e82ab22566985ef31ca4e0f6759e7cda766c727590928d44",
     "adam_salsa-guard-nondecrease":
         "f0956b60c70864ee112477e45c768498bf3d15ae0cdfc845f6caff4501e85d18",
+    "adam_sls-matfac":
+        "9ae6fd8081c4db413ee946d9339eebc410405f0b24c50e4f2621d5859a7f73eb",
+    "sgd_salsa-matfac":
+        "847ab8fbf8633c3f392f62e31e67c20f0d4ee20f300f444951ef30d9b36559e2",
 }
 
 
