@@ -12,15 +12,19 @@ numpy calls, each with the bits of the plain expression:
 the Python wrapper in numpy's ``_methods``, ``X.take(indices, axis=0)``
 gathers the rows of ``X[indices]``, and a literal operand is a read-only
 0-d float64 array, which numpy takes faster than a Python float. The
-logistic and MLP kernels keep two more rules:
+logistic, MLP and matrix-factorization kernels keep two more rules:
 
 - No array-function-dispatched call (``np.where``, ``np.concatenate`` and
   the like), which costs two to three times a ufunc on a batch of 32:
-  only ufuncs, ``@``/``np.matmul``, ``take`` and indexing.
-- A temporary is formed in place (``out=``) only in an array the kernel
-  allocated itself, never in ``w``, a view of it or the problem's data.
-  Each gradient is a new array; the MLP's is written block by block
-  through views of it.
+  only ufuncs, ``@``/``np.matmul``, ``take`` and indexing. The
+  matrix-factorization kernel calls numpy's C einsum, the function
+  ``np.einsum`` itself calls when ``optimize`` is off, because
+  ``np.einsum``'s dispatch and Python wrapper cost about as much as the
+  sum; its one dispatched call left is ``np.bincount``.
+- A temporary is formed in place (``out=`` or an augmented assignment)
+  only in an array the kernel allocated itself, never in ``w``, a view of
+  it or the problem's data. Each gradient is a new array; the MLP's is
+  written block by block through views of it.
 """
 
 from __future__ import annotations
@@ -31,6 +35,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+
+try:
+    from numpy._core.multiarray import c_einsum as _c_einsum
+except ImportError:  # numpy 1.x
+    from numpy.core.multiarray import c_einsum as _c_einsum
 
 from .core import FNV_OFFSET, ConfigError, EvalResult, ParamVector, \
     check_fields, checked_arguments, fnv_fold, seeded_rng, stream_key_from
@@ -374,6 +383,11 @@ def make_matrix_factorization(rows: int, cols: int, rank: int, seed: int = 0,
 
     M comes from a seeded rank-``rank`` ground truth plus Gaussian noise;
     ``extras["M"]`` holds it. Parameters are [U.ravel(), V.ravel()].
+
+    The residual's sum over rank, U[i] . V[j], is numpy's einsum, in
+    einsum's order. That order follows numpy's SIMD lanes, not the index
+    order, so the losses and gradients depend on the numpy build as well
+    as its version.
     """
     if rank > min(rows, cols):
         raise ConfigError("rank must be <= min(rows, cols)")
@@ -394,18 +408,24 @@ def make_matrix_factorization(rows: int, cols: int, rank: int, seed: int = 0,
     bin_of = _readonly(np.hstack([v_pos, u_pos]))
 
     def loss_grad(w, indices, grad=True):
-        P = w[pos_of.take(indices, axis=0)]
-        r = np.einsum("bk,bk->b", P[:, :rank], P[:, rank:]) - targets[indices]
-        loss = float(0.5 * (np.add.reduce(r * r) / len(r)))
+        # w.take gathers the entries of w[...]; the C einsum returns the
+        # array np.einsum would, and the residual is formed in it
+        P = w.take(pos_of.take(indices, axis=0))
+        r = _c_einsum("bk,bk->b", P[:, :rank], P[:, rank:])
+        r -= targets[indices]
+        n = len(r)
+        loss = float(0.5 * (np.add.reduce(r * r) / n))
         if not grad:
             return EvalResult(loss, None)
         # bincount adds each bin's weights in input order, as np.add.at
         # into zeros does, so every entry keeps its bits (where two NaNs
-        # meet, either may win, as numpy leaves a NaN's sign unspecified)
+        # meet, either may win, as numpy leaves a NaN's sign unspecified);
+        # the weights are r[:, None] * P / n, divided in place
+        weights = np.multiply(r[:, None], P)
+        weights /= n
         g = np.bincount(bin_of.take(indices, axis=0).ravel(),
-                        weights=(r[:, None] * P / len(r)).ravel(),
-                        minlength=dim)
-        return EvalResult(loss=loss, grad=g)
+                        weights=weights.ravel(), minlength=dim)
+        return EvalResult(loss, g)
 
     def init_params(run_seed):
         return 0.1 * seeded_rng(seed, run_seed, 0x32).standard_normal(dim)

@@ -155,6 +155,8 @@ CASES = [
     (make_matrix_factorization(rows=8, cols=6, rank=2, seed=1), ref_matfac),
     (make_matrix_factorization(rows=40, cols=30, rank=3, seed=2), ref_matfac),
     (make_matrix_factorization(rows=9, cols=11, rank=7, seed=3), ref_matfac),
+    # rank >= 8 runs einsum's unrolled inner loop
+    (make_matrix_factorization(rows=10, cols=12, rank=9, seed=4), ref_matfac),
 ]
 
 SPECIALS = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0]
