@@ -408,11 +408,11 @@ def make_matrix_factorization(rows: int, cols: int, rank: int, seed: int = 0,
     bin_of = _readonly(np.hstack([v_pos, u_pos]))
 
     def loss_grad(w, indices, grad=True):
-        # w.take gathers the entries of w[...]; the C einsum returns the
-        # array np.einsum would, and the residual is formed in it
+        # w.take gathers the entries of w[...], and the C einsum returns the
+        # array np.einsum would; the residual gets an array of its own, as
+        # einsum's has w's dtype, which may be narrower than float64
         P = w.take(pos_of.take(indices, axis=0))
-        r = _c_einsum("bk,bk->b", P[:, :rank], P[:, rank:])
-        r -= targets[indices]
+        r = _c_einsum("bk,bk->b", P[:, :rank], P[:, rank:]) - targets[indices]
         n = len(r)
         loss = float(0.5 * (np.add.reduce(r * r) / n))
         if not grad:

@@ -217,6 +217,23 @@ def test_kernels_match_the_reference_formulas(prob, ref, data):
         assert _bits(got.grad) == _bits(want.grad)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.int64])
+@pytest.mark.parametrize("prob, ref", CASES,
+                         ids=[prob.name for prob, _ in CASES])
+def test_kernels_take_a_narrower_w_as_the_reference_formulas_do(prob, ref,
+                                                                dtype):
+    # a w that is not float64 takes numpy's promotions, so the loss is the
+    # reference's; a temporary formed in place in an array of w's dtype
+    # would round to it, or refuse the float64 cast. (Only the losses are
+    # compared: the references' gradients take w's dtype from zeros_like
+    # and Python-float literals, where the kernels' are float64.)
+    w = (10.0 * seeded_rng(6, 0x6E).standard_normal(prob.dim)).astype(dtype)
+    idx = np.arange(prob.dataset_size)[::-3]
+    want = ref(prob)(w, idx, grad=False).loss
+    assert _bits(prob.loss_grad(w, idx).loss) == _bits(want)
+    assert _bits(prob.loss_grad(w, idx, grad=False).loss) == _bits(want)
+
+
 def test_mlp_kernel_keeps_the_reference_nan_sign_on_a_short_batch():
     # on one row, z = A @ w2 + b2 adds a NaN to b2 = -NaN; an in-place add
     # there returned the other NaN than the allocating form, so the loss
