@@ -179,6 +179,10 @@ def _same_but_nan_payload(a, b):
             and _bits(a[~nan_a]) == _bits(b[~nan_b]))
 
 
+def _same_bits(a, b):
+    return _bits(a) == _bits(b)
+
+
 @st.composite
 def index_sets(draw, size):
     if draw(st.booleans()):
@@ -203,9 +207,17 @@ def test_kernels_match_the_reference_formulas(prob, ref, data):
         want = ref(prob)(w, idx)
         got = prob.loss_grad(w, idx)
         loss_only = prob.loss_grad(w, idx, grad=False)
-    assert _bits(got.loss) == _bits(want.loss)
+    same_loss = _same_bits
+    if (prob.name.startswith("matfac")
+            and prob.dim // sum(prob.extras["M"].shape) >= 8):
+        # from rank 8 einsum runs its unrolled loop, and there a row's sum
+        # over the kernel's two views of one gathered array may keep the
+        # other one of two NaNs than over the reference's two gathered
+        # arrays (seen at ranks 9 and 17, never on a value that is not NaN)
+        same_loss = _same_but_nan_payload
+    assert same_loss(np.asarray(got.loss), np.asarray(want.loss))
     assert loss_only.grad is None
-    assert _bits(loss_only.loss) == _bits(want.loss)
+    assert same_loss(np.asarray(loss_only.loss), np.asarray(want.loss))
     assert got.grad.dtype == want.grad.dtype
     if prob.name.startswith("matfac"):
         # np.bincount and np.add.at add each bin in the same order, so every
