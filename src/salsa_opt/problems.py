@@ -35,11 +35,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-
-try:
-    from numpy._core.multiarray import c_einsum as _c_einsum
-except ImportError:  # numpy 1.x
-    from numpy.core.multiarray import c_einsum as _c_einsum
+from numpy._core.multiarray import c_einsum as _c_einsum
 
 from .core import FNV_OFFSET, ConfigError, EvalResult, ParamVector, \
     check_fields, checked_arguments, fnv_fold, seeded_rng, stream_key_from

@@ -1,7 +1,6 @@
 """Command-line surface: configs in, CSV/JSON out, exit codes."""
 
 import functools
-import hashlib
 import json
 import math
 import os
@@ -13,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import pins
 from salsa_opt import harness
 from salsa_opt.cli import main
 from salsa_opt.core import TrainingTrace
@@ -529,38 +529,18 @@ class TestStudyDefaults:
 
 
 class TestStudyBytes:
-    # sha256 of the JSON each study command writes for a small config; a
-    # refactor of the runs or reductions behind a study must keep them
-    PROBLEM = {"kind": "logreg", "n": 64, "dim": 3, "seed": 0,
-               "label_noise": 0.1}
-
-    @pytest.mark.parametrize("command, config, digest", [
-        ("scaling", {"optimizer": {"kind": "sgd_sls"}, "batch_sizes": [4, 8],
-                     "seeds": [0, 1], "epochs": 1},
-         "cdae070ec881b500f994fc3869cb80dd4aeabd5be49cddb221ec262fa03f0e97"),
-        ("scaling", {"optimizer": {"kind": "adam_salsa"},
-                     "batch_sizes": [4, 8], "seeds": [0, 1], "epochs": 2},
-         "80e62454ce59c600a6c66da367f18cfd26461caa89c1d7379cb9f4771ffb1c53"),
-        ("freq-ablation", {"optimizer": {"kind": "sgd_salsa"},
-                           "seeds": [0, 1], "epochs": 2, "batch_size": 8},
-         "22f32732e8d6e7dceb99cfe124f07be61e0f195a24432854fd5dae8680d4f922"),
-        ("freq-ablation", {"optimizer": {"kind": "adam_sls"},
-                           "seeds": [0, 1], "epochs": 1, "batch_size": 4},
-         "6e8014f4f43569d6dc71de2e21272b7315c37e0ba8458509be34d368934d38bc"),
-    ], ids=["scaling-sgd_sls", "scaling-adam_salsa", "freq-ablation-sgd_salsa",
-            "freq-ablation-adam_sls"])
-    def test_json_bytes_are_pinned(self, tmp_path, command, config, digest):
-        cfg = write_config(tmp_path, {"problem": self.PROBLEM, **config})
-        out = tmp_path / "out.json"
-        assert main([command, "--config", cfg, "--out", str(out),
-                     "--format", "json"]) == 0
-        text = out.read_bytes()
-        if config["optimizer"]["kind"] == "sgd_sls":
+    # sha256 of the JSON each study command in pins.STUDIES writes for a
+    # small config; a refactor of the runs or reductions behind a study
+    # must keep them
+    @pytest.mark.parametrize("study", pins.STUDIES)
+    def test_json_bytes_are_pinned(self, study):
+        if study == "scaling-sgd_sls":
             # a run without smoothing reports an empty h and s per run
+            text = pins.produce(f"study-json/{study}")
             empty = b'{"4:0":[],"4:1":[],"8:0":[],"8:1":[]}'
             assert b'"h_series":' + empty in text
             assert b'"s_series":' + empty in text
-        assert hashlib.sha256(text).hexdigest() == digest
+        pins.check(f"study-json/{study}")
 
 
 class TestCheckGradCommand:

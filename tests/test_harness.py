@@ -1,7 +1,6 @@
 """Experiment runner: determinism, summaries, comparison, replay checks."""
 
 import dataclasses
-import hashlib
 import json
 import math
 import re
@@ -13,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pins
 from salsa_opt import harness, line_search, salsa
 from salsa_opt.baselines import ScheduleConfig, schedule_lr
 from salsa_opt.cli import main
@@ -226,44 +226,12 @@ class TestRunExperiment:
         assert len(result.trace.records) == 25
         assert len(built) == 1
 
-    # one config per kind: ints given for floats, every schedule and Adam
-    # key, lr and peak_lr, keys out of their fields' order; each pins the
-    # sha256 of its runs' JSON, traces and metadata together
-    @pytest.mark.parametrize("optimizer, controller, digests", [
-        pytest.param({"lr": 1, "kind": "sgd", "schedule": "cosine_warmup",
-                      "warm_frac": 0.75}, False,
-                     ("8c233f55ade01a9e", "f900f228253fcd5f"), id="sgd"),
-        pytest.param({"kind": "adam", "beta1": 0, "peak_lr": 1,
-                      "warm_frac": 0, "schedule": "flat", "beta2": 0.5,
-                      "epsilon": 1}, True,
-                     ("9485614718757e2a", "d3f423be4ee7b686"), id="adam"),
-        pytest.param({"kind": "sgd_sls", "c": 0.5, "delta": 0.5, "b": 2,
-                      "grad_eps": 0, "max_backtracks": 5, "eta_init": 2,
-                      "eta_min": 1e-6, "eta_max": 4}, False,
-                     ("d924fa2089319b3a", "4798e0cc92f0dabb"), id="sgd_sls"),
-        pytest.param({"eta_max": 5, "kind": "adam_sls", "beta2": 0.9,
-                      "epsilon": 1e-6, "beta1": 0.5}, False,
-                     ("163789da7e53e80c", "f714a37f7675da59"),
-                     id="adam_sls"),
-        pytest.param({"kind": "sgd_salsa", "beta3": 0.5, "c": 0.25,
-                      "enforce_nondecrease": True, "eta_init": 1}, True,
-                     ("10a4d6632be2935f", "84cd575c23462c74"),
-                     id="sgd_salsa"),
-        pytest.param({"kind": "adam_salsa"}, True,
-                     ("c38c2a1804c2f9c9", "d8831d6aa74d00e1"),
-                     id="adam_salsa"),
-    ])
-    @pytest.mark.parametrize("epochs", [0, 2])
-    def test_json_bytes_are_pinned(self, optimizer, controller, digests,
-                                   epochs):
-        results = run_experiment(
-            problem={"seed": 2, "kind": "logreg", "n": 16, "dim": 3,
-                     "label_noise": 0},
-            optimizer=optimizer, seeds=[0, 1], epochs=epochs, batch_size=4,
-            frequency_controller=controller)
-        text = "".join(result.trace.to_json() for result in results)
-        assert hashlib.sha256(text.encode()).hexdigest()[:16] == \
-            digests[epochs // 2]
+    # one config per kind in pins.RUN_JSON; each pins the sha256 of its
+    # runs' JSON, traces and metadata together
+    @pytest.mark.parametrize("kind", pins.RUN_JSON)
+    @pytest.mark.parametrize("epochs", pins.RUN_JSON_EPOCHS)
+    def test_json_bytes_are_pinned(self, kind, epochs):
+        pins.check(f"run-json/{kind}-epochs{epochs}")
 
     def test_fixed_rate_schedule_default_is_schedule_configs(self):
         # a config with only peak_lr runs ScheduleConfig's own default shape

@@ -33,7 +33,7 @@ from salsa_opt.harness import batch_scaling_experiment, \
     compare_optimizers, frequency_ablation, run_experiment
 from salsa_opt.line_search import SlsConfig
 from salsa_opt.salsa import SalsaConfig
-from test_demos import DEMOS
+from pins import DEMOS
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -106,7 +106,8 @@ def test_python_blocks_run(tmp_path, monkeypatch):
 
 def test_demo_lines_name_the_demos_that_run():
     named = [demo_script(line) for line in sh_lines() if demo_script(line)]
-    assert named and all(path in DEMOS for path in named), named
+    demos = [ROOT / "demos" / f"{stem}.py" for stem in DEMOS]
+    assert named and all(path in demos for path in named), named
 
 
 def test_exempt_lines_name_files_that_exist():
